@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from dataclasses import dataclass, fields, replace
 
@@ -68,6 +69,8 @@ _INT_KEYS = {"steps", "max_iter"}
 _BOOL_KEYS = {"log_abs"}
 _STR_KEYS = {"model", "branch", "method", "csv", "svg"}
 _OPTIONAL_KEYS = {"q2", "csv", "svg"}
+# argparse takes a word such as -3.2e-05 for an option, not a value.
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 
 def _g17(x) -> str:
@@ -696,10 +699,23 @@ _HANDLERS = {
 }
 
 
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """Join each float flag to a negative number after it as --flag=value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1][2:] in _FLOAT_KEYS and _NEGATIVE_NUMBER.fullmatch(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_negative_numbers(argv))
         rc = resolve_config(ns)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -266,8 +266,7 @@ def run_closed_form_vf(q_sequence, gamma0: float) -> GammaSequence:
     return GammaSequence(entries=entries, source=GammaSource.CLOSED_FORM, meta=meta)
 
 
-def equivalence_check(H: DiscreteHamiltonian, flow_seq: GeneratingSequence,
-                      cfg: NewtonConfig | None = None) -> list[float]:
+def equivalence_check(H: DiscreteHamiltonian, flow_seq: GeneratingSequence) -> list[float]:
     """Residuals of the field equation along a generating sequence.
 
     For each transition of flow_seq the grid derivative of the slope is the
@@ -275,8 +274,7 @@ def equivalence_check(H: DiscreteHamiltonian, flow_seq: GeneratingSequence,
     evaluated at (q_j, DS_next).  When S and DS come from an exact solution
     the residuals vanish up to discretization; comparing them across schemes
     is how the value-evolution and field pictures are checked against each
-    other.  Raises DegenerateGridError on repeated positions.  cfg is
-    accepted for signature uniformity; nothing is solved here.
+    other.  Raises DegenerateGridError on repeated positions.
     """
     if H.side is not Side.RIGHT:
         raise ValueError("equivalence_check needs a Side.RIGHT Hamiltonian")

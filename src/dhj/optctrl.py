@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -98,13 +99,19 @@ class ReducedHamiltonian:
     d_p: object = None
 
 
+def _vec(x, dim: int) -> np.ndarray:
+    """x as a float64 dim-vector, unchecked for finiteness: inner q and p come
+    from validated points or Newton iterates; Newton rejects non-finite residuals."""
+    return np.asarray(x, dtype=float).reshape(dim)
+
+
 def secondary_constraint(cp: ControlProblem, q, p, u) -> np.ndarray:
     """phi(q, p, u) = p . dGamma/du + sign * dcost/du, a k-vector."""
-    q = as_vec(q, dim=cp.n, name="q")
-    p = as_vec(p, dim=cp.n, name="p")
-    u = as_vec(u, dim=cp.k, name="u")
+    q = _vec(q, cp.n)
+    p = _vec(p, cp.n)
+    u = _vec(u, cp.k)
     jac = np.asarray(cp.du_gamma(q, u), dtype=float).reshape(cp.n, cp.k)
-    grad = as_vec(cp.du_cost(q, u), dim=cp.k, name="du_cost")
+    grad = _vec(cp.du_cost(q, u), cp.k)
     return jac.T @ p + cp.sign.factor * grad
 
 
@@ -113,39 +120,43 @@ def secondary_constraint(cp: ControlProblem, q, p, u) -> np.ndarray:
 _AFFINE_PROBE_TOL = 1e-10
 
 
+def _affine_part(phi, k: int, probe: bool):
+    """phi(0) and phi's matrix in u; with probe set, None for a curved phi."""
+    phi0 = phi(np.zeros(k))
+    aff = np.empty((k, k))
+    for a in range(k):
+        e = np.zeros(k)
+        e[a] = 1.0
+        phi1 = phi(e)
+        if probe:
+            phi2 = phi(2.0 * e)
+            scale = max(1.0, norm_inf(phi0), norm_inf(phi1), norm_inf(phi2))
+            if norm_inf(phi2 - 2.0 * phi1 + phi0) > _AFFINE_PROBE_TOL * scale:
+                return phi0, None
+        aff[:, a] = phi1 - phi0
+    return phi0, aff
+
+
 def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
-                      guess=None) -> np.ndarray:
+                      guess=None, affine: bool | None = None) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
 
     The constraint is probed for affinity in u with unit-offset second
     differences; when affine (quadratic costs with control-affine dynamics,
     the common case) the control comes from one linear solve, exact for the
     benchmark.  Otherwise, or when the linear candidate fails verification,
-    a damped Newton runs from guess (default zero).
+    a damped Newton runs from guess (default zero).  affine=True, a verdict
+    worked out once by the caller, skips the probe; its candidate, if it
+    fails verification, takes the probed path instead.
     """
     if cfg is None:
         cfg = NewtonConfig()
-    q = as_vec(q, dim=cp.n, name="q")
-    p = as_vec(p, dim=cp.n, name="p")
 
     def phi(u: np.ndarray) -> np.ndarray:
         return secondary_constraint(cp, q, p, u)
 
-    zero = np.zeros(cp.k)
-    phi0 = phi(zero)
-    aff = np.empty((cp.k, cp.k))
-    affine = True
-    for a in range(cp.k):
-        e = np.zeros(cp.k)
-        e[a] = 1.0
-        phi1 = phi(e)
-        phi2 = phi(2.0 * e)
-        scale = max(1.0, norm_inf(phi0), norm_inf(phi1), norm_inf(phi2))
-        if norm_inf(phi2 - 2.0 * phi1 + phi0) > _AFFINE_PROBE_TOL * scale:
-            affine = False
-            break
-        aff[:, a] = phi1 - phi0
-    if affine:
+    phi0, aff = _affine_part(phi, cp.k, probe=not affine)
+    if aff is not None:
         try:
             cand = np.linalg.solve(aff, -phi0)
         except np.linalg.LinAlgError:
@@ -154,9 +165,12 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
             accept = max(cfg.tol, 1e-13 * norm_inf(p))
             if norm_inf(phi(cand)) <= accept:
                 return cand
-            # affine but the candidate needs polish (rounding in the solve)
-            return newton_solve(phi, cand, cfg)
-    start = zero if guess is None else as_vec(guess, dim=cp.k, name="guess")
+            if not affine:
+                # affine but the candidate needs polish (rounding in the solve)
+                return newton_solve(phi, cand, cfg)
+    if affine:
+        return eliminate_control(cp, q, p, cfg, guess)
+    start = np.zeros(cp.k) if guess is None else as_vec(guess, dim=cp.k, name="guess")
     return newton_solve(phi, start, cfg)
 
 
@@ -170,20 +184,24 @@ def reduce(cp: ControlProblem, cfg: NewtonConfig | None = None) -> ReducedHamilt
     with no du*/dq or du*/dp term surviving).
     """
     inner = cfg if cfg is not None else NewtonConfig()
+    affine = None  # phi affine in u for every p: probed at p = 0 and each p = e_i
 
     def u_of_qp(q, p) -> np.ndarray:
-        return eliminate_control(cp, q, p, inner)
+        nonlocal affine
+        u = eliminate_control(cp, q, p, inner, affine=affine)
+        if affine is None:
+            phis = (partial(secondary_constraint, cp, q, m) for m in np.eye(cp.n + 1, cp.n, -1))
+            affine = all(_affine_part(phi, cp.k, probe=True)[1] is not None for phi in phis)
+        return u
 
     def _eval(q, p) -> float:
-        q = as_vec(q, dim=cp.n, name="q")
-        p = as_vec(p, dim=cp.n, name="p")
+        q, p = _vec(q, cp.n), _vec(p, cp.n)
         u = u_of_qp(q, p)
-        vel = as_vec(cp.gamma(q, u), dim=cp.n, name="gamma")
+        vel = _vec(cp.gamma(q, u), cp.n)
         return float(p @ vel) + cp.sign.factor * float(cp.cost(q, u))
 
     def d_p(q, p) -> np.ndarray:
-        q = as_vec(q, dim=cp.n, name="q")
-        p = as_vec(p, dim=cp.n, name="p")
+        q, p = _vec(q, cp.n), _vec(p, cp.n)
         u = u_of_qp(q, p)
         return np.asarray(cp.gamma(q, u), dtype=float)
 
@@ -191,11 +209,10 @@ def reduce(cp: ControlProblem, cfg: NewtonConfig | None = None) -> ReducedHamilt
     if cp.dq_gamma is not None and cp.dq_cost is not None:
 
         def d_q(q, p) -> np.ndarray:
-            q = as_vec(q, dim=cp.n, name="q")
-            p = as_vec(p, dim=cp.n, name="p")
+            q, p = _vec(q, cp.n), _vec(p, cp.n)
             u = u_of_qp(q, p)
             jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
-            grad = as_vec(cp.dq_cost(q, u), dim=cp.n, name="dq_cost")
+            grad = _vec(cp.dq_cost(q, u), cp.n)
             return jac.T @ p + cp.sign.factor * grad
 
     return ReducedHamiltonian(eval=_eval, u_of_qp=u_of_qp, n=cp.n, d_q=d_q, d_p=d_p)
@@ -217,7 +234,6 @@ def discretize_right(Hc: ReducedHamiltonian, fd_step: float = 1e-7) -> DiscreteH
             return np.asarray(Hc.d_q(q, p_next), dtype=float)
     else:
         def _d1(q, p_next) -> np.ndarray:
-            p_next = as_vec(p_next, dim=Hc.n, name="p_next")
             return fd_gradient(lambda z: Hc.eval(z, p_next), q, fd_step)
 
     if Hc.d_p is not None:
@@ -225,7 +241,6 @@ def discretize_right(Hc: ReducedHamiltonian, fd_step: float = 1e-7) -> DiscreteH
             return np.asarray(Hc.d_p(q, p_next), dtype=float)
     else:
         def _d2(q, p_next) -> np.ndarray:
-            q = as_vec(q, dim=Hc.n, name="q")
             return fd_gradient(lambda z: Hc.eval(q, z), p_next, fd_step)
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=Hc.n)

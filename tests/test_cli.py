@@ -195,3 +195,24 @@ def test_minus_branch_truncates_with_partial_csv(tmp_path):
     assert main(["hj-flow", "--branch", "minus", "--csv", str(out)]) == 1
     _, _, rows, _ = read_csv(out)
     assert len(rows) == 2
+
+
+def test_negative_float_with_exponent_is_a_separate_value(tmp_path):
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--q1", "-3.2e-05", "--steps", "2", "--csv", str(out)]) == 0
+    assert "# q1 = -3.1999999999999999e-05" in out.read_text(encoding="utf-8").splitlines()
+
+    out = tmp_path / "all.csv"
+    rcode = main(["simulate", "--q1", "-1e-7", "--p1", "-2E-8", "--q2", "-.25e-6",
+                  "--ds1", "-1e-9", "--gamma1", "-3.5e-9", "--steps", "2", "--csv", str(out)])
+    assert rcode == 0
+    header, _, _, _ = read_csv(out)
+    assert [header[k] for k in ("q1", "p1", "q2", "ds1", "gamma1")] == [
+        format(v, ".17g") for v in (-1e-7, -2e-8, -0.25e-6, -1e-9, -3.5e-9)]
+
+
+def test_negative_weight_or_scale_is_read_then_rejected(capsys):
+    for flag in ("--r", "--s", "--h"):
+        assert main(["simulate", flag, "-1e-3"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "expected one argument" not in err

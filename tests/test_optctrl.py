@@ -181,3 +181,73 @@ def test_control_problem_validates_sign():
             n=1,
             k=1,
         )
+
+
+def _probed_reference(cp, q, p):
+    """eval, d_q and d_p of the reduced Hamiltonian, built on an elimination
+    that probes the constraint afresh on every call."""
+    q = np.asarray(q, dtype=float)
+    p = np.asarray(p, dtype=float)
+    u = eliminate_control(cp, q, p)
+    vel = np.asarray(cp.gamma(q, u), dtype=float)
+    val = float(p @ vel) + cp.sign.factor * float(cp.cost(q, u))
+    jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
+    d_q = jac.T @ p + cp.sign.factor * np.asarray(cp.dq_cost(q, u), dtype=float)
+    return u, val, d_q, vel
+
+
+# p = 0 comes first, so a verdict taken there would govern the rest of the grid;
+# the small momenta are where a curved constraint's linear candidate would pass
+# verification although the probe rejects it.
+_GRID_Q = (-1.5, -0.4, 0.0, 0.3, 1.2)
+_GRID_P = (0.0, -0.5, -1e-3, -1e-5, 1e-9, 1e-4, 0.02, 0.45)
+
+
+def _assert_bitwise_equal_to_probed(cp):
+    H = reduce(cp)
+    for q in _GRID_Q:
+        for p in _GRID_P:
+            u, val, d_q, d_p = _probed_reference(cp, [q], [p])
+            assert np.array_equal(H.u_of_qp([q], [p]), u)
+            assert H.eval([q], [p]) == val
+            assert np.array_equal(H.d_q([q], [p]), d_q)
+            assert np.array_equal(H.d_p([q], [p]), d_p)
+
+
+@pytest.mark.parametrize("sign", [SignCriterion.PLUS, SignCriterion.MINUS])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_reduced_hamiltonian_bitwise_equals_per_call_probe(r, s, sign):
+    _assert_bitwise_equal_to_probed(dataclasses.replace(make_sakamoto1d(r=r, s=s), sign=sign))
+
+
+def test_affinity_verdict_not_taken_at_zero_momentum():
+    # phi = p (1 + 0.3 u^2) + u is curved in u, but at p = 0 it reads u
+    cp = ControlProblem(
+        gamma=lambda q, u: np.array([q[0] - q[0] ** 3 + u[0] + 0.1 * u[0] ** 3]),
+        cost=lambda q, u: 0.5 * (q[0] ** 2 + u[0] ** 2),
+        du_gamma=lambda q, u: np.array([[1.0 + 0.3 * u[0] ** 2]]),
+        du_cost=lambda q, u: np.array([u[0]]),
+        sign=SignCriterion.PLUS,
+        n=1,
+        k=1,
+        dq_gamma=lambda q, u: np.array([[1.0 - 3.0 * q[0] ** 2]]),
+        dq_cost=lambda q, u: np.array([q[0]]),
+    )
+    _assert_bitwise_equal_to_probed(cp)
+
+
+def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
+    base = make_sakamoto1d()
+    calls = []
+
+    def du_gamma(q, u):
+        calls.append(1)
+        return base.du_gamma(q, u)
+
+    H = discretize_right(reduce(dataclasses.replace(base, du_gamma=du_gamma)))
+    H.d1([0.2], [-0.3])  # the first call with nonzero momentum takes the verdict
+    for q, p in ((0.05, -0.02), (-0.7, 1.3), (0.4, 0.0)):
+        calls.clear()
+        H.d1([q], [p])
+        assert len(calls) <= 3

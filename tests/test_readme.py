@@ -1,0 +1,25 @@
+"""The README's examples run as written and its CSV columns match the CLI."""
+
+import re
+from pathlib import Path
+
+from dhj.cli import main
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_quick_start_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {"__name__": "readme_quick_start"})
+
+
+def test_readme_csv_columns_match_the_written_files(tmp_path):
+    documented = dict(re.findall(r"^- `([a-z-]+)`: `([a-z_,A-Z]+)`", README.read_text(
+        encoding="utf-8"), re.M))
+    assert set(documented) == {"simulate", "hj-flow", "hj-vf"}
+    for command, columns in documented.items():
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--steps", "2", "--csv", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert [line for line in lines if not line.startswith("#")][0] == columns
