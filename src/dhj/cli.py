@@ -9,6 +9,7 @@ failure (partial outputs are still written), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -145,6 +146,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="log10 vertical scale on magnitude plots")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dhj",
@@ -176,6 +178,10 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
             overrides[f.name] = value
     rc = replace(rc, **overrides)
 
+    for key in sorted(_FLOAT_KEYS):
+        value = getattr(rc, key)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     if rc.model not in MODEL_REGISTRY:
         known = ", ".join(sorted(MODEL_REGISTRY))
         raise ConfigError(f"unknown model {rc.model!r} (known: {known})")

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import NewtonConfig, as_vec, fd_gradient, newton_solve, norm_inf
+from .core import NewtonConfig, NumericalError, as_vec, fd_gradient, newton_solve, norm_inf
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side
 
 __all__ = [
@@ -87,7 +87,9 @@ class ReducedHamiltonian:
     """Hamiltonian of (q, p) after control elimination.
 
     eval(q, p) -> scalar; u_of_qp(q, p) -> the eliminated control, which
-    satisfies the secondary constraint to solver tolerance.  d_q and d_p are
+    satisfies the secondary constraint to solver tolerance; it keeps the
+    control of the last (q, p) it was asked for, so the partials at one point
+    share one elimination, and returns it read-only.  d_q and d_p are
     analytic slot partials when the underlying problem supplied state
     partials, else None (consumers fall back to finite differences).
     """
@@ -148,6 +150,10 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
     a damped Newton runs from guess (default zero).  affine=True, a verdict
     worked out once by the caller, skips the probe; its candidate, if it
     fails verification, takes the probed path instead.
+
+    A non-finite q or p that reaches Newton raises ValueError naming it.
+    A caller that passes a verdict (True or False) hands in solver iterates,
+    so for it the same condition is a NumericalError.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -156,20 +162,23 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
         return secondary_constraint(cp, q, p, u)
 
     phi0, aff = _affine_part(phi, cp.k, probe=not affine)
+    cand = None
     if aff is not None:
         try:
             cand = np.linalg.solve(aff, -phi0)
         except np.linalg.LinAlgError:
-            cand = None
-        if cand is not None:
-            accept = max(cfg.tol, 1e-13 * norm_inf(p))
-            if norm_inf(phi(cand)) <= accept:
-                return cand
-            if not affine:
-                # affine but the candidate needs polish (rounding in the solve)
-                return newton_solve(phi, cand, cfg)
+            pass
+        if cand is not None and norm_inf(phi(cand)) <= max(cfg.tol, 1e-13 * norm_inf(p)):
+            return cand
     if affine:
-        return eliminate_control(cp, q, p, cfg, guess)
+        return eliminate_control(cp, q, p, cfg, guess, affine=False)
+    for name, v in (("q", q), ("p", p)):
+        if not np.all(np.isfinite(v)):
+            error = ValueError if affine is None else NumericalError
+            raise error(f"{name} contains non-finite entries: {np.asarray(v)}")
+    if cand is not None:
+        # affine but the candidate needs polish (rounding in the solve)
+        return newton_solve(phi, cand, cfg)
     start = np.zeros(cp.k) if guess is None else as_vec(guess, dim=cp.k, name="guess")
     return newton_solve(phi, start, cfg)
 
@@ -185,13 +194,20 @@ def reduce(cp: ControlProblem, cfg: NewtonConfig | None = None) -> ReducedHamilt
     """
     inner = cfg if cfg is not None else NewtonConfig()
     affine = None  # phi affine in u for every p: probed at p = 0 and each p = e_i
+    last = (None, None)  # (bytes of q and p, their read-only control)
 
     def u_of_qp(q, p) -> np.ndarray:
-        nonlocal affine
-        u = eliminate_control(cp, q, p, inner, affine=affine)
+        nonlocal affine, last
+        q, p = _vec(q, cp.n), _vec(p, cp.n)
+        key = q.tobytes() + p.tobytes()
+        if key == last[0]:
+            return last[1]
         if affine is None:
             phis = (partial(secondary_constraint, cp, q, m) for m in np.eye(cp.n + 1, cp.n, -1))
             affine = all(_affine_part(phi, cp.k, probe=True)[1] is not None for phi in phis)
+        u = eliminate_control(cp, q, p, inner, affine=affine)
+        u.setflags(write=False)
+        last = (key, u)
         return u
 
     def _eval(q, p) -> float:

@@ -6,6 +6,7 @@ import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 
 from dhj.cli import check_partial_consistency, main
 from dhj.mechanics import DiscreteHamiltonian, Side
@@ -216,3 +217,25 @@ def test_negative_weight_or_scale_is_read_then_rejected(capsys):
         assert main(["simulate", flag, "-1e-3"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "expected one argument" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--q1=nan"),
+    ("hj-vf", "--gamma1=nan"),
+    ("hj-flow", "--ds1=inf"),
+    ("compare", "--q2=nan"),
+    ("compare", "--r=inf"),
+    ("compare", "--s=inf"),
+    ("compare", "--h=inf"),
+])
+def test_non_finite_float_setting_is_a_config_error(command, flag, capsys):
+    assert main([command, flag, "--steps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "must be finite" in err
+
+
+def test_non_finite_float_in_config_file_is_a_config_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("q1 = inf\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(cfgfile), "--steps", "2"]) == 2
+    assert "config error: q1 must be finite" in capsys.readouterr().err

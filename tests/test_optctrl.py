@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dhj.core import PhasePoint, norm_inf
+from dhj.core import NumericalError, PhasePoint, norm_inf
 from dhj.mechanics import Side, run_trajectory
 from dhj.optctrl import (
     MODEL_REGISTRY,
@@ -251,3 +251,46 @@ def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
         calls.clear()
         H.d1([q], [p])
         assert len(calls) <= 3
+
+
+def _quartic_cost_problem():
+    # phi = p + u + 0.1 u^3 is curved in u, so elimination always runs Newton
+    return ControlProblem(
+        gamma=lambda q, u: np.array([q[0] - q[0] ** 3 + u[0]]),
+        cost=lambda q, u: 0.5 * u[0] ** 2 + 0.025 * u[0] ** 4,
+        du_gamma=lambda q, u: np.array([[1.0]]),
+        du_cost=lambda q, u: np.array([u[0] + 0.1 * u[0] ** 3]),
+        sign=SignCriterion.PLUS,
+        n=1,
+        k=1,
+    )
+
+
+def test_eliminate_control_names_the_non_finite_argument():
+    with pytest.raises(ValueError, match="^p contains non-finite"):
+        eliminate_control(make_sakamoto1d(), [0.1], [float("nan")])
+    with pytest.raises(ValueError, match="^q contains non-finite"):
+        eliminate_control(_quartic_cost_problem(), [float("inf")], [0.5])
+    # phi of the benchmark does not depend on q: the affine solve is accepted
+    assert eliminate_control(make_sakamoto1d(), [float("inf")], [0.1])[0] == -0.1
+
+
+@pytest.mark.parametrize("cp", [make_sakamoto1d(), _quartic_cost_problem()])
+def test_non_finite_iterate_in_reduced_hamiltonian_is_a_numerical_error(cp):
+    H = discretize_right(reduce(cp))
+    H.d2([0.2], [-0.3])
+    with pytest.raises(NumericalError, match="^p contains non-finite"):
+        H.d2([0.1], [float("nan")])
+    with pytest.raises(NumericalError, match="^p contains non-finite"):
+        H.d2([0.1], [float("-inf")])
+
+
+def test_u_of_qp_bitwise_equals_a_fresh_elimination():
+    for r, s in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
+        cp = make_sakamoto1d(r=r, s=s)
+        H = reduce(cp)
+        for q, p in ((0.2, -0.3), (0.2, -0.3), (0.2, 0.7), (-0.4, 0.7), (-0.4, 0.7),
+                     (0.0, -0.0), (0.0, 0.0), (0.2, -0.3)):
+            u = H.u_of_qp([q], [p])
+            assert np.array_equal(u, eliminate_control(cp, [q], [p]))
+            assert not u.flags.writeable
