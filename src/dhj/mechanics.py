@@ -80,7 +80,9 @@ class DiscreteHamiltonian:
 
     Slot convention: side Right means eval(q_j, p_next), side Left means
     eval(q_next, p_j).  d1/d2 differentiate the first/second slot and return
-    vectors of length dim.
+    vectors of length dim.  The optional d12(a, b) is the dim x dim Jacobian
+    of d1 with respect to the second slot; with it step_right hands Newton
+    an exact Jacobian instead of central differences of d1.
     """
 
     side: Side
@@ -88,6 +90,7 @@ class DiscreteHamiltonian:
     d1: object
     d2: object
     dim: int
+    d12: object = None
 
     def __post_init__(self):
         if not isinstance(self.side, Side):
@@ -236,7 +239,8 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
 def step_right(H: DiscreteHamiltonian, x: PhasePoint,
                cfg: NewtonConfig | None = None) -> PhasePoint:
     """One right-Hamiltonian step: solve p_j = D1 H+(q_j, p_next) for p_next,
-    then read off q_next = D2 H+(q_j, p_next).  Guess for p_next is p_j."""
+    then read off q_next = D2 H+(q_j, p_next).  Guess for p_next is p_j; the
+    Newton Jacobian is H.d12 when set, else central differences of D1 H+."""
     if H.side is not Side.RIGHT:
         raise ValueError(f"step_right needs a Side.RIGHT Hamiltonian, got {H.side}")
     if x.dim != H.dim:
@@ -245,7 +249,8 @@ def step_right(H: DiscreteHamiltonian, x: PhasePoint,
     def residual(g: np.ndarray) -> np.ndarray:
         return np.asarray(H.d1(x.q, g), dtype=float) - x.p
 
-    p_next = newton_solve(residual, x.p, cfg)
+    jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
+    p_next = newton_solve(residual, x.p, cfg, jacobian=jacobian)
     q_next = as_vec(H.d2(x.q, p_next), dim=H.dim, name="D2 H+")
     return PhasePoint(index=x.index + 1, q=q_next, p=p_next)
 

@@ -59,7 +59,10 @@ class ControlProblem:
     du_cost (k,) are their analytic control partials; the optional state
     partials dq_gamma (n x n) and dq_cost (n,) sharpen the reduced
     Hamiltonian's slot partials from finite differences to exact values
-    when supplied.
+    when supplied.  The optional d_qp(q, p, u) (n x n) is the reduced
+    Hamiltonian's mixed partial d2H/dq dp at the eliminated control u,
+    including the part that comes through u's dependence on p; it gives the
+    right step an exact Newton Jacobian.
     """
 
     gamma: object
@@ -71,6 +74,7 @@ class ControlProblem:
     k: int
     dq_gamma: object = None
     dq_cost: object = None
+    d_qp: object = None
 
     def __post_init__(self):
         if not isinstance(self.sign, SignCriterion):
@@ -91,7 +95,8 @@ class ReducedHamiltonian:
     control of the last (q, p) it was asked for, so the partials at one point
     share one elimination, and returns it read-only.  d_q and d_p are
     analytic slot partials when the underlying problem supplied state
-    partials, else None (consumers fall back to finite differences).
+    partials, else None (consumers fall back to finite differences); d_qp,
+    the n x n mixed partial d2H/dq dp, is set when the problem supplied it.
     """
 
     eval: object
@@ -99,6 +104,7 @@ class ReducedHamiltonian:
     n: int
     d_q: object = None
     d_p: object = None
+    d_qp: object = None
 
 
 def _vec(x, dim: int) -> np.ndarray:
@@ -231,7 +237,15 @@ def reduce(cp: ControlProblem, cfg: NewtonConfig | None = None) -> ReducedHamilt
             grad = _vec(cp.dq_cost(q, u), cp.n)
             return jac.T @ p + cp.sign.factor * grad
 
-    return ReducedHamiltonian(eval=_eval, u_of_qp=u_of_qp, n=cp.n, d_q=d_q, d_p=d_p)
+    d_qp = None
+    if cp.d_qp is not None:
+
+        def d_qp(q, p) -> np.ndarray:
+            q, p = _vec(q, cp.n), _vec(p, cp.n)
+            return np.asarray(cp.d_qp(q, p, u_of_qp(q, p)), dtype=float).reshape(cp.n, cp.n)
+
+    return ReducedHamiltonian(eval=_eval, u_of_qp=u_of_qp, n=cp.n, d_q=d_q, d_p=d_p,
+                              d_qp=d_qp)
 
 
 def discretize_right(Hc: ReducedHamiltonian, fd_step: float = 1e-7) -> DiscreteHamiltonian:
@@ -239,7 +253,7 @@ def discretize_right(Hc: ReducedHamiltonian, fd_step: float = 1e-7) -> DiscreteH
 
     The substitution is bare: eval(q_j, p_next) = Hc.eval(q_j, p_next) with
     no step-size factor.  Slot partials use Hc's analytic ones when present
-    and central differences with fd_step otherwise.
+    and central differences with fd_step otherwise; Hc.d_qp becomes d12.
     """
 
     def _eval(q, p_next) -> float:
@@ -259,7 +273,8 @@ def discretize_right(Hc: ReducedHamiltonian, fd_step: float = 1e-7) -> DiscreteH
         def _d2(q, p_next) -> np.ndarray:
             return fd_gradient(lambda z: Hc.eval(q, z), p_next, fd_step)
 
-    return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=Hc.n)
+    return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=Hc.n,
+                               d12=Hc.d_qp)
 
 
 def recover_controls(cp: ControlProblem, traj: DiscreteTrajectory,
@@ -280,7 +295,9 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
 
     r > 0 weights the control effort, s > 0 the state; the Plus criterion
     gives phi = p + r u, so the eliminated control is u = -p / r and the
-    reduced Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.
+    reduced Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.  Its mixed
+    partial is 1 - 3 q^2 for every (r, s), since neither state partial
+    depends on u.
     """
     r = float(r)
     s = float(s)
@@ -307,9 +324,12 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     def dq_cost(q, u):
         return np.array([s * q[0]])
 
+    def d_qp(q, p, u):
+        return np.array([[1.0 - 3.0 * q[0] ** 2]])
+
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
                           sign=SignCriterion.PLUS, n=1, k=1,
-                          dq_gamma=dq_gamma, dq_cost=dq_cost)
+                          dq_gamma=dq_gamma, dq_cost=dq_cost, d_qp=d_qp)
 
 
 # Models addressable by name from configuration; callables take (r, s).

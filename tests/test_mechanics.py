@@ -1,6 +1,8 @@
 """Discrete Lagrangian/Hamiltonian structures and one-step maps."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,3 +246,66 @@ def test_hamiltonian_from_lagrangian_uses_newton_config():
     x = PhasePoint(index=1, q=[0.2], p=[0.1])
     nxt = step_right(H, x)
     assert verify_step(H, x, nxt) <= 1e-10
+
+
+# The benchmark's unit weights and the six non-unit (r, s) of the comparisons.
+_WEIGHTS = ((1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 0.5), (2.0, 0.5), (0.5, 2.0))
+
+
+def _exact_step_error(q, p, q_next, p_next, r, s):
+    """Relative miss of one transition against the step map in rationals,
+    p' = (p - s q) / (1 - 3 q^2), q' = q - q^3 - p' / r."""
+    q, p, r, s = (Fraction(v) for v in (q, p, r, s))
+    ep = (p - s * q) / (1 - 3 * q * q)
+    eq = q - q**3 - ep / r
+    mag = max(abs(q), abs(p), abs(eq), abs(ep))
+    return float(max(abs(Fraction(q_next) - eq), abs(Fraction(p_next) - ep)) / mag)
+
+
+@pytest.mark.parametrize("r, s", _WEIGHTS)
+def test_trajectory_rows_match_the_exact_rational_map(r, s):
+    # with the exact mixed partial one Newton step solves the affine D1 H+
+    # equation to rounding; finite-difference Jacobians left ~1e-11 misses
+    H = discretize_right(reduce(make_sakamoto1d(r=r, s=s)))
+    worst = 0.0
+    for q1 in np.geomspace(1e-10, 0.3, 15):
+        for sign in (1.0, -1.0):
+            traj = run_trajectory(H, PhasePoint(index=1, q=[sign * q1], p=[0.0]), 40)
+            for a, b in zip(traj.points[:-1], traj.points[1:]):
+                if abs(a.q[0]) >= 0.9 or abs(b.q[0]) >= 0.9:
+                    break
+                worst = max(worst, _exact_step_error(a.q[0], a.p[0], b.q[0], b.p[0], r, s))
+    assert worst <= 1e-13
+
+
+def test_step_right_with_one_newton_iteration_runs_two_eliminations():
+    # each accepted affine elimination evaluates the constraint three times
+    base = make_sakamoto1d(r=2.0, s=0.5)
+    calls = []
+
+    def du_gamma(q, u):
+        calls.append(1)
+        return base.du_gamma(q, u)
+
+    H = discretize_right(reduce(dataclasses.replace(base, du_gamma=du_gamma)))
+    H.d1([0.2], [-0.3])  # the first call also takes the affinity verdict
+    for q, p in ((0.05, -0.02), (-0.4, 0.3), (0.3, 0.0)):
+        calls.clear()
+        step_right(H, PhasePoint(index=1, q=[q], p=[p]))
+        assert len(calls) <= 2 * 3
+
+
+def test_wrong_mixed_partial_costs_iterations_not_accuracy():
+    H = cubic_right()
+    off = dataclasses.replace(H, d12=lambda a, b: 1.3 * H.d12(a, b))
+    x = PhasePoint(index=1, q=[0.2], p=[-0.1])
+    want = step_right(H, x)
+    got = step_right(off, x)
+    assert abs(got.p[0] - want.p[0]) <= 1e-11
+    assert abs(got.q[0] - want.q[0]) <= 1e-11
+
+
+def test_lagrangian_duals_carry_no_mixed_partial():
+    for side in (Side.RIGHT, Side.LEFT):
+        assert hamiltonian_from_lagrangian(quadratic_lagrangian(), side).d12 is None
+    assert cubic_right().d12 is not None

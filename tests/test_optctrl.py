@@ -266,6 +266,7 @@ def _quartic_cost_problem():
     )
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_eliminate_control_names_the_non_finite_argument():
     with pytest.raises(ValueError, match="^p contains non-finite"):
         eliminate_control(make_sakamoto1d(), [0.1], [float("nan")])
@@ -275,6 +276,7 @@ def test_eliminate_control_names_the_non_finite_argument():
     assert eliminate_control(make_sakamoto1d(), [float("inf")], [0.1])[0] == -0.1
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("cp", [make_sakamoto1d(), _quartic_cost_problem()])
 def test_non_finite_iterate_in_reduced_hamiltonian_is_a_numerical_error(cp):
     H = discretize_right(reduce(cp))
@@ -294,3 +296,16 @@ def test_u_of_qp_bitwise_equals_a_fresh_elimination():
             u = H.u_of_qp([q], [p])
             assert np.array_equal(u, eliminate_control(cp, [q], [p]))
             assert not u.flags.writeable
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_mixed_partial_matches_central_differences_of_d1(r, s):
+    H = discretize_right(reduce(make_sakamoto1d(r=r, s=s)))
+    step = 1e-6
+    for q in np.linspace(-1.5, 1.5, 7):
+        for p in np.linspace(-2.0, 2.0, 9):
+            fd = (H.d1([q], [p + step]) - H.d1([q], [p - step])) / (2.0 * step)
+            d12 = H.d12([q], [p])
+            assert d12.shape == (1, 1)
+            assert abs(d12[0, 0] - fd[0]) <= 1e-8 * max(1.0, abs(fd[0]))
