@@ -10,6 +10,13 @@ equations are
     left:   q_j    = -D2 H-(q_next, p_j),  p_next = -D1 H-(q_next, p_j)
 
 where d1/d2 always differentiate the first/second argument slot.
+
+Both duals of one L_d generate the same map: the discrete Lagrangian flow
+(Lall & West 2006; Marsden & West 2001).  A dual built by
+hamiltonian_from_lagrangian keeps its L_d, and both steppers take it
+directly: solve D1 L_d(q_j, q_next) = -p_j for q_next with one Newton solve,
+then read p_next = D2 L_d(q_j, q_next).  Its eval/d1/d2 still go through
+their own Legendre inversions, so verify_step re-checks a step independently.
 """
 
 from __future__ import annotations
@@ -82,7 +89,10 @@ class DiscreteHamiltonian:
     eval(q_next, p_j).  d1/d2 differentiate the first/second slot and return
     vectors of length dim.  The optional d12(a, b) is the dim x dim Jacobian
     of d1 with respect to the second slot; with it step_right hands Newton
-    an exact Jacobian instead of central differences of d1.
+    an exact Jacobian instead of central differences of d1.  The optional
+    lagrangian is the L_d this Hamiltonian is a Legendre dual of; when it is
+    set, step_right and step_left take the discrete Lagrangian flow of L_d
+    and use neither d12 nor the partials.
     """
 
     side: Side
@@ -91,6 +101,7 @@ class DiscreteHamiltonian:
     d2: object
     dim: int
     d12: object = None
+    lagrangian: DiscreteLagrangian | None = None
 
     def __post_init__(self):
         if not isinstance(self.side, Side):
@@ -106,9 +117,10 @@ class DiscreteTrajectory:
 
     meta records the generating configuration and, when a step failed, the
     truncation flag with the failure class and the index it occurred at; the
-    points before the failure are kept.  Every adjacent pair satisfies the
-    step equations up to the Newton tolerance and can be re-checked with
-    verify_step.
+    points before the failure are kept.  Every adjacent pair solves the
+    stepper's Newton equation to its tolerance: D1 H+ (right) or D2 H-
+    (left), or, for a dual of a Lagrangian, D1 L_d(q_j, q_next) = -p_j.
+    verify_step re-checks a pair through H's own partials.
     """
 
     points: list[PhasePoint]
@@ -142,39 +154,51 @@ def legendre_left(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePo
     return PhasePoint(index=index, q=q_j, p=p_j)
 
 
+def _next_position(L: DiscreteLagrangian, q_j: np.ndarray, p_j: np.ndarray, guess,
+                   cfg: NewtonConfig | None) -> np.ndarray:
+    """Solve the momentum relation D1 L_d(q_j, q_next) + p_j = 0 for q_next."""
+    return newton_solve(lambda y: np.asarray(L.d1(q_j, y), dtype=float) + p_j, guess, cfg)
+
+
+def _lagrangian_step(L: DiscreteLagrangian, x: PhasePoint,
+                     cfg: NewtonConfig | None) -> PhasePoint:
+    """One step of the discrete Lagrangian flow from x, the step map of both
+    Legendre duals of L_d: q_next from the guess q_j, then p_next = D2 L_d."""
+    return legendre_right(L, x.q, _next_position(L, x.q, x.p, x.q, cfg), x.index)
+
+
 def del_step(L: DiscreteLagrangian, q_prev, q_j, cfg: NewtonConfig | None = None,
              guess=None) -> np.ndarray:
     """Advance the discrete Euler-Lagrange equations by one position.
 
-    Solves D2 L_d(q_prev, q_j) + D1 L_d(q_j, q_next) = 0 for q_next.  The
-    default guess is the linear extrapolation 2 q_j - q_prev.
+    Solves D2 L_d(q_prev, q_j) + D1 L_d(q_j, q_next) = 0 for q_next, the
+    momentum relation at p_j = D2 L_d(q_prev, q_j).  The default guess is the
+    linear extrapolation 2 q_j - q_prev.
     """
     q_prev = as_vec(q_prev, dim=L.dim, name="q_prev")
     q_j = as_vec(q_j, dim=L.dim, name="q_j")
     if guess is None:
         guess = 2.0 * q_j - q_prev
-    const = as_vec(L.d2(q_prev, q_j), dim=L.dim, name="D2 L_d")
-
-    def residual(y: np.ndarray) -> np.ndarray:
-        return const + np.asarray(L.d1(q_j, y), dtype=float)
-
-    return newton_solve(residual, guess, cfg)
+    p_j = as_vec(L.d2(q_prev, q_j), dim=L.dim, name="D2 L_d")
+    return _next_position(L, q_j, p_j, guess, cfg)
 
 
 def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
                                 cfg: NewtonConfig | None = None) -> DiscreteHamiltonian:
     """Build the right or left discrete Hamiltonian of L_d by Legendre duality.
 
-    The evaluator inverts the matching momentum relation with an inner Newton
-    solve and forms the dual value; the partials come from the envelope
-    identities, so only L_d's first partials are ever needed:
+    The evaluator inverts the matching momentum relation with a Newton solve
+    and forms the dual value; the partials come from the envelope identities,
+    so only L_d's first partials are ever needed:
 
         right, with y(q, p') solving D2 L_d(q, y) = p':
             H+ = p'. y - L_d(q, y),  d1 = -D1 L_d(q, y),  d2 = y
         left, with y(q', p) solving D1 L_d(y, q') = -p:
             H- = -p . y - L_d(y, q'),  d1 = -D2 L_d(y, q'),  d2 = -y
 
-    cfg tunes the inner solves (default NewtonConfig()).
+    cfg tunes only these inversions in eval/d1/d2 (default NewtonConfig()).
+    The result keeps L as its lagrangian field, so step_right and step_left
+    take the discrete Lagrangian flow under their own cfg instead.
     """
     inner = cfg if cfg is not None else NewtonConfig()
 
@@ -203,7 +227,8 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
             p_next = as_vec(p_next, dim=L.dim, name="p_next")
             return _recover(q, p_next)
 
-        return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=L.dim)
+        return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=L.dim,
+                                   lagrangian=L)
 
     if side is Side.LEFT:
 
@@ -231,7 +256,7 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
             return -_recover_left(q_next, p)
 
         return DiscreteHamiltonian(side=Side.LEFT, eval=_eval_left, d1=_d1_left,
-                                   d2=_d2_left, dim=L.dim)
+                                   d2=_d2_left, dim=L.dim, lagrangian=L)
 
     raise ValueError(f"side must be Side.RIGHT or Side.LEFT, got {side!r}")
 
@@ -240,11 +265,15 @@ def step_right(H: DiscreteHamiltonian, x: PhasePoint,
                cfg: NewtonConfig | None = None) -> PhasePoint:
     """One right-Hamiltonian step: solve p_j = D1 H+(q_j, p_next) for p_next,
     then read off q_next = D2 H+(q_j, p_next).  Guess for p_next is p_j; the
-    Newton Jacobian is H.d12 when set, else central differences of D1 H+."""
+    Newton Jacobian is H.d12 when set, else central differences of D1 H+.
+    A dual of a Lagrangian takes the discrete Lagrangian flow of H.lagrangian
+    instead (see the module docstring)."""
     if H.side is not Side.RIGHT:
         raise ValueError(f"step_right needs a Side.RIGHT Hamiltonian, got {H.side}")
     if x.dim != H.dim:
         raise ValueError(f"dimension mismatch: point dim {x.dim}, H dim {H.dim}")
+    if H.lagrangian is not None:
+        return _lagrangian_step(H.lagrangian, x, cfg)
 
     def residual(g: np.ndarray) -> np.ndarray:
         return np.asarray(H.d1(x.q, g), dtype=float) - x.p
@@ -258,11 +287,15 @@ def step_right(H: DiscreteHamiltonian, x: PhasePoint,
 def step_left(H: DiscreteHamiltonian, x: PhasePoint,
               cfg: NewtonConfig | None = None) -> PhasePoint:
     """One left-Hamiltonian step: solve q_j = -D2 H-(q_next, p_j) for q_next,
-    then read off p_next = -D1 H-(q_next, p_j).  Guess for q_next is q_j."""
+    then read off p_next = -D1 H-(q_next, p_j).  Guess for q_next is q_j.
+    A dual of a Lagrangian takes the discrete Lagrangian flow of H.lagrangian
+    instead (see the module docstring)."""
     if H.side is not Side.LEFT:
         raise ValueError(f"step_left needs a Side.LEFT Hamiltonian, got {H.side}")
     if x.dim != H.dim:
         raise ValueError(f"dimension mismatch: point dim {x.dim}, H dim {H.dim}")
+    if H.lagrangian is not None:
+        return _lagrangian_step(H.lagrangian, x, cfg)
 
     def residual(g: np.ndarray) -> np.ndarray:
         return -np.asarray(H.d2(g, x.p), dtype=float) - x.q

@@ -4,10 +4,11 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError
+from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError, newton_solve
 from dhj.mechanics import (
     DiscreteLagrangian,
     Side,
@@ -306,6 +307,96 @@ def test_wrong_mixed_partial_costs_iterations_not_accuracy():
 
 
 def test_lagrangian_duals_carry_no_mixed_partial():
+    L = quadratic_lagrangian()
     for side in (Side.RIGHT, Side.LEFT):
-        assert hamiltonian_from_lagrangian(quadratic_lagrangian(), side).d12 is None
-    assert cubic_right().d12 is not None
+        H = hamiltonian_from_lagrangian(L, side)
+        assert H.d12 is None and H.lagrangian is L
+    assert cubic_right().d12 is not None and cubic_right().lagrangian is None
+
+
+def midpoint_pendulum(h, w2, counts=None):
+    """L_d(a, b) = h [((b - a)/h)^2 / 2 - w2 (1 - cos((a + b)/2))]; counts, if
+    given, tallies the calls of each slot partial."""
+
+    def eval_(a, b):
+        v = (b[0] - a[0]) / h
+        return h * (0.5 * v * v - w2 * (1.0 - math.cos(0.5 * (a[0] + b[0]))))
+
+    def d1(a, b):
+        if counts is not None:
+            counts["d1"] += 1
+        return np.array([-(b[0] - a[0]) / h - 0.5 * h * w2 * math.sin(0.5 * (a[0] + b[0]))])
+
+    def d2(a, b):
+        if counts is not None:
+            counts["d2"] += 1
+        return np.array([(b[0] - a[0]) / h - 0.5 * h * w2 * math.sin(0.5 * (a[0] + b[0]))])
+
+    return DiscreteLagrangian(eval=eval_, d1=d1, d2=d2, dim=1)
+
+
+def _mp_step_error(q, p, q_next, p_next, h, w2):
+    """Relative miss of one transition against the pendulum's step solved in
+    40-digit mpmath from the row's (q, p): D1 L_d(q, y) = -p, p' = D2 L_d(q, y)."""
+    with mpmath.workdps(40):
+        q, p, h, w2 = (mpmath.mpf(v) for v in (q, p, h, w2))
+
+        def force(y):
+            return h * w2 * mpmath.sin((q + y) / 2) / 2
+
+        y = mpmath.findroot(lambda y: -(y - q) / h - force(y) + p, mpmath.mpf(q_next))
+        pn = (y - q) / h - force(y)
+        mag = max(abs(q), abs(p), abs(y), abs(pn))
+        return float(max(abs(mpmath.mpf(q_next) - y), abs(mpmath.mpf(p_next) - pn)) / mag)
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_pendulum_orbit_that_stalled_nested_newton_runs_to_the_end(side):
+    # this right-dual orbit once stopped at j = 23 with an outer residual of
+    # 1.0255e-12 against tol 1e-12, computed through inexact inner inversions
+    h, w2 = 0.24802639511217933, 0.9603206029955691
+    H = hamiltonian_from_lagrangian(midpoint_pendulum(h, w2), side)
+    traj = run_trajectory(H, PhasePoint(index=1, q=[-0.945361361224611],
+                                        p=[-0.19958867950786907]), 32)
+    assert traj.meta["truncated"] is False and len(traj) == 33
+    worst = max(_mp_step_error(a.q[0], a.p[0], b.q[0], b.p[0], h, w2)
+                for a, b in zip(traj.points[:-1], traj.points[1:]))
+    assert worst <= 1e-10
+
+
+_PENDULUM_STARTS = ((0.1, 0.2), (-1.1, 0.4), (0.9, -0.5), (1e-9, 0.0))
+
+
+def test_lagrangian_dual_step_is_one_solve_on_the_momentum_relation():
+    counts = {"d1": 0, "d2": 0}
+    L = midpoint_pendulum(0.2, 1.3, counts)
+    for side, stepper in ((Side.RIGHT, step_right), (Side.LEFT, step_left)):
+        H = hamiltonian_from_lagrangian(L, side)
+        for q, p in _PENDULUM_STARTS:
+            counts.update(d1=0, d2=0)
+            stepper(H, PhasePoint(index=1, q=[q], p=[p]))
+            assert counts["d2"] == 1 and counts["d1"] <= 16
+
+
+def test_right_and_left_duals_take_the_same_step():
+    L = midpoint_pendulum(0.2, 1.3)
+    Hp = hamiltonian_from_lagrangian(L, Side.RIGHT)
+    Hm = hamiltonian_from_lagrangian(L, Side.LEFT)
+    tol = NewtonConfig().tol
+    for q, p in _PENDULUM_STARTS:
+        x = PhasePoint(index=1, q=[q], p=[p])
+        a, b = step_right(Hp, x), step_left(Hm, x)
+        assert a.index == b.index == 2
+        assert a.q.tobytes() == b.q.tobytes() and a.p.tobytes() == b.p.tobytes()
+        # each dual's partials recover the step through their own inversions
+        assert verify_step(Hp, x, a) <= 10 * tol
+        assert verify_step(Hm, x, b) <= 10 * tol
+
+
+def test_del_step_is_the_stationarity_solve_bit_for_bit():
+    L = midpoint_pendulum(0.2, 1.3)
+    for q_prev, q_j in ((0.1, 0.15), (-1.0, -0.9), (0.7, 0.5)):
+        a, b = np.array([q_prev]), np.array([q_j])
+        const = L.d2(a, b)
+        want = newton_solve(lambda y: const + L.d1(b, y), 2.0 * b - a)
+        assert del_step(L, a, b).tobytes() == want.tobytes()
