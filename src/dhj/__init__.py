@@ -10,16 +10,16 @@ driving a scalar cubic benchmark.
 from .core import (
     ConvergenceError,
     NewtonConfig,
-    NewtonResult,
     NumericalError,
     PhasePoint,
     SingularJacobianError,
+    as_grid,
     as_vec,
     fd_gradient,
     fd_jacobian,
     fd_partial,
+    iterate,
     newton_solve,
-    newton_solve_detailed,
     norm_inf,
     rk4_reference,
 )
@@ -28,6 +28,7 @@ from .hj_flow import (
     BranchError,
     GeneratingEntry,
     GeneratingSequence,
+    ResidualCheckFailure,
     closed_form_ds_step,
     hj_residual_left,
     hj_residual_right,
@@ -36,7 +37,6 @@ from .hj_flow import (
 )
 from .hj_vf import (
     DegenerateGridError,
-    FieldCoefficients,
     GammaEntry,
     GammaSequence,
     GammaSource,
@@ -56,7 +56,6 @@ from .mechanics import (
     DiscreteTrajectory,
     Side,
     del_step,
-    discrete_one_forms,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
     legendre_left,
@@ -75,7 +74,6 @@ from .optctrl import (
     discretize_right,
     eliminate_control,
     make_sakamoto1d,
-    recover_controls,
     reduce,
     secondary_constraint,
 )

@@ -347,6 +347,40 @@ def write_svg(path: str, panels: list[dict]) -> None:
 # Subcommands.
 
 
+def _portrait(what: str, name: str, qs: list[float], vs: list[float],
+              log_y: bool) -> list[dict]:
+    """The two SVG panels of one quantity: name against q, |name| against |q|."""
+    return [
+        {"title": f"{what} {name} against position q",
+         "series": [(f"{name}(q)", qs, vs)]},
+        {"title": f"|{name}| against |q|",
+         "series": [(f"|{name}|(|q|)", [abs(q) for q in qs], [abs(v) for v in vs])],
+         "log_y": log_y},
+    ]
+
+
+def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[str]],
+            panels: list[dict], parts: list[tuple[str, dict]],
+            footer: list[str] | None = None) -> int:
+    """Write the CSV and SVG, print the footer and summary, and report each
+    truncated part (a label and its failure record) on stderr.  Exit code 1
+    if any part truncated, else 0."""
+    if rc.csv:
+        write_csv(rc.csv, rc, colnames, rows, footer)
+        print(f"wrote {rc.csv}")
+    if rc.svg:
+        write_svg(rc.svg, panels)
+        print(f"wrote {rc.svg}")
+    for line in footer or ():
+        print(line)
+    truncated = [(label, meta) for label, meta in parts if meta["truncated"]]
+    print(f"{rc.command}: {summary} truncated={'yes' if truncated else 'no'}")
+    for label, meta in truncated:
+        print(f"{label} failure at j = {meta['failure_index']}: "
+              f"{meta['failure']}: {meta['failure_message']}", file=sys.stderr)
+    return 1 if truncated else 0
+
+
 def cmd_simulate(rc: RunConfig) -> int:
     cp, H, cfg = build_model(rc)
     traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
@@ -354,25 +388,9 @@ def cmd_simulate(rc: RunConfig) -> int:
     ps = [float(pt.p[0]) for pt in traj.points]
     rows = [[str(pt.index), _g17(q), _g17(p), _g17(abs(q)), _g17(abs(p))]
             for pt, q, p in zip(traj.points, qs, ps)]
-    if rc.csv:
-        write_csv(rc.csv, rc, ["j", "q", "p", "abs_q", "abs_p"], rows)
-        print(f"wrote {rc.csv}")
-    if rc.svg:
-        write_svg(rc.svg, [
-            {"title": "momentum p against position q",
-             "series": [("p(q)", qs, ps)]},
-            {"title": "|p| against |q|",
-             "series": [("|p|(|q|)", [abs(q) for q in qs], [abs(p) for p in ps])],
-             "log_y": rc.log_abs},
-        ])
-        print(f"wrote {rc.svg}")
-    print(f"simulate: model={rc.model} points={len(traj)} "
-          f"truncated={'yes' if traj.meta['truncated'] else 'no'}")
-    if traj.meta["truncated"]:
-        print(f"failure at j = {traj.meta['failure_index']}: "
-              f"{traj.meta['failure']}: {traj.meta['failure_message']}", file=sys.stderr)
-        return 1
-    return 0
+    return _finish(rc, f"model={rc.model} points={len(traj)}",
+                   ["j", "q", "p", "abs_q", "abs_p"], rows,
+                   _portrait("momentum", "p", qs, ps, rc.log_abs), [("trajectory", traj.meta)])
 
 
 def _flow_rows(H, seq):
@@ -388,41 +406,29 @@ def _flow_rows(H, seq):
     return rows
 
 
+def _flow_sequence(rc: RunConfig, H, cfg, grid):
+    """The generating sequence of rc.method: the closed form on grid, or the
+    generic solver, which generates its own grid."""
+    if rc.method == "closed-form":
+        return run_closed_form_flow(grid, rc.ds1, rc.h, Branch(rc.branch))
+    return solve_generating_sequence(H, [rc.q1], 0.0, [rc.ds1], rc.steps, cfg)
+
+
 def cmd_hj_flow(rc: RunConfig) -> int:
     cp, H, cfg = build_model(rc)
-    truncated_traj = False
+    grid, parts = None, []
     if rc.method == "closed-form":
         grid, traj = trajectory_grid(rc, H, cfg)
-        truncated_traj = traj.meta["truncated"]
-        seq = run_closed_form_flow(grid, rc.ds1, rc.h, Branch(rc.branch))
-    else:
-        if rc.q2 is not None:
-            raise ConfigError("--q2 only applies to the closed-form method "
-                              "(the generic solver generates its own grid)")
-        seq = solve_generating_sequence(H, [rc.q1], 0.0, [rc.ds1], rc.steps, cfg)
-    rows = _flow_rows(H, seq)
-    if rc.csv:
-        write_csv(rc.csv, rc, ["j", "q", "S", "DS", "branch", "residual"], rows)
-        print(f"wrote {rc.csv}")
-    if rc.svg:
-        qs = [float(e.q[0]) for e in seq.entries]
-        dss = [float(e.DS[0]) for e in seq.entries]
-        write_svg(rc.svg, [
-            {"title": "slope DS against position q",
-             "series": [("DS(q)", qs, dss)]},
-            {"title": "|DS| against |q|",
-             "series": [("|DS|(|q|)", [abs(q) for q in qs], [abs(d) for d in dss])],
-             "log_y": rc.log_abs},
-        ])
-        print(f"wrote {rc.svg}")
-    truncated = bool(seq.meta.get("truncated")) or truncated_traj
-    print(f"hj-flow: method={rc.method} points={len(seq)} "
-          f"truncated={'yes' if truncated else 'no'}")
-    if truncated:
-        detail = seq.meta.get("failure_message") or "trajectory grid truncated"
-        print(f"failure: {detail}", file=sys.stderr)
-        return 1
-    return 0
+        parts.append(("trajectory", traj.meta))
+    elif rc.q2 is not None:
+        raise ConfigError("--q2 only applies to the closed-form method "
+                          "(the generic solver generates its own grid)")
+    seq = _flow_sequence(rc, H, cfg, grid)
+    qs = [float(e.q[0]) for e in seq.entries]
+    dss = [float(e.DS[0]) for e in seq.entries]
+    return _finish(rc, f"method={rc.method} points={len(seq)}",
+                   ["j", "q", "S", "DS", "branch", "residual"], _flow_rows(H, seq),
+                   _portrait("slope", "DS", qs, dss, rc.log_abs), parts + [("flow", seq.meta)])
 
 
 def _vf_rows(H, seq):
@@ -443,47 +449,30 @@ def _vf_rows(H, seq):
     return rows
 
 
+def _gamma_sequence(rc: RunConfig, H, cfg, grid):
+    """The slope sequence of rc.method on grid."""
+    if rc.method == "closed-form":
+        return run_closed_form_vf(grid, rc.gamma1)
+    return solve_gamma_generic(H, grid, [rc.gamma1], cfg)
+
+
 def cmd_hj_vf(rc: RunConfig) -> int:
     cp, H, cfg = build_model(rc)
     grid, traj = trajectory_grid(rc, H, cfg)
-    if rc.method == "closed-form":
-        seq = run_closed_form_vf(grid, rc.gamma1)
-    else:
-        seq = solve_gamma_generic(H, grid, [rc.gamma1], cfg)
-    rows = _vf_rows(H, seq)
-    if rc.csv:
-        write_csv(rc.csv, rc, ["j", "q", "gamma", "residual"], rows)
-        print(f"wrote {rc.csv}")
-    if rc.svg:
-        qs = [float(e.q[0]) for e in seq.entries]
-        gs = [float(e.gamma[0]) for e in seq.entries]
-        write_svg(rc.svg, [
-            {"title": "slope gamma against position q",
-             "series": [("gamma(q)", qs, gs)]},
-            {"title": "|gamma| against |q|",
-             "series": [("|gamma|(|q|)", [abs(q) for q in qs], [abs(g) for g in gs])],
-             "log_y": rc.log_abs},
-        ])
-        print(f"wrote {rc.svg}")
-    truncated = bool(seq.meta.get("truncated")) or traj.meta["truncated"]
-    print(f"hj-vf: method={rc.method} points={len(seq)} "
-          f"truncated={'yes' if truncated else 'no'}")
-    if truncated:
-        detail = seq.meta.get("failure_message") or "trajectory grid truncated"
-        print(f"failure: {detail}", file=sys.stderr)
-        return 1
-    return 0
+    seq = _gamma_sequence(rc, H, cfg, grid)
+    qs = [float(e.q[0]) for e in seq.entries]
+    gs = [float(e.gamma[0]) for e in seq.entries]
+    return _finish(rc, f"method={rc.method} points={len(seq)}",
+                   ["j", "q", "gamma", "residual"], _vf_rows(H, seq),
+                   _portrait("slope", "gamma", qs, gs, rc.log_abs),
+                   [("trajectory", traj.meta), ("vf", seq.meta)])
 
 
 def cmd_compare(rc: RunConfig) -> int:
     cp, H, cfg = build_model(rc)
     grid, traj = trajectory_grid(rc, H, cfg)
-    if rc.method == "closed-form":
-        flow = run_closed_form_flow(grid, rc.ds1, rc.h, Branch(rc.branch))
-        vf = run_closed_form_vf(grid, rc.gamma1)
-    else:
-        flow = solve_generating_sequence(H, [rc.q1], 0.0, [rc.ds1], rc.steps, cfg)
-        vf = solve_gamma_generic(H, grid, [rc.gamma1], cfg)
+    flow = _flow_sequence(rc, H, cfg, grid)
+    vf = _gamma_sequence(rc, H, cfg, grid)
     n = min(len(traj), len(flow), len(vf))
     rows = []
     stats_flow, stats_vf = [], []
@@ -510,34 +499,24 @@ def cmd_compare(rc: RunConfig) -> int:
         f"max_err_vf = {_stat(stats_vf, max)}",
         f"mean_err_vf = {_stat(stats_vf, lambda v: sum(v) / len(v))}",
     ]
-    if rc.csv:
-        write_csv(rc.csv, rc, ["j", "q", "p", "DS", "gamma", "err_flow", "err_vf"],
-                  rows, footer)
-        print(f"wrote {rc.csv}")
-    if rc.svg:
-        js = [float(traj.points[i].index) for i in range(n)]
-        write_svg(rc.svg, [
-            {"title": "momentum and slopes along the run",
-             "series": [
-                 ("p", js, [float(traj.points[i].p[0]) for i in range(n)]),
-                 ("DS", js, [float(flow.entries[i].DS[0]) for i in range(n)]),
-                 ("gamma", js, [float(vf.entries[i].gamma[0]) for i in range(n)]),
-             ]},
-            {"title": "slope errors against the momentum",
-             "series": [
-                 ("|DS - p|", js, [float(r[5]) for r in rows]),
-                 ("|gamma - p|", js, [float(r[6]) for r in rows]),
-             ],
-             "log_y": rc.log_abs},
-        ])
-        print(f"wrote {rc.svg}")
-    for line in footer:
-        print(line)
-    truncated = (traj.meta["truncated"] or bool(flow.meta.get("truncated"))
-                 or bool(vf.meta.get("truncated")))
-    print(f"compare: method={rc.method} points={n} "
-          f"truncated={'yes' if truncated else 'no'}")
-    return 1 if truncated else 0
+    js = [float(traj.points[i].index) for i in range(n)]
+    panels = [
+        {"title": "momentum and slopes along the run",
+         "series": [
+             ("p", js, [float(traj.points[i].p[0]) for i in range(n)]),
+             ("DS", js, [float(flow.entries[i].DS[0]) for i in range(n)]),
+             ("gamma", js, [float(vf.entries[i].gamma[0]) for i in range(n)]),
+         ]},
+        {"title": "slope errors against the momentum",
+         "series": [
+             ("|DS - p|", js, [float(r[5]) for r in rows]),
+             ("|gamma - p|", js, [float(r[6]) for r in rows]),
+         ],
+         "log_y": rc.log_abs},
+    ]
+    return _finish(rc, f"method={rc.method} points={n}",
+                   ["j", "q", "p", "DS", "gamma", "err_flow", "err_vf"], rows, panels,
+                   [("trajectory", traj.meta), ("flow", flow.meta), ("vf", vf.meta)], footer)
 
 
 # ---------------------------------------------------------------------------

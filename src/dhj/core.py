@@ -1,7 +1,8 @@
-"""Shared numeric kernel: vectors, finite differences, damped Newton, RK4 reference.
+"""Shared numeric kernel: vectors, finite differences, damped Newton, the
+stepping loop, RK4 reference.
 
 Everything downstream (discrete mechanics, generating-function flows, the
-control benchmark) is built on the four primitives in this module.  They are
+control benchmark) is built on the primitives in this module.  They are
 deliberately small and fully deterministic: no randomness, no global state,
 float64 throughout.
 """
@@ -18,14 +19,14 @@ __all__ = [
     "SingularJacobianError",
     "PhasePoint",
     "NewtonConfig",
-    "NewtonResult",
     "as_vec",
+    "as_grid",
     "norm_inf",
     "fd_partial",
     "fd_gradient",
     "fd_jacobian",
     "newton_solve",
-    "newton_solve_detailed",
+    "iterate",
     "rk4_reference",
 ]
 
@@ -35,35 +36,35 @@ SINGULAR_DET_FLOOR = 1e-14
 
 
 class NumericalError(RuntimeError):
-    """A numeric computation produced a non-finite value or cannot proceed."""
+    """A numeric computation produced a non-finite value or cannot proceed.
+
+    quantity is the measured value that tripped the failure (a determinant,
+    residual norm, discriminant or denominator), or None when there is none.
+    """
+
+    def __init__(self, message: str, quantity: float | None = None):
+        super().__init__(message)
+        self.quantity = None if quantity is None else float(quantity)
 
 
 class ConvergenceError(NumericalError):
     """Newton iteration exhausted its budget without meeting the tolerance."""
 
-    def __init__(self, residual_norm: float, iterations: int, message: str | None = None):
+    def __init__(self, residual_norm: float, iterations: int):
         self.residual_norm = float(residual_norm)
         self.iterations = int(iterations)
-        if message is None:
-            message = (
-                f"no convergence after {self.iterations} iterations, "
-                f"last residual norm {self.residual_norm:.6e}"
-            )
-        super().__init__(message)
+        super().__init__(f"no convergence after {self.iterations} iterations, "
+                         f"last residual norm {self.residual_norm:.6e}", self.residual_norm)
 
 
 class SingularJacobianError(NumericalError):
     """The Newton Jacobian is singular at the current iterate."""
 
-    def __init__(self, det: float, scale: float, message: str | None = None):
+    def __init__(self, det: float, scale: float):
         self.det = float(det)
         self.scale = float(scale)
-        if message is None:
-            message = (
-                f"singular Jacobian: |det| = {abs(self.det):.6e} below "
-                f"{SINGULAR_DET_FLOOR:g} * scale (scale = {self.scale:.6e})"
-            )
-        super().__init__(message)
+        super().__init__(f"singular Jacobian: |det| = {abs(self.det):.6e} below "
+                         f"{SINGULAR_DET_FLOOR:g} * scale (scale = {self.scale:.6e})", self.det)
 
 
 def as_vec(x, dim: int | None = None, name: str = "value") -> np.ndarray:
@@ -81,6 +82,17 @@ def as_vec(x, dim: int | None = None, name: str = "value") -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} contains non-finite entries: {v}")
     return v
+
+
+def as_grid(q_sequence) -> np.ndarray:
+    """A scalar position grid as a flat float64 array of at least one finite
+    entry; the slope recursions run along it."""
+    arr = np.asarray(q_sequence, dtype=float).reshape(-1)
+    if arr.size < 1:
+        raise ValueError("q_sequence must contain at least one position")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("q_sequence contains non-finite entries")
+    return arr
 
 
 def norm_inf(v) -> float:
@@ -131,15 +143,6 @@ class NewtonConfig:
             raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
-@dataclass(frozen=True)
-class NewtonResult:
-    """Solution vector plus how hard the iteration had to work."""
-
-    x: np.ndarray
-    iterations: int
-    residual_norm: float
-
-
 def fd_partial(f, x, i: int, step: float = 1e-7) -> float:
     """Central-difference partial derivative of scalar f at x along coordinate i.
 
@@ -170,17 +173,18 @@ def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
 
 
 def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
-    """Central-difference Jacobian of a vector residual at x (columns by axis)."""
+    """Central-difference Jacobian of a residual from R^n to R^n at x (columns
+    by axis); 2n residual evaluations, none at x itself."""
     x = as_vec(x, name="x")
-    m = np.atleast_1d(np.asarray(residual(x), dtype=float)).size
-    jac = np.empty((m, x.size))
-    for i in range(x.size):
+    m = x.size
+    jac = np.empty((m, m))
+    for i in range(m):
         e = np.zeros_like(x)
         e[i] = step
         hi = np.atleast_1d(np.asarray(residual(x + e), dtype=float))
         lo = np.atleast_1d(np.asarray(residual(x - e), dtype=float))
         if hi.size != m or lo.size != m:
-            raise ValueError("residual dimension changed between evaluations")
+            raise ValueError(f"residual must return a vector of dimension {m}")
         jac[:, i] = (hi - lo) / (2.0 * step)
     if not np.all(np.isfinite(jac)):
         raise NumericalError("non-finite entries in finite-difference Jacobian")
@@ -198,15 +202,15 @@ def _check_jacobian(jac: np.ndarray) -> None:
         raise SingularJacobianError(det=det, scale=scale)
 
 
-def newton_solve_detailed(residual, guess, cfg: NewtonConfig | None = None,
-                          jacobian=None) -> NewtonResult:
-    """Damped Newton iteration; like newton_solve but reports iteration effort.
+def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
+                 jacobian=None) -> np.ndarray:
+    """Solve residual(x) = 0 by damped Newton from guess; returns the root.
 
     residual maps an n-vector to an n-vector; jacobian, if given, maps the
     iterate to the n x n Jacobian (otherwise central differences with
     cfg.fd_step are used).  Convergence means ||residual||_inf <= cfg.tol.
-    A guess that already satisfies the tolerance is returned unchanged with
-    zero iterations.
+    A guess that already satisfies the tolerance is returned unchanged after
+    one residual evaluation.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -227,7 +231,7 @@ def newton_solve_detailed(residual, guess, cfg: NewtonConfig | None = None,
     rn = norm_inf(r)
     for iteration in range(cfg.max_iter + 1):
         if rn <= cfg.tol:
-            return NewtonResult(x=x, iterations=iteration, residual_norm=rn)
+            return x
         if iteration == cfg.max_iter:
             break
         if jacobian is not None:
@@ -244,13 +248,30 @@ def newton_solve_detailed(residual, guess, cfg: NewtonConfig | None = None,
     raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
 
 
-def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
-                 jacobian=None) -> np.ndarray:
-    """Solve residual(x) = 0 by damped Newton from guess; returns the root.
+def iterate(step, first, steps: int, first_index: int = 1) -> tuple[list, dict]:
+    """Apply step (an item to the next item) to the last item up to steps
+    times: the one stepping loop of the trajectory and slope runners.
 
-    See newton_solve_detailed for the contract; this drops the bookkeeping.
+    Returns the items, first included, and the failure record meta.  A
+    NumericalError from step ends the run instead of propagating: the items
+    so far are kept and meta records truncated = True, failure (the class
+    name), failure_index (the index of the item the failed step started
+    from, counting first as first_index), failure_message and
+    failure_quantity (the error's quantity).  An untruncated run leaves
+    those four keys None.
     """
-    return newton_solve_detailed(residual, guess, cfg, jacobian).x
+    items = [first]
+    meta: dict = {"truncated": False, "failure": None, "failure_index": None,
+                  "failure_message": None, "failure_quantity": None}
+    for k in range(steps):
+        try:
+            items.append(step(items[-1]))
+        except NumericalError as exc:
+            meta.update(truncated=True, failure=type(exc).__name__,
+                        failure_index=first_index + k, failure_message=str(exc),
+                        failure_quantity=exc.quantity)
+            break
+    return items, meta
 
 
 def rk4_reference(ham_field, x0: PhasePoint, dt: float, steps: int) -> list[PhasePoint]:

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NewtonConfig, NumericalError, PhasePoint, as_vec, norm_inf
+from .core import NewtonConfig, NumericalError, PhasePoint, as_grid, as_vec, iterate, norm_inf
 from .mechanics import DiscreteHamiltonian, Side, step_right
 
 __all__ = [
     "Branch",
     "BranchError",
+    "ResidualCheckFailure",
     "GeneratingEntry",
     "GeneratingSequence",
     "hj_residual_right",
@@ -48,13 +49,14 @@ class Branch(enum.Enum):
 class BranchError(NumericalError):
     """The closed-form slope update has no real root (negative discriminant)."""
 
-    def __init__(self, discriminant: float, message: str | None = None):
+    def __init__(self, discriminant: float):
         self.discriminant = float(discriminant)
-        if message is None:
-            message = (
-                f"no real branch: discriminant = {self.discriminant:.6e} is negative"
-            )
-        super().__init__(message)
+        super().__init__(f"no real branch: discriminant = {self.discriminant:.6e} is negative",
+                         self.discriminant)
+
+
+class ResidualCheckFailure(NumericalError):
+    """A completed transition's recomputed evolution residual is too large."""
 
 
 @dataclass(frozen=True)
@@ -140,10 +142,11 @@ def solve_generating_sequence(H: DiscreteHamiltonian, q0, S0: float, DS0,
         S_next = S_j + DS_next . q_next - H+(q_j, DS_next)
 
     which makes the right evolution residual vanish identically.  Each
-    transition is still re-checked; a violation or a numeric failure
-    truncates the sequence with meta["truncated"] = True.  A step whose
-    position update D2 H+ is identically zero marks meta["degenerate"]
-    (the position collapses and no longer determines the flow).
+    transition is still re-checked; a violation (ResidualCheckFailure) or a
+    numeric failure truncates the sequence with core.iterate's failure
+    record in meta.  A step whose position update D2 H+ is identically zero
+    marks meta["degenerate"] (the position collapses and no longer
+    determines the flow).
     """
     if H.side is not Side.RIGHT:
         raise ValueError("solve_generating_sequence needs a Side.RIGHT Hamiltonian")
@@ -151,41 +154,33 @@ def solve_generating_sequence(H: DiscreteHamiltonian, q0, S0: float, DS0,
         raise ValueError(f"steps must be a nonnegative integer, got {steps}")
     q0 = as_vec(q0, dim=H.dim, name="q0")
     DS0 = as_vec(DS0, dim=H.dim, name="DS0")
-    entries = [GeneratingEntry(j=1, q=q0, S=float(S0), DS=DS0)]
-    branch_log = ["init"]
-    meta: dict = {"truncated": False, "failure": None, "failure_index": None,
-                  "failure_message": None, "degenerate": False}
-    x = PhasePoint(index=1, q=q0, p=DS0)
-    for _ in range(int(steps)):
-        prev = entries[-1]
-        try:
-            x_next = step_right(H, x, cfg)
-        except NumericalError as exc:
-            meta.update(truncated=True, failure=type(exc).__name__,
-                        failure_index=prev.j, failure_message=str(exc))
-            break
+    degenerate = False
+
+    def advance(item: tuple[PhasePoint, float]) -> tuple[PhasePoint, float]:
+        nonlocal degenerate
+        x, S = item
+        x_next = step_right(H, x, cfg)
         if norm_inf(x_next.q) == 0.0:
             # distinguish a genuine zero crossing from a position update that
             # ignores the momentum entirely
             probe = np.asarray(H.d2(x.q, x_next.p + 1.0), dtype=float)
             if norm_inf(probe) == 0.0:
-                meta["degenerate"] = True
-        s_next = (prev.S + float(x_next.p @ x_next.q)
-                  - float(H.eval(x.q, x_next.p)))
-        res = hj_residual_right(H, prev.S, s_next, x_next.p, x.q, x_next.q)
+                degenerate = True
+        s_next = S + float(x_next.p @ x_next.q) - float(H.eval(x.q, x_next.p))
+        res = hj_residual_right(H, S, s_next, x_next.p, x.q, x_next.q)
         if abs(res) > _POST_CHECK_TOL:
-            meta.update(truncated=True, failure="ResidualCheckFailure",
-                        failure_index=prev.j,
-                        failure_message=f"transition residual {res:.6e} exceeds "
-                                        f"{_POST_CHECK_TOL:g}")
-            break
-        entries.append(GeneratingEntry(j=prev.j + 1, q=x_next.q, S=s_next, DS=x_next.p))
-        branch_log.append("direct")
-        x = x_next
+            raise ResidualCheckFailure(f"transition residual {res:.6e} exceeds "
+                                       f"{_POST_CHECK_TOL:g}", res)
+        return x_next, s_next
+
+    items, meta = iterate(advance, (PhasePoint(index=1, q=q0, p=DS0), float(S0)), int(steps))
+    meta["degenerate"] = degenerate
+    entries = [GeneratingEntry(j=x.index, q=x.q, S=S, DS=x.p) for x, S in items]
+    branch_log = ["init"] + ["direct"] * (len(entries) - 1)
     return GeneratingSequence(entries=entries, branch_log=branch_log, h=0.0, meta=meta)
 
 
-def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[float, float, float]:
+def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[float, float]:
     # Quadratic in the new slope; prefix is the vertex, disc the discriminant.
     prefix = -q_j**3 + q_j - q_next
     disc = (q_j**6 - 2.0 * q_j**4 + 2.0 * q_j**3 * q_next + 2.0 * h * prev_ds
@@ -193,7 +188,17 @@ def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[floa
     if disc < 0.0:
         raise BranchError(discriminant=disc)
     root = math.sqrt(disc)
-    return prefix + root, prefix - root, disc
+    return prefix + root, prefix - root
+
+
+def _pick_root(plus: float, minus: float, prev_ds: float, branch: Branch) -> tuple[float, str]:
+    """The root branch selects and its log token; Continuity takes the root
+    closer to prev_ds, resolving ties toward Plus."""
+    if not isinstance(branch, Branch):
+        raise ValueError(f"branch must be a Branch enum member, got {branch!r}")
+    if branch is Branch.CONTINUITY:
+        branch = Branch.MINUS if abs(minus - prev_ds) < abs(plus - prev_ds) else Branch.PLUS
+    return (plus if branch is Branch.PLUS else minus), branch.value
 
 
 def closed_form_ds_step(q_j: float, q_next: float, prev_ds: float, h: float,
@@ -207,17 +212,9 @@ def closed_form_ds_step(q_j: float, q_next: float, prev_ds: float, h: float,
     toward Plus.  Raises BranchError (carrying the discriminant) when no
     real root exists.
     """
-    q_j = float(q_j)
-    q_next = float(q_next)
     prev_ds = float(prev_ds)
-    plus, minus, _ = _ds_roots(q_j, q_next, prev_ds, float(h))
-    if branch is Branch.PLUS:
-        return plus
-    if branch is Branch.MINUS:
-        return minus
-    if branch is Branch.CONTINUITY:
-        return minus if abs(minus - prev_ds) < abs(plus - prev_ds) else plus
-    raise ValueError(f"branch must be a Branch enum member, got {branch!r}")
+    plus, minus = _ds_roots(float(q_j), float(q_next), prev_ds, float(h))
+    return _pick_root(plus, minus, prev_ds, branch)[0]
 
 
 def run_closed_form_flow(q_sequence, ds0: float, h: float,
@@ -227,42 +224,25 @@ def run_closed_form_flow(q_sequence, ds0: float, h: float,
     q_sequence is a scalar grid (the benchmark is one-dimensional).  S starts
     at 0 and accumulates S_next = S_j + h * DS_j, the increment the closed
     form is derived under.  branch_log records "init" and then the root
-    actually taken each step.  A BranchError truncates with the flag set and
-    the offending discriminant in meta; completed rows are kept.
+    actually taken each step.  A BranchError truncates with core.iterate's
+    failure record in meta, the discriminant as failure_quantity; completed
+    rows are kept.
     """
-    arr = np.asarray(q_sequence, dtype=float).reshape(-1)
-    if arr.size < 1:
-        raise ValueError("q_sequence must contain at least one position")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("q_sequence contains non-finite entries")
-    grid = [float(v) for v in arr]
+    grid = [float(v) for v in as_grid(q_sequence)]
     if not (h > 0.0):
         raise ValueError(f"h must be positive, got {h}")
-    entries = [GeneratingEntry(j=1, q=grid[0], S=0.0, DS=float(ds0))]
     branch_log = ["init"]
-    meta: dict = {"truncated": False, "failure": None, "failure_index": None,
-                  "failure_message": None, "discriminant": None}
-    for i in range(len(grid) - 1):
-        prev = entries[-1]
+
+    def advance(prev: GeneratingEntry) -> GeneratingEntry:
+        # entry j sits at grid[j - 1], so its successor's position is grid[j]
         prev_ds = float(prev.DS[0])
-        try:
-            plus, minus, _ = _ds_roots(grid[i], grid[i + 1], prev_ds, h)
-        except BranchError as exc:
-            meta.update(truncated=True, failure="BranchError",
-                        failure_index=prev.j, failure_message=str(exc),
-                        discriminant=exc.discriminant)
-            break
-        if branch is Branch.PLUS:
-            ds_next, token = plus, "plus"
-        elif branch is Branch.MINUS:
-            ds_next, token = minus, "minus"
-        else:
-            if abs(minus - prev_ds) < abs(plus - prev_ds):
-                ds_next, token = minus, "minus"
-            else:
-                ds_next, token = plus, "plus"
-        entries.append(GeneratingEntry(j=prev.j + 1, q=grid[i + 1],
-                                       S=prev.S + h * prev_ds, DS=ds_next))
+        plus, minus = _ds_roots(grid[prev.j - 1], grid[prev.j], prev_ds, h)
+        ds_next, token = _pick_root(plus, minus, prev_ds, branch)
         branch_log.append(token)
+        return GeneratingEntry(j=prev.j + 1, q=grid[prev.j], S=prev.S + h * prev_ds,
+                               DS=ds_next)
+
+    entries, meta = iterate(advance, GeneratingEntry(j=1, q=grid[0], S=0.0, DS=float(ds0)),
+                            len(grid) - 1)
     return GeneratingSequence(entries=entries, branch_log=branch_log, h=float(h),
                               meta=meta)

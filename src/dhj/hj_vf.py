@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NewtonConfig, NumericalError, as_vec, newton_solve, norm_inf
+from .core import NewtonConfig, NumericalError, as_grid, as_vec, iterate, newton_solve, norm_inf
 from .hj_flow import GeneratingSequence
 from .mechanics import DiscreteHamiltonian, Side
 
@@ -30,7 +30,6 @@ __all__ = [
     "SingularDenominatorError",
     "GammaEntry",
     "GammaSequence",
-    "FieldCoefficients",
     "eval_field",
     "eval_field_left",
     "vf_residual",
@@ -56,15 +55,11 @@ class DegenerateGridError(NumericalError):
 class SingularDenominatorError(NumericalError):
     """The closed-form gamma update's denominator is numerically zero."""
 
-    def __init__(self, denominator: float, scale: float, message: str | None = None):
+    def __init__(self, denominator: float, scale: float):
         self.denominator = float(denominator)
         self.scale = float(scale)
-        if message is None:
-            message = (
-                f"singular denominator {self.denominator:.6e} "
-                f"(threshold 1e-14 * scale, scale = {self.scale:.6e})"
-            )
-        super().__init__(message)
+        super().__init__(f"singular denominator {self.denominator:.6e} "
+                         f"(threshold 1e-14 * scale, scale = {self.scale:.6e})", self.denominator)
 
 
 @dataclass(frozen=True)
@@ -86,8 +81,8 @@ class GammaEntry:
 class GammaSequence:
     """Rows of (j, q, gamma) plus which scheme produced them.
 
-    meta carries the truncation flag and failure details when an update
-    failed part way; completed rows are kept.
+    meta carries core.iterate's failure record; when an update failed part
+    way the completed rows are kept.
     """
 
     entries: list[GammaEntry]
@@ -106,36 +101,26 @@ class GammaSequence:
         return np.array([e.gamma for e in self.entries])
 
 
-@dataclass(frozen=True)
-class FieldCoefficients:
-    """Coefficients of the discrete evolution field in the (dq, dp) frame."""
-
-    dq_coeff: np.ndarray
-    dp_coeff: np.ndarray
-
-
-def eval_field(H: DiscreteHamiltonian, q_j, p_next) -> FieldCoefficients:
-    """Right evolution field: dq coefficient D2 H+, dp coefficient D1 H+."""
+def eval_field(H: DiscreteHamiltonian, q_j, p_next) -> tuple[np.ndarray, np.ndarray]:
+    """Right evolution field in the (dq, dp) frame: the coefficient pair
+    (D2 H+, D1 H+)."""
     if H.side is not Side.RIGHT:
         raise ValueError("eval_field needs a Side.RIGHT Hamiltonian")
     q_j = as_vec(q_j, dim=H.dim, name="q_j")
     p_next = as_vec(p_next, dim=H.dim, name="p_next")
-    return FieldCoefficients(
-        dq_coeff=np.asarray(H.d2(q_j, p_next), dtype=float),
-        dp_coeff=np.asarray(H.d1(q_j, p_next), dtype=float),
-    )
+    return (np.asarray(H.d2(q_j, p_next), dtype=float),
+            np.asarray(H.d1(q_j, p_next), dtype=float))
 
 
-def eval_field_left(H: DiscreteHamiltonian, q_next, p_j) -> FieldCoefficients:
-    """Left evolution field: dq coefficient -D2 H-, dp coefficient -D1 H-."""
+def eval_field_left(H: DiscreteHamiltonian, q_next, p_j) -> tuple[np.ndarray, np.ndarray]:
+    """Left evolution field in the (dq, dp) frame: the coefficient pair
+    (-D2 H-, -D1 H-)."""
     if H.side is not Side.LEFT:
         raise ValueError("eval_field_left needs a Side.LEFT Hamiltonian")
     q_next = as_vec(q_next, dim=H.dim, name="q_next")
     p_j = as_vec(p_j, dim=H.dim, name="p_j")
-    return FieldCoefficients(
-        dq_coeff=-np.asarray(H.d2(q_next, p_j), dtype=float),
-        dp_coeff=-np.asarray(H.d1(q_next, p_j), dtype=float),
-    )
+    return (-np.asarray(H.d2(q_next, p_j), dtype=float),
+            -np.asarray(H.d1(q_next, p_j), dtype=float))
 
 
 def _apply_dgamma(d2: np.ndarray, dgamma) -> np.ndarray:
@@ -151,19 +136,14 @@ def _apply_dgamma(d2: np.ndarray, dgamma) -> np.ndarray:
 
 def vf_residual(H: DiscreteHamiltonian, q_j, p_next, dgamma) -> float:
     """Max-norm residual of D2 H+ . Dgamma = D1 H+ at one point."""
-    coeffs = eval_field(H, q_j, p_next)
-    return norm_inf(_apply_dgamma(coeffs.dq_coeff, dgamma) - coeffs.dp_coeff)
+    dq, dp = eval_field(H, q_j, p_next)
+    return norm_inf(_apply_dgamma(dq, dgamma) - dp)
 
 
 def vf_residual_left(H: DiscreteHamiltonian, q_next, p_j, dgamma) -> float:
     """Max-norm residual of D2 H- . Dgamma = D1 H- at one point (left form)."""
-    if H.side is not Side.LEFT:
-        raise ValueError("vf_residual_left needs a Side.LEFT Hamiltonian")
-    q_next = as_vec(q_next, dim=H.dim, name="q_next")
-    p_j = as_vec(p_j, dim=H.dim, name="p_j")
-    d2 = np.asarray(H.d2(q_next, p_j), dtype=float)
-    d1 = np.asarray(H.d1(q_next, p_j), dtype=float)
-    return norm_inf(_apply_dgamma(d2, dgamma) - d1)
+    dq, dp = eval_field_left(H, q_next, p_j)
+    return norm_inf(_apply_dgamma(dq, dgamma) - dp)
 
 
 def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
@@ -178,29 +158,26 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
 
     for g by Newton from the guess gamma_j.  One-dimensional only (the
     quotient has no dimension-general meaning).  The grid must have at least
-    two positions and no zero entry past the first; a zero denominator
-    raises DegenerateGridError up front.  A Newton failure truncates the
-    sequence with meta["truncated"] = True, keeping completed rows.
+    one position (one position gives just the seed row) and no zero entry
+    past the first; a zero denominator raises DegenerateGridError up front.
+    A Newton failure truncates the sequence with core.iterate's failure
+    record in meta, keeping completed rows.
     """
     if H.side is not Side.RIGHT:
         raise ValueError("solve_gamma_generic needs a Side.RIGHT Hamiltonian")
     if H.dim != 1:
         raise ValueError("the slope quotient scheme is one-dimensional only")
-    arr = np.asarray(q_sequence, dtype=float).reshape(-1)
-    if arr.size < 2:
-        raise ValueError("q_sequence must contain at least two positions")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("q_sequence contains non-finite entries")
+    arr = as_grid(q_sequence)
     if np.any(arr[1:] == 0.0):
         k = int(np.nonzero(arr[1:] == 0.0)[0][0]) + 2
         raise DegenerateGridError(f"q_sequence entry j = {k} is zero: the slope "
                                   f"quotient gamma / q_next is undefined")
-    gamma = float(as_vec(gamma0, dim=1, name="gamma0")[0])
-    entries = [GammaEntry(j=1, q=arr[0], gamma=gamma)]
-    meta: dict = {"truncated": False, "failure": None, "failure_index": None,
-                  "failure_message": None}
-    for i in range(arr.size - 1):
-        q_j, q_next = arr[i], arr[i + 1]
+    gamma0 = float(as_vec(gamma0, dim=1, name="gamma0")[0])
+
+    def advance(prev: GammaEntry) -> GammaEntry:
+        # entry j sits at arr[j - 1], so its successor's position is arr[j]
+        q_j, q_next = arr[prev.j - 1], arr[prev.j]
+        gamma = float(prev.gamma[0])
         quot = gamma / q_next
 
         def residual(g: np.ndarray) -> np.ndarray:
@@ -208,14 +185,10 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
             d1 = np.asarray(H.d1([q_j], g), dtype=float)
             return d2 * quot - d1
 
-        try:
-            g_next = newton_solve(residual, [gamma], cfg)
-        except NumericalError as exc:
-            meta.update(truncated=True, failure=type(exc).__name__,
-                        failure_index=entries[-1].j, failure_message=str(exc))
-            break
-        gamma = float(g_next[0])
-        entries.append(GammaEntry(j=entries[-1].j + 1, q=q_next, gamma=gamma))
+        g_next = newton_solve(residual, [gamma], cfg)
+        return GammaEntry(j=prev.j + 1, q=q_next, gamma=float(g_next[0]))
+
+    entries, meta = iterate(advance, GammaEntry(j=1, q=arr[0], gamma=gamma0), arr.size - 1)
     return GammaSequence(entries=entries, source=GammaSource.GENERIC, meta=meta)
 
 
@@ -242,27 +215,21 @@ def closed_form_gamma_step(gamma_j: float, q_j: float, q_next: float) -> float:
 def run_closed_form_vf(q_sequence, gamma0: float) -> GammaSequence:
     """Run the closed-form slope update over a scalar position grid.
 
-    A SingularDenominatorError truncates with the flag set in meta; completed
-    rows are kept.  On an all-zero grid the very first update is rejected
-    this way (the degenerate fixed point of the benchmark).
+    A SingularDenominatorError truncates with core.iterate's failure record
+    in meta, the denominator as failure_quantity; completed rows are kept.
+    On an all-zero grid the very first update is rejected this way (the
+    degenerate fixed point of the benchmark).
     """
-    arr = np.asarray(q_sequence, dtype=float).reshape(-1)
-    if arr.size < 1:
-        raise ValueError("q_sequence must contain at least one position")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("q_sequence contains non-finite entries")
-    gamma = float(gamma0)
-    entries = [GammaEntry(j=1, q=arr[0], gamma=gamma)]
-    meta: dict = {"truncated": False, "failure": None, "failure_index": None,
-                  "failure_message": None}
-    for i in range(arr.size - 1):
-        try:
-            gamma = closed_form_gamma_step(gamma, float(arr[i]), float(arr[i + 1]))
-        except SingularDenominatorError as exc:
-            meta.update(truncated=True, failure="SingularDenominatorError",
-                        failure_index=entries[-1].j, failure_message=str(exc))
-            break
-        entries.append(GammaEntry(j=entries[-1].j + 1, q=arr[i + 1], gamma=gamma))
+    arr = as_grid(q_sequence)
+
+    def advance(prev: GammaEntry) -> GammaEntry:
+        # entry j sits at arr[j - 1], so its successor's position is arr[j]
+        gamma = closed_form_gamma_step(float(prev.gamma[0]), float(arr[prev.j - 1]),
+                                       float(arr[prev.j]))
+        return GammaEntry(j=prev.j + 1, q=arr[prev.j], gamma=gamma)
+
+    entries, meta = iterate(advance, GammaEntry(j=1, q=arr[0], gamma=float(gamma0)),
+                            arr.size - 1)
     return GammaSequence(entries=entries, source=GammaSource.CLOSED_FORM, meta=meta)
 
 

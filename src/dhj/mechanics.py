@@ -26,15 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    NewtonConfig,
-    NumericalError,
-    PhasePoint,
-    as_vec,
-    fd_jacobian,
-    newton_solve,
-    norm_inf,
-)
+from .core import NewtonConfig, PhasePoint, as_vec, fd_jacobian, iterate, newton_solve, norm_inf
 
 __all__ = [
     "Side",
@@ -50,7 +42,6 @@ __all__ = [
     "verify_step",
     "run_trajectory",
     "symplecticity_defect",
-    "discrete_one_forms",
     "left_right_relation_residual",
 ]
 
@@ -115,12 +106,12 @@ class DiscreteHamiltonian:
 class DiscreteTrajectory:
     """An ordered run of phase points plus bookkeeping about how it was made.
 
-    meta records the generating configuration and, when a step failed, the
-    truncation flag with the failure class and the index it occurred at; the
-    points before the failure are kept.  Every adjacent pair solves the
-    stepper's Newton equation to its tolerance: D1 H+ (right) or D2 H-
-    (left), or, for a dual of a Lagrangian, D1 L_d(q_j, q_next) = -p_j.
-    verify_step re-checks a pair through H's own partials.
+    meta records the generating configuration and the failure record of
+    core.iterate; the points before a failed step are kept.  Every adjacent
+    pair solves the stepper's Newton equation to its tolerance: D1 H+
+    (right) or D2 H- (left), or, for a dual of a Lagrangian,
+    D1 L_d(q_j, q_next) = -p_j.  verify_step re-checks a pair through H's
+    own partials.
     """
 
     points: list[PhasePoint]
@@ -128,14 +119,6 @@ class DiscreteTrajectory:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @property
-    def q_array(self) -> np.ndarray:
-        return np.array([pt.q for pt in self.points])
-
-    @property
-    def p_array(self) -> np.ndarray:
-        return np.array([pt.p for pt in self.points])
 
 
 def legendre_right(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePoint:
@@ -322,30 +305,14 @@ def run_trajectory(H: DiscreteHamiltonian, x0: PhasePoint, steps: int,
 
     A numeric failure (singular Jacobian, divergence, non-finite values) does
     not raise: the trajectory is truncated at the last good point and meta
-    records truncated = True with the failure class, message, and the index
-    of the point the step started from.
+    carries core.iterate's failure record, with the index of the point the
+    failed step started from, plus side and steps_requested.
     """
     if int(steps) != steps or steps < 0:
         raise ValueError(f"steps must be a nonnegative integer, got {steps}")
     stepper = step_right if H.side is Side.RIGHT else step_left
-    points = [x0]
-    meta: dict = {
-        "side": H.side.value,
-        "steps_requested": int(steps),
-        "truncated": False,
-        "failure": None,
-        "failure_index": None,
-        "failure_message": None,
-    }
-    for _ in range(int(steps)):
-        try:
-            points.append(stepper(H, points[-1], cfg))
-        except NumericalError as exc:
-            meta["truncated"] = True
-            meta["failure"] = type(exc).__name__
-            meta["failure_index"] = points[-1].index
-            meta["failure_message"] = str(exc)
-            break
+    points, meta = iterate(lambda x: stepper(H, x, cfg), x0, int(steps), x0.index)
+    meta.update(side=H.side.value, steps_requested=int(steps))
     return DiscreteTrajectory(points=points, meta=meta)
 
 
@@ -369,18 +336,6 @@ def symplecticity_defect(H: DiscreteHamiltonian, x: PhasePoint,
     sym[n:, :n] = -eye
     defect = df.T @ sym @ df - sym
     return float(np.linalg.norm(defect, np.inf))
-
-
-def discrete_one_forms(L: DiscreteLagrangian, q_j, q_next) -> tuple[np.ndarray, np.ndarray]:
-    """The two discrete one-forms (theta_plus, theta_minus) at a pair:
-    theta_plus = D2 L_d(q_j, q_next), theta_minus = -D1 L_d(q_j, q_next).
-    Their sum over the two slots is the total differential of L_d, which is
-    what makes the step map symplectic."""
-    q_j = as_vec(q_j, dim=L.dim, name="q_j")
-    q_next = as_vec(q_next, dim=L.dim, name="q_next")
-    theta_plus = np.asarray(L.d2(q_j, q_next), dtype=float)
-    theta_minus = -np.asarray(L.d1(q_j, q_next), dtype=float)
-    return theta_plus, theta_minus
 
 
 def left_right_relation_residual(Hp: DiscreteHamiltonian, Hm: DiscreteHamiltonian,

@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .core import NewtonConfig, NumericalError, as_vec, fd_gradient, newton_solve, norm_inf
-from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side
+from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
     "SignCriterion",
@@ -33,7 +33,6 @@ __all__ = [
     "eliminate_control",
     "reduce",
     "discretize_right",
-    "recover_controls",
     "make_sakamoto1d",
     "MODEL_REGISTRY",
 ]
@@ -275,19 +274,6 @@ def discretize_right(Hc: ReducedHamiltonian, fd_step: float = 1e-7) -> DiscreteH
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=Hc.n,
                                d12=Hc.d_qp)
-
-
-def recover_controls(cp: ControlProblem, traj: DiscreteTrajectory,
-                     cfg: NewtonConfig | None = None) -> list[np.ndarray]:
-    """Controls along a discrete trajectory: u_j solves phi(q_j, p_next, u) = 0.
-
-    Returns one control per transition (len(traj) - 1 entries), matching the
-    step pairing in which the new momentum enters the constraint.
-    """
-    out = []
-    for a, b in zip(traj.points[:-1], traj.points[1:]):
-        out.append(eliminate_control(cp, a.q, b.p, cfg))
-    return out
 
 
 def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:

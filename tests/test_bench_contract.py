@@ -1,0 +1,83 @@
+"""What the benchmark harness reads from dhj, checked in the fast suite.
+
+bench/tracing.py wraps dhj functions at the module attributes their callers
+look up and reads the `meta` failure record of every run it traces.  A
+rename of either breaks the benchmark; these tests make it fail here too.
+"""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dhj
+import dhj.cli
+from dhj.core import NumericalError, PhasePoint
+from dhj.hj_flow import run_closed_form_flow, solve_generating_sequence
+from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
+from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
+from dhj.optctrl import discretize_right, make_sakamoto1d, reduce
+
+_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+_SINGULAR_Q = 1.0 / math.sqrt(3.0)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_on_every_name_and_uninstalls(tmp_path):
+    tracing = _load_tracing()
+    patched = [(module, attr) for modules, attr in
+               list(tracing.SPANS.values()) + list(tracing.COUNTS.values())
+               for module in modules]
+    originals = [getattr(module, attr) for module, attr in patched]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(m, a) is not f for (m, a), f in zip(patched, originals))
+        csv, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+        code = dhj.cli.main(["compare", f"--q1={_SINGULAR_Q!r}", "--csv", str(csv),
+                             "--svg", str(svg)])
+    finally:
+        tracer.uninstall()
+    assert all(getattr(m, a) is f for (m, a), f in zip(patched, originals))
+    assert code == 1
+    metrics = tracer.metrics(0.0)
+    assert metrics["mechanics.run_trajectory.truncated.SingularJacobianError"] == 1
+    assert metrics["cli.bytes_written"] == csv.stat().st_size + svg.stat().st_size
+
+
+def _cubic():
+    return discretize_right(reduce(make_sakamoto1d()))
+
+
+def _no_real_root():
+    # d2 = 1, d1 = g^2 + 1: the slope equation has no real root
+    return DiscreteHamiltonian(side=Side.RIGHT, eval=lambda q, p: 0.0,
+                               d1=lambda q, p: np.array([float(p[0]) ** 2 + 1.0]),
+                               d2=lambda q, p: np.array([1.0]), dim=1)
+
+
+@pytest.mark.parametrize("run, failures", [
+    (lambda: run_trajectory(_cubic(), PhasePoint(index=1, q=[_SINGULAR_Q], p=[0.0]), 3),
+     {"SingularJacobianError"}),
+    (lambda: solve_generating_sequence(_cubic(), [_SINGULAR_Q], 0.0, [0.0], 3),
+     {"SingularJacobianError"}),
+    (lambda: run_closed_form_flow([0.5, 0.9], -1e4, 1e-4), {"BranchError"}),
+    (lambda: solve_gamma_generic(_no_real_root(), [0.5, 0.25], 0.0),
+     {"ConvergenceError", "SingularJacobianError"}),
+    (lambda: run_closed_form_vf([0.0, 0.0, 0.0], 0.0), {"SingularDenominatorError"}),
+], ids=["run_trajectory", "solve_generating_sequence", "run_closed_form_flow",
+        "solve_gamma_generic", "run_closed_form_vf"])
+def test_truncated_runs_name_the_failure_class(run, failures):
+    meta = run().meta
+    assert meta["truncated"] is True
+    assert meta["failure"] in failures
+    assert issubclass(getattr(dhj, meta["failure"]), NumericalError)
+    assert meta["failure_index"] == 1 and meta["failure_message"]

@@ -1,6 +1,7 @@
 """Command-line interface: determinism, file formats, exit codes."""
 
 import math
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -191,11 +192,38 @@ def test_closed_form_method_requires_unit_weights():
     assert main(["hj-flow", "--method", "closed-form", "--r", "2"]) == 2
 
 
-def test_minus_branch_truncates_with_partial_csv(tmp_path):
+def test_minus_branch_truncates_with_partial_csv(tmp_path, capsys):
     out = tmp_path / "minus.csv"
     assert main(["hj-flow", "--branch", "minus", "--csv", str(out)]) == 1
     _, _, rows, _ = read_csv(out)
     assert len(rows) == 2
+    assert capsys.readouterr().err.startswith("flow failure at j = 2: BranchError: no real branch")
+
+
+@pytest.mark.parametrize("command", ["simulate", "hj-flow", "hj-vf", "compare"])
+def test_truncated_run_names_each_failed_part_on_stderr(command, capsys):
+    # the trajectory from q1 = 0.01 escapes and stops at j = 32
+    assert main([command, "--q1", "0.01", "--steps", "40"]) == 1
+    out, err = capsys.readouterr()
+    assert f"{command}: " in out and "truncated=yes" in out
+    lines = err.splitlines()
+    assert lines[0].startswith("trajectory failure at j = 32: ConvergenceError: "
+                               "no convergence after 50 iterations")
+    for line in lines:
+        assert re.fullmatch(r"(trajectory|flow|vf) failure at j = \d+: [A-Za-z]+Error: .+", line)
+
+
+@pytest.mark.parametrize("command", ["hj-vf", "compare"])
+@pytest.mark.parametrize("weights", [["--r=2"], ["--method=generic"], ["--r=0.5", "--s=3"]])
+def test_trajectory_stopped_at_its_first_step_gives_one_row(command, weights, tmp_path, capsys):
+    # from 1/sqrt(3) the first step is singular, so the slope grid has one
+    # position: the generic slope solver returns its seed row
+    out = tmp_path / "one.csv"
+    argv = [command, "--q1=0.5773502691896258", *weights, "--csv", str(out)]
+    assert main(argv) == 1
+    _, _, rows, _ = read_csv(out)
+    assert len(rows) == 1 and rows[0][0] == "1"
+    assert "SingularJacobianError" in capsys.readouterr().err
 
 
 def test_negative_float_with_exponent_is_a_separate_value(tmp_path):

@@ -1,4 +1,5 @@
-"""Numeric kernel: vector coercion, finite differences, Newton, RK4."""
+"""Numeric kernel: vector coercion, finite differences, Newton, the stepping
+loop, RK4."""
 
 import math
 
@@ -15,8 +16,8 @@ from dhj.core import (
     fd_gradient,
     fd_jacobian,
     fd_partial,
+    iterate,
     newton_solve,
-    newton_solve_detailed,
     norm_inf,
     rk4_reference,
 )
@@ -101,8 +102,16 @@ def test_fd_gradient_matches_analytic_on_quadratics():
 
 def test_fd_jacobian_linear_map_exact():
     A = np.array([[2.0, 1.0], [0.5, -3.0]])
-    jac = fd_jacobian(lambda z: A @ z, np.array([0.3, -0.7]), step=1e-6)
+    calls = []
+
+    def residual(z):
+        calls.append(1)
+        return A @ z
+
+    jac = fd_jacobian(residual, np.array([0.3, -0.7]), step=1e-6)
     assert norm_inf((jac - A).ravel()) <= 1e-9
+    # two evaluations per column, none at the point itself
+    assert len(calls) == 4
 
 
 def test_newton_solves_linear_system():
@@ -119,18 +128,25 @@ def test_newton_quadratic():
 
 def test_newton_returns_guess_when_already_converged():
     root = newton_solve(lambda z: np.array([z[0] ** 2 - 2.0]), [1.5])
-    res = newton_solve_detailed(lambda z: np.array([z[0] ** 2 - 2.0]), root)
-    assert res.iterations == 0
-    assert res.x[0] == root[0]
+    calls = []
+
+    def residual(z):
+        calls.append(1)
+        return np.array([z[0] ** 2 - 2.0])
+
+    again = newton_solve(residual, root)
+    # one residual evaluation, no Jacobian, no update
+    assert len(calls) == 1
+    assert again[0] == root[0]
 
 
 def test_newton_damping_halves_each_update():
-    # residual x with damping 0.5: iterate is exactly halved each time, so
-    # reaching 1e-12 from 1 takes 40 updates
+    # residual x with an exact Jacobian and damping 0.5: each update halves
+    # the iterate exactly, and 0.5**39 > 1e-12 >= 0.5**40, so the root
+    # returned is 0.5**40 after exactly 40 updates
     cfg = NewtonConfig(damping=0.5)
-    res = newton_solve_detailed(lambda z: z.copy(), [1.0], cfg)
-    assert res.iterations == 40
-    assert abs(res.x[0]) <= 1e-12
+    x = newton_solve(lambda z: z.copy(), [1.0], cfg, jacobian=lambda z: np.eye(1))
+    assert x[0] == 0.5**40
 
 
 def test_newton_uses_supplied_jacobian():
@@ -158,6 +174,33 @@ def test_newton_convergence_error_carries_residual():
         newton_solve(lambda z: np.array([1.0 + z[0] ** 2]), [3.0], cfg)
     assert exc.value.iterations == 5
     assert exc.value.residual_norm > 0.0
+
+
+def test_iterate_records_the_failed_step():
+    def halve_until_small(x):
+        if x < 0.1:
+            raise ConvergenceError(residual_norm=x, iterations=3)
+        return 0.5 * x
+
+    items, meta = iterate(halve_until_small, 1.0, 10, first_index=4)
+    assert items == [1.0, 0.5, 0.25, 0.125, 0.0625]
+    assert meta["truncated"] is True
+    assert meta["failure"] == "ConvergenceError"
+    assert meta["failure_index"] == 8  # the index of 0.0625, counting 1.0 as 4
+    assert meta["failure_quantity"] == 0.0625
+    assert meta["failure_message"].startswith("no convergence after 3 iterations")
+    items, meta = iterate(lambda x: x + 1, 0, 3)
+    assert items == [0, 1, 2, 3]
+    assert meta == {"truncated": False, "failure": None, "failure_index": None,
+                    "failure_message": None, "failure_quantity": None}
+
+
+def test_iterate_lets_other_errors_through():
+    def bad(x):
+        raise ValueError("not a numerical failure")
+
+    with pytest.raises(ValueError):
+        iterate(bad, 0.0, 2)
 
 
 def test_newton_nonfinite_residual():

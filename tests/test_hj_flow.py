@@ -140,7 +140,7 @@ def test_minus_branch_dies_quickly():
     assert len(seq.entries) == 2
     assert seq.meta["truncated"] is True
     assert seq.meta["failure"] == "BranchError"
-    assert abs(seq.meta["discriminant"] - (-2.4109635623731073e-11)) <= 1e-20
+    assert abs(seq.meta["failure_quantity"] - (-2.4109635623731073e-11)) <= 1e-20
     assert seq.branch_log == ["init", "minus"]
 
 

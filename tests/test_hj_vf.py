@@ -46,12 +46,12 @@ def free_pair():
 
 def test_eval_field_free_particle():
     Hp, Hm = free_pair()
-    fc = eval_field(Hp, [0.3], [0.2])
-    assert abs(fc.dq_coeff[0] - 0.5) <= 1e-10
-    assert abs(fc.dp_coeff[0] - 0.2) <= 1e-10
-    fc = eval_field_left(Hm, [0.5], [0.2])
-    assert abs(fc.dq_coeff[0] - 0.3) <= 1e-10
-    assert abs(fc.dp_coeff[0] - 0.2) <= 1e-10
+    dq, dp = eval_field(Hp, [0.3], [0.2])
+    assert abs(dq[0] - 0.5) <= 1e-10
+    assert abs(dp[0] - 0.2) <= 1e-10
+    dq, dp = eval_field_left(Hm, [0.5], [0.2])
+    assert abs(dq[0] - 0.3) <= 1e-10
+    assert abs(dp[0] - 0.2) <= 1e-10
 
 
 def test_vf_residual_zero_iff_slope_consistent():
@@ -121,7 +121,11 @@ def test_generic_solver_matches_closed_form():
 def test_generic_solver_rejections():
     H = cubic_right()
     with pytest.raises(ValueError):
-        solve_gamma_generic(H, [0.5], 0.0)
+        solve_gamma_generic(H, [], 0.0)
+    # a single grid position yields the seed row and no transitions
+    seq = solve_gamma_generic(H, [0.5], 0.25)
+    assert len(seq) == 1 and seq.entries[0].gamma[0] == 0.25
+    assert seq.meta["truncated"] is False
     with pytest.raises(DegenerateGridError):
         solve_gamma_generic(H, [0.5, 0.0, 0.7], 0.0)
     multi = DiscreteHamiltonian(

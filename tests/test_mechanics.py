@@ -8,12 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError, newton_solve
+from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError, newton_solve, rk4_reference
 from dhj.mechanics import (
     DiscreteLagrangian,
     Side,
     del_step,
-    discrete_one_forms,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
     legendre_left,
@@ -66,14 +65,14 @@ def test_legendre_transforms_free_particle():
 
 
 def test_legendre_momenta_match_one_forms():
+    # the discrete one-forms at a pair: theta+ = D2 L_d, theta- = -D1 L_d
     L = quadratic_lagrangian()
     rng = np.random.default_rng(5)
     for _ in range(20):
         a = rng.uniform(-1.0, 1.0, 1)
         b = rng.uniform(-1.0, 1.0, 1)
-        next_form, prev_form = discrete_one_forms(L, a, b)
-        assert abs(legendre_right(L, a, b).p[0] - next_form[0]) <= 1e-15
-        assert abs(legendre_left(L, a, b).p[0] - prev_form[0]) <= 1e-15
+        assert abs(legendre_right(L, a, b).p[0] - L.d2(a, b)[0]) <= 1e-15
+        assert abs(legendre_left(L, a, b).p[0] - (-L.d1(a, b)[0])) <= 1e-15
 
 
 def test_del_step_free_particle_extrapolates():
@@ -400,3 +399,20 @@ def test_del_step_is_the_stationarity_solve_bit_for_bit():
         const = L.d2(a, b)
         want = newton_solve(lambda y: const + L.d1(b, y), 2.0 * b - a)
         assert del_step(L, a, b).tobytes() == want.tobytes()
+
+
+def test_midpoint_pendulum_converges_at_second_order_to_rk4():
+    # the midpoint L_d samples L = v^2 / 2 - w2 (1 - cos q), whose flow is
+    # q' = p, p' = -w2 sin q; RK4 at dt = 1e-4 is the continuous reference
+    w2, T = 1.3, 2.0
+    x0 = PhasePoint(index=1, q=[0.8], p=[0.0])
+    ref = rk4_reference(lambda z: np.array([z[1], -w2 * math.sin(z[0])]), x0, 1e-4,
+                        round(T / 1e-4))[-1]
+    for side in (Side.RIGHT, Side.LEFT):
+        errors = []
+        for h in (0.2, 0.1, 0.05, 0.025):
+            H = hamiltonian_from_lagrangian(midpoint_pendulum(h, w2), side)
+            end = run_trajectory(H, x0, round(T / h)).points[-1]
+            errors.append(max(abs(end.q[0] - ref.q[0]), abs(end.p[0] - ref.p[0])))
+        ratios = [a / b for a, b in zip(errors, errors[1:])]
+        assert all(3.9 <= r <= 4.1 for r in ratios), (side, errors, ratios)

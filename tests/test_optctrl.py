@@ -14,7 +14,6 @@ from dhj.optctrl import (
     discretize_right,
     eliminate_control,
     make_sakamoto1d,
-    recover_controls,
     reduce,
     secondary_constraint,
 )
@@ -150,14 +149,14 @@ def test_discretize_right_fd_fallback_without_state_partials():
 
 
 def test_recover_controls_roundtrip():
+    # u_j solves phi(q_j, p_next, u) = 0 in the step pairing, u = -p_next / r
     cp = make_sakamoto1d()
     H = discretize_right(reduce(cp))
     traj = run_trajectory(H, PhasePoint(index=1, q=[0.05], p=[-0.02]), 5)
-    controls = recover_controls(cp, traj)
-    assert len(controls) == len(traj) - 1
-    for i, u in enumerate(controls):
-        p_next = traj.points[i + 1].p[0]
-        assert abs(u[0] - (-p_next)) <= 1e-14
+    assert len(traj) == 6
+    for a, b in zip(traj.points[:-1], traj.points[1:]):
+        u = eliminate_control(cp, a.q, b.p)
+        assert abs(u[0] - (-b.p[0])) <= 1e-14
 
 
 def test_model_registry_and_weight_validation():
