@@ -69,12 +69,10 @@ from .mechanics import (
 from .optctrl import (
     MODEL_REGISTRY,
     ControlProblem,
-    ReducedHamiltonian,
     SignCriterion,
     discretize_right,
     eliminate_control,
     make_sakamoto1d,
-    reduce,
     secondary_constraint,
 )
 

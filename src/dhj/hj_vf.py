@@ -158,25 +158,24 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
 
     for g by Newton from the guess gamma_j.  One-dimensional only (the
     quotient has no dimension-general meaning).  The grid must have at least
-    one position (one position gives just the seed row) and no zero entry
-    past the first; a zero denominator raises DegenerateGridError up front.
-    A Newton failure truncates the sequence with core.iterate's failure
-    record in meta, keeping completed rows.
+    one position (one position gives just the seed row).  A zero q_next
+    (DegenerateGridError, with q_next as failure_quantity) or a Newton
+    failure truncates the sequence with core.iterate's failure record in
+    meta, keeping completed rows.
     """
     if H.side is not Side.RIGHT:
         raise ValueError("solve_gamma_generic needs a Side.RIGHT Hamiltonian")
     if H.dim != 1:
         raise ValueError("the slope quotient scheme is one-dimensional only")
     arr = as_grid(q_sequence)
-    if np.any(arr[1:] == 0.0):
-        k = int(np.nonzero(arr[1:] == 0.0)[0][0]) + 2
-        raise DegenerateGridError(f"q_sequence entry j = {k} is zero: the slope "
-                                  f"quotient gamma / q_next is undefined")
     gamma0 = float(as_vec(gamma0, dim=1, name="gamma0")[0])
 
     def advance(prev: GammaEntry) -> GammaEntry:
         # entry j sits at arr[j - 1], so its successor's position is arr[j]
         q_j, q_next = arr[prev.j - 1], arr[prev.j]
+        if q_next == 0.0:
+            raise DegenerateGridError(f"q_sequence entry j = {prev.j + 1} is zero: the slope "
+                                      f"quotient gamma / q_next is undefined", q_next)
         gamma = float(prev.gamma[0])
         quot = gamma / q_next
 

@@ -9,9 +9,9 @@ whose stationarity in u is the secondary constraint
 
     phi_a(q, p, u) = p . dGamma/du_a + sign * dcost/du_a = 0.
 
-Eliminating u through phi produces a reduced Hamiltonian of (q, p) alone;
-substituting the step pair (q_j, p_next) for (q, p) turns it into a right
-discrete Hamiltonian pointwise, which is what the lattice machinery consumes.
+Eliminating u through phi produces a Hamiltonian of (q, p) alone; read at
+the step pair (q_j, p_next) it is a right discrete Hamiltonian, which is what
+the lattice machinery consumes (discretize_right builds it in one step).
 """
 
 from __future__ import annotations
@@ -22,16 +22,15 @@ from functools import partial
 
 import numpy as np
 
+# as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
 from .core import NewtonConfig, NumericalError, as_vec, fd_gradient, newton_solve, norm_inf
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
     "SignCriterion",
     "ControlProblem",
-    "ReducedHamiltonian",
     "secondary_constraint",
     "eliminate_control",
-    "reduce",
     "discretize_right",
     "make_sakamoto1d",
     "MODEL_REGISTRY",
@@ -56,9 +55,9 @@ class ControlProblem:
     gamma(q, u) -> n-vector and cost(q, u) -> scalar take a state q of
     dimension n and a control u of dimension k.  du_gamma (n x k) and
     du_cost (k,) are their analytic control partials; the optional state
-    partials dq_gamma (n x n) and dq_cost (n,) sharpen the reduced
-    Hamiltonian's slot partials from finite differences to exact values
-    when supplied.  The optional d_qp(q, p, u) (n x n) is the reduced
+    partials dq_gamma (n x n) and dq_cost (n,) sharpen the control-
+    eliminated Hamiltonian's d1 from finite differences to exact values
+    when supplied.  The optional d_qp(q, p, u) (n x n) is that
     Hamiltonian's mixed partial d2H/dq dp at the eliminated control u,
     including the part that comes through u's dependence on p; it gives the
     right step an exact Newton Jacobian.
@@ -83,27 +82,6 @@ class ControlProblem:
                 raise ValueError(f"{label} must be a positive integer, got {val}")
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "k", int(self.k))
-
-
-@dataclass(frozen=True)
-class ReducedHamiltonian:
-    """Hamiltonian of (q, p) after control elimination.
-
-    eval(q, p) -> scalar; u_of_qp(q, p) -> the eliminated control, which
-    satisfies the secondary constraint to solver tolerance; it keeps the
-    control of the last (q, p) it was asked for, so the partials at one point
-    share one elimination, and returns it read-only.  d_q and d_p are
-    analytic slot partials when the underlying problem supplied state
-    partials, else None (consumers fall back to finite differences); d_qp,
-    the n x n mixed partial d2H/dq dp, is set when the problem supplied it.
-    """
-
-    eval: object
-    u_of_qp: object
-    n: int
-    d_q: object = None
-    d_p: object = None
-    d_qp: object = None
 
 
 def _vec(x, dim: int) -> np.ndarray:
@@ -145,16 +123,16 @@ def _affine_part(phi, k: int, probe: bool):
 
 
 def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
-                      guess=None, affine: bool | None = None) -> np.ndarray:
+                      affine: bool | None = None) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
 
     The constraint is probed for affinity in u with unit-offset second
     differences; when affine (quadratic costs with control-affine dynamics,
     the common case) the control comes from one linear solve, exact for the
     benchmark.  Otherwise, or when the linear candidate fails verification,
-    a damped Newton runs from guess (default zero).  affine=True, a verdict
-    worked out once by the caller, skips the probe; its candidate, if it
-    fails verification, takes the probed path instead.
+    a damped Newton runs from zero.  affine=True, a verdict worked out once
+    by the caller, skips the probe; its candidate, if it fails verification,
+    takes the probed path instead.
 
     A non-finite q or p that reaches Newton raises ValueError naming it.
     A caller that passes a verdict (True or False) hands in solver iterates,
@@ -176,7 +154,7 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
         if cand is not None and norm_inf(phi(cand)) <= max(cfg.tol, 1e-13 * norm_inf(p)):
             return cand
     if affine:
-        return eliminate_control(cp, q, p, cfg, guess, affine=False)
+        return eliminate_control(cp, q, p, cfg, affine=False)
     for name, v in (("q", q), ("p", p)):
         if not np.all(np.isfinite(v)):
             error = ValueError if affine is None else NumericalError
@@ -184,96 +162,67 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
     if cand is not None:
         # affine but the candidate needs polish (rounding in the solve)
         return newton_solve(phi, cand, cfg)
-    start = np.zeros(cp.k) if guess is None else as_vec(guess, dim=cp.k, name="guess")
-    return newton_solve(phi, start, cfg)
+    return newton_solve(phi, np.zeros(cp.k), cfg)
 
 
-def reduce(cp: ControlProblem, cfg: NewtonConfig | None = None) -> ReducedHamiltonian:
-    """Eliminate the control and return the Hamiltonian of (q, p) alone.
+def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> DiscreteHamiltonian:
+    """Eliminate the control and read the result as a right discrete Hamiltonian.
 
-    H(q, p) = p . Gamma(q, u*) + sign * cost(q, u*) with u* = u_of_qp(q, p).
-    Because phi(q, p, u*) = 0, the partials obey the envelope identities:
-    dH/dp = Gamma(q, u*) always, and dH/dq = dGamma/dq^T p + sign * dcost/dq
-    when the problem carries analytic state partials (both evaluated at u*,
-    with no du*/dq or du*/dp term surviving).
+    H+(q_j, p_next) = p_next . Gamma(q_j, u*) + sign * cost(q_j, u*), with u*
+    the control solving the secondary constraint at (q_j, p_next): a bare
+    substitution, with no step-size factor.  Whether phi is affine in u is
+    decided once, at the first call, and the partials at one (q, p) share one
+    elimination.  Because phi(q, p, u*) = 0, the envelope identities give
+    d2 = Gamma(q, u*) and, when the problem carries analytic state partials,
+    d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no du*/dq or du*/dp
+    term; without them d1 is a central difference of eval with cfg.fd_step.
+    The problem's d_qp becomes d12.
     """
-    inner = cfg if cfg is not None else NewtonConfig()
+    cfg = cfg if cfg is not None else NewtonConfig()
     affine = None  # phi affine in u for every p: probed at p = 0 and each p = e_i
     last = (None, None)  # (bytes of q and p, their read-only control)
 
-    def u_of_qp(q, p) -> np.ndarray:
+    def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         nonlocal affine, last
-        q, p = _vec(q, cp.n), _vec(p, cp.n)
         key = q.tobytes() + p.tobytes()
         if key == last[0]:
             return last[1]
         if affine is None:
             phis = (partial(secondary_constraint, cp, q, m) for m in np.eye(cp.n + 1, cp.n, -1))
             affine = all(_affine_part(phi, cp.k, probe=True)[1] is not None for phi in phis)
-        u = eliminate_control(cp, q, p, inner, affine=affine)
+        u = eliminate_control(cp, q, p, cfg, affine=affine)
         u.setflags(write=False)
         last = (key, u)
         return u
 
     def _eval(q, p) -> float:
         q, p = _vec(q, cp.n), _vec(p, cp.n)
-        u = u_of_qp(q, p)
+        u = control(q, p)
         vel = _vec(cp.gamma(q, u), cp.n)
         return float(p @ vel) + cp.sign.factor * float(cp.cost(q, u))
 
-    def d_p(q, p) -> np.ndarray:
+    def _d2(q, p) -> np.ndarray:
         q, p = _vec(q, cp.n), _vec(p, cp.n)
-        u = u_of_qp(q, p)
-        return np.asarray(cp.gamma(q, u), dtype=float)
+        return np.asarray(cp.gamma(q, control(q, p)), dtype=float)
 
-    d_q = None
     if cp.dq_gamma is not None and cp.dq_cost is not None:
-
-        def d_q(q, p) -> np.ndarray:
+        def _d1(q, p) -> np.ndarray:
             q, p = _vec(q, cp.n), _vec(p, cp.n)
-            u = u_of_qp(q, p)
+            u = control(q, p)
             jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
-            grad = _vec(cp.dq_cost(q, u), cp.n)
-            return jac.T @ p + cp.sign.factor * grad
+            return jac.T @ p + cp.sign.factor * _vec(cp.dq_cost(q, u), cp.n)
+    else:
+        def _d1(q, p) -> np.ndarray:
+            return fd_gradient(lambda z: _eval(z, p), q, cfg.fd_step)
 
-    d_qp = None
+    _d12 = None
     if cp.d_qp is not None:
-
-        def d_qp(q, p) -> np.ndarray:
+        def _d12(q, p) -> np.ndarray:
             q, p = _vec(q, cp.n), _vec(p, cp.n)
-            return np.asarray(cp.d_qp(q, p, u_of_qp(q, p)), dtype=float).reshape(cp.n, cp.n)
+            return np.asarray(cp.d_qp(q, p, control(q, p)), dtype=float).reshape(cp.n, cp.n)
 
-    return ReducedHamiltonian(eval=_eval, u_of_qp=u_of_qp, n=cp.n, d_q=d_q, d_p=d_p,
-                              d_qp=d_qp)
-
-
-def discretize_right(Hc: ReducedHamiltonian, fd_step: float = 1e-7) -> DiscreteHamiltonian:
-    """Read the reduced Hamiltonian as a right discrete one, pointwise.
-
-    The substitution is bare: eval(q_j, p_next) = Hc.eval(q_j, p_next) with
-    no step-size factor.  Slot partials use Hc's analytic ones when present
-    and central differences with fd_step otherwise; Hc.d_qp becomes d12.
-    """
-
-    def _eval(q, p_next) -> float:
-        return float(Hc.eval(q, p_next))
-
-    if Hc.d_q is not None:
-        def _d1(q, p_next) -> np.ndarray:
-            return np.asarray(Hc.d_q(q, p_next), dtype=float)
-    else:
-        def _d1(q, p_next) -> np.ndarray:
-            return fd_gradient(lambda z: Hc.eval(z, p_next), q, fd_step)
-
-    if Hc.d_p is not None:
-        def _d2(q, p_next) -> np.ndarray:
-            return np.asarray(Hc.d_p(q, p_next), dtype=float)
-    else:
-        def _d2(q, p_next) -> np.ndarray:
-            return fd_gradient(lambda z: Hc.eval(q, z), p_next, fd_step)
-
-    return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=Hc.n,
-                               d12=Hc.d_qp)
+    return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
+                               d12=_d12)
 
 
 def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:

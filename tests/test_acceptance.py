@@ -34,11 +34,11 @@ from dhj.mechanics import (
     symplecticity_defect,
 )
 from dhj.cli import main
-from dhj.optctrl import discretize_right, make_sakamoto1d, reduce
+from dhj.optctrl import discretize_right, make_sakamoto1d
 
 
 def benchmark():
-    return discretize_right(reduce(make_sakamoto1d()))
+    return discretize_right(make_sakamoto1d())
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -234,15 +234,14 @@ def test_11_reduction_fidelity():
     # eliminated-control Hamiltonian against the hand formula at 1000
     # sampled points; then the discrete partials against central differences
     # of the hand right-hand sides
-    Hc = reduce(make_sakamoto1d())
+    H = discretize_right(make_sakamoto1d())
     rng = np.random.default_rng(0)
     worst_val = 0.0
     for _ in range(1000):
         q = rng.uniform(-2.0, 2.0)
         p = rng.uniform(-2.0, 2.0)
         want = p * (q - q ** 3) - 0.5 * p ** 2 + 0.5 * q ** 2
-        worst_val = max(worst_val, abs(Hc.eval([q], [p]) - want))
-    H = discretize_right(Hc)
+        worst_val = max(worst_val, abs(H.eval([q], [p]) - want))
     step = 1e-6
 
     def hand(qq: float, pp: float) -> float:

@@ -18,7 +18,7 @@ from dhj.core import NumericalError, PhasePoint
 from dhj.hj_flow import run_closed_form_flow, solve_generating_sequence
 from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
-from dhj.optctrl import discretize_right, make_sakamoto1d, reduce
+from dhj.optctrl import discretize_right, make_sakamoto1d
 
 _TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 _SINGULAR_Q = 1.0 / math.sqrt(3.0)
@@ -51,10 +51,12 @@ def test_tracer_installs_on_every_name_and_uninstalls(tmp_path):
     metrics = tracer.metrics(0.0)
     assert metrics["mechanics.run_trajectory.truncated.SingularJacobianError"] == 1
     assert metrics["cli.bytes_written"] == csv.stat().st_size + svg.stat().st_size
+    # counted only if build_model looks up dhj.cli.discretize_right
+    assert metrics["optctrl.H.d1.calls_per_step"] > 0
 
 
 def _cubic():
-    return discretize_right(reduce(make_sakamoto1d()))
+    return discretize_right(make_sakamoto1d())
 
 
 def _no_real_root():

@@ -11,7 +11,7 @@ import pytest
 
 from dhj.cli import check_partial_consistency, main
 from dhj.mechanics import DiscreteHamiltonian, Side
-from dhj.optctrl import discretize_right, make_sakamoto1d, reduce
+from dhj.optctrl import discretize_right, make_sakamoto1d
 
 
 def read_csv(path):
@@ -155,7 +155,7 @@ def test_check_battery_passes_on_defaults(capsys):
 
 
 def test_partial_consistency_flags_corrupted_hamiltonian():
-    H = discretize_right(reduce(make_sakamoto1d()))
+    H = discretize_right(make_sakamoto1d())
     bad = DiscreteHamiltonian(
         side=Side.RIGHT,
         eval=H.eval,
@@ -224,6 +224,31 @@ def test_trajectory_stopped_at_its_first_step_gives_one_row(command, weights, tm
     _, _, rows, _ = read_csv(out)
     assert len(rows) == 1 and rows[0][0] == "1"
     assert "SingularJacobianError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["hj-vf", "compare"])
+def test_zero_grid_truncates_the_generic_slope_solver(command, tmp_path, capsys):
+    # q1 = 0 is a fixed point, so every grid entry is zero and the first slope
+    # quotient gamma / q_next is undefined
+    out = tmp_path / "zero.csv"
+    assert main([command, "--q1=0", "--method=generic", "--csv", str(out)]) == 1
+    _, _, rows, _ = read_csv(out)
+    assert len(rows) == 1 and rows[0][0] == "1"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("vf failure at j = 1: DegenerateGridError: q_sequence entry j = 2")
+
+
+def test_a_raising_probe_fails_alone_and_the_battery_goes_on(capsys):
+    # symplecticity_defect steps from the singular start 1/sqrt(3) and raises
+    assert main(["check", "--q1=0.5773502691896258"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [re.match(r"(CHECK|INFO) ([a-z-]+): ", line).group(2) for line in lines[:-1]] == [
+        "partial-consistency", "step-residuals", "symplecticity", "flow-residuals",
+        "vf-agreement", "left-right-identity", "singular-start"]
+    assert lines[2].startswith("CHECK symplecticity: FAIL (measured = n/a; raised "
+                               "SingularJacobianError: singular Jacobian")
+    assert lines[-1] == "check: 3 passed, 3 failed, 0 skipped"
 
 
 def test_negative_float_with_exponent_is_a_separate_value(tmp_path):

@@ -23,11 +23,11 @@ from dhj.mechanics import (
     hamiltonian_from_lagrangian,
     run_trajectory,
 )
-from dhj.optctrl import discretize_right, make_sakamoto1d, reduce
+from dhj.optctrl import discretize_right, make_sakamoto1d
 
 
 def cubic_right():
-    return discretize_right(reduce(make_sakamoto1d()))
+    return discretize_right(make_sakamoto1d())
 
 
 def free_right():

@@ -26,11 +26,11 @@ from dhj.mechanics import (
     hamiltonian_from_lagrangian,
     run_trajectory,
 )
-from dhj.optctrl import discretize_right, make_sakamoto1d, reduce
+from dhj.optctrl import discretize_right, make_sakamoto1d
 
 
 def cubic_right():
-    return discretize_right(reduce(make_sakamoto1d()))
+    return discretize_right(make_sakamoto1d())
 
 
 def free_pair():
@@ -126,8 +126,13 @@ def test_generic_solver_rejections():
     seq = solve_gamma_generic(H, [0.5], 0.25)
     assert len(seq) == 1 and seq.entries[0].gamma[0] == 0.25
     assert seq.meta["truncated"] is False
-    with pytest.raises(DegenerateGridError):
-        solve_gamma_generic(H, [0.5, 0.0, 0.7], 0.0)
+    # a zero q_next is rejected by its step: the rows before it are kept
+    seq = solve_gamma_generic(H, [0.5, 0.25, 0.0, 0.7], 0.0)
+    assert len(seq) == 2
+    assert seq.meta["truncated"] is True and seq.meta["failure_index"] == 2
+    assert seq.meta["failure"] == DegenerateGridError.__name__
+    assert seq.meta["failure_message"].startswith("q_sequence entry j = 3 is zero")
+    assert seq.meta["failure_quantity"] == 0.0
     multi = DiscreteHamiltonian(
         side=Side.RIGHT,
         eval=lambda q, p: 0.0,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError, newton_solve, rk4_reference
+from dhj.hj_flow import hj_residual_left
 from dhj.mechanics import (
     DiscreteLagrangian,
     Side,
@@ -23,7 +24,7 @@ from dhj.mechanics import (
     symplecticity_defect,
     verify_step,
 )
-from dhj.optctrl import discretize_right, make_sakamoto1d, reduce
+from dhj.optctrl import discretize_right, make_sakamoto1d
 
 
 def _arr(x):
@@ -51,7 +52,7 @@ def quadratic_lagrangian():
 
 
 def cubic_right():
-    return discretize_right(reduce(make_sakamoto1d()))
+    return discretize_right(make_sakamoto1d())
 
 
 def test_legendre_transforms_free_particle():
@@ -159,7 +160,7 @@ def test_trajectory_small_start_oracle():
 def test_trajectory_del_satisfaction():
     # consecutive triples satisfy the discrete stationarity condition
     cp = make_sakamoto1d()
-    H = discretize_right(reduce(cp))
+    H = discretize_right(cp)
     traj = run_trajectory(H, PhasePoint(index=1, q=[0.05], p=[-0.02]), 6)
     for j in range(1, len(traj) - 1):
         prev, cur, nxt = traj.points[j - 1], traj.points[j], traj.points[j + 1]
@@ -266,7 +267,7 @@ def _exact_step_error(q, p, q_next, p_next, r, s):
 def test_trajectory_rows_match_the_exact_rational_map(r, s):
     # with the exact mixed partial one Newton step solves the affine D1 H+
     # equation to rounding; finite-difference Jacobians left ~1e-11 misses
-    H = discretize_right(reduce(make_sakamoto1d(r=r, s=s)))
+    H = discretize_right(make_sakamoto1d(r=r, s=s))
     worst = 0.0
     for q1 in np.geomspace(1e-10, 0.3, 15):
         for sign in (1.0, -1.0):
@@ -287,7 +288,7 @@ def test_step_right_with_one_newton_iteration_runs_two_eliminations():
         calls.append(1)
         return base.du_gamma(q, u)
 
-    H = discretize_right(reduce(dataclasses.replace(base, du_gamma=du_gamma)))
+    H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
     H.d1([0.2], [-0.3])  # the first call also takes the affinity verdict
     for q, p in ((0.05, -0.02), (-0.4, 0.3), (0.3, 0.0)):
         calls.clear()
@@ -416,3 +417,22 @@ def test_midpoint_pendulum_converges_at_second_order_to_rk4():
             errors.append(max(abs(end.q[0] - ref.q[0]), abs(end.p[0] - ref.p[0])))
         ratios = [a / b for a, b in zip(errors, errors[1:])]
         assert all(3.9 <= r <= 4.1 for r in ratios), (side, errors, ratios)
+
+
+def test_left_hj_equation_holds_along_the_pendulum_left_dual():
+    # the left picture: with S_{j+1} = S_j + L_d(q_j, q_{j+1}) and DS_j = p_j,
+    # the left evolution equation vanishes on every transition of the left
+    # dual's orbit, and the left Legendre transform of (q_j, q_{j+1}) gives
+    # back p_j up to the Newton tolerance of the step that found q_{j+1}
+    L = midpoint_pendulum(0.1, 1.3)
+    Hm = hamiltonian_from_lagrangian(L, Side.LEFT)
+    traj = run_trajectory(Hm, PhasePoint(index=1, q=[0.8], p=[0.0]), 30)
+    assert traj.meta["truncated"] is False and len(traj) == 31
+    eps, tol = np.finfo(float).eps, NewtonConfig().tol
+    S = 0.0
+    for a, b in zip(traj.points[:-1], traj.points[1:]):
+        S_next = S + L.eval(a.q, b.q)
+        scale = max(1.0, abs(S), abs(S_next), abs(float(a.p @ a.q)))
+        assert abs(hj_residual_left(Hm, S, S_next, a.p, a.q, b.q)) <= 16 * eps * scale
+        assert abs(legendre_left(L, a.q, b.q).p[0] - a.p[0]) <= tol * max(1.0, abs(a.p[0]))
+        S = S_next

@@ -1,4 +1,4 @@
-"""Control elimination and the reduced Hamiltonian."""
+"""Control elimination and the right discrete Hamiltonian built on it."""
 
 import dataclasses
 
@@ -14,7 +14,6 @@ from dhj.optctrl import (
     discretize_right,
     eliminate_control,
     make_sakamoto1d,
-    reduce,
     secondary_constraint,
 )
 
@@ -71,7 +70,7 @@ def test_minus_criterion_flips_control_sign():
 
 def test_reduce_matches_hand_formula_nonunit_weights():
     r, s = 2.0, 0.5
-    H = reduce(make_sakamoto1d(r=r, s=s))
+    H = discretize_right(make_sakamoto1d(r=r, s=s))
     rng = np.random.default_rng(23)
     for _ in range(30):
         q = rng.uniform(-2.0, 2.0, 1)
@@ -79,20 +78,20 @@ def test_reduce_matches_hand_formula_nonunit_weights():
         want = (p[0] * (q[0] - q[0] ** 3) - p[0] ** 2 / (2.0 * r)
                 + 0.5 * s * q[0] ** 2)
         assert abs(H.eval(q, p) - want) <= 1e-12
-        assert abs(H.u_of_qp(q, p)[0] - (-p[0] / r)) <= 1e-15
+        # d2 = Gamma(q, u*) with u* = -p / r
+        assert abs(H.d2(q, p)[0] - (q[0] - q[0] ** 3 - p[0] / r)) <= 1e-15 * (1.0 + abs(q[0]) ** 3)
 
 
 def test_reduce_envelope_partials_match_finite_differences():
-    H = reduce(make_sakamoto1d(r=2.0, s=0.5))
-    assert H.d_q is not None and H.d_p is not None
+    H = discretize_right(make_sakamoto1d(r=2.0, s=0.5))
     rng = np.random.default_rng(29)
     from dhj.core import fd_gradient
 
     for _ in range(50):
         q = rng.uniform(-2.0, 2.0, 1)
         p = rng.uniform(-2.0, 2.0, 1)
-        dq = np.asarray(H.d_q(q, p), dtype=float)
-        dp = np.asarray(H.d_p(q, p), dtype=float)
+        dq = np.asarray(H.d1(q, p), dtype=float)
+        dp = np.asarray(H.d2(q, p), dtype=float)
         fd_q = fd_gradient(lambda z: H.eval(z, p), q, 1e-6)
         fd_p = fd_gradient(lambda z: H.eval(q, z), p, 1e-6)
         assert norm_inf(dq - fd_q) <= 1e-6
@@ -100,7 +99,7 @@ def test_reduce_envelope_partials_match_finite_differences():
 
 
 def test_reduction_fidelity_on_grid():
-    H = reduce(make_sakamoto1d())
+    H = discretize_right(make_sakamoto1d())
     for q in np.linspace(-2.0, 2.0, 21):
         for p in np.linspace(-2.0, 2.0, 21):
             want = p * (q - q ** 3) - 0.5 * p ** 2 + 0.5 * q ** 2
@@ -109,15 +108,16 @@ def test_reduction_fidelity_on_grid():
 
 
 def test_discretize_right_is_pointwise():
-    Hc = reduce(make_sakamoto1d())
-    H = discretize_right(Hc)
+    # H+(q_j, p_next) is the eliminated Hamiltonian at (q_j, p_next), no step factor
+    H = discretize_right(make_sakamoto1d())
     assert H.side is Side.RIGHT
     assert H.dim == 1
     rng = np.random.default_rng(31)
     for _ in range(20):
         q = rng.uniform(-1.5, 1.5, 1)
         p = rng.uniform(-1.5, 1.5, 1)
-        assert H.eval(q, p) == Hc.eval(q, p)
+        want = p[0] * (q[0] - q[0] ** 3) - 0.5 * p[0] ** 2 + 0.5 * q[0] ** 2
+        assert abs(H.eval(q, p) - want) <= 1e-13 * max(1.0, abs(want))
         d1 = np.asarray(H.d1(q, p), dtype=float)
         d2 = np.asarray(H.d2(q, p), dtype=float)
         assert abs(d1[0] - ((1.0 - 3.0 * q[0] ** 2) * p[0] + q[0])) <= 1e-10
@@ -137,9 +137,7 @@ def test_discretize_right_fd_fallback_without_state_partials():
         n=1,
         k=1,
     )
-    Hc = reduce(cp)
-    assert Hc.d_q is None
-    H = discretize_right(Hc)
+    H = discretize_right(cp)
     rng = np.random.default_rng(37)
     for _ in range(10):
         q = rng.uniform(-1.0, 1.0, 1)
@@ -151,7 +149,7 @@ def test_discretize_right_fd_fallback_without_state_partials():
 def test_recover_controls_roundtrip():
     # u_j solves phi(q_j, p_next, u) = 0 in the step pairing, u = -p_next / r
     cp = make_sakamoto1d()
-    H = discretize_right(reduce(cp))
+    H = discretize_right(cp)
     traj = run_trajectory(H, PhasePoint(index=1, q=[0.05], p=[-0.02]), 5)
     assert len(traj) == 6
     for a, b in zip(traj.points[:-1], traj.points[1:]):
@@ -183,16 +181,16 @@ def test_control_problem_validates_sign():
 
 
 def _probed_reference(cp, q, p):
-    """eval, d_q and d_p of the reduced Hamiltonian, built on an elimination
-    that probes the constraint afresh on every call."""
+    """eval, d1 and d2 of the right discrete Hamiltonian, built on an
+    elimination that probes the constraint afresh on every call."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     u = eliminate_control(cp, q, p)
     vel = np.asarray(cp.gamma(q, u), dtype=float)
     val = float(p @ vel) + cp.sign.factor * float(cp.cost(q, u))
     jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
-    d_q = jac.T @ p + cp.sign.factor * np.asarray(cp.dq_cost(q, u), dtype=float)
-    return u, val, d_q, vel
+    d1 = jac.T @ p + cp.sign.factor * np.asarray(cp.dq_cost(q, u), dtype=float)
+    return val, d1, vel
 
 
 # p = 0 comes first, so a verdict taken there would govern the rest of the grid;
@@ -203,14 +201,13 @@ _GRID_P = (0.0, -0.5, -1e-3, -1e-5, 1e-9, 1e-4, 0.02, 0.45)
 
 
 def _assert_bitwise_equal_to_probed(cp):
-    H = reduce(cp)
+    H = discretize_right(cp)
     for q in _GRID_Q:
         for p in _GRID_P:
-            u, val, d_q, d_p = _probed_reference(cp, [q], [p])
-            assert np.array_equal(H.u_of_qp([q], [p]), u)
+            val, d1, d2 = _probed_reference(cp, [q], [p])
             assert H.eval([q], [p]) == val
-            assert np.array_equal(H.d_q([q], [p]), d_q)
-            assert np.array_equal(H.d_p([q], [p]), d_p)
+            assert np.array_equal(H.d1([q], [p]), d1)
+            assert np.array_equal(H.d2([q], [p]), d2)
 
 
 @pytest.mark.parametrize("sign", [SignCriterion.PLUS, SignCriterion.MINUS])
@@ -244,7 +241,7 @@ def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
         calls.append(1)
         return base.du_gamma(q, u)
 
-    H = discretize_right(reduce(dataclasses.replace(base, du_gamma=du_gamma)))
+    H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
     H.d1([0.2], [-0.3])  # the first call with nonzero momentum takes the verdict
     for q, p in ((0.05, -0.02), (-0.7, 1.3), (0.4, 0.0)):
         calls.clear()
@@ -278,7 +275,7 @@ def test_eliminate_control_names_the_non_finite_argument():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("cp", [make_sakamoto1d(), _quartic_cost_problem()])
 def test_non_finite_iterate_in_reduced_hamiltonian_is_a_numerical_error(cp):
-    H = discretize_right(reduce(cp))
+    H = discretize_right(cp)
     H.d2([0.2], [-0.3])
     with pytest.raises(NumericalError, match="^p contains non-finite"):
         H.d2([0.1], [float("nan")])
@@ -286,21 +283,36 @@ def test_non_finite_iterate_in_reduced_hamiltonian_is_a_numerical_error(cp):
         H.d2([0.1], [float("-inf")])
 
 
-def test_u_of_qp_bitwise_equals_a_fresh_elimination():
+def test_d2_bitwise_equals_a_fresh_elimination():
+    # the cached control is keyed on the bytes of q and p, so -0.0 and 0.0
+    # are distinct keys; a repeated point reuses the control of its first call
     for r, s in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
         cp = make_sakamoto1d(r=r, s=s)
-        H = reduce(cp)
+        H = discretize_right(cp)
         for q, p in ((0.2, -0.3), (0.2, -0.3), (0.2, 0.7), (-0.4, 0.7), (-0.4, 0.7),
                      (0.0, -0.0), (0.0, 0.0), (0.2, -0.3)):
-            u = H.u_of_qp([q], [p])
-            assert np.array_equal(u, eliminate_control(cp, [q], [p]))
-            assert not u.flags.writeable
+            want = np.asarray(cp.gamma(np.array([q]), eliminate_control(cp, [q], [p])))
+            assert np.array_equal(H.d2([q], [p]), want)
+
+
+def test_shared_control_reaches_the_callbacks_read_only():
+    base = make_sakamoto1d()
+    writeable = []
+
+    def gamma(q, u):
+        writeable.append(u.flags.writeable)
+        return base.gamma(q, u)
+
+    H = discretize_right(dataclasses.replace(base, gamma=gamma))
+    H.eval([0.2], [-0.3])
+    H.d2([0.2], [-0.3])
+    assert writeable == [False, False]
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_mixed_partial_matches_central_differences_of_d1(r, s):
-    H = discretize_right(reduce(make_sakamoto1d(r=r, s=s)))
+    H = discretize_right(make_sakamoto1d(r=r, s=s))
     step = 1e-6
     for q in np.linspace(-1.5, 1.5, 7):
         for p in np.linspace(-2.0, 2.0, 9):
