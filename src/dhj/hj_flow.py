@@ -7,10 +7,11 @@ momenta:
     S_next - S_j - DS_next . q_next + H+(q_j, DS_next) = 0        (right)
     S_next - S_j + DS_j . q_j + H-(q_next, DS_j) = 0              (left)
 
-solve_generating_sequence integrates the right form along the Hamiltonian
-flow itself.  closed_form_ds_step / run_closed_form_flow implement the
-explicit slope recursion for the one-dimensional cubic benchmark with unit
-parameters, where the update is a quadratic with two root branches.
+solve_generating_sequence lifts a right orbit of the Hamiltonian flow to a
+solution of the right form: the slopes are the orbit's momenta.
+closed_form_ds_step / run_closed_form_flow implement the explicit slope
+recursion for the one-dimensional cubic benchmark with unit parameters,
+where the update is a quadratic with two root branches.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NewtonConfig, NumericalError, PhasePoint, as_grid, as_vec, iterate, norm_inf
-from .mechanics import DiscreteHamiltonian, Side, step_right
+from .core import NumericalError, as_grid, as_vec, iterate, norm_inf
+# step_right is not called here; bench/tracing.py wraps dhj.hj_flow.step_right
+from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side, step_right
 
 __all__ = [
     "Branch",
@@ -131,35 +133,31 @@ def hj_residual_left(H: DiscreteHamiltonian, S_j: float, S_next: float,
 _POST_CHECK_TOL = 1e-12
 
 
-def solve_generating_sequence(H: DiscreteHamiltonian, q0, S0: float, DS0,
-                              steps: int,
-                              cfg: NewtonConfig | None = None) -> GeneratingSequence:
-    """Integrate S along the discrete flow of H itself.
+def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
+                              S0: float = 0.0) -> GeneratingSequence:
+    """Lift a right orbit of H to a generating sequence along it.
 
-    The slope DS_j is the momentum lift: the phase trajectory starts at
-    (q0, DS0), each step is the implicit right step, and S accumulates via
+    The slope is the momentum, DS_j = p_j, and S starts at S0 and
+    accumulates via
 
-        S_next = S_j + DS_next . q_next - H+(q_j, DS_next)
+        S_next = S_j + p_next . q_next - H+(q_j, p_next)
 
     which makes the right evolution residual vanish identically.  Each
-    transition is still re-checked; a violation (ResidualCheckFailure) or a
-    numeric failure truncates the sequence with core.iterate's failure
-    record in meta.  A step whose position update D2 H+ is identically zero
-    marks meta["degenerate"] (the position collapses and no longer
-    determines the flow).
+    transition is still re-checked; a violation (ResidualCheckFailure)
+    truncates the sequence with core.iterate's failure record in meta.
+    Otherwise meta carries traj's own failure record, so a truncated orbit
+    gives a sequence truncated at the same point.  A step whose position
+    update D2 H+ is identically zero marks meta["degenerate"] (the position
+    collapses and no longer determines the flow).
     """
-    if H.side is not Side.RIGHT:
-        raise ValueError("solve_generating_sequence needs a Side.RIGHT Hamiltonian")
-    if int(steps) != steps or steps < 0:
-        raise ValueError(f"steps must be a nonnegative integer, got {steps}")
-    q0 = as_vec(q0, dim=H.dim, name="q0")
-    DS0 = as_vec(DS0, dim=H.dim, name="DS0")
+    if H.side is not Side.RIGHT or traj.meta.get("side", Side.RIGHT.value) != Side.RIGHT.value:
+        raise ValueError("solve_generating_sequence needs a Side.RIGHT Hamiltonian and orbit")
+    transitions = zip(traj.points[:-1], traj.points[1:])
     degenerate = False
 
-    def advance(item: tuple[PhasePoint, float]) -> tuple[PhasePoint, float]:
+    def advance(S: float) -> float:
         nonlocal degenerate
-        x, S = item
-        x_next = step_right(H, x, cfg)
+        x, x_next = next(transitions)
         if norm_inf(x_next.q) == 0.0:
             # distinguish a genuine zero crossing from a position update that
             # ignores the momentum entirely
@@ -171,11 +169,14 @@ def solve_generating_sequence(H: DiscreteHamiltonian, q0, S0: float, DS0,
         if abs(res) > _POST_CHECK_TOL:
             raise ResidualCheckFailure(f"transition residual {res:.6e} exceeds "
                                        f"{_POST_CHECK_TOL:g}", res)
-        return x_next, s_next
+        return s_next
 
-    items, meta = iterate(advance, (PhasePoint(index=1, q=q0, p=DS0), float(S0)), int(steps))
+    values, meta = iterate(advance, float(S0), len(traj) - 1, traj.points[0].index)
+    if not meta["truncated"]:
+        meta = {key: traj.meta.get(key, value) for key, value in meta.items()}
     meta["degenerate"] = degenerate
-    entries = [GeneratingEntry(j=x.index, q=x.q, S=S, DS=x.p) for x, S in items]
+    entries = [GeneratingEntry(j=x.index, q=x.q, S=S, DS=x.p)
+               for x, S in zip(traj.points, values)]
     branch_log = ["init"] + ["direct"] * (len(entries) - 1)
     return GeneratingSequence(entries=entries, branch_log=branch_log, h=0.0, meta=meta)
 

@@ -156,9 +156,11 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
 
         D2 H+(q_j, g) * (gamma_j / q_next) = D1 H+(q_j, g)
 
-    for g by Newton from the guess gamma_j.  One-dimensional only (the
-    quotient has no dimension-general meaning).  The grid must have at least
-    one position (one position gives just the seed row).  A zero q_next
+    for g by Newton from the guess gamma_j.  When H carries both d12 and d22
+    the Newton Jacobian is d22 * (gamma_j / q_next) - d12; otherwise it is
+    built by central differences.  One-dimensional only (the quotient has
+    no dimension-general meaning).  The grid must have at least one
+    position (one position gives just the seed row).  A zero q_next
     (DegenerateGridError, with q_next as failure_quantity) or a Newton
     failure truncates the sequence with core.iterate's failure record in
     meta, keeping completed rows.
@@ -169,6 +171,7 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
         raise ValueError("the slope quotient scheme is one-dimensional only")
     arr = as_grid(q_sequence)
     gamma0 = float(as_vec(gamma0, dim=1, name="gamma0")[0])
+    exact = H.d12 is not None and H.d22 is not None
 
     def advance(prev: GammaEntry) -> GammaEntry:
         # entry j sits at arr[j - 1], so its successor's position is arr[j]
@@ -184,7 +187,11 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
             d1 = np.asarray(H.d1([q_j], g), dtype=float)
             return d2 * quot - d1
 
-        g_next = newton_solve(residual, [gamma], cfg)
+        def jacobian(g: np.ndarray) -> np.ndarray:
+            return (np.asarray(H.d22([q_j], g), dtype=float) * quot
+                    - np.asarray(H.d12([q_j], g), dtype=float))
+
+        g_next = newton_solve(residual, [gamma], cfg, jacobian=jacobian if exact else None)
         return GammaEntry(j=prev.j + 1, q=q_next, gamma=float(g_next[0]))
 
     entries, meta = iterate(advance, GammaEntry(j=1, q=arr[0], gamma=gamma0), arr.size - 1)

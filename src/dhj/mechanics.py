@@ -78,12 +78,13 @@ class DiscreteHamiltonian:
 
     Slot convention: side Right means eval(q_j, p_next), side Left means
     eval(q_next, p_j).  d1/d2 differentiate the first/second slot and return
-    vectors of length dim.  The optional d12(a, b) is the dim x dim Jacobian
-    of d1 with respect to the second slot; with it step_right hands Newton
-    an exact Jacobian instead of central differences of d1.  The optional
-    lagrangian is the L_d this Hamiltonian is a Legendre dual of; when it is
-    set, step_right and step_left take the discrete Lagrangian flow of L_d
-    and use neither d12 nor the partials.
+    vectors of length dim.  The optional d12(a, b) and d22(a, b) are the
+    dim x dim Jacobians of d1 and d2 with respect to the second slot; with
+    d12 step_right hands Newton an exact Jacobian instead of central
+    differences of d1, and with both hj_vf.solve_gamma_generic does.  The
+    optional lagrangian is the L_d this Hamiltonian is a Legendre dual of;
+    when it is set, step_right and step_left take the discrete Lagrangian
+    flow of L_d and use neither d12 nor the partials.
     """
 
     side: Side
@@ -92,6 +93,7 @@ class DiscreteHamiltonian:
     d2: object
     dim: int
     d12: object = None
+    d22: object = None
     lagrangian: DiscreteLagrangian | None = None
 
     def __post_init__(self):

@@ -60,7 +60,9 @@ class ControlProblem:
     when supplied.  The optional d_qp(q, p, u) (n x n) is that
     Hamiltonian's mixed partial d2H/dq dp at the eliminated control u,
     including the part that comes through u's dependence on p; it gives the
-    right step an exact Newton Jacobian.
+    right step an exact Newton Jacobian.  The optional d_pp(q, p, u) (n x n)
+    is likewise d2H/dp^2 at u, including u's dependence on p; with d_qp it
+    gives the generic slope solver an exact Newton Jacobian.
     """
 
     gamma: object
@@ -73,6 +75,7 @@ class ControlProblem:
     dq_gamma: object = None
     dq_cost: object = None
     d_qp: object = None
+    d_pp: object = None
 
     def __post_init__(self):
         if not isinstance(self.sign, SignCriterion):
@@ -176,7 +179,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     d2 = Gamma(q, u*) and, when the problem carries analytic state partials,
     d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no du*/dq or du*/dp
     term; without them d1 is a central difference of eval with cfg.fd_step.
-    The problem's d_qp becomes d12.
+    The problem's d_qp and d_pp become d12 and d22.
     """
     cfg = cfg if cfg is not None else NewtonConfig()
     affine = None  # phi affine in u for every p: probed at p = 0 and each p = e_i
@@ -215,14 +218,18 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
         def _d1(q, p) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, cfg.fd_step)
 
-    _d12 = None
-    if cp.d_qp is not None:
-        def _d12(q, p) -> np.ndarray:
+    def second_partial(d):
+        # d(q, p, u) read at the eliminated control, as an n x n matrix
+        if d is None:
+            return None
+
+        def _partial(q, p) -> np.ndarray:
             q, p = _vec(q, cp.n), _vec(p, cp.n)
-            return np.asarray(cp.d_qp(q, p, control(q, p)), dtype=float).reshape(cp.n, cp.n)
+            return np.asarray(d(q, p, control(q, p)), dtype=float).reshape(cp.n, cp.n)
+        return _partial
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
-                               d12=_d12)
+                               d12=second_partial(cp.d_qp), d22=second_partial(cp.d_pp))
 
 
 def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
@@ -232,7 +239,7 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     gives phi = p + r u, so the eliminated control is u = -p / r and the
     reduced Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.  Its mixed
     partial is 1 - 3 q^2 for every (r, s), since neither state partial
-    depends on u.
+    depends on u, and its second momentum partial is -1 / r.
     """
     r = float(r)
     s = float(s)
@@ -262,9 +269,12 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     def d_qp(q, p, u):
         return np.array([[1.0 - 3.0 * q[0] ** 2]])
 
+    def d_pp(q, p, u):
+        return np.array([[-1.0 / r]])
+
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
                           sign=SignCriterion.PLUS, n=1, k=1,
-                          dq_gamma=dq_gamma, dq_cost=dq_cost, d_qp=d_qp)
+                          dq_gamma=dq_gamma, dq_cost=dq_cost, d_qp=d_qp, d_pp=d_pp)
 
 
 # Models addressable by name from configuration; callables take (r, s).

@@ -139,7 +139,8 @@ def test_05_flow_residuals_below_tolerance():
     H = benchmark()
     worst = 0.0
     for q0, steps in ((5e-8, 18), (3e-8, 19)):
-        seq = solve_generating_sequence(H, [q0], 0.0, [0.0], steps)
+        traj = run_trajectory(H, PhasePoint(index=1, q=[q0], p=[0.0]), steps)
+        seq = solve_generating_sequence(H, traj)
         assert not seq.meta["truncated"]
         for a, b in zip(seq.entries[:-1], seq.entries[1:]):
             worst = max(worst, abs(hj_residual_right(H, a.S, b.S, b.DS, a.q, b.q)))
@@ -151,7 +152,7 @@ def test_06_momentum_identification():
     # DS_j of the generating sequence equals p_j of the trajectory
     H = benchmark()
     traj = run_trajectory(H, PhasePoint(index=1, q=[5e-8], p=[0.0]), 18)
-    seq = solve_generating_sequence(H, [5e-8], 0.0, [0.0], 18)
+    seq = solve_generating_sequence(H, traj)
     assert len(seq) == len(traj)
     worst = max(abs(e.DS[0] - pt.p[0]) for e, pt in zip(seq.entries, traj.points))
     report(6, worst < 1e-12,

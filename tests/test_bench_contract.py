@@ -55,6 +55,29 @@ def test_tracer_installs_on_every_name_and_uninstalls(tmp_path):
     assert metrics["optctrl.H.d1.calls_per_step"] > 0
 
 
+def test_traced_generic_compare_lifts_one_right_orbit(tmp_path):
+    # the flow must be reached through dhj.cli.solve_generating_sequence and
+    # the orbit stepped through the traced step_right and run_trajectory
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op()
+        code = dhj.cli.main(["compare", "--r=2", "--q1=0.01", "--steps=10",
+                             "--csv", str(tmp_path / "run.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = {span[3] for span in tracer.spans}
+    assert {"hj_flow.solve_generating_sequence", "mechanics.run_trajectory",
+            "hj_vf.solve_gamma_generic"} <= names
+    metrics = tracer.metrics(0.0)
+    assert metrics["mechanics.step_right.calls"] == 10
+    assert metrics["core.fd_jacobian.calls_per_step"] == 0
+    assert metrics["hj_flow.truncated"] == 0
+    assert metrics["optctrl.H.d1.calls_per_step"] > 0
+
+
 def _cubic():
     return discretize_right(make_sakamoto1d())
 
@@ -69,7 +92,8 @@ def _no_real_root():
 @pytest.mark.parametrize("run, failures", [
     (lambda: run_trajectory(_cubic(), PhasePoint(index=1, q=[_SINGULAR_Q], p=[0.0]), 3),
      {"SingularJacobianError"}),
-    (lambda: solve_generating_sequence(_cubic(), [_SINGULAR_Q], 0.0, [0.0], 3),
+    (lambda: solve_generating_sequence(
+        _cubic(), run_trajectory(_cubic(), PhasePoint(index=1, q=[_SINGULAR_Q], p=[0.0]), 3)),
      {"SingularJacobianError"}),
     (lambda: run_closed_form_flow([0.5, 0.9], -1e4, 1e-4), {"BranchError"}),
     (lambda: solve_gamma_generic(_no_real_root(), [0.5, 0.25], 0.0),

@@ -9,8 +9,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import dhj.cli
+import dhj.hj_flow
+import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
-from dhj.mechanics import DiscreteHamiltonian, Side
+from dhj.core import PhasePoint
+from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
 
 
@@ -115,6 +119,37 @@ def test_hj_flow_generic_reproduces_momenta(tmp_path):
         assert abs(float(frow[3]) - float(srow[2])) <= 1e-15
         assert frow[4] == "direct"
         assert abs(float(frow[5])) <= 1e-12
+
+
+def test_generic_compare_steps_one_right_orbit(monkeypatch, tmp_path):
+    # the flow lifts the orbit the grid came from instead of stepping its own
+    calls = []
+    step_right = dhj.mechanics.step_right
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step_right(*args, **kwargs)
+
+    for module in (dhj.mechanics, dhj.hj_flow, dhj.cli):
+        monkeypatch.setattr(module, "step_right", counted)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--r=2", "--q1=0.01", "--steps=10", "--csv", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 11
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("flags", [["--ds1=0.01"], ["--p1=-0.0"]])
+def test_generic_flow_lifts_its_own_orbit_from_ds1(flags, tmp_path):
+    # -0.0 and 0.0 are different starts, so --p1=-0.0 with ds1 = 0 is one too
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", "--r=2", "--q1=0.01", "--steps=8", *flags, "--csv", str(out)]
+    assert main(argv) == 0
+    header, _, rows, _ = read_csv(out)
+    H = discretize_right(make_sakamoto1d(r=2.0))
+    start = PhasePoint(index=1, q=[0.01], p=[float(header["ds1"])])
+    own = run_trajectory(H, start, 8)
+    assert [row[3] for row in rows] == [format(pt.p[0], ".17g") for pt in own.points]
+    assert [row[2] for row in rows] != [row[3] for row in rows]
 
 
 def test_hj_flow_rejects_q2_with_generic_method():
@@ -249,6 +284,20 @@ def test_a_raising_probe_fails_alone_and_the_battery_goes_on(capsys):
     assert lines[2].startswith("CHECK symplecticity: FAIL (measured = n/a; raised "
                                "SingularJacobianError: singular Jacobian")
     assert lines[-1] == "check: 3 passed, 3 failed, 0 skipped"
+
+
+@pytest.mark.parametrize("q1, causes", [
+    ("1e-13", ["closed form truncated at j = 2: SingularDenominatorError: "]),
+    ("0", ["generic truncated at j = 1: DegenerateGridError: q_sequence entry j = 2",
+           "closed form truncated at j = 1: SingularDenominatorError: "]),
+])
+def test_vf_agreement_names_each_truncated_side(q1, causes, capsys):
+    assert main(["check", f"--q1={q1}", "--steps=8"]) == 1
+    line, = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("CHECK vf-agreement: ")]
+    assert line.startswith("CHECK vf-agreement: FAIL (measured = ")
+    assert [cause in line for cause in causes] == [True] * len(causes)
+    assert line.count(" truncated at j = ") == len(causes)
 
 
 def test_negative_float_with_exponent_is_a_separate_value(tmp_path):

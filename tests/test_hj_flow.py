@@ -1,6 +1,8 @@
 """Generating-function flow: residual evaluators, closed-form recursion,
 branch selection, and the momentum identification."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ def cubic_right():
     return discretize_right(make_sakamoto1d())
 
 
+def lift(H, q0, ds0, steps):
+    """The generating sequence of H's right orbit from (q0, ds0)."""
+    return solve_generating_sequence(
+        H, run_trajectory(H, PhasePoint(index=1, q=[q0], p=[ds0]), steps))
+
+
 def free_right():
     L = DiscreteLagrangian(
         eval=lambda a, b: 0.5 * float((b - a) @ (b - a)),
@@ -52,7 +60,7 @@ def free_left():
 
 def test_generated_sequence_has_tiny_residual():
     H = cubic_right()
-    seq = solve_generating_sequence(H, [5e-8], 0.0, [0.0], 10)
+    seq = lift(H, 5e-8, 0.0, 10)
     assert len(seq.entries) == 11
     for j in range(len(seq.entries) - 1):
         a, b = seq.entries[j], seq.entries[j + 1]
@@ -62,7 +70,7 @@ def test_generated_sequence_has_tiny_residual():
 
 def test_residual_detects_perturbation():
     H = cubic_right()
-    seq = solve_generating_sequence(H, [0.2], 0.0, [-0.05], 3)
+    seq = lift(H, 0.2, -0.05, 3)
     a, b = seq.entries[1], seq.entries[2]
     clean = hj_residual_right(H, a.S, b.S, b.DS, a.q, b.q)
     dirty = hj_residual_right(H, a.S, b.S, b.DS + 1e-3, a.q, b.q)
@@ -200,22 +208,65 @@ def test_degenerate_hamiltonian_flagged():
         d2=lambda q, p: np.zeros(1),
         dim=1,
     )
-    seq = solve_generating_sequence(H, [0.0], 0.0, [0.0], 3)
+    seq = lift(H, 0.0, 0.0, 3)
     assert len(seq.entries) == 4
     assert all(e.S == 0.0 for e in seq.entries)
     assert seq.meta.get("degenerate") is True
 
 
-def test_solver_rejects_left_side_and_bad_steps():
+def test_solver_rejects_left_side_and_left_orbits():
     Hm = free_left()
-    with pytest.raises(ValueError):
-        solve_generating_sequence(Hm, [0.1], 0.0, [0.0], 3)
     Hp = free_right()
+    left_orbit = run_trajectory(Hm, PhasePoint(index=1, q=[0.1], p=[0.0]), 3)
     with pytest.raises(ValueError):
-        solve_generating_sequence(Hp, [0.1], 0.0, [0.0], -1)
-    # zero steps returns just the seed row
-    seq = solve_generating_sequence(Hp, [0.1], 0.0, [0.0], 0)
+        solve_generating_sequence(Hm, left_orbit)
+    with pytest.raises(ValueError):
+        solve_generating_sequence(Hp, left_orbit)
+    # a zero-step orbit lifts to just the seed row
+    seq = lift(Hp, 0.1, 0.0, 0)
     assert len(seq) == 1
+
+
+def test_lift_reads_slopes_off_the_orbit_from_S0():
+    H = cubic_right()
+    traj = run_trajectory(H, PhasePoint(index=3, q=[0.01], p=[-0.002]), 5)
+    seq = solve_generating_sequence(H, traj, S0=0.25)
+    assert [e.j for e in seq.entries] == [pt.index for pt in traj.points]
+    assert all(np.array_equal(e.q, pt.q) and np.array_equal(e.DS, pt.p)
+               for e, pt in zip(seq.entries, traj.points))
+    assert seq.entries[0].S == 0.25
+    for a, b in zip(seq.entries[:-1], seq.entries[1:]):
+        assert abs(hj_residual_right(H, a.S, b.S, b.DS, a.q, b.q)) <= 1e-15
+    assert seq.meta["truncated"] is False and seq.meta["degenerate"] is False
+
+
+def test_lift_of_a_truncated_orbit_keeps_its_failure_record():
+    H = cubic_right()
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]), 40)
+    assert traj.meta["truncated"]
+    seq = solve_generating_sequence(H, traj)
+    assert len(seq) == len(traj)
+    keys = ("truncated", "failure", "failure_index", "failure_message", "failure_quantity")
+    assert {k: seq.meta[k] for k in keys} == {k: traj.meta[k] for k in keys}
+
+
+def test_lift_truncates_at_the_first_transition_failing_the_recheck():
+    # S_next is built to close the residual, so only an H.eval that disagrees
+    # with itself fails the re-check: shift the value the third transition's
+    # re-check sees (each transition evaluates H twice)
+    H = cubic_right()
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]), 5)
+    calls = []
+
+    def eval_(q, p):
+        calls.append(1)
+        return H.eval(q, p) + (1e-9 if len(calls) == 6 else 0.0)
+
+    seq = solve_generating_sequence(dataclasses.replace(H, eval=eval_), traj)
+    assert len(seq) == 3
+    assert seq.meta["truncated"] is True
+    assert seq.meta["failure"] == "ResidualCheckFailure"
+    assert seq.meta["failure_index"] == 3
 
 
 def test_flow_input_validation():

@@ -1,9 +1,13 @@
 """Momentum-slope recursion: field coefficients, generic and closed-form
 solvers, and the quotient-based equivalence check."""
 
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import dhj.core
 from dhj.core import PhasePoint
 from dhj.hj_flow import GeneratingEntry, GeneratingSequence, run_closed_form_flow
 from dhj.hj_vf import (
@@ -116,6 +120,60 @@ def test_generic_solver_matches_closed_form():
     worst = max(abs(closed.entries[j].gamma[0] - generic.entries[j].gamma[0])
                 for j in range(n))
     assert worst <= 1e-9
+
+
+# The benchmark's seven weight pairs: unit weights and the six non-unit ones.
+WEIGHT_PAIRS = [(1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 0.5), (2.0, 0.5),
+                (0.5, 2.0)]
+
+
+def exact_slope_update(gamma, q, q_next, r, s):
+    """The generic slope update of the cubic model in exact rationals.
+
+    With D2 H+ = q - q^3 - g/r and D1 H+ = g (1 - 3q^2) + s q, the update
+    (q - q^3 - g/r) gamma / q_next = g (1 - 3q^2) + s q, multiplied through
+    by q_next, is linear in g."""
+    gamma, q, q_next, r, s = (Fraction(v) for v in (gamma, q, q_next, r, s))
+    return (gamma * (q - q**3) - s * q * q_next) / (q_next * (1 - 3 * q * q) + gamma / r)
+
+
+@pytest.mark.parametrize("r, s", WEIGHT_PAIRS)
+def test_generic_slope_rows_match_the_exact_rational_update(r, s):
+    # row-local: each row re-derived from the emitted inputs of the row before
+    H = discretize_right(make_sakamoto1d(r=r, s=s))
+    worst = 0.0
+    for q1 in (3e-9, -2e-6, 4e-4, -0.02, 0.15):
+        traj = run_trajectory(H, PhasePoint(index=1, q=[q1], p=[0.0]), 24)
+        seq = solve_gamma_generic(H, [pt.q[0] for pt in traj.points], 0.0)
+        assert len(seq) == len(traj)
+        for a, b in zip(seq.entries[:-1], seq.entries[1:]):
+            want = exact_slope_update(a.gamma[0], a.q[0], b.q[0], r, s)
+            miss = abs(Fraction(b.gamma[0]) - want) / max(abs(want), abs(Fraction(a.gamma[0])))
+            worst = max(worst, float(miss))
+    assert worst <= 1e-13
+
+
+def test_exact_slope_jacobian_builds_no_finite_differences(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("finite-difference Jacobian built")
+
+    monkeypatch.setattr(dhj.core, "fd_jacobian", refuse)
+    H = discretize_right(make_sakamoto1d(r=2.0, s=0.5))
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]), 10)
+    seq = solve_gamma_generic(H, [pt.q[0] for pt in traj.points], 0.0)
+    assert len(seq) == 11 and not seq.meta["truncated"]
+
+
+def test_wrong_second_momentum_partial_costs_iterations_not_accuracy():
+    H = discretize_right(make_sakamoto1d(r=2.0, s=0.5))
+    off = dataclasses.replace(H, d22=lambda a, b: 1.3 * H.d22(a, b))
+    # five steps from 0.05 stay inside |q| < 0.5, away from the singular band
+    grid = [pt.q[0] for pt in run_trajectory(H, PhasePoint(index=1, q=[0.05], p=[0.0]), 5).points]
+    want = solve_gamma_generic(H, grid, 0.0)
+    got = solve_gamma_generic(off, grid, 0.0)
+    assert len(got) == len(want) == len(grid)
+    for a, b in zip(got.entries, want.entries):
+        assert abs(a.gamma[0] - b.gamma[0]) <= 1e-11
 
 
 def test_generic_solver_rejections():

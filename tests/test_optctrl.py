@@ -320,3 +320,16 @@ def test_mixed_partial_matches_central_differences_of_d1(r, s):
             d12 = H.d12([q], [p])
             assert d12.shape == (1, 1)
             assert abs(d12[0, 0] - fd[0]) <= 1e-8 * max(1.0, abs(fd[0]))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_second_momentum_partial_matches_central_differences_of_d2(r, s):
+    H = discretize_right(make_sakamoto1d(r=r, s=s))
+    step = 1e-6
+    for q in np.linspace(-1.5, 1.5, 7):
+        for p in np.linspace(-2.0, 2.0, 9):
+            fd = (H.d2([q], [p + step]) - H.d2([q], [p - step])) / (2.0 * step)
+            d22 = H.d22([q], [p])
+            assert d22.shape == (1, 1)
+            assert abs(d22[0, 0] - fd[0]) <= 1e-8 * max(1.0, abs(fd[0]))
