@@ -26,7 +26,6 @@ from .core import (
 from .hj_flow import (
     Branch,
     BranchError,
-    GeneratingEntry,
     GeneratingSequence,
     ResidualCheckFailure,
     closed_form_ds_step,
@@ -37,9 +36,6 @@ from .hj_flow import (
 )
 from .hj_vf import (
     DegenerateGridError,
-    GammaEntry,
-    GammaSequence,
-    GammaSource,
     SingularDenominatorError,
     closed_form_gamma_step,
     equivalence_check,

@@ -18,7 +18,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import NewtonConfig, NumericalError, PhasePoint, fd_gradient, norm_inf
-from .hj_flow import Branch, hj_residual_right, run_closed_form_flow, solve_generating_sequence
+from .hj_flow import (Branch, hj_residual_right, residual_limit, run_closed_form_flow,
+                      solve_generating_sequence)
 from .hj_vf import run_closed_form_vf, solve_gamma_generic, vf_residual
 from .mechanics import (
     DiscreteLagrangian,
@@ -163,6 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unit_weights(rc: RunConfig) -> bool:
+    """Whether the closed-form recursions apply: sakamoto1d with r = s = 1."""
+    return rc.model == "sakamoto1d" and rc.r == 1.0 and rc.s == 1.0
+
+
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and explicit flags; validate the result."""
     rc = RunConfig(command=ns.command)
@@ -198,7 +204,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown branch {rc.branch!r}")
     if rc.method not in ("auto", "closed-form", "generic"):
         raise ConfigError(f"unknown method {rc.method!r}")
-    unit = rc.model == "sakamoto1d" and rc.r == 1.0 and rc.s == 1.0
+    unit = _unit_weights(rc)
     if rc.method == "auto":
         rc = replace(rc, method="closed-form" if unit else "generic")
     elif rc.method == "closed-form" and not unit:
@@ -208,16 +214,20 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def build_model(rc: RunConfig):
+    """The right discrete Hamiltonian of rc's model and rc's Newton settings."""
     cfg = NewtonConfig(tol=rc.tol, max_iter=rc.max_iter, damping=rc.damping,
                        fd_step=rc.fd_step)
-    cp = MODEL_REGISTRY[rc.model](r=rc.r, s=rc.s)
-    H = discretize_right(cp, cfg)
-    return cp, H, cfg
+    return discretize_right(MODEL_REGISTRY[rc.model](r=rc.r, s=rc.s), cfg), cfg
+
+
+def _orbit(rc: RunConfig, H, cfg):
+    """The run's right orbit from (q1, p1)."""
+    return run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
 
 
 def trajectory_grid(rc: RunConfig, H, cfg):
     """Simulated position grid, with the optional second-entry override."""
-    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
+    traj = _orbit(rc, H, cfg)
     grid = [float(pt.q[0]) for pt in traj.points]
     if rc.q2 is not None and len(grid) >= 2:
         grid[1] = float(rc.q2)
@@ -382,8 +392,8 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
 
 
 def cmd_simulate(rc: RunConfig) -> int:
-    cp, H, cfg = build_model(rc)
-    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
+    H, cfg = build_model(rc)
+    traj = _orbit(rc, H, cfg)
     qs = [float(pt.q[0]) for pt in traj.points]
     ps = [float(pt.p[0]) for pt in traj.points]
     rows = [[str(pt.index), _g17(q), _g17(p), _g17(abs(q)), _g17(abs(p))]
@@ -394,16 +404,10 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 
 def _flow_rows(H, seq):
-    rows = []
-    for i, e in enumerate(seq.entries):
-        if i == 0:
-            res = "0"
-        else:
-            prev = seq.entries[i - 1]
-            res = _g17(hj_residual_right(H, prev.S, e.S, e.DS, prev.q, e.q))
-        rows.append([str(e.j), _g17(e.q[0]), _g17(e.S), _g17(e.DS[0]),
-                     seq.branch_log[i], res])
-    return rows
+    res = ["0"] + [_g17(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q))
+                   for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:])]
+    return [[str(pt.index), _g17(pt.q[0]), _g17(S), _g17(pt.p[0]), token, r]
+            for pt, S, token, r in zip(seq.points, seq.S, seq.branch_log, res)]
 
 
 def _flow_orbit(rc: RunConfig, H, cfg, traj=None):
@@ -426,7 +430,7 @@ def _flow_sequence(rc: RunConfig, H, cfg, grid, traj=None):
 
 
 def cmd_hj_flow(rc: RunConfig) -> int:
-    cp, H, cfg = build_model(rc)
+    H, cfg = build_model(rc)
     grid, parts = None, []
     if rc.method == "closed-form":
         grid, traj = trajectory_grid(rc, H, cfg)
@@ -435,8 +439,8 @@ def cmd_hj_flow(rc: RunConfig) -> int:
         raise ConfigError("--q2 only applies to the closed-form method "
                           "(the generic solver generates its own grid)")
     seq = _flow_sequence(rc, H, cfg, grid)
-    qs = [float(e.q[0]) for e in seq.entries]
-    dss = [float(e.DS[0]) for e in seq.entries]
+    qs = [float(pt.q[0]) for pt in seq.points]
+    dss = [float(pt.p[0]) for pt in seq.points]
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "S", "DS", "branch", "residual"], _flow_rows(H, seq),
                    _portrait("slope", "DS", qs, dss, rc.log_abs), parts + [("flow", seq.meta)])
@@ -446,17 +450,17 @@ def _vf_rows(H, seq):
     # residual column re-checks the defining equation with the scheme's own
     # quotient gamma_prev / q_next, which both update rules solve
     rows = []
-    for i, e in enumerate(seq.entries):
+    for i, pt in enumerate(seq.points):
         if i == 0:
             res = "0"
         else:
-            prev = seq.entries[i - 1]
-            if float(e.q[0]) == 0.0:
+            prev = seq.points[i - 1]
+            if float(pt.q[0]) == 0.0:
                 res = "nan"
             else:
-                quot = float(prev.gamma[0]) / float(e.q[0])
-                res = _g17(vf_residual(H, prev.q, e.gamma, quot))
-        rows.append([str(e.j), _g17(e.q[0]), _g17(e.gamma[0]), res])
+                quot = float(prev.p[0]) / float(pt.q[0])
+                res = _g17(vf_residual(H, prev.q, pt.p, quot))
+        rows.append([str(pt.index), _g17(pt.q[0]), _g17(pt.p[0]), res])
     return rows
 
 
@@ -468,11 +472,11 @@ def _gamma_sequence(rc: RunConfig, H, cfg, grid):
 
 
 def cmd_hj_vf(rc: RunConfig) -> int:
-    cp, H, cfg = build_model(rc)
+    H, cfg = build_model(rc)
     grid, traj = trajectory_grid(rc, H, cfg)
     seq = _gamma_sequence(rc, H, cfg, grid)
-    qs = [float(e.q[0]) for e in seq.entries]
-    gs = [float(e.gamma[0]) for e in seq.entries]
+    qs = [float(pt.q[0]) for pt in seq.points]
+    gs = [float(pt.p[0]) for pt in seq.points]
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "gamma", "residual"], _vf_rows(H, seq),
                    _portrait("slope", "gamma", qs, gs, rc.log_abs),
@@ -480,21 +484,14 @@ def cmd_hj_vf(rc: RunConfig) -> int:
 
 
 def cmd_compare(rc: RunConfig) -> int:
-    cp, H, cfg = build_model(rc)
+    H, cfg = build_model(rc)
     grid, traj = trajectory_grid(rc, H, cfg)
     flow = _flow_sequence(rc, H, cfg, grid, traj)
     vf = _gamma_sequence(rc, H, cfg, grid)
-    n = min(len(traj), len(flow), len(vf))
-    rows = []
-    stats_flow, stats_vf = [], []
-    for i in range(n):
-        pt = traj.points[i]
-        q = float(pt.q[0])
-        p = float(pt.p[0])
-        ds = float(flow.entries[i].DS[0])
-        g = float(vf.entries[i].gamma[0])
-        err_flow = abs(ds - p)
-        err_vf = abs(g - p)
+    rows, stats_flow, stats_vf = [], [], []
+    for pt, f, v in zip(traj.points, flow.points, vf.points):
+        q, p, ds, g = float(pt.q[0]), float(pt.p[0]), float(f.p[0]), float(v.p[0])
+        err_flow, err_vf = abs(ds - p), abs(g - p)
         if abs(q) < 0.9:
             stats_flow.append(err_flow)
             stats_vf.append(err_vf)
@@ -510,22 +507,20 @@ def cmd_compare(rc: RunConfig) -> int:
         f"max_err_vf = {_stat(stats_vf, max)}",
         f"mean_err_vf = {_stat(stats_vf, lambda v: sum(v) / len(v))}",
     ]
-    js = [float(traj.points[i].index) for i in range(n)]
+
+    def column(k):
+        # the 17 significant digits of a row give back the float exactly
+        return [float(r[k]) for r in rows]
+
+    js = column(0)
     panels = [
         {"title": "momentum and slopes along the run",
-         "series": [
-             ("p", js, [float(traj.points[i].p[0]) for i in range(n)]),
-             ("DS", js, [float(flow.entries[i].DS[0]) for i in range(n)]),
-             ("gamma", js, [float(vf.entries[i].gamma[0]) for i in range(n)]),
-         ]},
+         "series": [("p", js, column(2)), ("DS", js, column(3)), ("gamma", js, column(4))]},
         {"title": "slope errors against the momentum",
-         "series": [
-             ("|DS - p|", js, [float(r[5]) for r in rows]),
-             ("|gamma - p|", js, [float(r[6]) for r in rows]),
-         ],
+         "series": [("|DS - p|", js, column(5)), ("|gamma - p|", js, column(6))],
          "log_y": rc.log_abs},
     ]
-    return _finish(rc, f"method={rc.method} points={n}",
+    return _finish(rc, f"method={rc.method} points={len(rows)}",
                    ["j", "q", "p", "DS", "gamma", "err_flow", "err_vf"], rows, panels,
                    [("trajectory", traj.meta), ("flow", flow.meta), ("vf", vf.meta)], footer)
 
@@ -584,20 +579,23 @@ def check_symplecticity(H, traj, band: float = 0.9, limit: float = 1e-5) -> Chec
 
 def check_flow_residuals(H, rc, cfg, traj) -> CheckResult:
     seq = solve_generating_sequence(H, _flow_orbit(rc, H, cfg, traj))
-    worst = 0.0
-    for prev, e in zip(seq.entries[:-1], seq.entries[1:]):
-        worst = max(worst, abs(hj_residual_right(H, prev.S, e.S, e.DS, prev.q, e.q)))
+    worst, within = 0.0, True
+    for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:]):
+        res = abs(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q))
+        worst = max(worst, res)
+        within = within and res <= residual_limit(S_j, S_next, float(b.p @ b.q),
+                                                  float(H.eval(a.q, b.p)))
     if seq.meta.get("truncated"):
         return CheckResult("flow-residuals", "FAIL", worst,
                            f"sequence truncated: {seq.meta.get('failure_message')}")
-    status = "PASS" if worst <= 1e-12 else "FAIL"
+    status = "PASS" if within else "FAIL"
     return CheckResult("flow-residuals", status, worst,
                        f"max evolution-equation residual over {len(seq) - 1} "
                        f"transitions, limit 1e-12")
 
 
 def check_vf_agreement(H, rc, cfg, grid) -> CheckResult:
-    if not (rc.model == "sakamoto1d" and rc.r == 1.0 and rc.s == 1.0):
+    if not _unit_weights(rc):
         return CheckResult("vf-agreement", "SKIP", None,
                            "closed-form reference needs r = s = 1")
     gen = solve_gamma_generic(H, grid, [rc.gamma1], cfg)
@@ -605,8 +603,7 @@ def check_vf_agreement(H, rc, cfg, grid) -> CheckResult:
     n = min(len(gen), len(cf))
     worst = 0.0
     for i in range(n):
-        worst = max(worst, abs(float(gen.entries[i].gamma[0])
-                               - float(cf.entries[i].gamma[0])))
+        worst = max(worst, abs(float(gen.points[i].p[0]) - float(cf.points[i].p[0])))
     truncated = "".join(f"; {label} truncated at j = {meta['failure_index']}: "
                         f"{meta['failure']}: {meta['failure_message']}"
                         for label, meta in (("generic", gen.meta), ("closed form", cf.meta))
@@ -656,8 +653,8 @@ def singular_start_probe(H, cfg) -> CheckResult:
 
 def run_checks(rc: RunConfig) -> list[CheckResult]:
     """Run every probe; one that raises a NumericalError FAILs on its own."""
-    cp, H, cfg = build_model(rc)
-    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
+    H, cfg = build_model(rc)
+    traj = _orbit(rc, H, cfg)
     grid = [float(pt.q[0]) for pt in traj.points]
     probes = [
         ("partial-consistency", lambda: check_partial_consistency(H)),

@@ -17,12 +17,13 @@ where the update is a quadratic with two root branches.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NumericalError, as_grid, as_vec, iterate, norm_inf
+from .core import NumericalError, PhasePoint, as_grid, as_vec, iterate, norm_inf
 # step_right is not called here; bench/tracing.py wraps dhj.hj_flow.step_right
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side, step_right
 
@@ -30,7 +31,6 @@ __all__ = [
     "Branch",
     "BranchError",
     "ResidualCheckFailure",
-    "GeneratingEntry",
     "GeneratingSequence",
     "hj_residual_right",
     "hj_residual_left",
@@ -61,48 +61,24 @@ class ResidualCheckFailure(NumericalError):
     """A completed transition's recomputed evolution residual is too large."""
 
 
-@dataclass(frozen=True)
-class GeneratingEntry:
-    """One row (j, q_j, S_j, DS_j) of a generating sequence."""
-
-    j: int
-    q: np.ndarray
-    S: float
-    DS: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", int(self.j))
-        q = as_vec(self.q, name="q")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "S", float(self.S))
-        object.__setattr__(self, "DS", as_vec(self.DS, dim=q.size, name="DS"))
-
-
 @dataclass
 class GeneratingSequence:
-    """Rows of (j, q, S, DS) plus the per-step branch log and the h used.
+    """Phase points (q_j, DS_j), the slope in the momentum slot, with the
+    values S_j in S and the per-step branch log.
 
     branch_log[i] names how row i was produced: "init" for the seed row,
-    "plus"/"minus" for closed-form root choices, "direct" for the generic
-    Newton path.  meta carries the truncation flag and failure details when
-    a step could not be completed; completed rows are always kept.
+    "plus"/"minus" for closed-form root choices, "direct" for the lift of an
+    orbit.  meta carries the truncation flag and failure details when a step
+    could not be completed; completed rows are always kept.
     """
 
-    entries: list[GeneratingEntry]
+    points: list[PhasePoint]
+    S: list[float]
     branch_log: list[str]
-    h: float
     meta: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def q_values(self) -> np.ndarray:
-        return np.array([e.q for e in self.entries])
-
-    @property
-    def ds_values(self) -> np.ndarray:
-        return np.array([e.DS for e in self.entries])
+        return len(self.points)
 
 
 def hj_residual_right(H: DiscreteHamiltonian, S_j: float, S_next: float,
@@ -129,8 +105,15 @@ def hj_residual_left(H: DiscreteHamiltonian, S_j: float, S_next: float,
             + float(H.eval(q_next, DS_j)))
 
 
-# Transitions whose recomputed residual exceeds this are treated as failures.
+# Relative limit on a transition's recomputed evolution residual.
 _POST_CHECK_TOL = 1e-12
+
+
+def residual_limit(S_j: float, S_next: float, pq: float, H_value: float) -> float:
+    """Limit on the right evolution residual of one transition: it sums S_j,
+    S_next, p_next . q_next and H+(q_j, p_next), so its rounding grows with
+    the largest of them, and the limit is _POST_CHECK_TOL times that (or 1)."""
+    return _POST_CHECK_TOL * max(1.0, abs(S_j), abs(pq), abs(H_value), abs(S_next))
 
 
 def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
@@ -142,16 +125,19 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
 
         S_next = S_j + p_next . q_next - H+(q_j, p_next)
 
-    which makes the right evolution residual vanish identically.  Each
-    transition is still re-checked; a violation (ResidualCheckFailure)
-    truncates the sequence with core.iterate's failure record in meta.
-    Otherwise meta carries traj's own failure record, so a truncated orbit
-    gives a sequence truncated at the same point.  A step whose position
-    update D2 H+ is identically zero marks meta["degenerate"] (the position
-    collapses and no longer determines the flow).
+    which makes the right evolution residual vanish identically.  The
+    sequence's points are traj's own.  Each transition is still re-checked
+    against residual_limit; a violation (ResidualCheckFailure) truncates the
+    sequence with core.iterate's failure record in meta.  Otherwise meta
+    carries traj's own failure record, so a truncated orbit gives a sequence
+    truncated at the same point.  A step whose position update D2 H+ is
+    identically zero marks meta["degenerate"] (the position collapses and no
+    longer determines the flow).  traj must be a right orbit from
+    run_trajectory (meta["side"] == "right").
     """
-    if H.side is not Side.RIGHT or traj.meta.get("side", Side.RIGHT.value) != Side.RIGHT.value:
-        raise ValueError("solve_generating_sequence needs a Side.RIGHT Hamiltonian and orbit")
+    if H.side is not Side.RIGHT or traj.meta.get("side") != Side.RIGHT.value:
+        raise ValueError("solve_generating_sequence needs a Side.RIGHT Hamiltonian and "
+                         "a right orbit from run_trajectory")
     transitions = zip(traj.points[:-1], traj.points[1:])
     degenerate = False
 
@@ -164,21 +150,21 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
             probe = np.asarray(H.d2(x.q, x_next.p + 1.0), dtype=float)
             if norm_inf(probe) == 0.0:
                 degenerate = True
-        s_next = S + float(x_next.p @ x_next.q) - float(H.eval(x.q, x_next.p))
+        pq = float(x_next.p @ x_next.q)
+        H_value = float(H.eval(x.q, x_next.p))
+        s_next = S + pq - H_value
         res = hj_residual_right(H, S, s_next, x_next.p, x.q, x_next.q)
-        if abs(res) > _POST_CHECK_TOL:
-            raise ResidualCheckFailure(f"transition residual {res:.6e} exceeds "
-                                       f"{_POST_CHECK_TOL:g}", res)
+        limit = residual_limit(S, s_next, pq, H_value)
+        if abs(res) > limit:
+            raise ResidualCheckFailure(f"transition residual {res:.6e} exceeds {limit:g}", res)
         return s_next
 
     values, meta = iterate(advance, float(S0), len(traj) - 1, traj.points[0].index)
     if not meta["truncated"]:
         meta = {key: traj.meta.get(key, value) for key, value in meta.items()}
     meta["degenerate"] = degenerate
-    entries = [GeneratingEntry(j=x.index, q=x.q, S=S, DS=x.p)
-               for x, S in zip(traj.points, values)]
-    branch_log = ["init"] + ["direct"] * (len(entries) - 1)
-    return GeneratingSequence(entries=entries, branch_log=branch_log, h=0.0, meta=meta)
+    return GeneratingSequence(points=traj.points[:len(values)], S=values,
+                              branch_log=["init"] + ["direct"] * (len(values) - 1), meta=meta)
 
 
 def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[float, float]:
@@ -234,16 +220,15 @@ def run_closed_form_flow(q_sequence, ds0: float, h: float,
         raise ValueError(f"h must be positive, got {h}")
     branch_log = ["init"]
 
-    def advance(prev: GeneratingEntry) -> GeneratingEntry:
-        # entry j sits at grid[j - 1], so its successor's position is grid[j]
-        prev_ds = float(prev.DS[0])
-        plus, minus = _ds_roots(grid[prev.j - 1], grid[prev.j], prev_ds, h)
+    def advance(prev: PhasePoint) -> PhasePoint:
+        # point j sits at grid[j - 1], so its successor's position is grid[j]
+        prev_ds = float(prev.p[0])
+        plus, minus = _ds_roots(grid[prev.index - 1], grid[prev.index], prev_ds, h)
         ds_next, token = _pick_root(plus, minus, prev_ds, branch)
         branch_log.append(token)
-        return GeneratingEntry(j=prev.j + 1, q=grid[prev.j], S=prev.S + h * prev_ds,
-                               DS=ds_next)
+        return PhasePoint(index=prev.index + 1, q=[grid[prev.index]], p=[ds_next])
 
-    entries, meta = iterate(advance, GeneratingEntry(j=1, q=grid[0], S=0.0, DS=float(ds0)),
-                            len(grid) - 1)
-    return GeneratingSequence(entries=entries, branch_log=branch_log, h=float(h),
-                              meta=meta)
+    points, meta = iterate(advance, PhasePoint(index=1, q=[grid[0]], p=[float(ds0)]),
+                           len(grid) - 1)
+    S = list(itertools.accumulate((h * float(x.p[0]) for x in points[:-1]), initial=0.0))
+    return GeneratingSequence(points=points, S=S, branch_log=branch_log, meta=meta)

@@ -15,21 +15,16 @@ is the discretization the closed form is derived under.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .core import NewtonConfig, NumericalError, as_grid, as_vec, iterate, newton_solve, norm_inf
+from .core import (NewtonConfig, NumericalError, PhasePoint, as_grid, as_vec, iterate,
+                   newton_solve, norm_inf)
 from .hj_flow import GeneratingSequence
-from .mechanics import DiscreteHamiltonian, Side
+from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side
 
 __all__ = [
-    "GammaSource",
     "DegenerateGridError",
     "SingularDenominatorError",
-    "GammaEntry",
-    "GammaSequence",
     "eval_field",
     "eval_field_left",
     "vf_residual",
@@ -39,13 +34,6 @@ __all__ = [
     "run_closed_form_vf",
     "equivalence_check",
 ]
-
-
-class GammaSource(enum.Enum):
-    """How a gamma sequence was produced."""
-
-    GENERIC = "generic"
-    CLOSED_FORM = "closed-form"
 
 
 class DegenerateGridError(NumericalError):
@@ -60,45 +48,6 @@ class SingularDenominatorError(NumericalError):
         self.scale = float(scale)
         super().__init__(f"singular denominator {self.denominator:.6e} "
                          f"(threshold 1e-14 * scale, scale = {self.scale:.6e})", self.denominator)
-
-
-@dataclass(frozen=True)
-class GammaEntry:
-    """One row (j, q_j, gamma_j) of a slope sequence."""
-
-    j: int
-    q: np.ndarray
-    gamma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "j", int(self.j))
-        q = as_vec(self.q, name="q")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "gamma", as_vec(self.gamma, dim=q.size, name="gamma"))
-
-
-@dataclass
-class GammaSequence:
-    """Rows of (j, q, gamma) plus which scheme produced them.
-
-    meta carries core.iterate's failure record; when an update failed part
-    way the completed rows are kept.
-    """
-
-    entries: list[GammaEntry]
-    source: GammaSource
-    meta: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    @property
-    def q_values(self) -> np.ndarray:
-        return np.array([e.q for e in self.entries])
-
-    @property
-    def gamma_values(self) -> np.ndarray:
-        return np.array([e.gamma for e in self.entries])
 
 
 def eval_field(H: DiscreteHamiltonian, q_j, p_next) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +96,7 @@ def vf_residual_left(H: DiscreteHamiltonian, q_next, p_j, dgamma) -> float:
 
 
 def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
-                        cfg: NewtonConfig | None = None) -> GammaSequence:
+                        cfg: NewtonConfig | None = None) -> DiscreteTrajectory:
     """Advance gamma along a given position grid by solving the field equation.
 
     At each transition the grid derivative is discretized as the quotient
@@ -160,10 +109,10 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
     the Newton Jacobian is d22 * (gamma_j / q_next) - d12; otherwise it is
     built by central differences.  One-dimensional only (the quotient has
     no dimension-general meaning).  The grid must have at least one
-    position (one position gives just the seed row).  A zero q_next
-    (DegenerateGridError, with q_next as failure_quantity) or a Newton
-    failure truncates the sequence with core.iterate's failure record in
-    meta, keeping completed rows.
+    position (one position gives just the seed row).  The rows are phase
+    points (q_j, gamma_j).  A zero q_next (DegenerateGridError, with q_next
+    as failure_quantity) or a Newton failure truncates the run with
+    core.iterate's failure record in meta, keeping completed rows.
     """
     if H.side is not Side.RIGHT:
         raise ValueError("solve_gamma_generic needs a Side.RIGHT Hamiltonian")
@@ -173,13 +122,13 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
     gamma0 = float(as_vec(gamma0, dim=1, name="gamma0")[0])
     exact = H.d12 is not None and H.d22 is not None
 
-    def advance(prev: GammaEntry) -> GammaEntry:
-        # entry j sits at arr[j - 1], so its successor's position is arr[j]
-        q_j, q_next = arr[prev.j - 1], arr[prev.j]
+    def advance(prev: PhasePoint) -> PhasePoint:
+        # point j sits at arr[j - 1], so its successor's position is arr[j]
+        q_j, q_next = arr[prev.index - 1], arr[prev.index]
         if q_next == 0.0:
-            raise DegenerateGridError(f"q_sequence entry j = {prev.j + 1} is zero: the slope "
-                                      f"quotient gamma / q_next is undefined", q_next)
-        gamma = float(prev.gamma[0])
+            raise DegenerateGridError(f"q_sequence entry j = {prev.index + 1} is zero: the "
+                                      f"slope quotient gamma / q_next is undefined", q_next)
+        gamma = float(prev.p[0])
         quot = gamma / q_next
 
         def residual(g: np.ndarray) -> np.ndarray:
@@ -192,10 +141,10 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
                     - np.asarray(H.d12([q_j], g), dtype=float))
 
         g_next = newton_solve(residual, [gamma], cfg, jacobian=jacobian if exact else None)
-        return GammaEntry(j=prev.j + 1, q=q_next, gamma=float(g_next[0]))
+        return PhasePoint(index=prev.index + 1, q=q_next, p=g_next)
 
-    entries, meta = iterate(advance, GammaEntry(j=1, q=arr[0], gamma=gamma0), arr.size - 1)
-    return GammaSequence(entries=entries, source=GammaSource.GENERIC, meta=meta)
+    points, meta = iterate(advance, PhasePoint(index=1, q=arr[0], p=gamma0), arr.size - 1)
+    return DiscreteTrajectory(points=points, meta=meta)
 
 
 def closed_form_gamma_step(gamma_j: float, q_j: float, q_next: float) -> float:
@@ -218,32 +167,34 @@ def closed_form_gamma_step(gamma_j: float, q_j: float, q_next: float) -> float:
     return num / den
 
 
-def run_closed_form_vf(q_sequence, gamma0: float) -> GammaSequence:
+def run_closed_form_vf(q_sequence, gamma0: float) -> DiscreteTrajectory:
     """Run the closed-form slope update over a scalar position grid.
 
-    A SingularDenominatorError truncates with core.iterate's failure record
-    in meta, the denominator as failure_quantity; completed rows are kept.
-    On an all-zero grid the very first update is rejected this way (the
-    degenerate fixed point of the benchmark).
+    The rows are phase points (q_j, gamma_j).  A SingularDenominatorError
+    truncates with core.iterate's failure record in meta, the denominator as
+    failure_quantity; completed rows are kept.  On an all-zero grid the very
+    first update is rejected this way (the degenerate fixed point of the
+    benchmark).
     """
     arr = as_grid(q_sequence)
 
-    def advance(prev: GammaEntry) -> GammaEntry:
-        # entry j sits at arr[j - 1], so its successor's position is arr[j]
-        gamma = closed_form_gamma_step(float(prev.gamma[0]), float(arr[prev.j - 1]),
-                                       float(arr[prev.j]))
-        return GammaEntry(j=prev.j + 1, q=arr[prev.j], gamma=gamma)
+    def advance(prev: PhasePoint) -> PhasePoint:
+        # point j sits at arr[j - 1], so its successor's position is arr[j]
+        gamma = closed_form_gamma_step(float(prev.p[0]), float(arr[prev.index - 1]),
+                                       float(arr[prev.index]))
+        return PhasePoint(index=prev.index + 1, q=arr[prev.index], p=gamma)
 
-    entries, meta = iterate(advance, GammaEntry(j=1, q=arr[0], gamma=float(gamma0)),
-                            arr.size - 1)
-    return GammaSequence(entries=entries, source=GammaSource.CLOSED_FORM, meta=meta)
+    points, meta = iterate(advance, PhasePoint(index=1, q=arr[0], p=float(gamma0)),
+                           arr.size - 1)
+    return DiscreteTrajectory(points=points, meta=meta)
 
 
 def equivalence_check(H: DiscreteHamiltonian, flow_seq: GeneratingSequence) -> list[float]:
     """Residuals of the field equation along a generating sequence.
 
-    For each transition of flow_seq the grid derivative of the slope is the
-    difference quotient (DS_next - DS_j) / (q_next - q_j) and the field is
+    For each transition of flow_seq's points the grid derivative of the
+    slope is the difference quotient (DS_next - DS_j) / (q_next - q_j),
+    DS in the momentum slot, and the field is
     evaluated at (q_j, DS_next).  When S and DS come from an exact solution
     the residuals vanish up to discretization; comparing them across schemes
     is how the value-evolution and field pictures are checked against each
@@ -253,15 +204,15 @@ def equivalence_check(H: DiscreteHamiltonian, flow_seq: GeneratingSequence) -> l
         raise ValueError("equivalence_check needs a Side.RIGHT Hamiltonian")
     if H.dim != 1:
         raise ValueError("the difference quotient is one-dimensional only")
-    if len(flow_seq.entries) < 2:
+    if len(flow_seq) < 2:
         raise ValueError("flow_seq must contain at least two rows")
     residuals = []
-    for a, b in zip(flow_seq.entries[:-1], flow_seq.entries[1:]):
+    for a, b in zip(flow_seq.points[:-1], flow_seq.points[1:]):
         dq = float(b.q[0]) - float(a.q[0])
         if dq == 0.0:
             raise DegenerateGridError(
-                f"repeated position q = {float(a.q[0]):.17g} at j = {a.j}"
+                f"repeated position q = {float(a.q[0]):.17g} at j = {a.index}"
             )
-        quot = (float(b.DS[0]) - float(a.DS[0])) / dq
-        residuals.append(vf_residual(H, a.q, b.DS, quot))
+        quot = (float(b.p[0]) - float(a.p[0])) / dq
+        residuals.append(vf_residual(H, a.q, b.p, quot))
     return residuals

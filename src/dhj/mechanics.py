@@ -108,12 +108,14 @@ class DiscreteHamiltonian:
 class DiscreteTrajectory:
     """An ordered run of phase points plus bookkeeping about how it was made.
 
-    meta records the generating configuration and the failure record of
-    core.iterate; the points before a failed step are kept.  Every adjacent
-    pair solves the stepper's Newton equation to its tolerance: D1 H+
-    (right) or D2 H- (left), or, for a dual of a Lagrangian,
-    D1 L_d(q_j, q_next) = -p_j.  verify_step re-checks a pair through H's
-    own partials.
+    meta records the failure record of core.iterate; the points before a
+    failed step are kept.  An orbit from run_trajectory also records its
+    side and steps_requested, and every adjacent pair solves the stepper's
+    Newton equation to its tolerance: D1 H+ (right) or D2 H- (left), or, for
+    a dual of a Lagrangian, D1 L_d(q_j, q_next) = -p_j.  verify_step
+    re-checks a pair through H's own partials.  The slope runners of hj_vf
+    return the same container with the slope gamma_j in the momentum slot;
+    they make no step-equation promise.
     """
 
     points: list[PhasePoint]

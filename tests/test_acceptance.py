@@ -142,8 +142,8 @@ def test_05_flow_residuals_below_tolerance():
         traj = run_trajectory(H, PhasePoint(index=1, q=[q0], p=[0.0]), steps)
         seq = solve_generating_sequence(H, traj)
         assert not seq.meta["truncated"]
-        for a, b in zip(seq.entries[:-1], seq.entries[1:]):
-            worst = max(worst, abs(hj_residual_right(H, a.S, b.S, b.DS, a.q, b.q)))
+        for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:]):
+            worst = max(worst, abs(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q)))
     report(5, worst < 1e-12,
            f"max evolution residual = {worst:.3e}, limit 1e-12")
 
@@ -154,7 +154,7 @@ def test_06_momentum_identification():
     traj = run_trajectory(H, PhasePoint(index=1, q=[5e-8], p=[0.0]), 18)
     seq = solve_generating_sequence(H, traj)
     assert len(seq) == len(traj)
-    worst = max(abs(e.DS[0] - pt.p[0]) for e, pt in zip(seq.entries, traj.points))
+    worst = max(abs(e.p[0] - pt.p[0]) for e, pt in zip(seq.points, traj.points))
     report(6, worst < 1e-12,
            f"max |DS_j - p_j| = {worst:.3e} over {len(traj)} indices, limit 1e-12")
 

@@ -152,6 +152,20 @@ def test_generic_flow_lifts_its_own_orbit_from_ds1(flags, tmp_path):
     assert [row[2] for row in rows] != [row[3] for row in rows]
 
 
+def test_escaping_generic_flow_stops_where_its_orbit_does(tmp_path, capsys):
+    # S reaches -1e4 here; its rounding once cut the flow at j = 4 with a
+    # ResidualCheckFailure against an absolute 1e-12
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", "--q1=0.14458683537042474", "--r=0.5", "--s=2", "--steps=24",
+            "--csv", str(out)]
+    assert main(argv) == 1
+    assert len(read_csv(out)[2]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(": ")[0:2] for line in err] == [
+        ["trajectory failure at j = 5", "ConvergenceError"],
+        ["flow failure at j = 5", "ConvergenceError"]]
+
+
 def test_hj_flow_rejects_q2_with_generic_method():
     assert main(["hj-flow", "--method", "generic", "--q2", "1e-7"]) == 2
 

@@ -10,14 +10,13 @@ from dhj.core import PhasePoint
 from dhj.hj_flow import (
     Branch,
     BranchError,
-    GeneratingEntry,
-    GeneratingSequence,
     closed_form_ds_step,
     hj_residual_left,
     hj_residual_right,
     run_closed_form_flow,
     solve_generating_sequence,
 )
+from dhj.hj_vf import run_closed_form_vf
 from dhj.mechanics import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
@@ -61,19 +60,19 @@ def free_left():
 def test_generated_sequence_has_tiny_residual():
     H = cubic_right()
     seq = lift(H, 5e-8, 0.0, 10)
-    assert len(seq.entries) == 11
-    for j in range(len(seq.entries) - 1):
-        a, b = seq.entries[j], seq.entries[j + 1]
-        res = hj_residual_right(H, a.S, b.S, b.DS, a.q, b.q)
+    assert len(seq) == len(seq.S) == 11
+    for j in range(len(seq) - 1):
+        a, b = seq.points[j], seq.points[j + 1]
+        res = hj_residual_right(H, seq.S[j], seq.S[j + 1], b.p, a.q, b.q)
         assert abs(res) <= 1e-15
 
 
 def test_residual_detects_perturbation():
     H = cubic_right()
     seq = lift(H, 0.2, -0.05, 3)
-    a, b = seq.entries[1], seq.entries[2]
-    clean = hj_residual_right(H, a.S, b.S, b.DS, a.q, b.q)
-    dirty = hj_residual_right(H, a.S, b.S, b.DS + 1e-3, a.q, b.q)
+    a, b = seq.points[1], seq.points[2]
+    clean = hj_residual_right(H, seq.S[1], seq.S[2], b.p, a.q, b.q)
+    dirty = hj_residual_right(H, seq.S[1], seq.S[2], b.p + 1e-3, a.q, b.q)
     assert abs(clean) <= 1e-12
     assert abs(dirty) > 1e-7
 
@@ -125,7 +124,7 @@ def test_continuity_ladder_matches_frozen_values():
         (4, 6.071079188e-05),
     ]
     for idx, val in want:
-        got = seq.entries[idx].DS[0]
+        got = seq.points[idx].p[0]
         assert abs(got - val) <= 1e-6 * abs(val)
     assert seq.branch_log[0] == "init"
     assert all(tag == "plus" for tag in seq.branch_log[1:])
@@ -134,10 +133,9 @@ def test_continuity_ladder_matches_frozen_values():
 def test_flow_accumulates_action():
     grid = [5e-8, 1.5e-7, 2.5e-7]
     seq = run_closed_form_flow(grid, 0.0, 1e-4, Branch.CONTINUITY)
-    assert seq.entries[0].S == 0.0
-    for j in range(1, len(seq.entries)):
-        prev = seq.entries[j - 1]
-        assert abs(seq.entries[j].S - (prev.S + 1e-4 * prev.DS[0])) <= 1e-18
+    assert seq.S[0] == 0.0 and len(seq.S) == len(seq) == 3
+    for j in range(1, len(seq)):
+        assert abs(seq.S[j] - (seq.S[j - 1] + 1e-4 * seq.points[j - 1].p[0])) <= 1e-18
 
 
 def test_minus_branch_dies_quickly():
@@ -145,7 +143,7 @@ def test_minus_branch_dies_quickly():
     traj = run_trajectory(H, PhasePoint(index=1, q=[5e-8], p=[0.0]), 18)
     grid = [pt.q[0] for pt in traj.points]
     seq = run_closed_form_flow(grid, 0.0, 1e-4, Branch.MINUS)
-    assert len(seq.entries) == 2
+    assert len(seq) == len(seq.S) == 2
     assert seq.meta["truncated"] is True
     assert seq.meta["failure"] == "BranchError"
     assert abs(seq.meta["failure_quantity"] - (-2.4109635623731073e-11)) <= 1e-20
@@ -164,25 +162,25 @@ def test_flow_values_share_momentum_sign_and_monotonicity():
     H = cubic_right()
     traj = run_trajectory(H, PhasePoint(index=1, q=[5e-8], p=[0.0]), 18)
     grid = [pt.q[0] for pt in traj.points]
-    seq = run_closed_form_flow(grid, 0.0, 1e-4, Branch.CONTINUITY)
+    h = 1e-4
+    seq = run_closed_form_flow(grid, 0.0, h, Branch.CONTINUITY)
     prev_p_mag = 0.0
     checked = 0
-    for j in range(1, len(seq.entries)):
-        q = seq.entries[j].q[0]
+    for j in range(1, len(seq)):
+        q = seq.points[j].q[0]
         if not 0.0 < abs(q) < 0.9:
             continue
-        prev = seq.entries[j - 1]
-        q_j, ds_j = prev.q[0], prev.DS[0]
-        ds = seq.entries[j].DS[0]
+        q_j, ds_j = seq.points[j - 1].q[0], seq.points[j - 1].p[0]
+        ds = seq.points[j].p[0]
         p = traj.points[j].p[0]
-        plus = closed_form_ds_step(q_j, q, ds_j, seq.h, Branch.PLUS)
-        minus = closed_form_ds_step(q_j, q, ds_j, seq.h, Branch.MINUS)
+        plus = closed_form_ds_step(q_j, q, ds_j, h, Branch.PLUS)
+        minus = closed_form_ds_step(q_j, q, ds_j, h, Branch.MINUS)
         assert ds in (plus, minus), f"index {j}: {ds} is neither root"
         mid = 0.5 * (plus + minus)
         assert abs(mid - p) <= 1e-12 * abs(p), (
             f"index {j}: root midpoint {mid} is not the momentum {p}"
         )
-        product = -(q_j ** 2 + 2.0 * seq.h * ds_j)
+        product = -(q_j ** 2 + 2.0 * h * ds_j)
         assert abs(plus * minus - product) <= 1e-12 * abs(product), (
             f"index {j}: root product {plus * minus} is not {product}"
         )
@@ -209,8 +207,8 @@ def test_degenerate_hamiltonian_flagged():
         dim=1,
     )
     seq = lift(H, 0.0, 0.0, 3)
-    assert len(seq.entries) == 4
-    assert all(e.S == 0.0 for e in seq.entries)
+    assert len(seq) == 4
+    assert seq.S == [0.0] * 4
     assert seq.meta.get("degenerate") is True
 
 
@@ -222,6 +220,9 @@ def test_solver_rejects_left_side_and_left_orbits():
         solve_generating_sequence(Hm, left_orbit)
     with pytest.raises(ValueError):
         solve_generating_sequence(Hp, left_orbit)
+    # a slope run records no side: it is not an orbit to lift
+    with pytest.raises(ValueError):
+        solve_generating_sequence(Hp, run_closed_form_vf([0.1, 0.2], 0.0))
     # a zero-step orbit lifts to just the seed row
     seq = lift(Hp, 0.1, 0.0, 0)
     assert len(seq) == 1
@@ -231,12 +232,11 @@ def test_lift_reads_slopes_off_the_orbit_from_S0():
     H = cubic_right()
     traj = run_trajectory(H, PhasePoint(index=3, q=[0.01], p=[-0.002]), 5)
     seq = solve_generating_sequence(H, traj, S0=0.25)
-    assert [e.j for e in seq.entries] == [pt.index for pt in traj.points]
-    assert all(np.array_equal(e.q, pt.q) and np.array_equal(e.DS, pt.p)
-               for e, pt in zip(seq.entries, traj.points))
-    assert seq.entries[0].S == 0.25
-    for a, b in zip(seq.entries[:-1], seq.entries[1:]):
-        assert abs(hj_residual_right(H, a.S, b.S, b.DS, a.q, b.q)) <= 1e-15
+    # the orbit's own points, not copies
+    assert len(seq) == len(traj) and all(a is b for a, b in zip(seq.points, traj.points))
+    assert seq.S[0] == 0.25
+    for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:]):
+        assert abs(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q)) <= 1e-15
     assert seq.meta["truncated"] is False and seq.meta["degenerate"] is False
 
 
@@ -269,6 +269,33 @@ def test_lift_truncates_at_the_first_transition_failing_the_recheck():
     assert seq.meta["failure_index"] == 3
 
 
+def test_lift_recheck_is_relative_to_the_size_of_S():
+    # this orbit escapes and S reaches -8e6 on its last transition, where the
+    # rounding of S alone exceeds an absolute 1e-12: a shift of 1e-13 |S| of
+    # the value that transition's re-check sees passes, one of 1e-9 |S| fails
+    H = cubic_right()
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.05], p=[0.0]), 12)
+    clean = solve_generating_sequence(H, traj)
+    assert len(clean) == len(traj) and clean.meta["failure"] == traj.meta["failure"]
+    assert abs(clean.S[-1]) >= 1e3
+    last = len(traj) - 1
+
+    def shifted(rel):
+        calls = []
+
+        def eval_(q, p):
+            calls.append(1)
+            return H.eval(q, p) + (rel * abs(clean.S[-1]) if len(calls) == 2 * last else 0.0)
+
+        return solve_generating_sequence(dataclasses.replace(H, eval=eval_), traj)
+
+    assert shifted(1e-13).meta == clean.meta
+    seq = shifted(1e-9)
+    assert len(seq) == last
+    assert seq.meta["failure"] == "ResidualCheckFailure"
+    assert seq.meta["failure_index"] == last
+
+
 def test_flow_input_validation():
     with pytest.raises(ValueError):
         run_closed_form_flow([], 0.0, 1e-4)
@@ -280,12 +307,3 @@ def test_flow_input_validation():
     seq = run_closed_form_flow([0.1], 0.3, 1e-4)
     assert len(seq) == 1
     assert seq.branch_log == ["init"]
-
-
-def test_entry_and_sequence_accessors():
-    e = GeneratingEntry(j=1, q=0.5, S=0.0, DS=-0.2)
-    seq = GeneratingSequence(entries=[e], branch_log=["init"], h=1e-4, meta={})
-    assert seq.q_values.shape == (1, 1)
-    assert seq.q_values[0, 0] == 0.5
-    assert seq.ds_values[0, 0] == -0.2
-    assert len(seq) == 1

@@ -9,10 +9,9 @@ import pytest
 
 import dhj.core
 from dhj.core import PhasePoint
-from dhj.hj_flow import GeneratingEntry, GeneratingSequence, run_closed_form_flow
+from dhj.hj_flow import GeneratingSequence, run_closed_form_flow
 from dhj.hj_vf import (
     DegenerateGridError,
-    GammaSource,
     SingularDenominatorError,
     closed_form_gamma_step,
     equivalence_check,
@@ -26,6 +25,7 @@ from dhj.hj_vf import (
 from dhj.mechanics import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
+    DiscreteTrajectory,
     Side,
     hamiltonian_from_lagrangian,
     run_trajectory,
@@ -89,10 +89,9 @@ def test_closed_form_singular_denominator():
 
 def test_run_closed_form_vf_truncates_on_singularity():
     seq = run_closed_form_vf([0.0, 0.0, 0.0], 0.0)
-    assert len(seq.entries) == 1
+    assert len(seq) == 1
     assert seq.meta["truncated"] is True
     assert seq.meta["failure"] == "SingularDenominatorError"
-    assert seq.source is GammaSource.CLOSED_FORM
 
 
 def test_closed_form_tracks_trajectory_momentum():
@@ -100,11 +99,11 @@ def test_closed_form_tracks_trajectory_momentum():
     traj = run_trajectory(H, PhasePoint(index=1, q=[5e-8], p=[0.0]), 18)
     grid = [pt.q[0] for pt in traj.points]
     seq = run_closed_form_vf(grid, 0.0)
-    assert abs(seq.entries[1].gamma[0] - traj.points[1].p[0]) <= 1e-15
+    assert abs(seq.points[1].p[0] - traj.points[1].p[0]) <= 1e-15
     worst = 0.0
-    for j in range(len(seq.entries)):
+    for j in range(len(seq)):
         if abs(grid[j]) < 0.9:
-            worst = max(worst, abs(seq.entries[j].gamma[0] - traj.points[j].p[0]))
+            worst = max(worst, abs(seq.points[j].p[0] - traj.points[j].p[0]))
     assert worst <= 1e-11
 
 
@@ -114,11 +113,9 @@ def test_generic_solver_matches_closed_form():
     grid = [pt.q[0] for pt in traj.points]
     closed = run_closed_form_vf(grid, 0.0)
     generic = solve_gamma_generic(H, grid, 0.0)
-    assert generic.source is GammaSource.GENERIC
-    n = min(len(closed.entries), len(generic.entries))
+    n = min(len(closed), len(generic))
     assert n == len(grid)
-    worst = max(abs(closed.entries[j].gamma[0] - generic.entries[j].gamma[0])
-                for j in range(n))
+    worst = max(abs(closed.points[j].p[0] - generic.points[j].p[0]) for j in range(n))
     assert worst <= 1e-9
 
 
@@ -146,9 +143,9 @@ def test_generic_slope_rows_match_the_exact_rational_update(r, s):
         traj = run_trajectory(H, PhasePoint(index=1, q=[q1], p=[0.0]), 24)
         seq = solve_gamma_generic(H, [pt.q[0] for pt in traj.points], 0.0)
         assert len(seq) == len(traj)
-        for a, b in zip(seq.entries[:-1], seq.entries[1:]):
-            want = exact_slope_update(a.gamma[0], a.q[0], b.q[0], r, s)
-            miss = abs(Fraction(b.gamma[0]) - want) / max(abs(want), abs(Fraction(a.gamma[0])))
+        for a, b in zip(seq.points[:-1], seq.points[1:]):
+            want = exact_slope_update(a.p[0], a.q[0], b.q[0], r, s)
+            miss = abs(Fraction(b.p[0]) - want) / max(abs(want), abs(Fraction(a.p[0])))
             worst = max(worst, float(miss))
     assert worst <= 1e-13
 
@@ -172,8 +169,8 @@ def test_wrong_second_momentum_partial_costs_iterations_not_accuracy():
     want = solve_gamma_generic(H, grid, 0.0)
     got = solve_gamma_generic(off, grid, 0.0)
     assert len(got) == len(want) == len(grid)
-    for a, b in zip(got.entries, want.entries):
-        assert abs(a.gamma[0] - b.gamma[0]) <= 1e-11
+    for a, b in zip(got.points, want.points):
+        assert abs(a.p[0] - b.p[0]) <= 1e-11
 
 
 def test_generic_solver_rejections():
@@ -182,7 +179,7 @@ def test_generic_solver_rejections():
         solve_gamma_generic(H, [], 0.0)
     # a single grid position yields the seed row and no transitions
     seq = solve_gamma_generic(H, [0.5], 0.25)
-    assert len(seq) == 1 and seq.entries[0].gamma[0] == 0.25
+    assert len(seq) == 1 and seq.points[0].p[0] == 0.25
     assert seq.meta["truncated"] is False
     # a zero q_next is rejected by its step: the rows before it are kept
     seq = solve_gamma_generic(H, [0.5, 0.25, 0.0, 0.7], 0.0)
@@ -213,7 +210,7 @@ def test_generic_solver_truncates_on_newton_failure():
         dim=1,
     )
     seq = solve_gamma_generic(H, [0.5, 0.25], 0.0)
-    assert len(seq.entries) == 1
+    assert len(seq) == 1
     assert seq.meta["truncated"] is True
     assert seq.meta["failure"] in ("ConvergenceError", "SingularJacobianError")
 
@@ -230,21 +227,18 @@ def test_equivalence_free_particle_small_offset():
 
 def run_closed_form_flow_free(H, grid, p0):
     # free-particle generating data on an arithmetic grid: constant slope p0
-    entries = [GeneratingEntry(j=1, q=grid[0], S=0.0, DS=p0)]
-    S = 0.0
+    S = [0.0]
     for j in range(1, len(grid)):
-        S = S + p0 * grid[j] - H.eval([grid[j - 1]], [p0])
-        entries.append(GeneratingEntry(j=j + 1, q=grid[j], S=S, DS=p0))
-    return GeneratingSequence(entries=entries, branch_log=["init"] * len(grid),
-                              h=0.0, meta={})
+        S.append(S[-1] + p0 * grid[j] - H.eval([grid[j - 1]], [p0]))
+    points = [PhasePoint(index=j + 1, q=[q], p=[p0]) for j, q in enumerate(grid)]
+    return GeneratingSequence(points=points, S=S, branch_log=["init"] * len(grid), meta={})
 
 
 def test_equivalence_rejects_repeated_grid_points():
     Hp, _ = free_pair()
-    entries = [GeneratingEntry(j=1, q=0.5, S=0.0, DS=0.1),
-               GeneratingEntry(j=2, q=0.5, S=0.0, DS=0.1)]
-    seq = GeneratingSequence(entries=entries, branch_log=["init", "direct"],
-                             h=0.0, meta={})
+    points = [PhasePoint(index=1, q=[0.5], p=[0.1]), PhasePoint(index=2, q=[0.5], p=[0.1])]
+    seq = GeneratingSequence(points=points, S=[0.0, 0.0], branch_log=["init", "direct"],
+                             meta={})
     with pytest.raises(DegenerateGridError):
         equivalence_check(Hp, seq)
 
@@ -270,9 +264,10 @@ def test_equivalence_residual_halves_with_grid():
 
 
 def test_sequence_accessors():
+    # both slope runners return phase points (q_j, gamma_j) on the grid
     grid = [5e-8, 1.5e-7]
-    seq = run_closed_form_vf(grid, 0.0)
-    assert seq.q_values.shape == (2, 1)
-    assert np.allclose(seq.q_values.ravel(), grid)
-    assert seq.gamma_values.shape == (2, 1)
-    assert len(seq) == 2
+    for seq in (run_closed_form_vf(grid, 0.0), solve_gamma_generic(cubic_right(), grid, 0.0)):
+        assert isinstance(seq, DiscreteTrajectory) and len(seq) == 2
+        assert [pt.index for pt in seq.points] == [1, 2]
+        assert [pt.q[0] for pt in seq.points] == grid
+        assert seq.points[0].p[0] == 0.0

@@ -10,6 +10,7 @@ import pytest
 
 from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError, newton_solve, rk4_reference
 from dhj.hj_flow import hj_residual_left
+from dhj.hj_vf import eval_field_left, vf_residual_left
 from dhj.mechanics import (
     DiscreteLagrangian,
     Side,
@@ -436,3 +437,21 @@ def test_left_hj_equation_holds_along_the_pendulum_left_dual():
         assert abs(hj_residual_left(Hm, S, S_next, a.p, a.q, b.q)) <= 16 * eps * scale
         assert abs(legendre_left(L, a.q, b.q).p[0] - a.p[0]) <= tol * max(1.0, abs(a.p[0]))
         S = S_next
+
+
+def test_left_field_is_the_left_step_along_the_pendulum_left_dual():
+    # the left picture in vector-field form: the left field at (q_next, p_j)
+    # is the pair (q_j, p_next) of the step, so the field equation holds at
+    # the grid slope Dgamma = p_next / q_j and misses by |q_j| delta at
+    # Dgamma + delta
+    Hm = hamiltonian_from_lagrangian(midpoint_pendulum(0.1, 1.3), Side.LEFT)
+    traj = run_trajectory(Hm, PhasePoint(index=1, q=[0.8], p=[0.0]), 30)
+    assert traj.meta["truncated"] is False and len(traj) == 31
+    for a, b in zip(traj.points[:-1], traj.points[1:]):
+        dq, dp = eval_field_left(Hm, b.q, a.p)
+        assert abs(dq[0] - a.q[0]) <= 1e-10 and abs(dp[0] - b.p[0]) <= 1e-10
+        assert a.q[0] != 0.0
+        dgamma = b.p[0] / a.q[0]
+        assert vf_residual_left(Hm, b.q, a.p, dgamma) <= 1e-10 * max(1.0, abs(b.p[0]))
+        missed = vf_residual_left(Hm, b.q, a.p, dgamma + 0.1)
+        assert abs(missed - 0.1 * abs(a.q[0])) <= 1e-10
