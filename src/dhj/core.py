@@ -79,7 +79,7 @@ def as_vec(x, dim: int | None = None, name: str = "value") -> np.ndarray:
         raise ValueError(f"{name} must be a scalar or 1-D vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries: {v}")
     return v
 
@@ -90,14 +90,14 @@ def as_grid(q_sequence) -> np.ndarray:
     arr = np.asarray(q_sequence, dtype=float).reshape(-1)
     if arr.size < 1:
         raise ValueError("q_sequence must contain at least one position")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("q_sequence contains non-finite entries")
     return arr
 
 
 def norm_inf(v) -> float:
     """Max-norm of a vector (or absolute value of a scalar)."""
-    return float(np.max(np.abs(np.atleast_1d(np.asarray(v, dtype=float)))))
+    return float(np.abs(np.asarray(v, dtype=float)).max())
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
         if hi.size != m or lo.size != m:
             raise ValueError(f"residual must return a vector of dimension {m}")
         jac[:, i] = (hi - lo) / (2.0 * step)
-    if not np.all(np.isfinite(jac)):
+    if not np.isfinite(jac).all():
         raise NumericalError("non-finite entries in finite-difference Jacobian")
     return jac
 
@@ -223,7 +223,7 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
             raise ValueError(
                 f"residual must return a vector of dimension {n}, got shape {r.shape}"
             )
-        if not np.all(np.isfinite(r)):
+        if not np.isfinite(r).all():
             raise NumericalError(f"non-finite residual evaluation at x = {z}")
         return r
 
@@ -236,7 +236,7 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
             break
         if jacobian is not None:
             jac = np.asarray(jacobian(x), dtype=float).reshape(n, n)
-            if not np.all(np.isfinite(jac)):
+            if not np.isfinite(jac).all():
                 raise NumericalError("non-finite entries in supplied Jacobian")
         else:
             jac = fd_jacobian(residual, x, cfg.fd_step)
@@ -296,7 +296,7 @@ def rk4_reference(ham_field, x0: PhasePoint, dt: float, steps: int) -> list[Phas
             raise ValueError(
                 f"ham_field must return a vector of dimension {2 * n}, got shape {f.shape}"
             )
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise NumericalError("non-finite vector field evaluation")
         return f
 
@@ -307,7 +307,7 @@ def rk4_reference(ham_field, x0: PhasePoint, dt: float, steps: int) -> list[Phas
         k3 = _field(y + 0.5 * dt * k2)
         k4 = _field(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NumericalError(f"non-finite state after RK4 step {k + 1}")
         out.append(PhasePoint(index=x0.index + k + 1, q=y[:n], p=y[n:]))
     return out

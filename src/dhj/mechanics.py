@@ -17,6 +17,13 @@ hamiltonian_from_lagrangian keeps its L_d, and both steppers take it
 directly: solve D1 L_d(q_j, q_next) = -p_j for q_next with one Newton solve,
 then read p_next = D2 L_d(q_j, q_next).  Its eval/d1/d2 still go through
 their own Legendre inversions, so verify_step re-checks a step independently.
+
+A DiscreteLagrangian may carry its second partials d11, d12 and d22, model
+data like its slot partials.  Each is the exact Newton Jacobian of one of
+these solves: d12 of the momentum relation (both steppers and del_step),
+d22 of the right dual's inversion of D2 L_d, d11 of the left dual's
+inversion of D1 L_d.  Without one, Newton differences d1 or d2 centrally,
+two more evaluations per iteration and often one more iteration.
 """
 
 from __future__ import annotations
@@ -58,13 +65,19 @@ class DiscreteLagrangian:
     """One-step Lagrangian L_d(q_j, q_next) with analytic slot partials.
 
     eval(q_j, q_next) -> scalar; d1 and d2 return the gradient with respect
-    to the first and second slot as vectors of length dim.
+    to the first and second slot as vectors of length dim.  The optional
+    second partials d11(a, b), d12(a, b) and d22(a, b) are the dim x dim
+    Jacobians of d1 in the first slot, d1 in the second slot and d2 in the
+    second slot; the module docstring names the Newton solve each serves.
     """
 
     eval: object
     d1: object
     d2: object
     dim: int
+    d11: object = None
+    d12: object = None
+    d22: object = None
 
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 1:
@@ -143,8 +156,11 @@ def legendre_left(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePo
 
 def _next_position(L: DiscreteLagrangian, q_j: np.ndarray, p_j: np.ndarray, guess,
                    cfg: NewtonConfig | None) -> np.ndarray:
-    """Solve the momentum relation D1 L_d(q_j, q_next) + p_j = 0 for q_next."""
-    return newton_solve(lambda y: np.asarray(L.d1(q_j, y), dtype=float) + p_j, guess, cfg)
+    """Solve the momentum relation D1 L_d(q_j, q_next) + p_j = 0 for q_next;
+    the Newton Jacobian is L.d12 when set."""
+    jacobian = None if L.d12 is None else (lambda y: L.d12(q_j, y))
+    return newton_solve(lambda y: np.asarray(L.d1(q_j, y), dtype=float) + p_j, guess, cfg,
+                        jacobian=jacobian)
 
 
 def _lagrangian_step(L: DiscreteLagrangian, x: PhasePoint,
@@ -176,7 +192,8 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
 
     The evaluator inverts the matching momentum relation with a Newton solve
     and forms the dual value; the partials come from the envelope identities,
-    so only L_d's first partials are ever needed:
+    so only L_d's first partials are needed (its second partials, when set,
+    are the inversions' Newton Jacobians: d22 on the right, d11 on the left):
 
         right, with y(q, p') solving D2 L_d(q, y) = p':
             H+ = p'. y - L_d(q, y),  d1 = -D1 L_d(q, y),  d2 = y
@@ -193,8 +210,10 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
 
         def _recover(q: np.ndarray, p_next: np.ndarray) -> np.ndarray:
             # invert p_next = D2 L_d(q, .) from the guess q
+            jacobian = None if L.d22 is None else (lambda y: L.d22(q, y))
             return newton_solve(
-                lambda y: np.asarray(L.d2(q, y), dtype=float) - p_next, q, inner
+                lambda y: np.asarray(L.d2(q, y), dtype=float) - p_next, q, inner,
+                jacobian=jacobian,
             )
 
         def _eval(q, p_next) -> float:
@@ -221,8 +240,10 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
 
         def _recover_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
             # invert p = -D1 L_d(., q_next) from the guess q_next
+            jacobian = None if L.d11 is None else (lambda y: L.d11(y, q_next))
             return newton_solve(
-                lambda y: np.asarray(L.d1(y, q_next), dtype=float) + p, q_next, inner
+                lambda y: np.asarray(L.d1(y, q_next), dtype=float) + p, q_next, inner,
+                jacobian=jacobian,
             )
 
         def _eval_left(q_next, p) -> float:

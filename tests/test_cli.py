@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import dhj.cli
+import dhj.core
 import dhj.hj_flow
 import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
-from dhj.core import PhasePoint
+from dhj.core import NewtonConfig, PhasePoint
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
 
@@ -201,6 +202,50 @@ def test_check_battery_passes_on_defaults(capsys):
     assert "CHECK symplecticity: PASS" in text
     assert "INFO singular-start:" in text
     assert "0 failed" in text
+
+
+def test_check_builds_finite_difference_jacobians_only_for_symplecticity(monkeypatch, capsys):
+    # every Newton solve in check has an exact Jacobian; symplecticity_defect
+    # alone differentiates the step map, once per band point
+    fd_jacobian, defect = dhj.core.fd_jacobian, dhj.cli.symplecticity_defect
+    calls, inside = [], []
+
+    def counted_fd_jacobian(*args, **kwargs):
+        calls.append(bool(inside))
+        return fd_jacobian(*args, **kwargs)
+
+    def marked_defect(*args, **kwargs):
+        inside.append(True)
+        try:
+            return defect(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    for module in (dhj.core, dhj.mechanics):
+        monkeypatch.setattr(module, "fd_jacobian", counted_fd_jacobian)
+    monkeypatch.setattr(dhj.cli, "symplecticity_defect", marked_defect)
+    assert main(["check"]) == 0
+    band = int(re.search(r"CHECK symplecticity: PASS .* over (\d+) points",
+                         capsys.readouterr().out).group(1))
+    assert band > 0 and calls == [True] * band
+
+
+def test_each_left_right_newton_solve_takes_one_exact_step(monkeypatch):
+    # the free particle's relations are linear: with its exact second
+    # partials one Newton step lands, a residual at the guess and one after
+    newton_solve, evals = dhj.mechanics.newton_solve, []
+
+    def counted(residual, *args, **kwargs):
+        evals.append(0)
+
+        def tallied(z):
+            evals[-1] += 1
+            return residual(z)
+        return newton_solve(tallied, *args, **kwargs)
+
+    monkeypatch.setattr(dhj.mechanics, "newton_solve", counted)
+    assert dhj.cli.check_left_right(NewtonConfig()).status == "PASS"
+    assert len(evals) > 50 and set(evals) == {2}
 
 
 def test_partial_consistency_flags_corrupted_hamiltonian():

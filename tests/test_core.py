@@ -41,6 +41,32 @@ def test_as_vec_rejects_bad_input():
         as_vec([np.inf])
 
 
+def test_non_finite_input_errors_keep_their_class_and_message():
+    for value, shown in (([1.0, np.nan], "[ 1. nan]"), (np.inf, "[inf]"),
+                         ([-np.inf, 2.0], "[-inf   2.]")):
+        with pytest.raises(ValueError) as err:
+            as_vec(value, name="x")
+        assert err.type is ValueError and str(err.value) == f"x contains non-finite entries: {shown}"
+    with pytest.raises(NumericalError) as err:
+        newton_solve(lambda z: np.array([np.nan]), [1.0])
+    assert err.type is NumericalError
+    assert str(err.value) == "non-finite residual evaluation at x = [1.]"
+    with pytest.raises(NumericalError) as err:
+        newton_solve(lambda z: z - 2.0, [1.0], jacobian=lambda z: np.array([[np.inf]]))
+    assert err.type is NumericalError
+    assert str(err.value) == "non-finite entries in supplied Jacobian"
+
+
+def test_norm_inf_of_scalars_sequences_and_non_finite_entries():
+    assert norm_inf(-2.5) == 2.5 and type(norm_inf(-2.5)) is float
+    assert norm_inf(np.array(-3.0)) == 3.0
+    assert norm_inf([1.0, -4.0, 2.0]) == 4.0
+    assert math.isnan(norm_inf([1.0, np.nan]))
+    assert norm_inf([1.0, -np.inf]) == math.inf and norm_inf(np.inf) == math.inf
+    with pytest.raises(ValueError):
+        norm_inf(np.array([]))
+
+
 def test_phase_point_validation():
     pt = PhasePoint(index=1, q=[0.5], p=[0.25])
     assert pt.dim == 1 and pt.index == 1

@@ -269,6 +269,26 @@ def test_lift_truncates_at_the_first_transition_failing_the_recheck():
     assert seq.meta["failure_index"] == 3
 
 
+def test_lift_keeps_its_largest_accepted_residual():
+    H = cubic_right()
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]), 5)
+    seq = solve_generating_sequence(H, traj)
+    assert seq.max_residual == max(abs(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q))
+                                   for a, b, S_j, S_next in
+                                   zip(seq.points, seq.points[1:], seq.S, seq.S[1:]))
+    # a re-check that misses its limit is not among the accepted residuals
+    calls = []
+
+    def eval_(q, p):
+        calls.append(1)
+        return H.eval(q, p) + {4: 1e-15, 6: 1e-9}.get(len(calls), 0.0)
+
+    cut = solve_generating_sequence(dataclasses.replace(H, eval=eval_), traj)
+    assert len(cut) == 3 and abs(cut.max_residual - 1e-15) <= 1e-17
+    assert solve_generating_sequence(H, run_trajectory(H, traj.points[0], 0)).max_residual == 0.0
+    assert run_closed_form_flow([0.1, 0.09], 0.0, 1e-4).max_residual is None
+
+
 def test_lift_recheck_is_relative_to_the_size_of_S():
     # this orbit escapes and S reaches -8e6 on its last transition, where the
     # rounding of S alone exceeds an absolute 1e-12: a shift of 1e-13 |S| of

@@ -8,7 +8,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError, newton_solve, rk4_reference
+from dhj.cli import _free_particle
+from dhj.core import (NewtonConfig, PhasePoint, SingularJacobianError, fd_jacobian, newton_solve,
+                      rk4_reference)
 from dhj.hj_flow import hj_residual_left
 from dhj.hj_vf import eval_field_left, vf_residual_left
 from dhj.mechanics import (
@@ -315,9 +317,10 @@ def test_lagrangian_duals_carry_no_mixed_partial():
     assert cubic_right().d12 is not None and cubic_right().lagrangian is None
 
 
-def midpoint_pendulum(h, w2, counts=None):
+def midpoint_pendulum(h, w2, counts=None, partials=False):
     """L_d(a, b) = h [((b - a)/h)^2 / 2 - w2 (1 - cos((a + b)/2))]; counts, if
-    given, tallies the calls of each slot partial."""
+    given, tallies the calls of each slot partial; partials supplies the
+    closed-form second partials d11, d12 and d22."""
 
     def eval_(a, b):
         v = (b[0] - a[0]) / h
@@ -333,7 +336,17 @@ def midpoint_pendulum(h, w2, counts=None):
             counts["d2"] += 1
         return np.array([(b[0] - a[0]) / h - 0.5 * h * w2 * math.sin(0.5 * (a[0] + b[0]))])
 
-    return DiscreteLagrangian(eval=eval_, d1=d1, d2=d2, dim=1)
+    if not partials:
+        return DiscreteLagrangian(eval=eval_, d1=d1, d2=d2, dim=1)
+
+    def same_slot(a, b):
+        return np.array([[1.0 / h - 0.25 * h * w2 * math.cos(0.5 * (a[0] + b[0]))]])
+
+    def d12(a, b):
+        return np.array([[-1.0 / h - 0.25 * h * w2 * math.cos(0.5 * (a[0] + b[0]))]])
+
+    return DiscreteLagrangian(eval=eval_, d1=d1, d2=d2, dim=1, d11=same_slot, d12=d12,
+                              d22=same_slot)
 
 
 def _mp_step_error(q, p, q_next, p_next, h, w2):
@@ -363,6 +376,43 @@ def test_pendulum_orbit_that_stalled_nested_newton_runs_to_the_end(side):
     worst = max(_mp_step_error(a.q[0], a.p[0], b.q[0], b.p[0], h, w2)
                 for a, b in zip(traj.points[:-1], traj.points[1:]))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_second_partials_keep_the_pendulum_orbit_with_fewer_d1_calls(side):
+    h, w2 = 0.24802639511217933, 0.9603206029955691
+    x0 = PhasePoint(index=1, q=[-0.945361361224611], p=[-0.19958867950786907])
+    d1_calls = []
+    for partials in (False, True):
+        counts = {"d1": 0, "d2": 0}
+        H = hamiltonian_from_lagrangian(midpoint_pendulum(h, w2, counts, partials), side)
+        traj = run_trajectory(H, x0, 32)
+        assert traj.meta["truncated"] is False and len(traj) == 33
+        worst = max(_mp_step_error(a.q[0], a.p[0], b.q[0], b.p[0], h, w2)
+                    for a, b in zip(traj.points[:-1], traj.points[1:]))
+        assert worst <= 1e-10
+        d1_calls.append(counts["d1"])
+    assert d1_calls[1] < d1_calls[0]
+
+
+@pytest.mark.parametrize("L", [_free_particle(), midpoint_pendulum(0.2, 1.3, partials=True),
+                               midpoint_pendulum(0.05, 0.7, partials=True)])
+def test_second_partials_match_central_differences(L):
+    for a, b in ((0.1, 0.15), (-1.0, -0.9), (0.7, 0.5), (2.5, -1.5)):
+        a, b = np.array([a]), np.array([b])
+        central = (fd_jacobian(lambda y: L.d1(y, b), a, 1e-5),
+                   fd_jacobian(lambda y: L.d1(a, y), b, 1e-5),
+                   fd_jacobian(lambda y: L.d2(a, y), b, 1e-5))
+        for got, want in zip((L.d11(a, b), L.d12(a, b), L.d22(a, b)), central):
+            assert got.shape == (1, 1)
+            assert abs(got[0, 0] - want[0, 0]) <= 1e-8 * max(1.0, abs(want[0, 0]))
+
+
+def test_del_step_with_the_mixed_partial_finds_the_same_root():
+    plain, exact = midpoint_pendulum(0.2, 1.3), midpoint_pendulum(0.2, 1.3, partials=True)
+    for q_prev, q_j in ((0.1, 0.15), (-1.0, -0.9), (0.7, 0.5)):
+        a, b = np.array([q_prev]), np.array([q_j])
+        assert abs(del_step(exact, a, b)[0] - del_step(plain, a, b)[0]) <= 1e-13
 
 
 _PENDULUM_STARTS = ((0.1, 0.2), (-1.1, 0.4), (0.9, -0.5), (1e-9, 0.0))
