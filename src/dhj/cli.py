@@ -403,8 +403,12 @@ def cmd_simulate(rc: RunConfig) -> int:
 
 
 def _flow_rows(H, seq):
-    res = ["0"] + [_g17(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q))
-                   for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:])]
+    # a lift carries its residuals; the closed form's are evaluated here
+    res = seq.residuals
+    if res is None:
+        res = [hj_residual_right(H, S_j, S_next, b.p, a.q, b.q)
+               for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:])]
+    res = ["0"] + [_g17(r) for r in res]
     return [[str(pt.index), _g17(pt.q[0]), _g17(S), _g17(pt.p[0]), token, r]
             for pt, S, token, r in zip(seq.points, seq.S, seq.branch_log, res)]
 
@@ -580,7 +584,7 @@ def check_flow_residuals(H, rc, cfg, traj) -> CheckResult:
     # the lift re-checks every transition against residual_limit and
     # truncates at the first that misses it, so an untruncated lift passes
     seq = solve_generating_sequence(H, _flow_orbit(rc, H, cfg, traj))
-    worst = seq.max_residual
+    worst = max(map(abs, seq.residuals), default=0.0)
     if seq.meta["truncated"]:
         return CheckResult("flow-residuals", "FAIL", worst,
                            f"sequence truncated: {seq.meta['failure_message']}")

@@ -69,16 +69,18 @@ class GeneratingSequence:
     branch_log[i] names how row i was produced: "init" for the seed row,
     "plus"/"minus" for closed-form root choices, "direct" for the lift of an
     orbit.  meta carries the truncation flag and failure details when a step
-    could not be completed; completed rows are always kept.  max_residual is
-    the largest |right evolution residual| of a lift's accepted transitions
-    (0.0 without any); the closed form re-checks nothing and leaves it None.
+    could not be completed; completed rows are always kept.  residuals holds
+    a lift's signed right evolution residual for each accepted transition,
+    residuals[i] for the step from row i to row i + 1 (bitwise
+    hj_residual_right's value); the closed form re-checks nothing and leaves
+    it None.
     """
 
     points: list[PhasePoint]
     S: list[float]
     branch_log: list[str]
     meta: dict = field(default_factory=dict)
-    max_residual: float | None = None
+    residuals: list[float] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -131,23 +133,23 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
     which makes the right evolution residual vanish identically.  The
     sequence's points are traj's own.  Each transition is still re-checked
     against residual_limit, with a second evaluation of H+ (the residual is
-    bitwise hj_residual_right's), and max_residual keeps the largest one
-    accepted.  A violation (ResidualCheckFailure) truncates the sequence with
+    bitwise hj_residual_right's), and residuals keeps each one accepted.  A
+    violation (ResidualCheckFailure) truncates the sequence with
     core.iterate's failure record in meta.  Otherwise meta carries traj's
     own failure record, so a truncated orbit gives a sequence truncated at
-    the same point.  A step
-    whose position update D2 H+ is identically zero marks meta["degenerate"]
-    (the position collapses and no longer determines the flow).  traj must
-    be a right orbit from run_trajectory (meta["side"] == "right").
+    the same point.  A step whose position update D2 H+ is identically zero
+    marks meta["degenerate"] (the position collapses and no longer
+    determines the flow).  traj must be a right orbit from run_trajectory
+    (meta["side"] == "right").
     """
     if H.side is not Side.RIGHT or traj.meta.get("side") != Side.RIGHT.value:
         raise ValueError("solve_generating_sequence needs a Side.RIGHT Hamiltonian and "
                          "a right orbit from run_trajectory")
     transitions = zip(traj.points[:-1], traj.points[1:])
-    degenerate, worst = False, 0.0
+    degenerate, residuals = False, []
 
     def advance(S: float) -> float:
-        nonlocal degenerate, worst
+        nonlocal degenerate
         x, x_next = next(transitions)
         if norm_inf(x_next.q) == 0.0:
             # distinguish a genuine zero crossing from a position update that
@@ -165,7 +167,7 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
         limit = residual_limit(S, s_next, pq, H_value)
         if abs(res) > limit:
             raise ResidualCheckFailure(f"transition residual {res:.6e} exceeds {limit:g}", res)
-        worst = max(worst, abs(res))
+        residuals.append(res)
         return s_next
 
     values, meta = iterate(advance, float(S0), len(traj) - 1, traj.points[0].index)
@@ -174,7 +176,7 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
     meta["degenerate"] = degenerate
     return GeneratingSequence(points=traj.points[:len(values)], S=values,
                               branch_log=["init"] + ["direct"] * (len(values) - 1), meta=meta,
-                              max_residual=worst)
+                              residuals=residuals)
 
 
 def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[float, float]:

@@ -62,7 +62,11 @@ class ControlProblem:
     including the part that comes through u's dependence on p; it gives the
     right step an exact Newton Jacobian.  The optional d_pp(q, p, u) (n x n)
     is likewise d2H/dp^2 at u, including u's dependence on p; with d_qp it
-    gives the generic slope solver an exact Newton Jacobian.
+    gives the generic slope solver an exact Newton Jacobian.  The optional
+    control(q, p) (k,) is the eliminated control itself, when the model
+    knows it in closed form; eliminate_control then accepts it after one
+    evaluation of the secondary constraint instead of probing the
+    constraint and solving for u.
     """
 
     gamma: object
@@ -76,6 +80,7 @@ class ControlProblem:
     dq_cost: object = None
     d_qp: object = None
     d_pp: object = None
+    control: object = None
 
     def __post_init__(self):
         if not isinstance(self.sign, SignCriterion):
@@ -126,24 +131,42 @@ def _affine_part(phi, k: int, probe: bool):
 
 
 def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
-                      affine: bool | None = None) -> np.ndarray:
+                      affine=None) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
 
-    The constraint is probed for affinity in u with unit-offset second
+    A control the model supplies (cp.control) is the candidate: it is
+    accepted when |phi| at it is at most max(cfg.tol, 1e-13 |p|), one
+    evaluation of the constraint.  Without one, or when it misses, the
+    constraint is probed for affinity in u with unit-offset second
     differences; when affine (quadratic costs with control-affine dynamics,
-    the common case) the control comes from one linear solve, exact for the
-    benchmark.  Otherwise, or when the linear candidate fails verification,
-    a damped Newton runs from zero.  affine=True, a verdict worked out once
-    by the caller, skips the probe; its candidate, if it fails verification,
-    takes the probed path instead.
+    the common case) the control comes from one linear solve, verified by
+    the same test.  Otherwise, or when the linear candidate fails
+    verification, a damped Newton runs from zero.
+
+    affine, when given, is a zero-argument callable returning the caller's
+    once-for-all verdict on whether phi is affine in u; it is called only
+    when there is no supplied control to accept.  A True verdict skips the
+    probe, and its linear candidate, if it fails verification, takes the
+    probed path instead.
 
     A non-finite q or p that reaches Newton raises ValueError naming it.
-    A caller that passes a verdict (True or False) hands in solver iterates,
-    so for it the same condition is a NumericalError.
+    A caller that passes a verdict hands in solver iterates, so for it the
+    same condition is a NumericalError.
     """
     if cfg is None:
         cfg = NewtonConfig()
+    q, p = _vec(q, cp.n), _vec(p, cp.n)
+    accept = max(cfg.tol, 1e-13 * norm_inf(p))
+    if cp.control is not None:
+        u = _vec(cp.control(q, p), cp.k)
+        if norm_inf(secondary_constraint(cp, q, p, u)) <= accept:
+            return u
+    return _probe_and_solve(cp, q, p, cfg, None if affine is None else affine(), accept)
 
+
+def _probe_and_solve(cp: ControlProblem, q, p, cfg: NewtonConfig, affine: bool | None,
+                     accept: float) -> np.ndarray:
+    """eliminate_control without the supplied control (see there)."""
     def phi(u: np.ndarray) -> np.ndarray:
         return secondary_constraint(cp, q, p, u)
 
@@ -154,10 +177,10 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
             cand = np.linalg.solve(aff, -phi0)
         except np.linalg.LinAlgError:
             pass
-        if cand is not None and norm_inf(phi(cand)) <= max(cfg.tol, 1e-13 * norm_inf(p)):
+        if cand is not None and norm_inf(phi(cand)) <= accept:
             return cand
     if affine:
-        return eliminate_control(cp, q, p, cfg, affine=False)
+        return _probe_and_solve(cp, q, p, cfg, False, accept)
     for name, v in (("q", q), ("p", p)):
         if not np.all(np.isfinite(v)):
             error = ValueError if affine is None else NumericalError
@@ -173,9 +196,11 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
 
     H+(q_j, p_next) = p_next . Gamma(q_j, u*) + sign * cost(q_j, u*), with u*
     the control solving the secondary constraint at (q_j, p_next): a bare
-    substitution, with no step-size factor.  Whether phi is affine in u is
-    decided once, at the first call, and the partials at one (q, p) share one
-    elimination.  Because phi(q, p, u*) = 0, the envelope identities give
+    substitution, with no step-size factor.  The partials at one (q, p)
+    share one elimination.  A control the problem supplies is verified with
+    one constraint evaluation per (q, p); whether phi is affine in u is
+    decided once, when that control first misses (or at the first call,
+    without one).  Because phi(q, p, u*) = 0, the envelope identities give
     d2 = Gamma(q, u*) and, when the problem carries analytic state partials,
     d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no du*/dq or du*/dp
     term; without them d1 is a central difference of eval with cfg.fd_step.
@@ -185,15 +210,19 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     affine = None  # phi affine in u for every p: probed at p = 0 and each p = e_i
     last = (None, None)  # (bytes of q and p, their read-only control)
 
-    def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        nonlocal affine, last
-        key = q.tobytes() + p.tobytes()
-        if key == last[0]:
-            return last[1]
+    def verdict(q: np.ndarray) -> bool:
+        nonlocal affine
         if affine is None:
             phis = (partial(secondary_constraint, cp, q, m) for m in np.eye(cp.n + 1, cp.n, -1))
             affine = all(_affine_part(phi, cp.k, probe=True)[1] is not None for phi in phis)
-        u = eliminate_control(cp, q, p, cfg, affine=affine)
+        return affine
+
+    def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        nonlocal last
+        key = q.tobytes() + p.tobytes()
+        if key == last[0]:
+            return last[1]
+        u = eliminate_control(cp, q, p, cfg, affine=partial(verdict, q))
         u.setflags(write=False)
         last = (key, u)
         return u
@@ -236,8 +265,9 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     """The scalar cubic benchmark: q' = q - q^3 + u, cost (s q^2 + r u^2) / 2.
 
     r > 0 weights the control effort, s > 0 the state; the Plus criterion
-    gives phi = p + r u, so the eliminated control is u = -p / r and the
-    reduced Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.  Its mixed
+    gives phi = p + r u, so the eliminated control is u = -p / r (supplied
+    as control, exact to rounding of the one division) and the reduced
+    Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.  Its mixed
     partial is 1 - 3 q^2 for every (r, s), since neither state partial
     depends on u, and its second momentum partial is -1 / r.
     """
@@ -272,9 +302,13 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     def d_pp(q, p, u):
         return np.array([[-1.0 / r]])
 
+    def control(q, p):
+        return np.array([-p[0] / r])
+
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
                           sign=SignCriterion.PLUS, n=1, k=1,
-                          dq_gamma=dq_gamma, dq_cost=dq_cost, d_qp=d_qp, d_pp=d_pp)
+                          dq_gamma=dq_gamma, dq_cost=dq_cost, d_qp=d_qp, d_pp=d_pp,
+                          control=control)
 
 
 # Models addressable by name from configuration; callables take (r, s).

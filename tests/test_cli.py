@@ -1,5 +1,6 @@
 """Command-line interface: determinism, file formats, exit codes."""
 
+import dataclasses
 import math
 import re
 import subprocess
@@ -15,6 +16,7 @@ import dhj.hj_flow
 import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
 from dhj.core import NewtonConfig, PhasePoint
+from dhj.hj_flow import hj_residual_right, solve_generating_sequence
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
 
@@ -137,6 +139,34 @@ def test_generic_compare_steps_one_right_orbit(monkeypatch, tmp_path):
     assert main(["compare", "--r=2", "--q1=0.01", "--steps=10", "--csv", str(out)]) == 0
     assert len(read_csv(out)[2]) == 11
     assert len(calls) == 10
+
+
+def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
+    # the lift evaluates H+ twice per transition (value and re-check) and the
+    # residual column is its re-check, so ten transitions cost 20 evaluations
+    # and the column is what hj_residual_right recomputes
+    calls = []
+    build_model = dhj.cli.build_model
+
+    def counted_model(rc):
+        H, cfg = build_model(rc)
+
+        def eval_(q, p):
+            calls.append(1)
+            return H.eval(q, p)
+        return dataclasses.replace(H, eval=eval_), cfg
+
+    monkeypatch.setattr(dhj.cli, "build_model", counted_model)
+    out = tmp_path / "flow.csv"
+    assert main(["hj-flow", "--r=2", "--q1=0.01", "--steps=10", "--csv", str(out)]) == 0
+    assert len(calls) == 20
+    _, _, rows, _ = read_csv(out)
+    H = discretize_right(make_sakamoto1d(r=2.0))
+    seq = solve_generating_sequence(H, run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]),
+                                                      10))
+    want = ["0"] + [format(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q), ".17g")
+                    for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:])]
+    assert [row[5] for row in rows] == want
 
 
 @pytest.mark.parametrize("flags", [["--ds1=0.01"], ["--p1=-0.0"]])

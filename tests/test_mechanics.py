@@ -8,6 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import dhj.optctrl
 from dhj.cli import _free_particle
 from dhj.core import (NewtonConfig, PhasePoint, SingularJacobianError, fd_jacobian, newton_solve,
                       rk4_reference)
@@ -297,6 +298,24 @@ def test_step_right_with_one_newton_iteration_runs_two_eliminations():
         calls.clear()
         step_right(H, PhasePoint(index=1, q=[q], p=[p]))
         assert len(calls) <= 2 * 3
+
+
+def test_step_right_with_one_newton_iteration_evaluates_the_constraint_twice(monkeypatch):
+    # the supplied control u = -p / r is accepted after one constraint
+    # evaluation, so each of the step's two eliminations costs one
+    calls = []
+    constraint = dhj.optctrl.secondary_constraint
+
+    def counted(*args):
+        calls.append(1)
+        return constraint(*args)
+
+    monkeypatch.setattr(dhj.optctrl, "secondary_constraint", counted)
+    H = discretize_right(make_sakamoto1d(r=2.0, s=0.5))
+    for q, p in ((0.05, -0.02), (-0.4, 0.3), (0.3, 0.0)):
+        calls.clear()
+        step_right(H, PhasePoint(index=1, q=[q], p=[p]), NewtonConfig(max_iter=1))
+        assert 1 <= len(calls) <= 2
 
 
 def test_wrong_mixed_partial_costs_iterations_not_accuracy():

@@ -1,9 +1,13 @@
 """Control elimination and the right discrete Hamiltonian built on it."""
 
 import dataclasses
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dhj.core import NumericalError, PhasePoint, norm_inf
 from dhj.mechanics import Side, run_trajectory
@@ -31,10 +35,10 @@ def test_secondary_constraint_is_affine_in_control():
 
 
 def test_eliminate_control_exact_for_quadratic_cost():
-    # the affine shortcut lands within an ulp of -p / r (the probe's
-    # (p + r) - p difference can carry one rounding)
+    # without the supplied control, the affine shortcut lands within an ulp
+    # of -p / r (the probe's (p + r) - p difference can carry one rounding)
     for r in (1.0, 2.0):
-        cp = make_sakamoto1d(r=r)
+        cp = dataclasses.replace(make_sakamoto1d(r=r), control=None)
         rng = np.random.default_rng(17)
         for _ in range(20):
             q = rng.uniform(-1.5, 1.5, 1)
@@ -242,7 +246,7 @@ def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
         return base.du_gamma(q, u)
 
     H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
-    H.d1([0.2], [-0.3])  # the first call with nonzero momentum takes the verdict
+    H.d1([0.2], [-0.3])  # warm-up; a verdict is taken only where the supplied control misses
     for q, p in ((0.05, -0.02), (-0.7, 1.3), (0.4, 0.0)):
         calls.clear()
         H.d1([q], [p])
@@ -333,3 +337,80 @@ def test_second_momentum_partial_matches_central_differences_of_d2(r, s):
             d22 = H.d22([q], [p])
             assert d22.shape == (1, 1)
             assert abs(d22[0, 0] - fd[0]) <= 1e-8 * max(1.0, abs(fd[0]))
+
+
+# The elimination's acceptance test, max(tol, 1e-13 |p|), at the default tol.
+def _accepts(cp, q, p, u):
+    return norm_inf(secondary_constraint(cp, [q], [p], u)) <= max(1e-12, 1e-13 * abs(p))
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_supplied_control_agrees_with_probe_and_solve(r, s):
+    cp = make_sakamoto1d(r=r, s=s)
+    probed = dataclasses.replace(cp, control=None)
+    for q in np.linspace(-0.55, 0.55, 7):
+        for p in np.linspace(-2.0, 2.0, 13):
+            u = eliminate_control(cp, [q], [p])
+            v = eliminate_control(probed, [q], [p])
+            assert _accepts(cp, q, p, u) and _accepts(cp, q, p, v)
+            assert abs(u[0] - v[0]) <= 4 * math.ulp(p / r)
+
+
+@pytest.mark.parametrize("wrong", [lambda q, p, r: -2.0 * p / r,
+                                   lambda q, p, r: np.full(1, np.nan)])
+def test_wrong_supplied_control_falls_back_to_probe_and_solve(wrong):
+    for r, s in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
+        cp = make_sakamoto1d(r=r, s=s)
+        probed = dataclasses.replace(cp, control=None)
+        bad = dataclasses.replace(cp, control=lambda q, p: wrong(q, p, r))
+        H, H_probed = discretize_right(bad), discretize_right(probed)
+        for q, p in ((0.2, -0.3), (-0.4, 0.7), (0.05, 1.9), (0.3, 1e-9)):
+            want = eliminate_control(probed, [q], [p])
+            assert np.array_equal(eliminate_control(bad, [q], [p]), want)
+            assert _accepts(cp, q, p, want)
+            assert H.eval([q], [p]) == H_probed.eval([q], [p])
+            assert np.array_equal(H.d2([q], [p]), H_probed.d2([q], [p]))
+
+
+def test_supplied_control_skips_the_affinity_probe():
+    # one constraint evaluation per elimination while the supplied control
+    # holds; the first miss probes once and then solves
+    base = make_sakamoto1d(r=2.0)
+    calls = []
+
+    def du_gamma(q, u):
+        calls.append(1)
+        return base.du_gamma(q, u)
+
+    H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
+    for q, p in ((0.2, -0.3), (-0.4, 0.7), (0.1, 0.0)):
+        calls.clear()
+        H.d1([q], [p])
+        assert len(calls) == 1
+    missing = discretize_right(dataclasses.replace(base, du_gamma=du_gamma,
+                                                   control=lambda q, p: 2.0 * p))
+    calls.clear()
+    missing.d1([0.2], [-0.3])
+    assert len(calls) == 1 + 6 + 3  # candidate, verdict probe at p = 0 and 1, solve
+    calls.clear()
+    missing.d1([0.1], [0.4])
+    assert len(calls) == 1 + 3
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_iterate_after_a_missed_control_is_a_numerical_error():
+    cp = dataclasses.replace(make_sakamoto1d(), control=lambda q, p: np.full(1, np.nan))
+    H = discretize_right(cp)
+    with pytest.raises(NumericalError, match="^p contains non-finite"):
+        H.d2([0.1], [float("nan")])
+    assert H.d2([0.1], [0.5])[0] == 0.1 - 0.1**3 - 0.5
+
+
+@given(q=st.floats(-0.5773, 0.5773), p=st.floats(-2.0, 2.0),
+       r=st.sampled_from((0.5, 1.0, 2.0, 0.3, 3.7)))
+def test_eliminated_control_is_the_exact_quotient_to_an_ulp(q, p, r):
+    # the oracle is the rational -p / r, rounded once
+    u = eliminate_control(make_sakamoto1d(r=r), [q], [p])
+    exact = -Fraction(p) / Fraction(r)
+    assert abs(Fraction(float(u[0])) - exact) <= Fraction(math.ulp(float(exact)))
