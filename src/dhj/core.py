@@ -211,6 +211,12 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     cfg.fd_step are used).  Convergence means ||residual||_inf <= cfg.tol.
     A guess that already satisfies the tolerance is returned unchanged after
     one residual evaluation.
+
+    A 1 x 1 step is the division r / J[0, 0], bitwise what
+    np.linalg.solve returns for it, under the same scaled singularity test
+    on det J = J[0, 0] and ||J||_inf = |J[0, 0]|; a SingularJacobianError
+    carries that entry exactly as its det.  Larger systems go through
+    np.linalg.det and np.linalg.solve.
     """
     if cfg is None:
         cfg = NewtonConfig()
@@ -240,8 +246,17 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
                 raise NumericalError("non-finite entries in supplied Jacobian")
         else:
             jac = fd_jacobian(residual, x, cfg.fd_step)
-        _check_jacobian(jac)
-        dx = np.linalg.solve(jac, r)
+        if n == 1:
+            # Python floats: a step that overflows is inf, as from LAPACK,
+            # with no numpy warning
+            a = float(jac[0, 0])
+            scale = max(1.0, abs(a))
+            if abs(a) < SINGULAR_DET_FLOOR * scale:
+                raise SingularJacobianError(det=a, scale=scale)
+            dx = float(r[0]) / a
+        else:
+            _check_jacobian(jac)
+            dx = np.linalg.solve(jac, r)
         x = x - cfg.damping * dx
         r = _eval(x)
         rn = norm_inf(r)

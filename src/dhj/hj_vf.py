@@ -15,6 +15,8 @@ is the discretization the closed form is derived under.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import (NewtonConfig, NumericalError, PhasePoint, as_grid, as_vec, iterate,
@@ -110,8 +112,9 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
     built by central differences.  One-dimensional only (the quotient has
     no dimension-general meaning).  The grid must have at least one
     position (one position gives just the seed row).  The rows are phase
-    points (q_j, gamma_j).  A zero q_next (DegenerateGridError, with q_next
-    as failure_quantity) or a Newton failure truncates the run with
+    points (q_j, gamma_j).  A q_next that is zero or so small that
+    gamma_j / q_next overflows (DegenerateGridError, with q_next as
+    failure_quantity) or a Newton failure truncates the run with
     core.iterate's failure record in meta, keeping completed rows.
     """
     if H.side is not Side.RIGHT:
@@ -124,12 +127,17 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
 
     def advance(prev: PhasePoint) -> PhasePoint:
         # point j sits at arr[j - 1], so its successor's position is arr[j]
-        q_j, q_next = arr[prev.index - 1], arr[prev.index]
+        # Python floats, so an overflowing quotient is inf without a numpy warning
+        q_j, q_next = float(arr[prev.index - 1]), float(arr[prev.index])
         if q_next == 0.0:
             raise DegenerateGridError(f"q_sequence entry j = {prev.index + 1} is zero: the "
                                       f"slope quotient gamma / q_next is undefined", q_next)
         gamma = float(prev.p[0])
         quot = gamma / q_next
+        if not math.isfinite(quot):
+            raise DegenerateGridError(f"q_sequence entry j = {prev.index + 1} is {q_next:.6e}: "
+                                      f"the slope quotient gamma / q_next = {gamma:.6e} / "
+                                      f"{q_next:.6e} overflows", q_next)
 
         def residual(g: np.ndarray) -> np.ndarray:
             d2 = np.asarray(H.d2([q_j], g), dtype=float)

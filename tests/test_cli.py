@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -278,6 +279,57 @@ def test_each_left_right_newton_solve_takes_one_exact_step(monkeypatch):
     assert len(evals) > 50 and set(evals) == {2}
 
 
+class _NumpyWithLinalg:
+    """numpy as dhj.core sees it, with linalg.solve, det and norm replaced."""
+
+    def __init__(self, **linalg):
+        self.linalg = types.SimpleNamespace(**linalg)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("argv", [["check", "--q1=0.05", "--steps=8"],
+                                  ["compare", "--q1=0.01", "--r=2", "--steps=24"]])
+def test_scalar_newton_steps_call_no_dense_linear_algebra(argv, monkeypatch, tmp_path, capsys):
+    # every Newton system the CLI solves is 1 x 1, so each step is one
+    # division: with numpy's solve, det and norm refusing to run inside
+    # dhj.core, output and CSV are unchanged
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra inside dhj.core")
+
+    csv = tmp_path / "run.csv"
+    if argv[0] == "compare":
+        argv = argv + ["--csv", str(csv)]
+    runs = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(dhj.core, "np",
+                                _NumpyWithLinalg(solve=refuse, det=refuse, norm=refuse))
+        code = main(argv)
+        runs.append((code, capsys.readouterr(), csv.read_bytes() if csv.exists() else None))
+    assert runs[0] == runs[1]
+    # check passes; compare's orbit escapes and stops on a 50-step Newton stall
+    assert runs[0][0] == (0 if argv[0] == "check" else 1)
+
+
+def test_two_dimensional_newton_still_solves_through_numpy(monkeypatch):
+    calls = []
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return getattr(np.linalg, name)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(dhj.core, "np", _NumpyWithLinalg(
+        **{name: counted(name) for name in ("solve", "det", "norm")}))
+    A, b = np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([1.0, -1.0])
+    x = dhj.core.newton_solve(lambda z: A @ z - b, [0.0, 0.0], jacobian=lambda z: A)
+    assert np.abs(A @ x - b).max() <= 1e-12
+    assert calls.count("solve") >= 1 and calls.count("det") == calls.count("solve")
+
+
 def test_partial_consistency_flags_corrupted_hamiltonian():
     H = discretize_right(make_sakamoto1d())
     bad = DiscreteHamiltonian(
@@ -361,6 +413,20 @@ def test_zero_grid_truncates_the_generic_slope_solver(command, tmp_path, capsys)
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("vf failure at j = 1: DegenerateGridError: q_sequence entry j = 2")
+
+
+@pytest.mark.parametrize("weights", [["--method=generic"], ["--r=2"]])
+@pytest.mark.parametrize("command", ["hj-vf", "compare"])
+def test_overflowing_slope_quotient_truncates_the_generic_slope_solver(command, weights):
+    # from the subnormal q1 = 1e-310 the next grid entry is just as small, so
+    # gamma / q_next = 1 / 1e-310 overflows before Newton runs
+    run = subprocess.run([sys.executable, "-m", "dhj.cli", command, "--q1=1e-310",
+                          "--gamma1=1", "--steps=3", *weights], capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr.splitlines() == [
+        "vf failure at j = 1: DegenerateGridError: q_sequence entry j = 2 is 1.000000e-310: "
+        "the slope quotient gamma / q_next = 1.000000e+00 / 1.000000e-310 overflows"]
 
 
 def test_a_raising_probe_fails_alone_and_the_battery_goes_on(capsys):

@@ -51,10 +51,11 @@ def test_non_finite_input_errors_keep_their_class_and_message():
         newton_solve(lambda z: np.array([np.nan]), [1.0])
     assert err.type is NumericalError
     assert str(err.value) == "non-finite residual evaluation at x = [1.]"
-    with pytest.raises(NumericalError) as err:
-        newton_solve(lambda z: z - 2.0, [1.0], jacobian=lambda z: np.array([[np.inf]]))
-    assert err.type is NumericalError
-    assert str(err.value) == "non-finite entries in supplied Jacobian"
+    for entry in (np.nan, np.inf, -np.inf):
+        with pytest.raises(NumericalError) as err:
+            newton_solve(lambda z: z - 2.0, [1.0], jacobian=lambda z: np.array([[entry]]))
+        assert err.type is NumericalError
+        assert str(err.value) == "non-finite entries in supplied Jacobian"
 
 
 def test_norm_inf_of_scalars_sequences_and_non_finite_entries():
@@ -192,6 +193,100 @@ def test_newton_singular_jacobian():
         newton_solve(lambda z: np.array([1.0]), [0.0])
     assert exc.value.det == 0.0
     assert exc.value.scale >= 1.0
+
+
+def test_scalar_step_is_bitwise_the_linear_solve():
+    # the 1 x 1 Newton step r / a against numpy's general path, over both
+    # signs, magnitudes 1e-300 to 1e300 and subnormals (overflow and
+    # underflow land on the same inf or zero on both sides)
+    rng = np.random.default_rng(12)
+    mags = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 1500),
+                           rng.uniform(5e-324, 2.2e-308, 100), [5e-324, 2.2e-308]])
+    values = (mags * rng.choice([-1.0, 1.0], mags.size)).tolist()
+    for a, r in zip(rng.permutation(values).tolist(), rng.permutation(values).tolist()):
+        assert r / a == np.linalg.solve([[a]], [r])[0]
+
+
+def test_overflowing_scalar_step_is_silent(recwarn):
+    # a step that overflows is inf, as np.linalg.solve gives it, and the
+    # non-finite iterate is reported as before, with no numpy warning
+    with pytest.raises(NumericalError) as err:
+        newton_solve(lambda z: np.array([1e300 if z[0] == 0.0 else np.nan]), [0.0],
+                     jacobian=lambda z: [[1e-13]])
+    assert str(err.value) == "non-finite residual evaluation at x = [-inf]"
+    assert len(recwarn) == 0
+
+
+def _cubic(z):
+    return z**3 - 2.0 * z - 5.0
+
+
+def _cubic_prime(z):
+    return 3.0 * z**2 - 2.0
+
+
+@pytest.mark.parametrize("guess", [3.0, 1.2, -0.4, 40.0, 2.2, -3.7, 0.3, 1e3, -25.0])
+@pytest.mark.parametrize("damping", [1.0, 0.5])
+def test_scalar_newton_matches_the_general_path_bit_for_bit(guess, damping):
+    # the same residual stacked as a decoupled 2-D system goes through
+    # np.linalg.det and np.linalg.solve; root and evaluation count agree
+    cfg = NewtonConfig(damping=damping, max_iter=200)
+    evals = {1: 0, 2: 0}
+
+    def residual(z):
+        evals[z.size] += 1
+        return _cubic(z)
+
+    one = newton_solve(residual, [guess], cfg, jacobian=lambda z: [[_cubic_prime(z[0])]])
+    two = newton_solve(residual, [guess, guess], cfg,
+                       jacobian=lambda z: np.diag(_cubic_prime(z)))
+    assert one[0] == two[0] == two[1] and abs(_cubic(one[0])) <= 1e-12
+    assert evals[1] == evals[2] > 2
+    # central differences give the same diagonal and an exactly zero
+    # off-diagonal, so the same root
+    one = newton_solve(_cubic, [guess], cfg)
+    two = newton_solve(_cubic, [guess, guess], cfg)
+    assert one[0] == two[0] == two[1]
+
+
+@pytest.mark.parametrize("a, singular", [
+    (0.99e-14, True), (-0.99e-14, True), (1.01e-14, False), (-1.01e-14, False),
+    (1e-14, False), (-1e-14, False),
+])
+def test_scalar_singular_floor_on_both_sides(a, singular):
+    # residual a (z - 1000): one exact step from 0 lands on the root unless a
+    # falls under SINGULAR_DET_FLOOR * max(1, |a|).  The decoupled 2-D system
+    # diag(a, 1) decides the same way off the floor; on it np.linalg.det can
+    # read a few ulps low (9.999999999999987e-15 for 1e-14), so the general
+    # path is the reference only at +-0.99e-14 and +-1.01e-14
+    def one():
+        return newton_solve(lambda z: a * (z - 1e3), [0.0], jacobian=lambda z: [[a]])
+
+    def two():
+        return newton_solve(lambda z: np.array([a * (z[0] - 1e3), z[1]]), [0.0, 1.0],
+                            jacobian=lambda z: np.diag([a, 1.0]))
+
+    if singular:
+        for solve in (two, one):
+            with pytest.raises(SingularJacobianError) as exc:
+                solve()
+            assert exc.value.scale == 1.0
+        assert exc.value.det == a
+    else:
+        root = one()[0]
+        assert abs(root - 1e3) <= 1e-12 * 1e3
+        if abs(a) != 1e-14:
+            assert root == two()[0]
+
+
+def test_scalar_singular_error_carries_the_entry_exactly():
+    rng = np.random.default_rng(3)
+    for a in [0.0, -0.0, 5e-324, *rng.uniform(-1e-14, 1e-14, 200)]:
+        with pytest.raises(SingularJacobianError) as exc:
+            newton_solve(lambda z: z - 1.0, [0.0], jacobian=lambda z: [[a]])
+        assert exc.value.det == a and exc.value.quantity == a and exc.value.scale == 1.0
+        assert str(exc.value) == (f"singular Jacobian: |det| = {abs(a):.6e} below 1e-14 "
+                                  f"* scale (scale = 1.000000e+00)")
 
 
 def test_newton_convergence_error_carries_residual():
