@@ -302,10 +302,14 @@ def _panel(out: list[str], box: tuple[float, float, float, float], title: str,
     xmax = max(p[0] for p in allpts)
     ymin = min(p[1] for p in allpts)
     ymax = max(p[1] for p in allpts)
+    # a single value gets a range of width 1 around it, or of two ulps where
+    # 0.5 is below its ulp (a one-row run that stopped at |q| = 1e103)
     if xmin == xmax:
-        xmin, xmax = xmin - 0.5, xmax + 0.5
+        pad = max(0.5, math.ulp(xmin))
+        xmin, xmax = xmin - pad, xmax + pad
     if ymin == ymax:
-        ymin, ymax = ymin - 0.5, ymax + 0.5
+        pad = max(0.5, math.ulp(ymin))
+        ymin, ymax = ymin - pad, ymax + pad
 
     def mx(x: float) -> float:
         return x0 + (x - xmin) / (xmax - xmin) * w

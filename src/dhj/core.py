@@ -5,10 +5,16 @@ Everything downstream (discrete mechanics, generating-function flows, the
 control benchmark) is built on the primitives in this module.  They are
 deliberately small and fully deterministic: no randomness, no global state,
 float64 throughout.
+
+Inputs are validated where they enter: as_vec (and PhasePoint, which calls
+it) at an API boundary, once per call chain.  The vectors here hold one or
+two entries, where numpy's fixed cost per call outweighs the arithmetic, so
+the max-norm and the finiteness tests run over Python floats (tolist()).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,14 +80,24 @@ def as_vec(x, dim: int | None = None, name: str = "value") -> np.ndarray:
     inputs are rejected with ValueError; this is the single choke point
     through which all numeric inputs pass.
     """
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = _atleast_1d(x)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a scalar or 1-D vector, got shape {v.shape}")
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} must have dimension {dim}, got {v.size}")
-    if not np.isfinite(v).all():
+    if not _finite(v):
         raise ValueError(f"{name} contains non-finite entries: {v}")
     return v
+
+
+def _atleast_1d(x) -> np.ndarray:
+    # np.atleast_1d(np.asarray(x, dtype=float)) without the wrapper's cost
+    v = np.asarray(x, dtype=float)
+    return v.reshape(1) if v.ndim == 0 else v
+
+
+def _finite(a: np.ndarray) -> bool:
+    return all(map(math.isfinite, a.ravel().tolist()))
 
 
 def as_grid(q_sequence) -> np.ndarray:
@@ -90,14 +106,19 @@ def as_grid(q_sequence) -> np.ndarray:
     arr = np.asarray(q_sequence, dtype=float).reshape(-1)
     if arr.size < 1:
         raise ValueError("q_sequence must contain at least one position")
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise ValueError("q_sequence contains non-finite entries")
     return arr
 
 
 def norm_inf(v) -> float:
-    """Max-norm of a vector (or absolute value of a scalar)."""
-    return float(np.abs(np.asarray(v, dtype=float)).max())
+    """Max-norm of a vector (or absolute value of a scalar); any shape is
+    read flat.  NaN if any entry is NaN; ValueError if there is no entry."""
+    vals = np.asarray(v, dtype=float).ravel().tolist()
+    if not vals:
+        raise ValueError("norm_inf needs at least one entry")
+    # max() would keep a NaN only in first place, so look for one
+    return math.nan if any(map(math.isnan, vals)) else max(map(abs, vals))
 
 
 @dataclass(frozen=True)
@@ -152,24 +173,34 @@ def fd_partial(f, x, i: int, step: float = 1e-7) -> float:
     x = as_vec(x, name="x")
     if not (0 <= i < x.size):
         raise ValueError(f"coordinate index {i} out of range for dimension {x.size}")
+    _check_step(step)
+    return _central_difference(f, x, i, step)
+
+
+def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
+    """Central-difference gradient of scalar f at x: fd_partial along every
+    axis, with x and step validated once."""
+    x = as_vec(x, name="x")
+    _check_step(step)
+    return np.array([_central_difference(f, x, i, step) for i in range(x.size)])
+
+
+def _check_step(step: float) -> None:
     if not (step > 0.0):
         raise ValueError(f"step must be positive, got {step}")
+
+
+def _central_difference(f, x: np.ndarray, i: int, step: float) -> float:
     e = np.zeros_like(x)
     e[i] = step
     hi = float(np.asarray(f(x + e), dtype=float))
     lo = float(np.asarray(f(x - e), dtype=float))
     val = (hi - lo) / (2.0 * step)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise NumericalError(
             f"non-finite finite-difference evaluation at coordinate {i} (step {step:g})"
         )
     return val
-
-
-def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, one fd_partial per axis."""
-    x = as_vec(x, name="x")
-    return np.array([fd_partial(f, x, i, step) for i in range(x.size)])
 
 
 def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
@@ -181,12 +212,12 @@ def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
     for i in range(m):
         e = np.zeros_like(x)
         e[i] = step
-        hi = np.atleast_1d(np.asarray(residual(x + e), dtype=float))
-        lo = np.atleast_1d(np.asarray(residual(x - e), dtype=float))
+        hi = _atleast_1d(residual(x + e))
+        lo = _atleast_1d(residual(x - e))
         if hi.size != m or lo.size != m:
             raise ValueError(f"residual must return a vector of dimension {m}")
         jac[:, i] = (hi - lo) / (2.0 * step)
-    if not np.isfinite(jac).all():
+    if not _finite(jac):
         raise NumericalError("non-finite entries in finite-difference Jacobian")
     return jac
 
@@ -224,12 +255,12 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     n = x.size
 
     def _eval(z: np.ndarray) -> np.ndarray:
-        r = np.atleast_1d(np.asarray(residual(z), dtype=float))
+        r = _atleast_1d(residual(z))
         if r.ndim != 1 or r.size != n:
             raise ValueError(
                 f"residual must return a vector of dimension {n}, got shape {r.shape}"
             )
-        if not np.isfinite(r).all():
+        if not _finite(r):
             raise NumericalError(f"non-finite residual evaluation at x = {z}")
         return r
 
@@ -242,7 +273,7 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
             break
         if jacobian is not None:
             jac = np.asarray(jacobian(x), dtype=float).reshape(n, n)
-            if not np.isfinite(jac).all():
+            if not _finite(jac):
                 raise NumericalError("non-finite entries in supplied Jacobian")
         else:
             jac = fd_jacobian(residual, x, cfg.fd_step)
@@ -306,12 +337,12 @@ def rk4_reference(ham_field, x0: PhasePoint, dt: float, steps: int) -> list[Phas
     y = np.concatenate([x0.q, x0.p])
 
     def _field(z: np.ndarray) -> np.ndarray:
-        f = np.atleast_1d(np.asarray(ham_field(z), dtype=float))
+        f = _atleast_1d(ham_field(z))
         if f.ndim != 1 or f.size != 2 * n:
             raise ValueError(
                 f"ham_field must return a vector of dimension {2 * n}, got shape {f.shape}"
             )
-        if not np.isfinite(f).all():
+        if not _finite(f):
             raise NumericalError("non-finite vector field evaluation")
         return f
 
@@ -322,7 +353,7 @@ def rk4_reference(ham_field, x0: PhasePoint, dt: float, steps: int) -> list[Phas
         k3 = _field(y + 0.5 * dt * k2)
         k4 = _field(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
+        if not _finite(y):
             raise NumericalError(f"non-finite state after RK4 step {k + 1}")
         out.append(PhasePoint(index=x0.index + k + 1, q=y[:n], p=y[n:]))
     return out

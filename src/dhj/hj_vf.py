@@ -114,8 +114,10 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
     position (one position gives just the seed row).  The rows are phase
     points (q_j, gamma_j).  A q_next that is zero or so small that
     gamma_j / q_next overflows (DegenerateGridError, with q_next as
-    failure_quantity) or a Newton failure truncates the run with
-    core.iterate's failure record in meta, keeping completed rows.
+    failure_quantity), a slope so large that D2 H+ (or d22) times the
+    quotient overflows (NumericalError naming that product), or a Newton
+    failure truncates the run with core.iterate's failure record in meta,
+    keeping completed rows.
     """
     if H.side is not Side.RIGHT:
         raise ValueError("solve_gamma_generic needs a Side.RIGHT Hamiltonian")
@@ -139,14 +141,24 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
                                       f"the slope quotient gamma / q_next = {gamma:.6e} / "
                                       f"{q_next:.6e} overflows", q_next)
 
+        def slope_product(d, name: str, g: np.ndarray) -> float:
+            # d * gamma_j / q_next in Python floats: an overflow is inf with no
+            # numpy warning, reported as the slope's escape, not as Newton's
+            # non-finite residual at the iterate
+            d = np.asarray(d, dtype=float).item()
+            product = d * quot
+            if math.isfinite(d) and not math.isfinite(product):
+                raise NumericalError(f"slope product {name} * gamma_j / q_next = {d:.6e} * "
+                                     f"{quot:.6e} overflows at g = {g[0]:.6e}", product)
+            return product
+
         def residual(g: np.ndarray) -> np.ndarray:
-            d2 = np.asarray(H.d2([q_j], g), dtype=float)
-            d1 = np.asarray(H.d1([q_j], g), dtype=float)
-            return d2 * quot - d1
+            d2 = slope_product(H.d2([q_j], g), "D2 H+", g)
+            return np.array([d2 - np.asarray(H.d1([q_j], g), dtype=float).item()])
 
         def jacobian(g: np.ndarray) -> np.ndarray:
-            return (np.asarray(H.d22([q_j], g), dtype=float) * quot
-                    - np.asarray(H.d12([q_j], g), dtype=float))
+            d22 = slope_product(H.d22([q_j], g), "D22 H+", g)
+            return np.array([[d22 - np.asarray(H.d12([q_j], g), dtype=float).item()]])
 
         g_next = newton_solve(residual, [gamma], cfg, jacobian=jacobian if exact else None)
         return PhasePoint(index=prev.index + 1, q=q_next, p=g_next)

@@ -29,11 +29,13 @@ two more evaluations per iteration and often one more iteration.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NewtonConfig, PhasePoint, as_vec, fd_jacobian, iterate, newton_solve, norm_inf
+from .core import (NewtonConfig, NumericalError, PhasePoint, as_vec, fd_jacobian, iterate,
+                   newton_solve, norm_inf)
 
 __all__ = [
     "Side",
@@ -138,11 +140,24 @@ class DiscreteTrajectory:
         return len(self.points)
 
 
+def _computed(value, dim: int, name: str) -> np.ndarray:
+    """as_vec for a value the model computed: a non-finite entry is a
+    NumericalError naming the value, with that entry as its quantity, so a
+    run truncates there; a non-finite point from the caller stays as_vec's
+    ValueError."""
+    v = np.asarray(value, dtype=float)
+    for entry in v.ravel().tolist():
+        if not math.isfinite(entry):
+            raise NumericalError(f"{name} contains non-finite entries: {np.atleast_1d(v)}",
+                                 entry)
+    return as_vec(v, dim=dim, name=name)
+
+
 def legendre_right(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePoint:
     """Right Legendre transform: the pair (q_j, q_next) to (q_next, D2 L_d)."""
     q_j = as_vec(q_j, dim=L.dim, name="q_j")
     q_next = as_vec(q_next, dim=L.dim, name="q_next")
-    p_next = as_vec(L.d2(q_j, q_next), dim=L.dim, name="D2 L_d")
+    p_next = _computed(L.d2(q_j, q_next), L.dim, "D2 L_d")
     return PhasePoint(index=index + 1, q=q_next, p=p_next)
 
 
@@ -150,7 +165,7 @@ def legendre_left(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePo
     """Left Legendre transform: the pair (q_j, q_next) to (q_j, -D1 L_d)."""
     q_j = as_vec(q_j, dim=L.dim, name="q_j")
     q_next = as_vec(q_next, dim=L.dim, name="q_next")
-    p_j = -as_vec(L.d1(q_j, q_next), dim=L.dim, name="D1 L_d")
+    p_j = -_computed(L.d1(q_j, q_next), L.dim, "D1 L_d")
     return PhasePoint(index=index, q=q_j, p=p_j)
 
 
@@ -182,7 +197,7 @@ def del_step(L: DiscreteLagrangian, q_prev, q_j, cfg: NewtonConfig | None = None
     q_j = as_vec(q_j, dim=L.dim, name="q_j")
     if guess is None:
         guess = 2.0 * q_j - q_prev
-    p_j = as_vec(L.d2(q_prev, q_j), dim=L.dim, name="D2 L_d")
+    p_j = _computed(L.d2(q_prev, q_j), L.dim, "D2 L_d")
     return _next_position(L, q_j, p_j, guess, cfg)
 
 
@@ -288,7 +303,7 @@ def step_right(H: DiscreteHamiltonian, x: PhasePoint,
 
     jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
     p_next = newton_solve(residual, x.p, cfg, jacobian=jacobian)
-    q_next = as_vec(H.d2(x.q, p_next), dim=H.dim, name="D2 H+")
+    q_next = _computed(H.d2(x.q, p_next), H.dim, "D2 H+")
     return PhasePoint(index=x.index + 1, q=q_next, p=p_next)
 
 
@@ -309,7 +324,7 @@ def step_left(H: DiscreteHamiltonian, x: PhasePoint,
         return -np.asarray(H.d2(g, x.p), dtype=float) - x.q
 
     q_next = newton_solve(residual, x.q, cfg)
-    p_next = -as_vec(H.d1(q_next, x.p), dim=H.dim, name="D1 H-")
+    p_next = -_computed(H.d1(q_next, x.p), H.dim, "D1 H-")
     return PhasePoint(index=x.index + 1, q=q_next, p=p_next)
 
 

@@ -94,8 +94,12 @@ class ControlProblem:
 
 def _vec(x, dim: int) -> np.ndarray:
     """x as a float64 dim-vector, unchecked for finiteness: inner q and p come
-    from validated points or Newton iterates; Newton rejects non-finite residuals."""
-    return np.asarray(x, dtype=float).reshape(dim)
+    from validated points or Newton iterates; Newton rejects non-finite residuals.
+    A float64 dim-vector comes back as it is, so the (q, p) a partial of the
+    reduced Hamiltonian coerced pass through the elimination behind it and the
+    constraint behind that without another copy or view."""
+    v = np.asarray(x, dtype=float)
+    return v if v.shape == (dim,) else v.reshape(dim)
 
 
 def secondary_constraint(cp: ControlProblem, q, p, u) -> np.ndarray:
@@ -222,7 +226,8 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
         key = q.tobytes() + p.tobytes()
         if key == last[0]:
             return last[1]
-        u = eliminate_control(cp, q, p, cfg, affine=partial(verdict, q))
+        # a read-only view: a supplied control may hand back the model's own array
+        u = eliminate_control(cp, q, p, cfg, affine=partial(verdict, q)).view()
         u.setflags(write=False)
         last = (key, u)
         return u

@@ -82,6 +82,27 @@ def _cubic():
     return discretize_right(make_sakamoto1d())
 
 
+@pytest.mark.parametrize("r", [1.0, 2.0])
+def test_reduced_hamiltonian_eliminates_through_the_traced_name(r):
+    # bench/tracing.py counts optctrl.eliminate_control at the module
+    # attribute: a partial that reached elimination another way would read 0
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    H = discretize_right(make_sakamoto1d(r=r))
+    tracer.install()
+    try:
+        H.d1([0.1], [-0.03])
+        first = tracer.counts["optctrl.eliminate_control"]
+        H.d2([0.1], [-0.03])   # the same (q, p): one elimination serves both
+        second = tracer.counts["optctrl.eliminate_control"]
+        H.d1(np.array([0.1]), np.array([0.02]))
+        third = tracer.counts["optctrl.eliminate_control"]
+    finally:
+        tracer.uninstall()
+    assert (first, second, third) == (1, 1, 2)
+    assert tracer.counts["optctrl.secondary_constraint"] == 2
+
+
 def _no_real_root():
     # d2 = 1, d1 = g^2 + 1: the slope equation has no real root
     return DiscreteHamiltonian(side=Side.RIGHT, eval=lambda q, p: 0.0,

@@ -429,6 +429,55 @@ def test_overflowing_slope_quotient_truncates_the_generic_slope_solver(command, 
         "the slope quotient gamma / q_next = 1.000000e+00 / 1.000000e-310 overflows"]
 
 
+def _cli(*argv):
+    return subprocess.run([sys.executable, "-m", "dhj.cli", *argv], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("command, label", [
+    (["simulate"], "trajectory"), (["compare"], "trajectory"), (["hj-flow", "--r=2"], "flow")])
+def test_non_finite_step_output_truncates_the_run(command, label, tmp_path):
+    # from q1 = 1e103 the step's Newton solve converges, then D2 H+ = q - q^3 - p
+    # overflows: the run keeps its first row instead of ending in a traceback
+    run = _cli(*command, "--q1=1e103", "--steps=2", "--csv", str(tmp_path / "out.csv"),
+               "--svg", str(tmp_path / "out.svg"))
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert run.stderr.splitlines()[-1] == (f"{label} failure at j = 1: NumericalError: "
+                                           "D2 H+ contains non-finite entries: [-inf]")
+    _, _, rows, _ = read_csv(tmp_path / "out.csv")
+    assert [row[:2] for row in rows] == [["1", "1e+103"]]
+    ET.parse(tmp_path / "out.svg")
+
+
+def test_non_finite_step_output_fails_the_check_that_needs_the_orbit():
+    run = _cli("check", "--q1=1e103", "--steps=2")
+    assert run.returncode == 1
+    assert "Traceback" not in run.stderr
+    assert ("CHECK flow-residuals: FAIL (measured = 0.000000e+00; sequence truncated: "
+            "D2 H+ contains non-finite entries: [-inf])") in run.stdout.splitlines()
+    assert run.stdout.splitlines()[-1] == "check: 4 passed, 2 failed, 0 skipped"
+
+
+@pytest.mark.parametrize("start, product", [
+    # gamma_j / q_next = 1e300 / 2e-5 is finite, but D2 H+ times it is not
+    (["--q1=1e-5", "--gamma1=1e300"],
+     "D2 H+ * gamma_j / q_next = -1.000000e+300 * 5.000000e+304 overflows at g = 1.000000e+300"),
+    # the residual's product is finite, but the Jacobian's d22 = -1/r is larger
+    (["--q1=1e-303", "--gamma1=1e-3", "--r=1e-10"],
+     "D22 H+ * gamma_j / q_next = -1.000000e+10 * 1.000000e+300 overflows at g = 1.000000e-03"),
+], ids=["residual", "jacobian"])
+@pytest.mark.parametrize("command", ["hj-vf", "compare"])
+def test_overflowing_slope_product_truncates_the_generic_slope_solver(command, start, product,
+                                                                       tmp_path):
+    run = _cli(command, *start, "--method=generic", "--steps=3",
+               "--csv", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg"))
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        f"vf failure at j = 1: NumericalError: slope product {product}"]
+    _, _, rows, _ = read_csv(tmp_path / "out.csv")
+    assert len(rows) == 1 and rows[0][0] == "1"
+
+
 def test_a_raising_probe_fails_alone_and_the_battery_goes_on(capsys):
     # symplecticity_defect steps from the singular start 1/sqrt(3) and raises
     assert main(["check", "--q1=0.5773502691896258"]) == 1

@@ -2,10 +2,15 @@
 loop, RK4."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import dhj.core
 from dhj.core import (
     ConvergenceError,
     NewtonConfig,
@@ -66,6 +71,153 @@ def test_norm_inf_of_scalars_sequences_and_non_finite_entries():
     assert norm_inf([1.0, -np.inf]) == math.inf and norm_inf(np.inf) == math.inf
     with pytest.raises(ValueError):
         norm_inf(np.array([]))
+
+
+# every float64 class the primitives must agree with numpy on: NaN, +-inf,
+# +-0.0, subnormals and the ordinary range
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True, width=64)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _numpy_norm_inf(v) -> float:
+    return float(np.abs(np.asarray(v, dtype=float)).max())
+
+
+def _same_norm(got: float, want: float) -> bool:
+    # NaN payloads carry nothing; every other value must match bit for bit
+    return type(got) is float and (math.isnan(got) and math.isnan(want)
+                                   or _bits(got) == _bits(want))
+
+
+@given(st.lists(_ANY_FLOAT, min_size=1, max_size=6))
+def test_norm_inf_is_numpys_max_abs_bit_for_bit(values):
+    assert _same_norm(norm_inf(values), _numpy_norm_inf(values))
+    assert _same_norm(norm_inf(np.array(values)), _numpy_norm_inf(values))
+
+
+@given(st.lists(st.floats(allow_nan=False, width=64), min_size=1, max_size=5),
+       st.sampled_from([math.nan, -math.nan]))
+def test_norm_inf_is_nan_whatever_the_nan_position(values, nan):
+    for k in range(len(values) + 1):
+        assert math.isnan(norm_inf(values[:k] + [nan] + values[k:]))
+
+
+@given(_ANY_FLOAT)
+def test_norm_inf_of_a_scalar_is_its_absolute_value(x):
+    for v in (x, np.float64(x), np.array(x), [x]):
+        assert _same_norm(norm_inf(v), _numpy_norm_inf(v))
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 3)), elements=_ANY_FLOAT))
+def test_norm_inf_reads_a_matrix_flat(a):
+    assert _same_norm(norm_inf(a), _numpy_norm_inf(a))
+    assert _same_norm(norm_inf(a.tolist()), _numpy_norm_inf(a))
+
+
+@pytest.mark.parametrize("empty", [[], np.array([]), np.zeros((0, 3)), np.zeros((2, 0))])
+def test_norm_inf_of_no_entry_raises(empty):
+    with pytest.raises(ValueError):
+        norm_inf(empty)
+
+
+def test_norm_inf_edge_values_bit_for_bit():
+    tiny = 5e-324
+    for v in ([-0.0], [0.0, -0.0], [-0.0, 0.0], [-tiny, tiny / 2], [-math.inf, 1.0],
+              [1.0, math.inf], [-1e308, 1e308], [math.inf, math.nan], [math.nan, -math.inf]):
+        assert _same_norm(norm_inf(v), _numpy_norm_inf(v))
+    assert _bits(norm_inf(-0.0)) == _bits(0.0)
+
+
+@given(st.one_of(_ANY_FLOAT, st.lists(_ANY_FLOAT, min_size=1, max_size=4)))
+def test_as_vec_rejects_exactly_what_numpy_calls_non_finite(value):
+    v = np.atleast_1d(np.asarray(value, dtype=float))
+    if np.isfinite(v).all():
+        got = as_vec(value, name="x")
+        assert got.dtype == np.float64 and got.shape == v.shape
+        assert [_bits(a) for a in got.tolist()] == [_bits(a) for a in v.tolist()]
+    else:
+        with pytest.raises(ValueError) as err:
+            as_vec(value, name="x")
+        assert err.type is ValueError
+        assert str(err.value) == f"x contains non-finite entries: {v}"
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@given(st.integers(1, 3), st.data())
+def test_newton_non_finite_residual_keeps_class_and_message(n, data):
+    # one non-finite entry, at any position, in the first or a later residual
+    k = data.draw(st.integers(0, n - 1))
+    bad = data.draw(_NON_FINITE)
+    first = data.draw(st.booleans())
+    guess = np.ones(n)
+
+    def residual(z):
+        r = z - 2.0
+        if first or not np.array_equal(z, guess):
+            r[k] = bad
+        return r
+
+    with pytest.raises(NumericalError) as err:
+        newton_solve(residual, guess, jacobian=lambda z: np.eye(n))
+    at = guess if first else guess + 1.0
+    assert err.type is NumericalError
+    assert str(err.value) == f"non-finite residual evaluation at x = {at}"
+
+
+@given(st.integers(1, 3), st.data())
+def test_newton_non_finite_jacobian_keeps_class_and_message(n, data):
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    jac = np.eye(n)
+    jac[i, j] = data.draw(_NON_FINITE)
+    with pytest.raises(NumericalError) as err:
+        newton_solve(lambda z: z - 2.0, np.ones(n), jacobian=lambda z: jac)
+    assert err.type is NumericalError
+    assert str(err.value) == "non-finite entries in supplied Jacobian"
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@given(st.integers(1, 3), st.data())
+def test_fd_jacobian_non_finite_entry_keeps_class_and_message(n, data):
+    k = data.draw(st.integers(0, n - 1))
+    bad = data.draw(_NON_FINITE)
+
+    def residual(z):
+        r = z.copy()
+        r[k] = bad
+        return r
+
+    with pytest.raises(NumericalError) as err:
+        fd_jacobian(residual, np.ones(n))
+    assert err.type is NumericalError
+    assert str(err.value) == "non-finite entries in finite-difference Jacobian"
+
+
+def test_fd_gradient_validates_x_once_and_matches_fd_partial(monkeypatch):
+    calls = []
+    coerce = dhj.core.as_vec
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return coerce(*args, **kwargs)
+
+    def f(z):
+        return math.sin(z[0]) * z[1] + z[2] ** 3
+
+    x = [0.3, -1.2, 0.7]
+    monkeypatch.setattr(dhj.core, "as_vec", counted)
+    grad = fd_gradient(f, x, step=1e-6)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert [_bits(g) for g in grad.tolist()] == [_bits(fd_partial(f, x, i, 1e-6))
+                                                 for i in range(3)]
+    for step in (0.0, -1e-7, math.nan):
+        with pytest.raises(ValueError, match="^step must be positive"):
+            fd_gradient(f, x, step)
 
 
 def test_phase_point_validation():

@@ -10,11 +10,12 @@ import pytest
 
 import dhj.optctrl
 from dhj.cli import _free_particle
-from dhj.core import (NewtonConfig, PhasePoint, SingularJacobianError, fd_jacobian, newton_solve,
-                      rk4_reference)
+from dhj.core import (NewtonConfig, NumericalError, PhasePoint, SingularJacobianError,
+                      fd_jacobian, newton_solve, rk4_reference)
 from dhj.hj_flow import hj_residual_left
 from dhj.hj_vf import eval_field_left, vf_residual_left
 from dhj.mechanics import (
+    DiscreteHamiltonian,
     DiscreteLagrangian,
     Side,
     del_step,
@@ -182,6 +183,48 @@ def test_trajectory_truncates_on_singular_start():
     assert traj.meta["truncated"] is True
     assert traj.meta["failure"] == "SingularJacobianError"
     assert traj.meta["failure_index"] == 1
+
+
+def _escaping_lagrangian():
+    # the free particle, except that D2 L_d overflows
+    return dataclasses.replace(free_particle(), d2=lambda a, b: np.array([math.inf]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("H, q, message, quantity", [
+    # sakamoto from q = 1e103: Newton converges, then q - q^3 overflows
+    (cubic_right(), 1e103, "D2 H+ contains non-finite entries: [-inf]", -math.inf),
+    (DiscreteHamiltonian(side=Side.LEFT, eval=lambda a, b: 0.0, d1=lambda a, b: [math.nan],
+                         d2=lambda a, b: -np.asarray(a), dim=1),
+     0.5, "D1 H- contains non-finite entries: [nan]", math.nan),
+    (hamiltonian_from_lagrangian(_escaping_lagrangian(), Side.RIGHT), 0.5,
+     "D2 L_d contains non-finite entries: [inf]", math.inf),
+], ids=["D2 H+", "D1 H-", "D2 L_d"])
+def test_non_finite_step_output_truncates_naming_the_quantity(H, q, message, quantity):
+    traj = run_trajectory(H, PhasePoint(index=1, q=[q], p=[0.0]), 2)
+    assert len(traj) == 1
+    meta = traj.meta
+    assert (meta["truncated"], meta["failure"], meta["failure_index"]) == (True, "NumericalError", 1)
+    assert meta["failure_message"] == message
+    got = meta["failure_quantity"]
+    assert got == quantity or (math.isnan(got) and math.isnan(quantity))
+
+
+def test_non_finite_points_from_the_caller_stay_value_errors():
+    L = free_particle()
+    with pytest.raises(ValueError, match="^q contains non-finite"):
+        PhasePoint(index=1, q=[math.inf], p=[0.0])
+    with pytest.raises(ValueError, match="^q_j contains non-finite"):
+        legendre_right(L, [math.nan], [0.0])
+    with pytest.raises(ValueError, match="^q_next contains non-finite"):
+        legendre_left(L, [0.0], [math.inf])
+    with pytest.raises(ValueError, match="^q_prev contains non-finite"):
+        del_step(L, [math.nan], [0.0])
+    # a non-finite value the model computes is the step's NumericalError
+    with pytest.raises(NumericalError, match=r"^D2 L_d contains non-finite entries: \[inf\]$"):
+        legendre_right(_escaping_lagrangian(), [0.0], [0.1])
+    with pytest.raises(NumericalError, match=r"^D2 L_d contains non-finite entries: \[inf\]$"):
+        del_step(_escaping_lagrangian(), [0.0], [0.1])
 
 
 def test_step_right_raises_on_singular_start():
