@@ -562,7 +562,20 @@ def check_partial_consistency(H, points: int = 100, box: float = 2.0,
                        f"max relative gap over {points} sampled points, limit {rel_tol:g}")
 
 
+def _truncation(label: str, meta: dict) -> str:
+    return (f"{label} truncated at j = {meta['failure_index']}: "
+            f"{meta['failure']}: {meta['failure_message']}")
+
+
+def _nothing_measured(name: str, what: str, traj) -> CheckResult:
+    """A SKIP for a probe whose orbit left it nothing to measure, naming why."""
+    why = f"; {_truncation('orbit', traj.meta)}" if traj.meta["truncated"] else ""
+    return CheckResult(name, "SKIP", None, f"no {what} to measure{why}")
+
+
 def check_step_residuals(H, traj, cfg) -> CheckResult:
+    if len(traj) < 2:
+        return _nothing_measured("step-residuals", "transition", traj)
     limit = 10.0 * cfg.tol
     worst = 0.0
     for a, b in zip(traj.points[:-1], traj.points[1:]):
@@ -575,6 +588,8 @@ def check_step_residuals(H, traj, cfg) -> CheckResult:
 
 def check_symplecticity(H, traj, band: float = 0.9, limit: float = 1e-5) -> CheckResult:
     pts = [pt for pt in traj.points if norm_inf(pt.q) < band]
+    if not pts:
+        return _nothing_measured("symplecticity", f"point with |q| < {band:g}", traj)
     worst = 0.0
     for pt in pts:
         worst = max(worst, symplecticity_defect(H, pt, fd_step=1e-6))
@@ -597,20 +612,23 @@ def check_flow_residuals(H, rc, cfg, traj) -> CheckResult:
                        f"transitions, limit 1e-12")
 
 
-def check_vf_agreement(H, rc, cfg, grid) -> CheckResult:
+def check_vf_agreement(H, rc, cfg, traj) -> CheckResult:
     if not _unit_weights(rc):
         return CheckResult("vf-agreement", "SKIP", None,
                            "closed-form reference needs r = s = 1")
+    grid = [float(pt.q[0]) for pt in traj.points]
     gen = solve_gamma_generic(H, grid, [rc.gamma1], cfg)
     cf = run_closed_form_vf(grid, rc.gamma1)
     n = min(len(gen), len(cf))
     worst = 0.0
     for i in range(n):
         worst = max(worst, abs(float(gen.points[i].p[0]) - float(cf.points[i].p[0])))
-    truncated = "".join(f"; {label} truncated at j = {meta['failure_index']}: "
-                        f"{meta['failure']}: {meta['failure_message']}"
-                        for label, meta in (("generic", gen.meta), ("closed form", cf.meta))
-                        if meta["truncated"])
+    sides = [("generic", gen.meta), ("closed form", cf.meta)]
+    if n < 2:
+        # an orbit truncated at its first step leaves a one-entry grid
+        sides.append(("orbit", traj.meta))
+    truncated = "".join(f"; {_truncation(label, meta)}"
+                        for label, meta in sides if meta["truncated"])
     status = "PASS" if n >= 2 and not truncated and worst <= 1e-9 else "FAIL"
     return CheckResult("vf-agreement", status, worst,
                        f"max |generic - closed form| over {n} rows, limit 1e-9{truncated}")
@@ -661,13 +679,12 @@ def run_checks(rc: RunConfig) -> list[CheckResult]:
     """Run every probe; one that raises a NumericalError FAILs on its own."""
     H, cfg = build_model(rc)
     traj = _orbit(rc, H, cfg)
-    grid = [float(pt.q[0]) for pt in traj.points]
     probes = [
         ("partial-consistency", lambda: check_partial_consistency(H)),
         ("step-residuals", lambda: check_step_residuals(H, traj, cfg)),
         ("symplecticity", lambda: check_symplecticity(H, traj)),
         ("flow-residuals", lambda: check_flow_residuals(H, rc, cfg, traj)),
-        ("vf-agreement", lambda: check_vf_agreement(H, rc, cfg, grid)),
+        ("vf-agreement", lambda: check_vf_agreement(H, rc, cfg, traj)),
         ("left-right-identity", lambda: check_left_right(cfg)),
         ("singular-start", lambda: singular_start_probe(H, cfg)),
     ]

@@ -205,8 +205,10 @@ def _central_difference(f, x: np.ndarray, i: int, step: float) -> float:
 
 def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of a residual from R^n to R^n at x (columns
-    by axis); 2n residual evaluations, none at x itself."""
+    by axis); 2n residual evaluations, none at x itself.  step must be
+    positive."""
     x = as_vec(x, name="x")
+    _check_step(step)
     m = x.size
     jac = np.empty((m, m))
     for i in range(m):
@@ -216,7 +218,8 @@ def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
         lo = _atleast_1d(residual(x - e))
         if hi.size != m or lo.size != m:
             raise ValueError(f"residual must return a vector of dimension {m}")
-        jac[:, i] = (hi - lo) / (2.0 * step)
+        # Python floats: inf - inf is nan, with no numpy warning
+        jac[:, i] = [(a - b) / (2.0 * step) for a, b in zip(hi.tolist(), lo.tolist())]
     if not _finite(jac):
         raise NumericalError("non-finite entries in finite-difference Jacobian")
     return jac

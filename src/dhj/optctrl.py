@@ -17,8 +17,8 @@ the lattice machinery consumes (discretize_right builds it in one step).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -65,8 +65,8 @@ class ControlProblem:
     gives the generic slope solver an exact Newton Jacobian.  The optional
     control(q, p) (k,) is the eliminated control itself, when the model
     knows it in closed form; eliminate_control then accepts it after one
-    evaluation of the secondary constraint instead of probing the
-    constraint and solving for u.
+    evaluation of the secondary constraint, and probes the constraint and
+    solves for u only where it misses.
     """
 
     gamma: object
@@ -93,20 +93,16 @@ class ControlProblem:
 
 
 def _vec(x, dim: int) -> np.ndarray:
-    """x as a float64 dim-vector, unchecked for finiteness: inner q and p come
-    from validated points or Newton iterates; Newton rejects non-finite residuals.
-    A float64 dim-vector comes back as it is, so the (q, p) a partial of the
-    reduced Hamiltonian coerced pass through the elimination behind it and the
-    constraint behind that without another copy or view."""
+    """x as a float64 dim-vector, unchecked for finiteness (inner q and p come
+    from validated points or Newton iterates); a float64 dim-vector comes back
+    as it is, so coerced (q, p) pass down to the constraint without a copy."""
     v = np.asarray(x, dtype=float)
     return v if v.shape == (dim,) else v.reshape(dim)
 
 
 def secondary_constraint(cp: ControlProblem, q, p, u) -> np.ndarray:
     """phi(q, p, u) = p . dGamma/du + sign * dcost/du, a k-vector."""
-    q = _vec(q, cp.n)
-    p = _vec(p, cp.n)
-    u = _vec(u, cp.k)
+    q, p, u = _vec(q, cp.n), _vec(p, cp.n), _vec(u, cp.k)
     jac = np.asarray(cp.du_gamma(q, u), dtype=float).reshape(cp.n, cp.k)
     grad = _vec(cp.du_cost(q, u), cp.k)
     return jac.T @ p + cp.sign.factor * grad
@@ -117,64 +113,51 @@ def secondary_constraint(cp: ControlProblem, q, p, u) -> np.ndarray:
 _AFFINE_PROBE_TOL = 1e-10
 
 
-def _affine_part(phi, k: int, probe: bool):
-    """phi(0) and phi's matrix in u; with probe set, None for a curved phi."""
+def _affine_part(phi, k: int):
+    """phi(0) and phi's matrix in u, or None for it when a second difference
+    shows phi curved in u."""
     phi0 = phi(np.zeros(k))
     aff = np.empty((k, k))
     for a in range(k):
         e = np.zeros(k)
         e[a] = 1.0
         phi1 = phi(e)
-        if probe:
-            phi2 = phi(2.0 * e)
-            scale = max(1.0, norm_inf(phi0), norm_inf(phi1), norm_inf(phi2))
-            if norm_inf(phi2 - 2.0 * phi1 + phi0) > _AFFINE_PROBE_TOL * scale:
-                return phi0, None
+        phi2 = phi(2.0 * e)
+        scale = max(1.0, norm_inf(phi0), norm_inf(phi1), norm_inf(phi2))
+        if norm_inf(phi2 - 2.0 * phi1 + phi0) > _AFFINE_PROBE_TOL * scale:
+            return phi0, None
         aff[:, a] = phi1 - phi0
     return phi0, aff
 
 
-def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None,
-                      affine=None) -> np.ndarray:
+def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
 
-    A control the model supplies (cp.control) is the candidate: it is
-    accepted when |phi| at it is at most max(cfg.tol, 1e-13 |p|), one
-    evaluation of the constraint.  Without one, or when it misses, the
-    constraint is probed for affinity in u with unit-offset second
-    differences; when affine (quadratic costs with control-affine dynamics,
-    the common case) the control comes from one linear solve, verified by
-    the same test.  Otherwise, or when the linear candidate fails
-    verification, a damped Newton runs from zero.
+    A control the model supplies (cp.control) is accepted when |phi| at it
+    is at most max(cfg.tol, 1e-13 |p|), one evaluation of the constraint.
+    Without one, or when it misses, phi at this (q, p) is probed for
+    affinity in u with unit-offset second differences; when affine
+    (quadratic costs with control-affine dynamics, the common case) the
+    control comes from one linear solve, verified by the same test.
+    Otherwise, or when that candidate fails verification, a damped Newton
+    runs from the candidate or from zero.
 
-    affine, when given, is a zero-argument callable returning the caller's
-    once-for-all verdict on whether phi is affine in u; it is called only
-    when there is no supplied control to accept.  A True verdict skips the
-    probe, and its linear candidate, if it fails verification, takes the
-    probed path instead.
-
-    A non-finite q or p that reaches Newton raises ValueError naming it.
-    A caller that passes a verdict hands in solver iterates, so for it the
-    same condition is a NumericalError.
+    q and p are not validated: a non-finite one that reaches Newton raises
+    NumericalError naming it, as Newton does for its own non-finite
+    residuals.
     """
-    if cfg is None:
-        cfg = NewtonConfig()
+    cfg = cfg if cfg is not None else NewtonConfig()
     q, p = _vec(q, cp.n), _vec(p, cp.n)
     accept = max(cfg.tol, 1e-13 * norm_inf(p))
     if cp.control is not None:
         u = _vec(cp.control(q, p), cp.k)
         if norm_inf(secondary_constraint(cp, q, p, u)) <= accept:
             return u
-    return _probe_and_solve(cp, q, p, cfg, None if affine is None else affine(), accept)
 
-
-def _probe_and_solve(cp: ControlProblem, q, p, cfg: NewtonConfig, affine: bool | None,
-                     accept: float) -> np.ndarray:
-    """eliminate_control without the supplied control (see there)."""
     def phi(u: np.ndarray) -> np.ndarray:
         return secondary_constraint(cp, q, p, u)
 
-    phi0, aff = _affine_part(phi, cp.k, probe=not affine)
+    phi0, aff = _affine_part(phi, cp.k)
     cand = None
     if aff is not None:
         try:
@@ -183,16 +166,11 @@ def _probe_and_solve(cp: ControlProblem, q, p, cfg: NewtonConfig, affine: bool |
             pass
         if cand is not None and norm_inf(phi(cand)) <= accept:
             return cand
-    if affine:
-        return _probe_and_solve(cp, q, p, cfg, False, accept)
     for name, v in (("q", q), ("p", p)):
         if not np.all(np.isfinite(v)):
-            error = ValueError if affine is None else NumericalError
-            raise error(f"{name} contains non-finite entries: {np.asarray(v)}")
-    if cand is not None:
-        # affine but the candidate needs polish (rounding in the solve)
-        return newton_solve(phi, cand, cfg)
-    return newton_solve(phi, np.zeros(cp.k), cfg)
+            raise NumericalError(f"{name} contains non-finite entries: {np.asarray(v)}")
+    # an affine candidate that needs polish (rounding in the solve) seeds Newton
+    return newton_solve(phi, np.zeros(cp.k) if cand is None else cand, cfg)
 
 
 def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> DiscreteHamiltonian:
@@ -201,51 +179,40 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     H+(q_j, p_next) = p_next . Gamma(q_j, u*) + sign * cost(q_j, u*), with u*
     the control solving the secondary constraint at (q_j, p_next): a bare
     substitution, with no step-size factor.  The partials at one (q, p)
-    share one elimination.  A control the problem supplies is verified with
-    one constraint evaluation per (q, p); whether phi is affine in u is
-    decided once, when that control first misses (or at the first call,
-    without one).  Because phi(q, p, u*) = 0, the envelope identities give
-    d2 = Gamma(q, u*) and, when the problem carries analytic state partials,
+    share one eliminate_control call: the control of the last (q, p), keyed
+    on their bytes, is kept and handed to the model read-only.  Because
+    phi(q, p, u*) = 0, the envelope identities give d2 = Gamma(q, u*) and,
+    when the problem carries analytic state partials,
     d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no du*/dq or du*/dp
     term; without them d1 is a central difference of eval with cfg.fd_step.
     The problem's d_qp and d_pp become d12 and d22.
     """
     cfg = cfg if cfg is not None else NewtonConfig()
-    affine = None  # phi affine in u for every p: probed at p = 0 and each p = e_i
     last = (None, None)  # (bytes of q and p, their read-only control)
 
-    def verdict(q: np.ndarray) -> bool:
-        nonlocal affine
-        if affine is None:
-            phis = (partial(secondary_constraint, cp, q, m) for m in np.eye(cp.n + 1, cp.n, -1))
-            affine = all(_affine_part(phi, cp.k, probe=True)[1] is not None for phi in phis)
-        return affine
-
-    def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def control(q, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nonlocal last
+        q, p = _vec(q, cp.n), _vec(p, cp.n)
         key = q.tobytes() + p.tobytes()
-        if key == last[0]:
-            return last[1]
-        # a read-only view: a supplied control may hand back the model's own array
-        u = eliminate_control(cp, q, p, cfg, affine=partial(verdict, q)).view()
-        u.setflags(write=False)
-        last = (key, u)
-        return u
+        if key != last[0]:
+            # a read-only view: a supplied control may hand back the model's own array
+            u = eliminate_control(cp, q, p, cfg).view()
+            u.setflags(write=False)
+            last = (key, u)
+        return q, p, last[1]
 
     def _eval(q, p) -> float:
-        q, p = _vec(q, cp.n), _vec(p, cp.n)
-        u = control(q, p)
+        q, p, u = control(q, p)
         vel = _vec(cp.gamma(q, u), cp.n)
         return float(p @ vel) + cp.sign.factor * float(cp.cost(q, u))
 
     def _d2(q, p) -> np.ndarray:
-        q, p = _vec(q, cp.n), _vec(p, cp.n)
-        return np.asarray(cp.gamma(q, control(q, p)), dtype=float)
+        q, p, u = control(q, p)
+        return np.asarray(cp.gamma(q, u), dtype=float)
 
     if cp.dq_gamma is not None and cp.dq_cost is not None:
         def _d1(q, p) -> np.ndarray:
-            q, p = _vec(q, cp.n), _vec(p, cp.n)
-            u = control(q, p)
+            q, p, u = control(q, p)
             jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
             return jac.T @ p + cp.sign.factor * _vec(cp.dq_cost(q, u), cp.n)
     else:
@@ -258,12 +225,21 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
             return None
 
         def _partial(q, p) -> np.ndarray:
-            q, p = _vec(q, cp.n), _vec(p, cp.n)
-            return np.asarray(d(q, p, control(q, p)), dtype=float).reshape(cp.n, cp.n)
+            q, p, u = control(q, p)
+            return np.asarray(d(q, p, u), dtype=float).reshape(cp.n, cp.n)
         return _partial
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
                                d12=second_partial(cp.d_qp), d22=second_partial(cp.d_pp))
+
+
+def _power(x: float, n: int) -> float:
+    """x ** n in Python floats, bitwise numpy's, with no overflow warning: where
+    Python raises OverflowError, numpy returns the signed infinity given here."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
 def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
@@ -276,18 +252,18 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     partial is 1 - 3 q^2 for every (r, s), since neither state partial
     depends on u, and its second momentum partial is -1 / r.
     """
-    r = float(r)
-    s = float(s)
+    r, s = float(r), float(s)
     if not (r > 0.0):
         raise ValueError(f"r must be positive, got {r}")
     if not (s > 0.0):
         raise ValueError(f"s must be positive, got {s}")
 
     def gamma(q, u):
-        return np.array([q[0] - q[0] ** 3 + u[0]])
+        x = float(q[0])
+        return np.array([x - _power(x, 3) + float(u[0])])
 
     def cost(q, u):
-        return 0.5 * (s * q[0] ** 2 + r * u[0] ** 2)
+        return 0.5 * (s * _power(float(q[0]), 2) + r * _power(float(u[0]), 2))
 
     def du_gamma(q, u):
         return np.array([[1.0]])
@@ -296,24 +272,18 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
         return np.array([r * u[0]])
 
     def dq_gamma(q, u):
-        return np.array([[1.0 - 3.0 * q[0] ** 2]])
+        return np.array([[1.0 - 3.0 * _power(float(q[0]), 2)]])
 
     def dq_cost(q, u):
         return np.array([s * q[0]])
-
-    def d_qp(q, p, u):
-        return np.array([[1.0 - 3.0 * q[0] ** 2]])
-
-    def d_pp(q, p, u):
-        return np.array([[-1.0 / r]])
 
     def control(q, p):
         return np.array([-p[0] / r])
 
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
-                          sign=SignCriterion.PLUS, n=1, k=1,
-                          dq_gamma=dq_gamma, dq_cost=dq_cost, d_qp=d_qp, d_pp=d_pp,
-                          control=control)
+                          sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,
+                          dq_cost=dq_cost, d_qp=lambda q, p, u: dq_gamma(q, u),
+                          d_pp=lambda q, p, u: np.array([[-1.0 / r]]), control=control)
 
 
 # Models addressable by name from configuration; callables take (r, s).

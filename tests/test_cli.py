@@ -450,12 +450,28 @@ def test_non_finite_step_output_truncates_the_run(command, label, tmp_path):
 
 
 def test_non_finite_step_output_fails_the_check_that_needs_the_orbit():
+    # the probes of a one-point orbit measure nothing: each says why, and the
+    # ones with nothing to compare SKIP rather than pass vacuously
     run = _cli("check", "--q1=1e103", "--steps=2")
     assert run.returncode == 1
-    assert "Traceback" not in run.stderr
-    assert ("CHECK flow-residuals: FAIL (measured = 0.000000e+00; sequence truncated: "
-            "D2 H+ contains non-finite entries: [-inf])") in run.stdout.splitlines()
-    assert run.stdout.splitlines()[-1] == "check: 4 passed, 2 failed, 0 skipped"
+    assert run.stderr == ""
+    why = "orbit truncated at j = 1: NumericalError: D2 H+ contains non-finite entries: [-inf]"
+    lines = run.stdout.splitlines()
+    assert lines[1:5] == [
+        f"CHECK step-residuals: SKIP (measured = n/a; no transition to measure; {why})",
+        f"CHECK symplecticity: SKIP (measured = n/a; no point with |q| < 0.9 to measure; {why})",
+        "CHECK flow-residuals: FAIL (measured = 0.000000e+00; sequence truncated: "
+        "D2 H+ contains non-finite entries: [-inf])",
+        "CHECK vf-agreement: FAIL (measured = 0.000000e+00; max |generic - closed form| "
+        f"over 1 rows, limit 1e-9; {why})"]
+    assert lines[-1] == "check: 2 passed, 2 failed, 2 skipped"
+
+
+@pytest.mark.parametrize("command", ["simulate", "hj-flow", "hj-vf", "compare", "check"])
+def test_an_overflowing_orbit_prints_no_numpy_warning(command, tmp_path):
+    run = _cli(command, "--q1=1e103", "--steps=2", "--csv", str(tmp_path / "out.csv"))
+    assert run.returncode == 1
+    assert "Warning" not in run.stderr
 
 
 @pytest.mark.parametrize("start, product", [
@@ -487,7 +503,10 @@ def test_a_raising_probe_fails_alone_and_the_battery_goes_on(capsys):
         "vf-agreement", "left-right-identity", "singular-start"]
     assert lines[2].startswith("CHECK symplecticity: FAIL (measured = n/a; raised "
                                "SingularJacobianError: singular Jacobian")
-    assert lines[-1] == "check: 3 passed, 3 failed, 0 skipped"
+    # the orbit stops at its start, so step-residuals has no transition to measure
+    assert lines[1].startswith("CHECK step-residuals: SKIP (measured = n/a; no transition to "
+                               "measure; orbit truncated at j = 1: SingularJacobianError: ")
+    assert lines[-1] == "check: 2 passed, 3 failed, 1 skipped"
 
 
 @pytest.mark.parametrize("q1, causes", [

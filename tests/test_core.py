@@ -180,7 +180,6 @@ def test_newton_non_finite_jacobian_keeps_class_and_message(n, data):
     assert str(err.value) == "non-finite entries in supplied Jacobian"
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @given(st.integers(1, 3), st.data())
 def test_fd_jacobian_non_finite_entry_keeps_class_and_message(n, data):
     k = data.draw(st.integers(0, n - 1))
@@ -195,6 +194,12 @@ def test_fd_jacobian_non_finite_entry_keeps_class_and_message(n, data):
         fd_jacobian(residual, np.ones(n))
     assert err.type is NumericalError
     assert str(err.value) == "non-finite entries in finite-difference Jacobian"
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-7, math.nan])
+def test_fd_jacobian_rejects_a_step_that_is_not_positive(step):
+    with pytest.raises(ValueError, match="^step must be positive"):
+        fd_jacobian(lambda z: z, np.ones(2), step)
 
 
 def test_fd_gradient_validates_x_once_and_matches_fd_partial(monkeypatch):

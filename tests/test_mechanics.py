@@ -190,7 +190,6 @@ def _escaping_lagrangian():
     return dataclasses.replace(free_particle(), d2=lambda a, b: np.array([math.inf]))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("H, q, message, quantity", [
     # sakamoto from q = 1e103: Newton converges, then q - q^3 overflows
     (cubic_right(), 1e103, "D2 H+ contains non-finite entries: [-inf]", -math.inf),
@@ -326,6 +325,21 @@ def test_trajectory_rows_match_the_exact_rational_map(r, s):
     assert worst <= 1e-13
 
 
+@pytest.mark.parametrize("r, s", _WEIGHTS)
+def test_orbit_without_a_supplied_control_matches_the_exact_rational_map(r, s):
+    # with no supplied control, every elimination probes the constraint,
+    # solves it and verifies the solution
+    H = discretize_right(dataclasses.replace(make_sakamoto1d(r=r, s=s), control=None))
+    worst = 0.0
+    for q1 in np.geomspace(1e-6, 0.3, 8):
+        for sign in (1.0, -1.0):
+            traj = run_trajectory(H, PhasePoint(index=1, q=[sign * q1], p=[0.0]), 24)
+            for a, b in zip(traj.points[:-1], traj.points[1:]):
+                if abs(a.q[0]) < 0.9:
+                    worst = max(worst, _exact_step_error(a.q[0], a.p[0], b.q[0], b.p[0], r, s))
+    assert worst <= 1e-12
+
+
 def test_step_right_with_one_newton_iteration_runs_two_eliminations():
     # each accepted affine elimination evaluates the constraint three times
     base = make_sakamoto1d(r=2.0, s=0.5)
@@ -336,7 +350,7 @@ def test_step_right_with_one_newton_iteration_runs_two_eliminations():
         return base.du_gamma(q, u)
 
     H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
-    H.d1([0.2], [-0.3])  # the first call also takes the affinity verdict
+    H.d1([0.2], [-0.3])  # warm-up
     for q, p in ((0.05, -0.02), (-0.4, 0.3), (0.3, 0.0)):
         calls.clear()
         step_right(H, PhasePoint(index=1, q=[q], p=[p]))

@@ -197,8 +197,8 @@ def _probed_reference(cp, q, p):
     return val, d1, vel
 
 
-# p = 0 comes first, so a verdict taken there would govern the rest of the grid;
-# the small momenta are where a curved constraint's linear candidate would pass
+# p = 0 comes first, where a curved constraint reads affine in u; the small
+# momenta are where a curved constraint's linear candidate would pass
 # verification although the probe rejects it.
 _GRID_Q = (-1.5, -0.4, 0.0, 0.3, 1.2)
 _GRID_P = (0.0, -0.5, -1e-3, -1e-5, 1e-9, 1e-4, 0.02, 0.45)
@@ -221,8 +221,9 @@ def test_reduced_hamiltonian_bitwise_equals_per_call_probe(r, s, sign):
     _assert_bitwise_equal_to_probed(dataclasses.replace(make_sakamoto1d(r=r, s=s), sign=sign))
 
 
-def test_affinity_verdict_not_taken_at_zero_momentum():
-    # phi = p (1 + 0.3 u^2) + u is curved in u, but at p = 0 it reads u
+def test_curved_constraint_is_probed_at_every_momentum():
+    # phi = p (1 + 0.3 u^2) + u is curved in u, but at p = 0 it reads u, so an
+    # affinity decided there would hand the later momenta a wrong linear solve
     cp = ControlProblem(
         gamma=lambda q, u: np.array([q[0] - q[0] ** 3 + u[0] + 0.1 * u[0] ** 3]),
         cost=lambda q, u: 0.5 * (q[0] ** 2 + u[0] ** 2),
@@ -246,7 +247,7 @@ def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
         return base.du_gamma(q, u)
 
     H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
-    H.d1([0.2], [-0.3])  # warm-up; a verdict is taken only where the supplied control misses
+    H.d1([0.2], [-0.3])  # warm-up
     for q, p in ((0.05, -0.02), (-0.7, 1.3), (0.4, 0.0)):
         calls.clear()
         H.d1([q], [p])
@@ -268,9 +269,9 @@ def _quartic_cost_problem():
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_eliminate_control_names_the_non_finite_argument():
-    with pytest.raises(ValueError, match="^p contains non-finite"):
+    with pytest.raises(NumericalError, match="^p contains non-finite"):
         eliminate_control(make_sakamoto1d(), [0.1], [float("nan")])
-    with pytest.raises(ValueError, match="^q contains non-finite"):
+    with pytest.raises(NumericalError, match="^q contains non-finite"):
         eliminate_control(_quartic_cost_problem(), [float("inf")], [0.5])
     # phi of the benchmark does not depend on q: the affine solve is accepted
     assert eliminate_control(make_sakamoto1d(), [float("inf")], [0.1])[0] == -0.1
@@ -375,7 +376,7 @@ def test_wrong_supplied_control_falls_back_to_probe_and_solve(wrong):
 
 def test_supplied_control_skips_the_affinity_probe():
     # one constraint evaluation per elimination while the supplied control
-    # holds; the first miss probes once and then solves
+    # holds; a miss probes the constraint at that point and then solves
     base = make_sakamoto1d(r=2.0)
     calls = []
 
@@ -390,12 +391,10 @@ def test_supplied_control_skips_the_affinity_probe():
         assert len(calls) == 1
     missing = discretize_right(dataclasses.replace(base, du_gamma=du_gamma,
                                                    control=lambda q, p: 2.0 * p))
-    calls.clear()
-    missing.d1([0.2], [-0.3])
-    assert len(calls) == 1 + 6 + 3  # candidate, verdict probe at p = 0 and 1, solve
-    calls.clear()
-    missing.d1([0.1], [0.4])
-    assert len(calls) == 1 + 3
+    for q, p in ((0.2, -0.3), (0.1, 0.4)):
+        calls.clear()
+        missing.d1([q], [p])
+        assert len(calls) == 1 + 4  # candidate, phi(0), phi(1), phi(2), verification
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
