@@ -15,6 +15,7 @@ from .core import (
     SingularJacobianError,
     as_grid,
     as_vec,
+    dot,
     fd_gradient,
     fd_jacobian,
     fd_partial,

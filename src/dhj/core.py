@@ -28,6 +28,7 @@ __all__ = [
     "as_vec",
     "as_grid",
     "norm_inf",
+    "dot",
     "fd_partial",
     "fd_gradient",
     "fd_jacobian",
@@ -54,7 +55,13 @@ class NumericalError(RuntimeError):
 
 
 class ConvergenceError(NumericalError):
-    """Newton iteration exhausted its budget without meeting the tolerance."""
+    """Newton iteration exhausted its budget without meeting the tolerance.
+
+    It reports the outcome of max_iter iterations (its `iterations`):
+    residual_norm is the norm after the last of them, also when
+    newton_solve stopped early on a repeated iterate and read that norm off
+    the cycle.
+    """
 
     def __init__(self, residual_norm: float, iterations: int):
         self.residual_norm = float(residual_norm)
@@ -119,6 +126,19 @@ def norm_inf(v) -> float:
         raise ValueError("norm_inf needs at least one entry")
     # max() would keep a NaN only in first place, so look for one
     return math.nan if any(map(math.isnan, vals)) else max(map(abs, vals))
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a @ b of two 1-D float vectors of one size, as a float.
+
+    One entry is multiplied in Python floats: bitwise numpy's matmul, which
+    sums from +0.0 (so a -0.0 product reads +0.0), but with no numpy warning
+    when the product overflows or is inf * 0.  Longer vectors go through
+    matmul.
+    """
+    if a.size == 1:
+        return 0.0 + a.item() * b.item()
+    return float(a @ b)
 
 
 @dataclass(frozen=True)
@@ -246,6 +266,13 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     A guess that already satisfies the tolerance is returned unchanged after
     one residual evaluation.
 
+    Both residual and jacobian must be functions of the iterate alone: the
+    same x (bit for bit) gives the same values.  So once an iterate repeats
+    an earlier one, every later iterate is known.  The solve then stops
+    before building another Jacobian and raises the ConvergenceError that
+    cfg.max_iter iterations would raise, with the residual norm the cycle
+    reaches at iteration cfg.max_iter.
+
     A 1 x 1 step is the division r / J[0, 0], bitwise what
     np.linalg.solve returns for it, under the same scaled singularity test
     on det J = J[0, 0] and ||J||_inf = |J[0, 0]|; a SingularJacobianError
@@ -269,11 +296,22 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
 
     r = _eval(x)
     rn = norm_inf(r)
+    seen: dict[bytes, int] = {}
+    norms: list[float] = []
     for iteration in range(cfg.max_iter + 1):
         if rn <= cfg.tol:
             return x
         if iteration == cfg.max_iter:
             break
+        key = x.tobytes()
+        j = seen.get(key)
+        if j is not None:
+            # x repeats x_j, so the iterates cycle with period iteration - j
+            # from j on; iteration max_iter would end on this norm
+            rn = norms[j + (cfg.max_iter - j) % (iteration - j)]
+            break
+        seen[key] = iteration
+        norms.append(rn)
         if jacobian is not None:
             jac = np.asarray(jacobian(x), dtype=float).reshape(n, n)
             if not _finite(jac):

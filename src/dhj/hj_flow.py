@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import NumericalError, PhasePoint, as_grid, as_vec, iterate, norm_inf
+from .core import NumericalError, PhasePoint, as_grid, as_vec, dot, iterate, norm_inf
 # step_right is not called here; bench/tracing.py wraps dhj.hj_flow.step_right
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side, step_right
 
@@ -157,7 +157,7 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
             probe = np.asarray(H.d2(x.q, x_next.p + 1.0), dtype=float)
             if norm_inf(probe) == 0.0:
                 degenerate = True
-        pq = float(x_next.p @ x_next.q)
+        pq = dot(x_next.p, x_next.q)
         H_value = float(H.eval(x.q, x_next.p))
         s_next = S + pq - H_value
         # hj_residual_right's arithmetic on the points' validated arrays, with

@@ -76,10 +76,10 @@ def eval_field_left(H: DiscreteHamiltonian, q_next, p_j) -> tuple[np.ndarray, np
 
 def _apply_dgamma(d2: np.ndarray, dgamma) -> np.ndarray:
     dg = np.asarray(dgamma, dtype=float)
-    if dg.ndim == 0:
-        return d2 * float(dg)
-    if dg.ndim == 1 and dg.size == 1:
-        return d2 * float(dg[0])
+    if dg.ndim == 0 or (dg.ndim == 1 and dg.size == 1):
+        # Python floats: inf * 0 is nan, with no numpy warning
+        g = dg.item()
+        return np.array([v * g for v in d2.ravel().tolist()]).reshape(d2.shape)
     if dg.ndim == 2:
         return dg.T @ d2
     raise ValueError(f"dgamma must be a scalar or square matrix, got shape {dg.shape}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import NewtonConfig, NumericalError, as_vec, fd_gradient, newton_solve, norm_inf
+from .core import NewtonConfig, NumericalError, as_vec, dot, fd_gradient, newton_solve, norm_inf
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -204,7 +204,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     def _eval(q, p) -> float:
         q, p, u = control(q, p)
         vel = _vec(cp.gamma(q, u), cp.n)
-        return float(p @ vel) + cp.sign.factor * float(cp.cost(q, u))
+        return dot(p, vel) + cp.sign.factor * float(cp.cost(q, u))
 
     def _d2(q, p) -> np.ndarray:
         q, p, u = control(q, p)
@@ -214,7 +214,8 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
         def _d1(q, p) -> np.ndarray:
             q, p, u = control(q, p)
             jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
-            return jac.T @ p + cp.sign.factor * _vec(cp.dq_cost(q, u), cp.n)
+            grad = np.array([dot(jac[0], p)]) if cp.n == 1 else jac.T @ p
+            return grad + cp.sign.factor * _vec(cp.dq_cost(q, u), cp.n)
     else:
         def _d1(q, p) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, cfg.fd_step)

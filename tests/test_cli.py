@@ -474,6 +474,29 @@ def test_an_overflowing_orbit_prints_no_numpy_warning(command, tmp_path):
     assert "Warning" not in run.stderr
 
 
+@pytest.mark.parametrize("argv, rows, failure", [
+    # D1 H+ = (1 - 3 q^2) p + q reads -inf * 0 once 3 q^2 overflows
+    (["simulate", "--q1=8e153", "--steps=2"], [["1", "8e+153", "0", "8e+153", "0"]],
+     "trajectory failure at j = 1: NumericalError: non-finite residual evaluation at x = [0.]"),
+    # the lift's p_next q_next and H+'s p_next . Gamma overflow at p_next = 1e300
+    (["hj-flow", "--q1=1e-320", "--steps=3", "--ds1=1e300", "--r=2"],
+     [["1", "9.9998886718268301e-321", "0", "1.0000000000000001e+300", "init", "0"],
+      ["2", "-5.0000000000000003e+299", "nan", "1.0000000000000001e+300", "direct", "nan"]],
+     "flow failure at j = 2: NumericalError: non-finite residual evaluation at x = [1.e+300]"),
+    # the row re-check multiplies D2 H+ = 0 by gamma_1 / q_2 = 1e300 / 1e-320 = inf
+    (["hj-vf", "--q1=1e-320", "--steps=3", "--gamma1=1e300"],
+     [["1", "9.9998886718268301e-321", "1.0000000000000001e+300", "0"],
+      ["2", "9.9998886718268301e-321", "9.9998886718268301e-321", "nan"]],
+     "vf failure at j = 2: SingularDenominatorError: singular denominator 1.999978e-320 "
+     "(threshold 1e-14 * scale, scale = 1.000000e+00)"),
+], ids=["simulate", "hj-flow", "hj-vf"])
+def test_an_extreme_product_prints_no_numpy_warning(argv, rows, failure, tmp_path, capsys):
+    # in process, so pytest's error::RuntimeWarning filter fails the run on a warning
+    assert main([*argv, "--csv", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err.splitlines() == [failure]
+    assert read_csv(tmp_path / "out.csv")[2] == rows
+
+
 @pytest.mark.parametrize("start, product", [
     # gamma_j / q_next = 1e300 / 2e-5 is finite, but D2 H+ times it is not
     (["--q1=1e-5", "--gamma1=1e300"],

@@ -18,6 +18,7 @@ from dhj.core import (
     PhasePoint,
     SingularJacobianError,
     as_vec,
+    dot,
     fd_gradient,
     fd_jacobian,
     fd_partial,
@@ -129,6 +130,23 @@ def test_norm_inf_edge_values_bit_for_bit():
               [1.0, math.inf], [-1e308, 1e308], [math.inf, math.nan], [math.nan, -math.inf]):
         assert _same_norm(norm_inf(v), _numpy_norm_inf(v))
     assert _bits(norm_inf(-0.0)) == _bits(0.0)
+
+
+@given(_ANY_FLOAT, _ANY_FLOAT)
+def test_dot_of_one_entry_is_numpys_matmul_bit_for_bit(a, b):
+    # signed zeros, overflow and inf * 0 included; numpy's own product may warn
+    with np.errstate(all="ignore"):
+        want = float(np.array([a]) @ np.array([b]))
+        assert _same_norm(dot(np.array([a]), np.array([b])), want)
+        assert _same_norm(dot(np.array([[a]])[0], np.array([b])),
+                          float((np.array([[a]]).T @ np.array([b]))[0]))
+
+
+def test_dot_is_silent_where_matmul_warns(recwarn):
+    assert dot(np.array([1e300]), np.array([1e300])) == math.inf
+    assert math.isnan(dot(np.array([-math.inf]), np.array([0.0])))
+    assert dot(np.array([1.0, 2.0]), np.array([3.0, -4.0])) == -5.0
+    assert len(recwarn) == 0
 
 
 @given(st.one_of(_ANY_FLOAT, st.lists(_ANY_FLOAT, min_size=1, max_size=4)))
@@ -452,6 +470,134 @@ def test_newton_convergence_error_carries_residual():
         newton_solve(lambda z: np.array([1.0 + z[0] ** 2]), [3.0], cfg)
     assert exc.value.iterations == 5
     assert exc.value.residual_norm > 0.0
+
+
+def _plain_newton(residual, guess, cfg, jacobian=None):
+    # newton_solve's scalar iteration with no early stop: it spends the whole
+    # budget, the reference for the repeated-iterate rule
+    x = np.array(guess, dtype=float).reshape(1)
+
+    def _eval(z):
+        r = np.asarray(residual(z), dtype=float).reshape(1)
+        if not math.isfinite(r[0]):
+            raise NumericalError(f"non-finite residual evaluation at x = {z}")
+        return float(r[0])
+
+    r = _eval(x)
+    for iteration in range(cfg.max_iter + 1):
+        if abs(r) <= cfg.tol:
+            return x
+        if iteration == cfg.max_iter:
+            raise ConvergenceError(residual_norm=abs(r), iterations=cfg.max_iter)
+        if jacobian is None:
+            a = float(fd_jacobian(residual, x, cfg.fd_step)[0, 0])
+        else:
+            a = np.asarray(jacobian(x), dtype=float).item()
+            if not math.isfinite(a):
+                raise NumericalError("non-finite entries in supplied Jacobian")
+        if abs(a) < 1e-14 * max(1.0, abs(a)):
+            raise SingularJacobianError(det=a, scale=max(1.0, abs(a)))
+        x = x - cfg.damping * (r / a)
+        r = _eval(x)
+
+
+def _outcome(solve, residual, guess, cfg, jacobian=None):
+    """(the root's bits or the error's class, message and fields, residual
+    evaluations) of one solve."""
+    evals = [0]
+
+    def counted(z):
+        evals[0] += 1
+        return residual(z)
+
+    try:
+        got = ("root", [_bits(v) for v in solve(counted, guess, cfg, jacobian=jacobian).tolist()])
+    except NumericalError as exc:
+        got = (type(exc).__name__, str(exc), _bits(exc.quantity),
+               vars(exc).get("residual_norm"), vars(exc).get("iterations"))
+    return got, evals[0]
+
+
+def _cubic_cycle(z):
+    # Newton on x^3 - 2x + 2 with the exact Jacobian maps 0 -> 1 -> 0
+    return z**3 - 2.0 * z + 2.0
+
+
+def _cubic_cycle_prime(z):
+    return [[3.0 * z[0] ** 2 - 2.0]]
+
+
+@pytest.mark.parametrize("max_iter, last", [(50, 2.0), (51, 1.0), (2, 2.0), (3, 1.0)])
+def test_newton_stops_on_a_two_cycle_with_the_full_budgets_error(max_iter, last):
+    cfg = NewtonConfig(max_iter=max_iter)
+    got, evals = _outcome(newton_solve, _cubic_cycle, [0.0], cfg, _cubic_cycle_prime)
+    message = f"no convergence after {max_iter} iterations, last residual norm {last:.6e}"
+    assert got == ("ConvergenceError", message, _bits(last), last, max_iter)
+    assert evals == 3
+    # the plain loop reaches the same error after max_iter + 1 evaluations
+    assert _outcome(_plain_newton, _cubic_cycle, [0.0], cfg, _cubic_cycle_prime) == (
+        got, max_iter + 1)
+
+
+def test_newton_stops_on_a_fixed_point_stall():
+    # the step 1 / 1e300 is below half an ulp of 1, so the iterate stays put
+    cfg = NewtonConfig()
+    got, evals = _outcome(newton_solve, lambda z: np.array([1.0]), [1.0], cfg,
+                          lambda z: [[1e300]])
+    assert got == ("ConvergenceError",
+                   "no convergence after 50 iterations, last residual norm 1.000000e+00",
+                   _bits(1.0), 1.0, 50)
+    assert evals == 2
+    assert _outcome(_plain_newton, lambda z: np.array([1.0]), [1.0], cfg,
+                    lambda z: [[1e300]]) == (got, 51)
+
+
+@given(st.floats(-3.0, 3.0), st.integers(1, 60), st.sampled_from([1.0, 0.5]),
+       st.booleans())
+def test_newton_agrees_with_the_plain_loop(guess, max_iter, damping, exact):
+    # roots, stalls and cycles alike: the same outcome, bit for bit, from no
+    # more residual evaluations
+    cfg = NewtonConfig(max_iter=max_iter, damping=damping)
+    jacobian = _cubic_cycle_prime if exact else None
+    got, evals = _outcome(newton_solve, _cubic_cycle, [guess], cfg, jacobian)
+    want, plain_evals = _outcome(_plain_newton, _cubic_cycle, [guess], cfg, jacobian)
+    assert got == want
+    assert evals <= plain_evals
+
+
+@pytest.mark.parametrize("q1, steps, r, s", [
+    (0.01, 40, 1.0, 1.0), (-0.2, 24, 1.0, 1.0), (0.3, 24, 2.0, 1.0), (0.05, 24, 0.5, 3.0),
+    (1e-3, 40, 1.0, 0.5), (0.6, 8, 1.0, 1.0), (-6.284409876985755e-06, 40, 1.0, 1.0)])
+def test_sakamoto_steps_agree_with_the_plain_loop(q1, steps, r, s, monkeypatch):
+    # every Newton solve of an escaping orbit against the plain loop on the
+    # same residual and guess, the failing last one included: the j = 32 step
+    # of simulate --q1 0.01 --steps 40 stalls on a fixed point, the last
+    # start's failing step on a 2-cycle
+    from dhj import mechanics
+    from dhj.optctrl import discretize_right, make_sakamoto1d
+
+    failed = []
+
+    def both(residual, guess, cfg=None, jacobian=None):
+        cfg = cfg if cfg is not None else NewtonConfig()
+        want, plain_evals = _outcome(_plain_newton, residual, guess, cfg, jacobian)
+        got, evals = _outcome(newton_solve, residual, guess, cfg, jacobian)
+        assert got == want
+        if want[0] != "root":
+            failed.append((got, evals, plain_evals))
+        return newton_solve(residual, guess, cfg, jacobian=jacobian)
+
+    monkeypatch.setattr(mechanics, "newton_solve", both)
+    H = discretize_right(make_sakamoto1d(r, s))
+    traj = mechanics.run_trajectory(H, PhasePoint(index=1, q=[q1], p=[0.0]), steps)
+    assert traj.meta["failure"] == "ConvergenceError"
+    assert [got[1] for got, _, _ in failed] == [traj.meta["failure_message"]]
+    assert failed[0][1] < failed[0][2] == 51
+    if (q1, steps) == (0.01, 40):
+        assert traj.meta["failure_index"] == 32
+        assert failed == [(("ConvergenceError", "no convergence after 50 iterations, last "
+                            "residual norm 1.254223e-06", _bits(1.2542225173190358e-06),
+                            1.2542225173190358e-06, 50), 4, 51)]
 
 
 def test_iterate_records_the_failed_step():

@@ -23,3 +23,13 @@ def test_readme_csv_columns_match_the_written_files(tmp_path):
         assert main([command, "--steps", "2", "--csv", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line for line in lines if not line.startswith("#")][0] == columns
+
+
+def test_readme_failure_line_is_what_the_cli_prints(capsys):
+    command, line = re.search(r"`dhj (simulate [^`]*)`[^`]*```\n(.*)\n```",
+                              README.read_text(encoding="utf-8")).groups()
+    assert command == "simulate --q1 0.01 --steps 40"
+    assert line == ("trajectory failure at j = 32: ConvergenceError: no convergence after 50 "
+                    "iterations, last residual norm 1.254223e-06")
+    assert main(command.split()) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
