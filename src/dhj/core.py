@@ -7,9 +7,11 @@ deliberately small and fully deterministic: no randomness, no global state,
 float64 throughout.
 
 Inputs are validated where they enter: as_vec (and PhasePoint, which calls
-it) at an API boundary, once per call chain.  The vectors here hold one or
-two entries, where numpy's fixed cost per call outweighs the arithmetic, so
-the max-norm and the finiteness tests run over Python floats (tolist()).
+it) at an API boundary, once per call chain.  Past it, vectors are 1-D
+float64 arrays, and the inner calls that receive them trust them.  The
+vectors hold one or two entries, where numpy's fixed cost per call outweighs
+the arithmetic, so the max-norm, one-entry products and the finiteness tests
+run over Python floats.
 """
 
 from __future__ import annotations
@@ -121,7 +123,10 @@ def as_grid(q_sequence) -> np.ndarray:
 def norm_inf(v) -> float:
     """Max-norm of a vector (or absolute value of a scalar); any shape is
     read flat.  NaN if any entry is NaN; ValueError if there is no entry."""
-    vals = np.asarray(v, dtype=float).ravel().tolist()
+    v = np.asarray(v, dtype=float)
+    if v.size == 1:
+        return abs(v.item())
+    vals = v.ravel().tolist()
     if not vals:
         raise ValueError("norm_inf needs at least one entry")
     # max() would keep a NaN only in first place, so look for one
@@ -139,6 +144,15 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     if a.size == 1:
         return 0.0 + a.item() * b.item()
     return float(a @ b)
+
+
+def _power(x: float, n: int) -> float:
+    """x ** n in Python floats, bitwise numpy's, with no overflow warning: where
+    Python raises OverflowError, numpy returns the signed infinity given here."""
+    try:
+        return x ** n
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
 @dataclass(frozen=True)
@@ -213,8 +227,8 @@ def _check_step(step: float) -> None:
 def _central_difference(f, x: np.ndarray, i: int, step: float) -> float:
     e = np.zeros_like(x)
     e[i] = step
-    hi = float(np.asarray(f(x + e), dtype=float))
-    lo = float(np.asarray(f(x - e), dtype=float))
+    hi = float(f(x + e))
+    lo = float(f(x - e))
     val = (hi - lo) / (2.0 * step)
     if not math.isfinite(val):
         raise NumericalError(

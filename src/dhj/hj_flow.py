@@ -21,9 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import NumericalError, PhasePoint, as_grid, as_vec, dot, iterate, norm_inf
+from .core import NumericalError, PhasePoint, _power, as_grid, as_vec, dot, iterate, norm_inf
 # step_right is not called here; bench/tracing.py wraps dhj.hj_flow.step_right
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side, step_right
 
@@ -49,11 +47,13 @@ class Branch(enum.Enum):
 
 
 class BranchError(NumericalError):
-    """The closed-form slope update has no real root (negative discriminant)."""
+    """The closed-form slope update has no finite real root: its discriminant
+    is negative, or not finite because its terms overflow."""
 
     def __init__(self, discriminant: float):
         self.discriminant = float(discriminant)
-        super().__init__(f"no real branch: discriminant = {self.discriminant:.6e} is negative",
+        what = "negative" if self.discriminant < 0.0 else "not finite"
+        super().__init__(f"no real branch: discriminant = {self.discriminant:.6e} is {what}",
                          self.discriminant)
 
 
@@ -154,8 +154,7 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
         if norm_inf(x_next.q) == 0.0:
             # distinguish a genuine zero crossing from a position update that
             # ignores the momentum entirely
-            probe = np.asarray(H.d2(x.q, x_next.p + 1.0), dtype=float)
-            if norm_inf(probe) == 0.0:
+            if norm_inf(H.d2(x.q, x_next.p + 1.0)) == 0.0:
                 degenerate = True
         pq = dot(x_next.p, x_next.q)
         H_value = float(H.eval(x.q, x_next.p))
@@ -165,8 +164,9 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
         # of s_next, which cannot exceed the limit
         res = s_next - S - pq + float(H.eval(x.q, x_next.p))
         limit = residual_limit(S, s_next, pq, H_value)
-        if abs(res) > limit:
-            raise ResidualCheckFailure(f"transition residual {res:.6e} exceeds {limit:g}", res)
+        if not abs(res) <= limit:  # a NaN residual fails too
+            raise ResidualCheckFailure(f"transition residual {res:.6e} is not at most {limit:g}",
+                                       res)
         residuals.append(res)
         return s_next
 
@@ -181,10 +181,11 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
 
 def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[float, float]:
     # Quadratic in the new slope; prefix is the vertex, disc the discriminant.
-    prefix = -q_j**3 + q_j - q_next
-    disc = (q_j**6 - 2.0 * q_j**4 + 2.0 * q_j**3 * q_next + 2.0 * h * prev_ds
-            + 2.0 * q_j**2 - 2.0 * q_j * q_next + q_next**2)
-    if disc < 0.0:
+    # An overflowing power is inf, so disc reads inf or NaN, not OverflowError.
+    prefix = -_power(q_j, 3) + q_j - q_next
+    disc = (_power(q_j, 6) - 2.0 * _power(q_j, 4) + 2.0 * _power(q_j, 3) * q_next
+            + 2.0 * h * prev_ds + 2.0 * _power(q_j, 2) - 2.0 * q_j * q_next + _power(q_next, 2))
+    if not 0.0 <= disc < math.inf:
         raise BranchError(discriminant=disc)
     root = math.sqrt(disc)
     return prefix + root, prefix - root

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, as_grid, as_vec, iterate,
+from .core import (NewtonConfig, NumericalError, PhasePoint, _power, as_grid, as_vec, iterate,
                    newton_solve, norm_inf)
 from .hj_flow import GeneratingSequence
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side
@@ -59,8 +59,7 @@ def eval_field(H: DiscreteHamiltonian, q_j, p_next) -> tuple[np.ndarray, np.ndar
         raise ValueError("eval_field needs a Side.RIGHT Hamiltonian")
     q_j = as_vec(q_j, dim=H.dim, name="q_j")
     p_next = as_vec(p_next, dim=H.dim, name="p_next")
-    return (np.asarray(H.d2(q_j, p_next), dtype=float),
-            np.asarray(H.d1(q_j, p_next), dtype=float))
+    return H.d2(q_j, p_next), H.d1(q_j, p_next)
 
 
 def eval_field_left(H: DiscreteHamiltonian, q_next, p_j) -> tuple[np.ndarray, np.ndarray]:
@@ -70,8 +69,7 @@ def eval_field_left(H: DiscreteHamiltonian, q_next, p_j) -> tuple[np.ndarray, np
         raise ValueError("eval_field_left needs a Side.LEFT Hamiltonian")
     q_next = as_vec(q_next, dim=H.dim, name="q_next")
     p_j = as_vec(p_j, dim=H.dim, name="p_j")
-    return (-np.asarray(H.d2(q_next, p_j), dtype=float),
-            -np.asarray(H.d1(q_next, p_j), dtype=float))
+    return -H.d2(q_next, p_j), -H.d1(q_next, p_j)
 
 
 def _apply_dgamma(d2: np.ndarray, dgamma) -> np.ndarray:
@@ -128,9 +126,10 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
     exact = H.d12 is not None and H.d22 is not None
 
     def advance(prev: PhasePoint) -> PhasePoint:
-        # point j sits at arr[j - 1], so its successor's position is arr[j]
-        # Python floats, so an overflowing quotient is inf without a numpy warning
-        q_j, q_next = float(arr[prev.index - 1]), float(arr[prev.index])
+        # point j sits at arr[j - 1], so its successor's position is arr[j]; q_j
+        # is the one-entry view the partials take, q_next a Python float, so an
+        # overflowing quotient is inf without a numpy warning
+        q_j, q_next = arr[prev.index - 1:prev.index], float(arr[prev.index])
         if q_next == 0.0:
             raise DegenerateGridError(f"q_sequence entry j = {prev.index + 1} is zero: the "
                                       f"slope quotient gamma / q_next is undefined", q_next)
@@ -145,7 +144,7 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
             # d * gamma_j / q_next in Python floats: an overflow is inf with no
             # numpy warning, reported as the slope's escape, not as Newton's
             # non-finite residual at the iterate
-            d = np.asarray(d, dtype=float).item()
+            d = d.item()
             product = d * quot
             if math.isfinite(d) and not math.isfinite(product):
                 raise NumericalError(f"slope product {name} * gamma_j / q_next = {d:.6e} * "
@@ -153,14 +152,13 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
             return product
 
         def residual(g: np.ndarray) -> np.ndarray:
-            d2 = slope_product(H.d2([q_j], g), "D2 H+", g)
-            return np.array([d2 - np.asarray(H.d1([q_j], g), dtype=float).item()])
+            return np.array([slope_product(H.d2(q_j, g), "D2 H+", g) - H.d1(q_j, g).item()])
 
         def jacobian(g: np.ndarray) -> np.ndarray:
-            d22 = slope_product(H.d22([q_j], g), "D22 H+", g)
-            return np.array([[d22 - np.asarray(H.d12([q_j], g), dtype=float).item()]])
+            return np.array([[slope_product(H.d22(q_j, g), "D22 H+", g)
+                              - H.d12(q_j, g).item()]])
 
-        g_next = newton_solve(residual, [gamma], cfg, jacobian=jacobian if exact else None)
+        g_next = newton_solve(residual, prev.p, cfg, jacobian=jacobian if exact else None)
         return PhasePoint(index=prev.index + 1, q=q_next, p=g_next)
 
     points, meta = iterate(advance, PhasePoint(index=1, q=arr[0], p=gamma0), arr.size - 1)
@@ -174,17 +172,22 @@ def closed_form_gamma_step(gamma_j: float, q_j: float, q_next: float) -> float:
                  / (gamma_j + q_next - 3 q_j^2 q_next)
 
     Raises SingularDenominatorError when |denominator| falls below
-    1e-14 * scale, with scale the magnitude of the terms being cancelled.
+    1e-14 * scale, with scale the magnitude of the terms being cancelled,
+    and NumericalError, with the value as its quantity, when gamma_next is
+    not finite (the update overflows).
     """
     gamma_j = float(gamma_j)
     q_j = float(q_j)
     q_next = float(q_next)
-    den = gamma_j + q_next - 3.0 * q_j**2 * q_next
-    scale = max(1.0, abs(gamma_j) + abs(q_next) + abs(3.0 * q_j**2 * q_next))
+    q_j2 = _power(q_j, 2)
+    den = gamma_j + q_next - 3.0 * q_j2 * q_next
+    scale = max(1.0, abs(gamma_j) + abs(q_next) + abs(3.0 * q_j2 * q_next))
     if abs(den) < 1e-14 * scale:
         raise SingularDenominatorError(denominator=den, scale=scale)
-    num = -(gamma_j * q_j**2 - gamma_j + q_next) * q_j
-    return num / den
+    gamma = -(gamma_j * q_j2 - gamma_j + q_next) * q_j / den
+    if not math.isfinite(gamma):
+        raise NumericalError(f"gamma_next = {gamma:.6e} is not finite", gamma)
+    return gamma
 
 
 def run_closed_form_vf(q_sequence, gamma0: float) -> DiscreteTrajectory:
@@ -192,7 +195,8 @@ def run_closed_form_vf(q_sequence, gamma0: float) -> DiscreteTrajectory:
 
     The rows are phase points (q_j, gamma_j).  A SingularDenominatorError
     truncates with core.iterate's failure record in meta, the denominator as
-    failure_quantity; completed rows are kept.  On an all-zero grid the very
+    failure_quantity, and so does an overflowing gamma_next, as a
+    NumericalError with that value; completed rows are kept.  On an all-zero grid the very
     first update is rejected this way (the degenerate fixed point of the
     benchmark).
     """

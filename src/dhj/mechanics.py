@@ -71,6 +71,8 @@ class DiscreteLagrangian:
     second partials d11(a, b), d12(a, b) and d22(a, b) are the dim x dim
     Jacobians of d1 in the first slot, d1 in the second slot and d2 in the
     second slot; the module docstring names the Newton solve each serves.
+    Every callback receives 1-D float64 arrays of length dim and returns a
+    float64 array (eval a scalar), which is used as returned.
     """
 
     eval: object
@@ -99,7 +101,11 @@ class DiscreteHamiltonian:
     differences of d1, and with both hj_vf.solve_gamma_generic does.  The
     optional lagrangian is the L_d this Hamiltonian is a Legendre dual of;
     when it is set, step_right and step_left take the discrete Lagrangian
-    flow of L_d and use neither d12 nor the partials.
+    flow of L_d and use neither d12 nor the partials.  The partials receive
+    1-D float64 arrays of length dim and return float64 arrays (eval a
+    scalar), which no layer re-coerces: inputs are validated once, at the
+    public entry points (PhasePoint, as_vec, as_grid), and an output once,
+    by _computed where it enters a step or by Newton as a residual.
     """
 
     side: Side
@@ -141,16 +147,18 @@ class DiscreteTrajectory:
 
 
 def _computed(value, dim: int, name: str) -> np.ndarray:
-    """as_vec for a value the model computed: a non-finite entry is a
-    NumericalError naming the value, with that entry as its quantity, so a
-    run truncates there; a non-finite point from the caller stays as_vec's
-    ValueError."""
+    """A value the model computed as a float64 dim-vector, checked once where
+    it enters a step: a non-finite entry is a NumericalError naming the
+    value, with that entry as its quantity, so a run truncates there; a
+    non-finite point from the caller stays as_vec's ValueError."""
     v = np.asarray(value, dtype=float)
     for entry in v.ravel().tolist():
         if not math.isfinite(entry):
             raise NumericalError(f"{name} contains non-finite entries: {np.atleast_1d(v)}",
                                  entry)
-    return as_vec(v, dim=dim, name=name)
+    if v.ndim > 1 or v.size != dim:
+        raise ValueError(f"{name} must have dimension {dim}, got shape {v.shape}")
+    return v if v.ndim else v.reshape(1)
 
 
 def legendre_right(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePoint:
@@ -174,15 +182,16 @@ def _next_position(L: DiscreteLagrangian, q_j: np.ndarray, p_j: np.ndarray, gues
     """Solve the momentum relation D1 L_d(q_j, q_next) + p_j = 0 for q_next;
     the Newton Jacobian is L.d12 when set."""
     jacobian = None if L.d12 is None else (lambda y: L.d12(q_j, y))
-    return newton_solve(lambda y: np.asarray(L.d1(q_j, y), dtype=float) + p_j, guess, cfg,
-                        jacobian=jacobian)
+    return newton_solve(lambda y: L.d1(q_j, y) + p_j, guess, cfg, jacobian=jacobian)
 
 
 def _lagrangian_step(L: DiscreteLagrangian, x: PhasePoint,
                      cfg: NewtonConfig | None) -> PhasePoint:
     """One step of the discrete Lagrangian flow from x, the step map of both
     Legendre duals of L_d: q_next from the guess q_j, then p_next = D2 L_d."""
-    return legendre_right(L, x.q, _next_position(L, x.q, x.p, x.q, cfg), x.index)
+    q_next = _next_position(L, x.q, x.p, x.q, cfg)
+    p_next = _computed(L.d2(x.q, q_next), L.dim, "D2 L_d")
+    return PhasePoint(index=x.index + 1, q=q_next, p=p_next)
 
 
 def del_step(L: DiscreteLagrangian, q_prev, q_j, cfg: NewtonConfig | None = None,
@@ -226,29 +235,16 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
         def _recover(q: np.ndarray, p_next: np.ndarray) -> np.ndarray:
             # invert p_next = D2 L_d(q, .) from the guess q
             jacobian = None if L.d22 is None else (lambda y: L.d22(q, y))
-            return newton_solve(
-                lambda y: np.asarray(L.d2(q, y), dtype=float) - p_next, q, inner,
-                jacobian=jacobian,
-            )
+            return newton_solve(lambda y: L.d2(q, y) - p_next, q, inner, jacobian=jacobian)
 
-        def _eval(q, p_next) -> float:
-            q = as_vec(q, dim=L.dim, name="q_j")
-            p_next = as_vec(p_next, dim=L.dim, name="p_next")
+        def _eval(q: np.ndarray, p_next: np.ndarray) -> float:
             y = _recover(q, p_next)
             return float(p_next @ y) - float(L.eval(q, y))
 
-        def _d1(q, p_next) -> np.ndarray:
-            q = as_vec(q, dim=L.dim, name="q_j")
-            p_next = as_vec(p_next, dim=L.dim, name="p_next")
-            y = _recover(q, p_next)
-            return -np.asarray(L.d1(q, y), dtype=float)
+        def _d1(q: np.ndarray, p_next: np.ndarray) -> np.ndarray:
+            return -L.d1(q, _recover(q, p_next))
 
-        def _d2(q, p_next) -> np.ndarray:
-            q = as_vec(q, dim=L.dim, name="q_j")
-            p_next = as_vec(p_next, dim=L.dim, name="p_next")
-            return _recover(q, p_next)
-
-        return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=L.dim,
+        return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_recover, dim=L.dim,
                                    lagrangian=L)
 
     if side is Side.LEFT:
@@ -256,26 +252,16 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
         def _recover_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
             # invert p = -D1 L_d(., q_next) from the guess q_next
             jacobian = None if L.d11 is None else (lambda y: L.d11(y, q_next))
-            return newton_solve(
-                lambda y: np.asarray(L.d1(y, q_next), dtype=float) + p, q_next, inner,
-                jacobian=jacobian,
-            )
+            return newton_solve(lambda y: L.d1(y, q_next) + p, q_next, inner, jacobian=jacobian)
 
-        def _eval_left(q_next, p) -> float:
-            q_next = as_vec(q_next, dim=L.dim, name="q_next")
-            p = as_vec(p, dim=L.dim, name="p_j")
+        def _eval_left(q_next: np.ndarray, p: np.ndarray) -> float:
             y = _recover_left(q_next, p)
             return -float(p @ y) - float(L.eval(y, q_next))
 
-        def _d1_left(q_next, p) -> np.ndarray:
-            q_next = as_vec(q_next, dim=L.dim, name="q_next")
-            p = as_vec(p, dim=L.dim, name="p_j")
-            y = _recover_left(q_next, p)
-            return -np.asarray(L.d2(y, q_next), dtype=float)
+        def _d1_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
+            return -L.d2(_recover_left(q_next, p), q_next)
 
-        def _d2_left(q_next, p) -> np.ndarray:
-            q_next = as_vec(q_next, dim=L.dim, name="q_next")
-            p = as_vec(p, dim=L.dim, name="p_j")
+        def _d2_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
             return -_recover_left(q_next, p)
 
         return DiscreteHamiltonian(side=Side.LEFT, eval=_eval_left, d1=_d1_left,
@@ -299,7 +285,7 @@ def step_right(H: DiscreteHamiltonian, x: PhasePoint,
         return _lagrangian_step(H.lagrangian, x, cfg)
 
     def residual(g: np.ndarray) -> np.ndarray:
-        return np.asarray(H.d1(x.q, g), dtype=float) - x.p
+        return H.d1(x.q, g) - x.p
 
     jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
     p_next = newton_solve(residual, x.p, cfg, jacobian=jacobian)
@@ -321,7 +307,7 @@ def step_left(H: DiscreteHamiltonian, x: PhasePoint,
         return _lagrangian_step(H.lagrangian, x, cfg)
 
     def residual(g: np.ndarray) -> np.ndarray:
-        return -np.asarray(H.d2(g, x.p), dtype=float) - x.q
+        return -H.d2(g, x.p) - x.q
 
     q_next = newton_solve(residual, x.q, cfg)
     p_next = -_computed(H.d1(q_next, x.p), H.dim, "D1 H-")
@@ -331,11 +317,11 @@ def step_left(H: DiscreteHamiltonian, x: PhasePoint,
 def verify_step(H: DiscreteHamiltonian, a: PhasePoint, b: PhasePoint) -> float:
     """Max-norm residual of the step equations on the adjacent pair (a, b)."""
     if H.side is Side.RIGHT:
-        r1 = norm_inf(np.asarray(H.d1(a.q, b.p), dtype=float) - a.p)
-        r2 = norm_inf(np.asarray(H.d2(a.q, b.p), dtype=float) - b.q)
+        r1 = norm_inf(H.d1(a.q, b.p) - a.p)
+        r2 = norm_inf(H.d2(a.q, b.p) - b.q)
     else:
-        r1 = norm_inf(-np.asarray(H.d2(b.q, a.p), dtype=float) - a.q)
-        r2 = norm_inf(-np.asarray(H.d1(b.q, a.p), dtype=float) - b.p)
+        r1 = norm_inf(-H.d2(b.q, a.p) - a.q)
+        r2 = norm_inf(-H.d1(b.q, a.p) - b.p)
     return max(r1, r2)
 
 

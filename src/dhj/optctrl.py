@@ -17,13 +17,13 @@ the lattice machinery consumes (discretize_right builds it in one step).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import NewtonConfig, NumericalError, as_vec, dot, fd_gradient, newton_solve, norm_inf
+from .core import (NewtonConfig, NumericalError, _power, as_vec, dot, fd_gradient, newton_solve,
+                   norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -66,7 +66,10 @@ class ControlProblem:
     control(q, p) (k,) is the eliminated control itself, when the model
     knows it in closed form; eliminate_control then accepts it after one
     evaluation of the secondary constraint, and probes the constraint and
-    solves for u only where it misses.
+    solves for u only where it misses.  The callbacks receive q, p and u as
+    1-D float64 arrays and return float64 arrays of the shapes given here
+    (cost a scalar), used as returned: their finiteness is checked where a
+    value enters a step or a Newton residual.
     """
 
     gamma: object
@@ -92,20 +95,18 @@ class ControlProblem:
         object.__setattr__(self, "k", int(self.k))
 
 
-def _vec(x, dim: int) -> np.ndarray:
-    """x as a float64 dim-vector, unchecked for finiteness (inner q and p come
-    from validated points or Newton iterates); a float64 dim-vector comes back
-    as it is, so coerced (q, p) pass down to the constraint without a copy."""
-    v = np.asarray(x, dtype=float)
-    return v if v.shape == (dim,) else v.reshape(dim)
+def _adjoined(sign: float, jac: np.ndarray, p: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """jac^T p + sign * grad; with one entry each, (0.0 + jac * p) + sign * grad
+    in Python floats: bitwise numpy's (see core.dot), with no numpy warning."""
+    if jac.size == 1:
+        return np.array([(0.0 + jac.item() * p.item()) + sign * grad.item()])
+    return jac.T @ p + sign * grad
 
 
-def secondary_constraint(cp: ControlProblem, q, p, u) -> np.ndarray:
+def secondary_constraint(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
+                         u: np.ndarray) -> np.ndarray:
     """phi(q, p, u) = p . dGamma/du + sign * dcost/du, a k-vector."""
-    q, p, u = _vec(q, cp.n), _vec(p, cp.n), _vec(u, cp.k)
-    jac = np.asarray(cp.du_gamma(q, u), dtype=float).reshape(cp.n, cp.k)
-    grad = _vec(cp.du_cost(q, u), cp.k)
-    return jac.T @ p + cp.sign.factor * grad
+    return _adjoined(cp.sign.factor, cp.du_gamma(q, u), p, cp.du_cost(q, u))
 
 
 # Relative threshold for the second-difference probe that detects a control-
@@ -130,7 +131,8 @@ def _affine_part(phi, k: int):
     return phi0, aff
 
 
-def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None) -> np.ndarray:
+def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
+                      cfg: NewtonConfig | None = None) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
 
     A control the model supplies (cp.control) is accepted when |phi| at it
@@ -142,15 +144,15 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None)
     Otherwise, or when that candidate fails verification, a damped Newton
     runs from the candidate or from zero.
 
-    q and p are not validated: a non-finite one that reaches Newton raises
-    NumericalError naming it, as Newton does for its own non-finite
-    residuals.
+    q and p are float64 n-vectors (the problem's callbacks receive them as
+    they are), but their entries are not checked: a non-finite one that
+    reaches Newton raises NumericalError naming it, as Newton does for its
+    own non-finite residuals.
     """
     cfg = cfg if cfg is not None else NewtonConfig()
-    q, p = _vec(q, cp.n), _vec(p, cp.n)
     accept = max(cfg.tol, 1e-13 * norm_inf(p))
     if cp.control is not None:
-        u = _vec(cp.control(q, p), cp.k)
+        u = cp.control(q, p)
         if norm_inf(secondary_constraint(cp, q, p, u)) <= accept:
             return u
 
@@ -168,7 +170,7 @@ def eliminate_control(cp: ControlProblem, q, p, cfg: NewtonConfig | None = None)
             return cand
     for name, v in (("q", q), ("p", p)):
         if not np.all(np.isfinite(v)):
-            raise NumericalError(f"{name} contains non-finite entries: {np.asarray(v)}")
+            raise NumericalError(f"{name} contains non-finite entries: {v}")
     # an affine candidate that needs polish (rounding in the solve) seeds Newton
     return newton_solve(phi, np.zeros(cp.k) if cand is None else cand, cfg)
 
@@ -190,57 +192,42 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     cfg = cfg if cfg is not None else NewtonConfig()
     last = (None, None)  # (bytes of q and p, their read-only control)
 
-    def control(q, p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         nonlocal last
-        q, p = _vec(q, cp.n), _vec(p, cp.n)
         key = q.tobytes() + p.tobytes()
         if key != last[0]:
             # a read-only view: a supplied control may hand back the model's own array
             u = eliminate_control(cp, q, p, cfg).view()
             u.setflags(write=False)
             last = (key, u)
-        return q, p, last[1]
+        return last[1]
 
-    def _eval(q, p) -> float:
-        q, p, u = control(q, p)
-        vel = _vec(cp.gamma(q, u), cp.n)
-        return dot(p, vel) + cp.sign.factor * float(cp.cost(q, u))
+    def _eval(q: np.ndarray, p: np.ndarray) -> float:
+        u = control(q, p)
+        return dot(p, cp.gamma(q, u)) + cp.sign.factor * float(cp.cost(q, u))
 
-    def _d2(q, p) -> np.ndarray:
-        q, p, u = control(q, p)
-        return np.asarray(cp.gamma(q, u), dtype=float)
+    def _d2(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return cp.gamma(q, control(q, p))
 
     if cp.dq_gamma is not None and cp.dq_cost is not None:
-        def _d1(q, p) -> np.ndarray:
-            q, p, u = control(q, p)
-            jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
-            grad = np.array([dot(jac[0], p)]) if cp.n == 1 else jac.T @ p
-            return grad + cp.sign.factor * _vec(cp.dq_cost(q, u), cp.n)
+        def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+            u = control(q, p)
+            return _adjoined(cp.sign.factor, cp.dq_gamma(q, u), p, cp.dq_cost(q, u))
     else:
-        def _d1(q, p) -> np.ndarray:
+        def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, cfg.fd_step)
 
     def second_partial(d):
-        # d(q, p, u) read at the eliminated control, as an n x n matrix
+        # d(q, p, u) read at the eliminated control
         if d is None:
             return None
 
-        def _partial(q, p) -> np.ndarray:
-            q, p, u = control(q, p)
-            return np.asarray(d(q, p, u), dtype=float).reshape(cp.n, cp.n)
+        def _partial(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+            return d(q, p, control(q, p))
         return _partial
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
                                d12=second_partial(cp.d_qp), d22=second_partial(cp.d_pp))
-
-
-def _power(x: float, n: int) -> float:
-    """x ** n in Python floats, bitwise numpy's, with no overflow warning: where
-    Python raises OverflowError, numpy returns the signed infinity given here."""
-    try:
-        return x ** n
-    except OverflowError:
-        return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
 def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:

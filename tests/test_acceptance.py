@@ -242,7 +242,7 @@ def test_11_reduction_fidelity():
         q = rng.uniform(-2.0, 2.0)
         p = rng.uniform(-2.0, 2.0)
         want = p * (q - q ** 3) - 0.5 * p ** 2 + 0.5 * q ** 2
-        worst_val = max(worst_val, abs(H.eval([q], [p]) - want))
+        worst_val = max(worst_val, abs(H.eval(np.array([q]), np.array([p])) - want))
     step = 1e-6
 
     def hand(qq: float, pp: float) -> float:
@@ -252,8 +252,8 @@ def test_11_reduction_fidelity():
     for _ in range(100):
         q = rng.uniform(-1.5, 1.5)
         p = rng.uniform(-1.5, 1.5)
-        d1 = float(np.asarray(H.d1([q], [p]), dtype=float)[0])
-        d2 = float(np.asarray(H.d2([q], [p]), dtype=float)[0])
+        d1 = float(H.d1(np.array([q]), np.array([p]))[0])
+        d2 = float(H.d2(np.array([q]), np.array([p]))[0])
         fd_q = (hand(q + step, p) - hand(q - step, p)) / (2.0 * step)
         fd_p = (hand(q, p + step) - hand(q, p - step)) / (2.0 * step)
         worst_par = max(worst_par, abs(d1 - fd_q), abs(d2 - fd_p))

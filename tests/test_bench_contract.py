@@ -91,9 +91,9 @@ def test_reduced_hamiltonian_eliminates_through_the_traced_name(r):
     H = discretize_right(make_sakamoto1d(r=r))
     tracer.install()
     try:
-        H.d1([0.1], [-0.03])
+        H.d1(np.array([0.1]), np.array([-0.03]))
         first = tracer.counts["optctrl.eliminate_control"]
-        H.d2([0.1], [-0.03])   # the same (q, p): one elimination serves both
+        H.d2(np.array([0.1]), np.array([-0.03]))   # the same (q, p): one elimination serves both
         second = tracer.counts["optctrl.eliminate_control"]
         H.d1(np.array([0.1]), np.array([0.02]))
         third = tracer.counts["optctrl.eliminate_control"]

@@ -1,6 +1,7 @@
 """Command-line interface: determinism, file formats, exit codes."""
 
 import dataclasses
+import hashlib
 import math
 import re
 import subprocess
@@ -46,6 +47,31 @@ def test_simulate_csv_is_byte_deterministic(tmp_path):
     assert main(["simulate", "--csv", str(a)]) == 0
     assert main(["simulate", "--csv", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the outputs, pinned so that a change made for speed cannot move a
+# byte of them unnoticed; a change that means to move them says why and
+# updates the digests.
+_COMPARE_DIGESTS = {
+    "defaults": ("7dec34a3fea8f4840fb1528df8a81906ccc8bbab84c10929674be49f6b6b4cca",
+                 "e3c2b96bee8a24199e9ec2d91f93b6874d0fbffbfa47e744db10b6f8ea253533"),
+    "r2-s0.5": ("cab1536c8161c52d3added6d0b3bade2a2fbd95e9f161a35b7e0edb7121b6a74",
+                "e572696250a68365c68d8888b83ea9523eac478d7c41ac692a5eeaee2873cee5"),
+}
+_CHECK_DIGEST = "4048a01c144ab30bb6689b05d026ceaf12571abfb7cc9b08444bc947b665b974"
+
+
+@pytest.mark.parametrize("label, flags", [("defaults", []), ("r2-s0.5", ["--r=2", "--s=0.5"])])
+def test_compare_outputs_are_pinned_byte_for_byte(label, flags, tmp_path, capsys):
+    csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    assert main(["compare", *flags, "--csv", str(csv), "--svg", str(svg)]) == 0
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (csv, svg))
+    assert digests == _COMPARE_DIGESTS[label]
+
+
+def test_check_report_is_pinned_byte_for_byte(capsys):
+    assert main(["check", "--q1=0.05", "--steps=8"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _CHECK_DIGEST
 
 
 def test_simulate_csv_row_oracle(tmp_path):
@@ -478,11 +504,11 @@ def test_an_overflowing_orbit_prints_no_numpy_warning(command, tmp_path):
     # D1 H+ = (1 - 3 q^2) p + q reads -inf * 0 once 3 q^2 overflows
     (["simulate", "--q1=8e153", "--steps=2"], [["1", "8e+153", "0", "8e+153", "0"]],
      "trajectory failure at j = 1: NumericalError: non-finite residual evaluation at x = [0.]"),
-    # the lift's p_next q_next and H+'s p_next . Gamma overflow at p_next = 1e300
+    # the lift's p_next q_next and H+'s p_next . Gamma overflow at p_next = 1e300,
+    # so S_2 and the transition's residual are NaN: the lift rejects it
     (["hj-flow", "--q1=1e-320", "--steps=3", "--ds1=1e300", "--r=2"],
-     [["1", "9.9998886718268301e-321", "0", "1.0000000000000001e+300", "init", "0"],
-      ["2", "-5.0000000000000003e+299", "nan", "1.0000000000000001e+300", "direct", "nan"]],
-     "flow failure at j = 2: NumericalError: non-finite residual evaluation at x = [1.e+300]"),
+     [["1", "9.9998886718268301e-321", "0", "1.0000000000000001e+300", "init", "0"]],
+     "flow failure at j = 1: ResidualCheckFailure: transition residual nan is not at most inf"),
     # the row re-check multiplies D2 H+ = 0 by gamma_1 / q_2 = 1e300 / 1e-320 = inf
     (["hj-vf", "--q1=1e-320", "--steps=3", "--gamma1=1e300"],
      [["1", "9.9998886718268301e-321", "1.0000000000000001e+300", "0"],
@@ -495,6 +521,31 @@ def test_an_extreme_product_prints_no_numpy_warning(argv, rows, failure, tmp_pat
     assert main([*argv, "--csv", str(tmp_path / "out.csv")]) == 1
     assert capsys.readouterr().err.splitlines() == [failure]
     assert read_csv(tmp_path / "out.csv")[2] == rows
+
+
+_DS_OVERFLOW = "flow failure at j = 1: BranchError: no real branch: discriminant = inf is not finite"
+_GAMMA_OVERFLOW = "vf failure at j = 1: NumericalError: gamma_next = -inf is not finite"
+
+
+@pytest.mark.parametrize("argv, failure, rows", [
+    # the orbit leaves q = 2 with p = 1e300, so q_next^2 in the slope
+    # discriminant overflows, where Python's ** raises OverflowError
+    (["hj-flow", "--q1=2", "--p1=1e300"], _DS_OVERFLOW, 1),
+    (["compare", "--q1=2", "--p1=1e300"], _DS_OVERFLOW, 1),
+    # a second grid entry of 1e300 overflows q_j^2 in both closed forms
+    (["hj-flow", "--q1=0.01", "--q2=1e300"], _DS_OVERFLOW, 1),
+    (["hj-vf", "--q1=0.01", "--q2=1e300"],
+     "vf failure at j = 2: NumericalError: gamma_next = nan is not finite", 2),
+    # gamma_j q_j^2 = 1e300 * 1e10 overflows, so gamma_next is -inf
+    (["hj-vf", "--q1=1e5", "--gamma1=1e300"], _GAMMA_OVERFLOW, 1),
+    (["compare", "--q1=1e5", "--gamma1=1e300"], _GAMMA_OVERFLOW, 1),
+], ids=["hj-flow-p1", "compare-p1", "hj-flow-q2", "hj-vf-q2", "hj-vf-gamma1", "compare-gamma1"])
+def test_an_overflowing_closed_form_truncates_and_keeps_its_rows(argv, failure, rows, tmp_path,
+                                                                  capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--steps=3", "--csv", str(out)]) == 1
+    assert failure in capsys.readouterr().err.splitlines()
+    assert [row[0] for row in read_csv(out)[2]] == [str(j) for j in range(1, rows + 1)]
 
 
 @pytest.mark.parametrize("start, product", [

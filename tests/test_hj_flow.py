@@ -2,6 +2,7 @@
 branch selection, and the momentum identification."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -110,6 +111,14 @@ def test_negative_discriminant_raises():
     with pytest.raises(BranchError) as exc:
         closed_form_ds_step(0.5, 0.9, -1e4, 1e-4, Branch.PLUS)
     assert abs(exc.value.discriminant - (-1.4743749999999998)) <= 1e-10
+
+
+@pytest.mark.parametrize("q_j, q_next", [(2.0, 1e300), (1e100, 0.5)])
+def test_an_overflowing_discriminant_is_a_branch_error_that_carries_it(q_j, q_next):
+    # q_next^2 overflows to inf; q_j^6 - 2 q_j^4 reads inf - inf = NaN
+    with pytest.raises(BranchError, match="is not finite$") as exc:
+        closed_form_ds_step(q_j, q_next, 0.0, 1e-4)
+    assert not math.isfinite(exc.value.quantity)
 
 
 def test_continuity_ladder_matches_frozen_values():

@@ -2,13 +2,14 @@
 solvers, and the quotient-based equivalence check."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import dhj.core
-from dhj.core import PhasePoint
+from dhj.core import NumericalError, PhasePoint
 from dhj.hj_flow import GeneratingSequence, run_closed_form_flow
 from dhj.hj_vf import (
     DegenerateGridError,
@@ -85,6 +86,13 @@ def test_closed_form_singular_denominator():
         closed_form_gamma_step(0.0, 0.0, 0.0)
     assert exc.value.denominator == 0.0
     assert exc.value.scale >= 1.0
+
+
+def test_an_overflowing_closed_form_slope_is_a_numerical_error():
+    # gamma_j q_j^2 = 1e300 * 1e10 overflows
+    with pytest.raises(NumericalError, match="^gamma_next = -inf is not finite$") as exc:
+        closed_form_gamma_step(1e300, 1e5, 1e5)
+    assert exc.value.quantity == -math.inf
 
 
 def test_run_closed_form_vf_truncates_on_singularity():
@@ -229,7 +237,7 @@ def run_closed_form_flow_free(H, grid, p0):
     # free-particle generating data on an arithmetic grid: constant slope p0
     S = [0.0]
     for j in range(1, len(grid)):
-        S.append(S[-1] + p0 * grid[j] - H.eval([grid[j - 1]], [p0]))
+        S.append(S[-1] + p0 * grid[j] - H.eval(np.array([grid[j - 1]]), np.array([p0])))
     points = [PhasePoint(index=j + 1, q=[q], p=[p0]) for j, q in enumerate(grid)]
     return GeneratingSequence(points=points, S=S, branch_log=["init"] * len(grid), meta={})
 

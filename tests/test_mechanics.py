@@ -350,7 +350,7 @@ def test_step_right_with_one_newton_iteration_runs_two_eliminations():
         return base.du_gamma(q, u)
 
     H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
-    H.d1([0.2], [-0.3])  # warm-up
+    H.d1(np.array([0.2]), np.array([-0.3]))  # warm-up
     for q, p in ((0.05, -0.02), (-0.4, 0.3), (0.3, 0.0)):
         calls.clear()
         step_right(H, PhasePoint(index=1, q=[q], p=[p]))

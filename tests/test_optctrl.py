@@ -22,6 +22,11 @@ from dhj.optctrl import (
 )
 
 
+def vec(x):
+    """x as the one-entry float64 array that the partials and the elimination take."""
+    return np.array([x], dtype=float)
+
+
 def test_secondary_constraint_is_affine_in_control():
     cp = make_sakamoto1d(r=2.0)
     rng = np.random.default_rng(3)
@@ -32,6 +37,22 @@ def test_secondary_constraint_is_affine_in_control():
         phi = secondary_constraint(cp, q, p, u)
         assert phi.shape == (1,)
         assert abs(phi[0] - (p[0] + 2.0 * u[0])) <= 1e-14
+
+
+_SIGNED = st.sampled_from((0.0, -0.0)) | st.floats(-2.0, 2.0)
+
+
+@given(q=_SIGNED, p=_SIGNED, u=_SIGNED, sign=st.sampled_from(SignCriterion))
+def test_one_entry_constraint_and_d1_are_bitwise_numpys(q, p, u, sign):
+    # the Python-float path sums from +0.0 as numpy's matmul does, so a
+    # signed zero comes out as numpy's jac.T @ p + sign * grad gives it
+    cp = dataclasses.replace(make_sakamoto1d(r=2.0, s=0.5), sign=sign)
+    q, p, u = vec(q), vec(p), vec(u)
+    want = cp.du_gamma(q, u).T @ p + sign.factor * cp.du_cost(q, u)
+    assert secondary_constraint(cp, q, p, u).tobytes() == want.tobytes()
+    u = eliminate_control(cp, q, p)
+    want = cp.dq_gamma(q, u).T @ p + sign.factor * cp.dq_cost(q, u)
+    assert discretize_right(cp).d1(q, p).tobytes() == want.tobytes()
 
 
 def test_eliminate_control_exact_for_quadratic_cost():
@@ -59,14 +80,14 @@ def test_eliminate_control_newton_fallback_quartic_cost():
         n=1,
         k=1,
     )
-    u = eliminate_control(cp, [0.1], [0.5])
+    u = eliminate_control(cp, vec(0.1), vec(0.5))
     assert abs(u[0] - (-0.4883533127285651)) <= 1e-12
-    assert norm_inf(secondary_constraint(cp, [0.1], [0.5], u)) <= 1e-12
+    assert norm_inf(secondary_constraint(cp, vec(0.1), vec(0.5), u)) <= 1e-12
 
 
 def test_minus_criterion_flips_control_sign():
     cp = dataclasses.replace(make_sakamoto1d(r=2.0), sign=SignCriterion.MINUS)
-    u = eliminate_control(cp, [0.1], [0.5])
+    u = eliminate_control(cp, vec(0.1), vec(0.5))
     assert abs(u[0] - 0.25) <= 1e-15
     assert SignCriterion.PLUS.factor == 1.0
     assert SignCriterion.MINUS.factor == -1.0
@@ -108,7 +129,7 @@ def test_reduction_fidelity_on_grid():
         for p in np.linspace(-2.0, 2.0, 21):
             want = p * (q - q ** 3) - 0.5 * p ** 2 + 0.5 * q ** 2
             scale = max(1.0, abs(want))
-            assert abs(H.eval([q], [p]) - want) <= 1e-13 * scale
+            assert abs(H.eval(vec(q), vec(p)) - want) <= 1e-13 * scale
 
 
 def test_discretize_right_is_pointwise():
@@ -209,9 +230,9 @@ def _assert_bitwise_equal_to_probed(cp):
     for q in _GRID_Q:
         for p in _GRID_P:
             val, d1, d2 = _probed_reference(cp, [q], [p])
-            assert H.eval([q], [p]) == val
-            assert np.array_equal(H.d1([q], [p]), d1)
-            assert np.array_equal(H.d2([q], [p]), d2)
+            assert H.eval(vec(q), vec(p)) == val
+            assert np.array_equal(H.d1(vec(q), vec(p)), d1)
+            assert np.array_equal(H.d2(vec(q), vec(p)), d2)
 
 
 @pytest.mark.parametrize("sign", [SignCriterion.PLUS, SignCriterion.MINUS])
@@ -247,10 +268,10 @@ def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
         return base.du_gamma(q, u)
 
     H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
-    H.d1([0.2], [-0.3])  # warm-up
+    H.d1(vec(0.2), vec(-0.3))  # warm-up
     for q, p in ((0.05, -0.02), (-0.7, 1.3), (0.4, 0.0)):
         calls.clear()
-        H.d1([q], [p])
+        H.d1(vec(q), vec(p))
         assert len(calls) <= 3
 
 
@@ -270,22 +291,22 @@ def _quartic_cost_problem():
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_eliminate_control_names_the_non_finite_argument():
     with pytest.raises(NumericalError, match="^p contains non-finite"):
-        eliminate_control(make_sakamoto1d(), [0.1], [float("nan")])
+        eliminate_control(make_sakamoto1d(), vec(0.1), vec(float("nan")))
     with pytest.raises(NumericalError, match="^q contains non-finite"):
-        eliminate_control(_quartic_cost_problem(), [float("inf")], [0.5])
+        eliminate_control(_quartic_cost_problem(), vec(float("inf")), vec(0.5))
     # phi of the benchmark does not depend on q: the affine solve is accepted
-    assert eliminate_control(make_sakamoto1d(), [float("inf")], [0.1])[0] == -0.1
+    assert eliminate_control(make_sakamoto1d(), vec(float("inf")), vec(0.1))[0] == -0.1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("cp", [make_sakamoto1d(), _quartic_cost_problem()])
 def test_non_finite_iterate_in_reduced_hamiltonian_is_a_numerical_error(cp):
     H = discretize_right(cp)
-    H.d2([0.2], [-0.3])
+    H.d2(vec(0.2), vec(-0.3))
     with pytest.raises(NumericalError, match="^p contains non-finite"):
-        H.d2([0.1], [float("nan")])
+        H.d2(vec(0.1), vec(float("nan")))
     with pytest.raises(NumericalError, match="^p contains non-finite"):
-        H.d2([0.1], [float("-inf")])
+        H.d2(vec(0.1), vec(float("-inf")))
 
 
 def test_d2_bitwise_equals_a_fresh_elimination():
@@ -296,8 +317,8 @@ def test_d2_bitwise_equals_a_fresh_elimination():
         H = discretize_right(cp)
         for q, p in ((0.2, -0.3), (0.2, -0.3), (0.2, 0.7), (-0.4, 0.7), (-0.4, 0.7),
                      (0.0, -0.0), (0.0, 0.0), (0.2, -0.3)):
-            want = np.asarray(cp.gamma(np.array([q]), eliminate_control(cp, [q], [p])))
-            assert np.array_equal(H.d2([q], [p]), want)
+            want = np.asarray(cp.gamma(np.array([q]), eliminate_control(cp, vec(q), vec(p))))
+            assert np.array_equal(H.d2(vec(q), vec(p)), want)
 
 
 def test_shared_control_reaches_the_callbacks_read_only():
@@ -309,8 +330,8 @@ def test_shared_control_reaches_the_callbacks_read_only():
         return base.gamma(q, u)
 
     H = discretize_right(dataclasses.replace(base, gamma=gamma))
-    H.eval([0.2], [-0.3])
-    H.d2([0.2], [-0.3])
+    H.eval(vec(0.2), vec(-0.3))
+    H.d2(vec(0.2), vec(-0.3))
     assert writeable == [False, False]
 
 
@@ -321,8 +342,8 @@ def test_mixed_partial_matches_central_differences_of_d1(r, s):
     step = 1e-6
     for q in np.linspace(-1.5, 1.5, 7):
         for p in np.linspace(-2.0, 2.0, 9):
-            fd = (H.d1([q], [p + step]) - H.d1([q], [p - step])) / (2.0 * step)
-            d12 = H.d12([q], [p])
+            fd = (H.d1(vec(q), vec(p + step)) - H.d1(vec(q), vec(p - step))) / (2.0 * step)
+            d12 = H.d12(vec(q), vec(p))
             assert d12.shape == (1, 1)
             assert abs(d12[0, 0] - fd[0]) <= 1e-8 * max(1.0, abs(fd[0]))
 
@@ -334,15 +355,15 @@ def test_second_momentum_partial_matches_central_differences_of_d2(r, s):
     step = 1e-6
     for q in np.linspace(-1.5, 1.5, 7):
         for p in np.linspace(-2.0, 2.0, 9):
-            fd = (H.d2([q], [p + step]) - H.d2([q], [p - step])) / (2.0 * step)
-            d22 = H.d22([q], [p])
+            fd = (H.d2(vec(q), vec(p + step)) - H.d2(vec(q), vec(p - step))) / (2.0 * step)
+            d22 = H.d22(vec(q), vec(p))
             assert d22.shape == (1, 1)
             assert abs(d22[0, 0] - fd[0]) <= 1e-8 * max(1.0, abs(fd[0]))
 
 
 # The elimination's acceptance test, max(tol, 1e-13 |p|), at the default tol.
 def _accepts(cp, q, p, u):
-    return norm_inf(secondary_constraint(cp, [q], [p], u)) <= max(1e-12, 1e-13 * abs(p))
+    return norm_inf(secondary_constraint(cp, vec(q), vec(p), u)) <= max(1e-12, 1e-13 * abs(p))
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -352,8 +373,8 @@ def test_supplied_control_agrees_with_probe_and_solve(r, s):
     probed = dataclasses.replace(cp, control=None)
     for q in np.linspace(-0.55, 0.55, 7):
         for p in np.linspace(-2.0, 2.0, 13):
-            u = eliminate_control(cp, [q], [p])
-            v = eliminate_control(probed, [q], [p])
+            u = eliminate_control(cp, vec(q), vec(p))
+            v = eliminate_control(probed, vec(q), vec(p))
             assert _accepts(cp, q, p, u) and _accepts(cp, q, p, v)
             assert abs(u[0] - v[0]) <= 4 * math.ulp(p / r)
 
@@ -367,11 +388,11 @@ def test_wrong_supplied_control_falls_back_to_probe_and_solve(wrong):
         bad = dataclasses.replace(cp, control=lambda q, p: wrong(q, p, r))
         H, H_probed = discretize_right(bad), discretize_right(probed)
         for q, p in ((0.2, -0.3), (-0.4, 0.7), (0.05, 1.9), (0.3, 1e-9)):
-            want = eliminate_control(probed, [q], [p])
-            assert np.array_equal(eliminate_control(bad, [q], [p]), want)
+            want = eliminate_control(probed, vec(q), vec(p))
+            assert np.array_equal(eliminate_control(bad, vec(q), vec(p)), want)
             assert _accepts(cp, q, p, want)
-            assert H.eval([q], [p]) == H_probed.eval([q], [p])
-            assert np.array_equal(H.d2([q], [p]), H_probed.d2([q], [p]))
+            assert H.eval(vec(q), vec(p)) == H_probed.eval(vec(q), vec(p))
+            assert np.array_equal(H.d2(vec(q), vec(p)), H_probed.d2(vec(q), vec(p)))
 
 
 def test_supplied_control_skips_the_affinity_probe():
@@ -387,13 +408,13 @@ def test_supplied_control_skips_the_affinity_probe():
     H = discretize_right(dataclasses.replace(base, du_gamma=du_gamma))
     for q, p in ((0.2, -0.3), (-0.4, 0.7), (0.1, 0.0)):
         calls.clear()
-        H.d1([q], [p])
+        H.d1(vec(q), vec(p))
         assert len(calls) == 1
     missing = discretize_right(dataclasses.replace(base, du_gamma=du_gamma,
                                                    control=lambda q, p: 2.0 * p))
     for q, p in ((0.2, -0.3), (0.1, 0.4)):
         calls.clear()
-        missing.d1([q], [p])
+        missing.d1(vec(q), vec(p))
         assert len(calls) == 1 + 4  # candidate, phi(0), phi(1), phi(2), verification
 
 
@@ -402,14 +423,14 @@ def test_non_finite_iterate_after_a_missed_control_is_a_numerical_error():
     cp = dataclasses.replace(make_sakamoto1d(), control=lambda q, p: np.full(1, np.nan))
     H = discretize_right(cp)
     with pytest.raises(NumericalError, match="^p contains non-finite"):
-        H.d2([0.1], [float("nan")])
-    assert H.d2([0.1], [0.5])[0] == 0.1 - 0.1**3 - 0.5
+        H.d2(vec(0.1), vec(float("nan")))
+    assert H.d2(vec(0.1), vec(0.5))[0] == 0.1 - 0.1**3 - 0.5
 
 
 @given(q=st.floats(-0.5773, 0.5773), p=st.floats(-2.0, 2.0),
        r=st.sampled_from((0.5, 1.0, 2.0, 0.3, 3.7)))
 def test_eliminated_control_is_the_exact_quotient_to_an_ulp(q, p, r):
     # the oracle is the rational -p / r, rounded once
-    u = eliminate_control(make_sakamoto1d(r=r), [q], [p])
+    u = eliminate_control(make_sakamoto1d(r=r), vec(q), vec(p))
     exact = -Fraction(p) / Fraction(r)
     assert abs(Fraction(float(u[0])) - exact) <= Fraction(math.ulp(float(exact)))
