@@ -18,7 +18,6 @@ from .core import (
     dot,
     fd_gradient,
     fd_jacobian,
-    fd_partial,
     iterate,
     newton_solve,
     norm_inf,

@@ -23,8 +23,8 @@ from .hj_vf import run_closed_form_vf, solve_gamma_generic, vf_residual
 from .mechanics import (
     DiscreteLagrangian,
     Side,
+    _left_right_gap,
     hamiltonian_from_lagrangian,
-    left_right_relation_residual,
     run_trajectory,
     step_right,
     symplecticity_defect,
@@ -174,14 +174,8 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     if ns.config is not None:
         for key, value in load_config_file(ns.config).items():
             rc = replace(rc, **{key: value})
-    overrides = {}
-    for f in fields(RunConfig):
-        if f.name == "command" or not hasattr(ns, f.name):
-            continue
-        value = getattr(ns, f.name)
-        if value is not None:
-            overrides[f.name] = value
-    rc = replace(rc, **overrides)
+    rc = replace(rc, **{f.name: getattr(ns, f.name) for f in fields(RunConfig)
+                        if f.name != "command" and getattr(ns, f.name, None) is not None})
 
     for key in sorted(_FLOAT_KEYS):
         value = getattr(rc, key)
@@ -376,8 +370,8 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
             panels: list[dict], parts: list[tuple[str, dict]],
             footer: list[str] | None = None) -> int:
     """Write the CSV and SVG, print the footer and summary, and report each
-    truncated part (a label and its failure record) on stderr.  Exit code 1
-    if any part truncated, else 0."""
+    failed part (a label and its failure record) on stderr.  Exit code 1 if
+    any part failed, else 0."""
     if rc.csv:
         write_csv(rc.csv, rc, colnames, rows, footer)
         print(f"wrote {rc.csv}")
@@ -386,12 +380,13 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
         print(f"wrote {rc.svg}")
     for line in footer or ():
         print(line)
-    truncated = [(label, meta) for label, meta in parts if meta["truncated"]]
+    truncated = any(meta["truncated"] for _, meta in parts)
     print(f"{rc.command}: {summary} truncated={'yes' if truncated else 'no'}")
-    for label, meta in truncated:
+    failed = [(label, meta) for label, meta in parts if meta["failure"] is not None]
+    for label, meta in failed:
         print(f"{label} failure at j = {meta['failure_index']}: "
               f"{meta['failure']}: {meta['failure_message']}", file=sys.stderr)
-    return 1 if truncated else 0
+    return 1 if failed else 0
 
 
 def cmd_simulate(rc: RunConfig) -> int:
@@ -454,21 +449,21 @@ def cmd_hj_flow(rc: RunConfig) -> int:
 
 
 def _vf_rows(H, seq):
-    # residual column re-checks the defining equation with the scheme's own
-    # quotient gamma_prev / q_next, which both update rules solve
-    rows = []
-    for i, pt in enumerate(seq.points):
-        if i == 0:
-            res = "0"
-        else:
-            prev = seq.points[i - 1]
-            if float(pt.q[0]) == 0.0:
-                res = "nan"
-            else:
-                quot = float(prev.p[0]) / float(pt.q[0])
-                res = _g17(vf_residual(H, prev.q, pt.p, quot))
-        rows.append([str(pt.index), _g17(pt.q[0]), _g17(pt.p[0]), res])
-    return rows
+    # the residual re-checks the defining equation with the quotient gamma_prev /
+    # q_next that both update rules solve; the failure record names the first
+    # row where it cannot be formed (q_next = 0, an overflow, inf * 0); it stays
+    first = seq.points[0]
+    rows = [[str(first.index), _g17(first.q[0]), _g17(first.p[0]), "0"]]
+    meta = {"truncated": False, "failure": None}
+    for prev, pt in zip(seq.points, seq.points[1:]):
+        gamma, q = float(prev.p[0]), float(pt.q[0])
+        res = vf_residual(H, prev.q, pt.p, gamma / q) if q != 0.0 else math.nan
+        if not math.isfinite(res) and meta["failure"] is None:
+            meta.update(failure="ResidualCheckFailure", failure_index=pt.index,
+                        failure_message=f"residual {res} is not finite: quotient gamma_"
+                                        f"{prev.index} / q_{pt.index} = {gamma!r} / {q!r}")
+        rows.append([str(pt.index), _g17(pt.q[0]), _g17(pt.p[0]), _g17(res)])
+    return rows, meta
 
 
 def _gamma_sequence(rc: RunConfig, H, cfg, grid):
@@ -484,10 +479,11 @@ def cmd_hj_vf(rc: RunConfig) -> int:
     seq = _gamma_sequence(rc, H, cfg, grid)
     qs = [float(pt.q[0]) for pt in seq.points]
     gs = [float(pt.p[0]) for pt in seq.points]
+    rows, residuals = _vf_rows(H, seq)
     return _finish(rc, f"method={rc.method} points={len(seq)}",
-                   ["j", "q", "gamma", "residual"], _vf_rows(H, seq),
+                   ["j", "q", "gamma", "residual"], rows,
                    _portrait("slope", "gamma", qs, gs, rc.log_abs),
-                   [("trajectory", traj.meta), ("vf", seq.meta)])
+                   [("trajectory", traj.meta), ("vf", seq.meta), ("residual", residuals)])
 
 
 def cmd_compare(rc: RunConfig) -> int:
@@ -549,9 +545,8 @@ def check_partial_consistency(H, points: int = 100, box: float = 2.0,
     """Analytic slot partials against central differences at sampled points."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(points):
-        q = rng.uniform(-box, box, H.dim)
-        p = rng.uniform(-box, box, H.dim)
+    # one draw, in the order of a q then a p per point
+    for q, p in rng.uniform(-box, box, (points, 2, H.dim)):
         fd1 = fd_gradient(lambda z: H.eval(z, p), q, 1e-6)
         fd2 = fd_gradient(lambda z: H.eval(q, z), p, 1e-6)
         e1 = norm_inf(H.d1(q, p) - fd1) / max(1.0, norm_inf(fd1))
@@ -654,7 +649,7 @@ def check_left_right(cfg, steps: int = 50) -> CheckResult:
     traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), steps, cfg)
     worst = 0.0
     for a, b in zip(traj.points[:-1], traj.points[1:]):
-        worst = max(worst, left_right_relation_residual(Hp, Hm, a.q, a.p, b.q, b.p))
+        worst = max(worst, _left_right_gap(Hp, Hm, a.q, a.p, b.q, b.p))
     ok = not traj.meta["truncated"]
     status = "PASS" if ok and worst <= 1e-9 else "FAIL"
     return CheckResult("left-right-identity", status, worst,

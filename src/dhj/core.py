@@ -31,7 +31,6 @@ __all__ = [
     "as_grid",
     "norm_inf",
     "dot",
-    "fd_partial",
     "fd_gradient",
     "fd_jacobian",
     "newton_solve",
@@ -177,6 +176,13 @@ class PhasePoint:
         return self.q.size
 
 
+def _checked_point(index: int, q: np.ndarray, p: np.ndarray) -> PhasePoint:
+    """A PhasePoint of values already checked, stored as given."""
+    pt = object.__new__(PhasePoint)
+    pt.__dict__.update(index=index, q=q, p=p)
+    return pt
+
+
 @dataclass(frozen=True)
 class NewtonConfig:
     """Knobs for the damped Newton iteration and its finite differences."""
@@ -198,25 +204,25 @@ class NewtonConfig:
             raise ValueError(f"fd_step must be positive, got {self.fd_step}")
 
 
-def fd_partial(f, x, i: int, step: float = 1e-7) -> float:
-    """Central-difference partial derivative of scalar f at x along coordinate i.
-
-    f maps a 1-D vector to a scalar.  step must be positive; i must index
-    into x.  A non-finite f evaluation raises NumericalError.
-    """
-    x = as_vec(x, name="x")
-    if not (0 <= i < x.size):
-        raise ValueError(f"coordinate index {i} out of range for dimension {x.size}")
-    _check_step(step)
-    return _central_difference(f, x, i, step)
+_DEFAULT_NEWTON = NewtonConfig()  # newton_solve's cfg when it is given none
 
 
 def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
-    """Central-difference gradient of scalar f at x: fd_partial along every
-    axis, with x and step validated once."""
+    """Central-difference gradient of scalar f at x (f maps a 1-D vector to a
+    scalar), one partial per axis, with x and step validated once.  step must
+    be positive; a non-finite partial raises NumericalError."""
     x = as_vec(x, name="x")
     _check_step(step)
-    return np.array([_central_difference(f, x, i, step) for i in range(x.size)])
+    grad = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = step
+        val = (float(f(x + e)) - float(f(x - e))) / (2.0 * step)
+        if not math.isfinite(val):
+            raise NumericalError(f"non-finite finite-difference evaluation at coordinate {i} "
+                                 f"(step {step:g})")
+        grad.append(val)
+    return np.array(grad)
 
 
 def _check_step(step: float) -> None:
@@ -224,26 +230,23 @@ def _check_step(step: float) -> None:
         raise ValueError(f"step must be positive, got {step}")
 
 
-def _central_difference(f, x: np.ndarray, i: int, step: float) -> float:
-    e = np.zeros_like(x)
-    e[i] = step
-    hi = float(f(x + e))
-    lo = float(f(x - e))
-    val = (hi - lo) / (2.0 * step)
-    if not math.isfinite(val):
-        raise NumericalError(
-            f"non-finite finite-difference evaluation at coordinate {i} (step {step:g})"
-        )
-    return val
-
-
 def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of a residual from R^n to R^n at x (columns
     by axis); 2n residual evaluations, none at x itself.  step must be
-    positive."""
+    positive.  One entry is differenced in Python floats, bitwise numpy's."""
     x = as_vec(x, name="x")
     _check_step(step)
     m = x.size
+    if m == 1:
+        x0 = x.item()
+        hi = _atleast_1d(residual(np.array([x0 + step])))
+        lo = _atleast_1d(residual(np.array([x0 - step])))
+        if hi.size != 1 or lo.size != 1:
+            raise ValueError("residual must return a vector of dimension 1")
+        d = (hi.item() - lo.item()) / (2.0 * step)
+        if not math.isfinite(d):
+            raise NumericalError("non-finite entries in finite-difference Jacobian")
+        return np.array([[d]])
     jac = np.empty((m, m))
     for i in range(m):
         e = np.zeros_like(x)
@@ -278,7 +281,8 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     iterate to the n x n Jacobian (otherwise central differences with
     cfg.fd_step are used).  Convergence means ||residual||_inf <= cfg.tol.
     A guess that already satisfies the tolerance is returned unchanged after
-    one residual evaluation.
+    one residual evaluation.  A converged iterate with a non-finite entry (a
+    step overflowed) raises NumericalError with that entry as its quantity.
 
     Both residual and jacobian must be functions of the iterate alone: the
     same x (bit for bit) gives the same values.  So once an iterate repeats
@@ -294,7 +298,7 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     np.linalg.det and np.linalg.solve.
     """
     if cfg is None:
-        cfg = NewtonConfig()
+        cfg = _DEFAULT_NEWTON
     x = as_vec(guess, name="guess").copy()
     n = x.size
 
@@ -314,6 +318,9 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     norms: list[float] = []
     for iteration in range(cfg.max_iter + 1):
         if rn <= cfg.tol:
+            for v in x.tolist():
+                if not math.isfinite(v):
+                    raise NumericalError(f"root x = {x} is not finite", v)
             return x
         if iteration == cfg.max_iter:
             break

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, as_vec, fd_jacobian, iterate,
-                   newton_solve, norm_inf)
+from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, as_vec,
+                   fd_jacobian, iterate, newton_solve, norm_inf)
 
 __all__ = [
     "Side",
@@ -191,7 +191,7 @@ def _lagrangian_step(L: DiscreteLagrangian, x: PhasePoint,
     Legendre duals of L_d: q_next from the guess q_j, then p_next = D2 L_d."""
     q_next = _next_position(L, x.q, x.p, x.q, cfg)
     p_next = _computed(L.d2(x.q, q_next), L.dim, "D2 L_d")
-    return PhasePoint(index=x.index + 1, q=q_next, p=p_next)
+    return _checked_point(x.index + 1, q_next, p_next)
 
 
 def del_step(L: DiscreteLagrangian, q_prev, q_j, cfg: NewtonConfig | None = None,
@@ -228,14 +228,12 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
     The result keeps L as its lagrangian field, so step_right and step_left
     take the discrete Lagrangian flow under their own cfg instead.
     """
-    inner = cfg if cfg is not None else NewtonConfig()
-
     if side is Side.RIGHT:
 
         def _recover(q: np.ndarray, p_next: np.ndarray) -> np.ndarray:
             # invert p_next = D2 L_d(q, .) from the guess q
             jacobian = None if L.d22 is None else (lambda y: L.d22(q, y))
-            return newton_solve(lambda y: L.d2(q, y) - p_next, q, inner, jacobian=jacobian)
+            return newton_solve(lambda y: L.d2(q, y) - p_next, q, cfg, jacobian=jacobian)
 
         def _eval(q: np.ndarray, p_next: np.ndarray) -> float:
             y = _recover(q, p_next)
@@ -252,7 +250,7 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
         def _recover_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
             # invert p = -D1 L_d(., q_next) from the guess q_next
             jacobian = None if L.d11 is None else (lambda y: L.d11(y, q_next))
-            return newton_solve(lambda y: L.d1(y, q_next) + p, q_next, inner, jacobian=jacobian)
+            return newton_solve(lambda y: L.d1(y, q_next) + p, q_next, cfg, jacobian=jacobian)
 
         def _eval_left(q_next: np.ndarray, p: np.ndarray) -> float:
             y = _recover_left(q_next, p)
@@ -290,7 +288,7 @@ def step_right(H: DiscreteHamiltonian, x: PhasePoint,
     jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
     p_next = newton_solve(residual, x.p, cfg, jacobian=jacobian)
     q_next = _computed(H.d2(x.q, p_next), H.dim, "D2 H+")
-    return PhasePoint(index=x.index + 1, q=q_next, p=p_next)
+    return _checked_point(x.index + 1, q_next, p_next)
 
 
 def step_left(H: DiscreteHamiltonian, x: PhasePoint,
@@ -311,7 +309,7 @@ def step_left(H: DiscreteHamiltonian, x: PhasePoint,
 
     q_next = newton_solve(residual, x.q, cfg)
     p_next = -_computed(H.d1(q_next, x.p), H.dim, "D1 H-")
-    return PhasePoint(index=x.index + 1, q=q_next, p=p_next)
+    return _checked_point(x.index + 1, q_next, p_next)
 
 
 def verify_step(H: DiscreteHamiltonian, a: PhasePoint, b: PhasePoint) -> float:
@@ -351,10 +349,13 @@ def symplecticity_defect(H: DiscreteHamiltonian, x: PhasePoint,
     stepper = step_right if H.side is Side.RIGHT else step_left
 
     def flow(z: np.ndarray) -> np.ndarray:
-        pt = stepper(H, PhasePoint(index=x.index, q=z[:n], p=z[n:]))
+        pt = stepper(H, _checked_point(x.index, z[:n], z[n:]))
         return np.concatenate([pt.q, pt.p])
 
     z0 = np.concatenate([x.q, x.p])
+    # every probe z0 +- fd_step along one axis is finite unless this overflows
+    if max(map(abs, z0.tolist())) + fd_step == math.inf:
+        raise ValueError(f"fd_step {fd_step:g} overflows the probes around {z0}")
     df = fd_jacobian(flow, z0, fd_step)
     sym = np.zeros((2 * n, 2 * n))
     eye = np.eye(n)
@@ -374,10 +375,14 @@ def left_right_relation_residual(Hp: DiscreteHamiltonian, Hm: DiscreteHamiltonia
     relations, so the residual vanishes on trajectory data."""
     if Hp.side is not Side.RIGHT or Hm.side is not Side.LEFT:
         raise ValueError("expected a (right, left) Hamiltonian pair")
-    q_j = as_vec(q_j, dim=Hp.dim, name="q_j")
-    p_j = as_vec(p_j, dim=Hp.dim, name="p_j")
-    q_next = as_vec(q_next, dim=Hp.dim, name="q_next")
-    p_next = as_vec(p_next, dim=Hp.dim, name="p_next")
+    return _left_right_gap(Hp, Hm, as_vec(q_j, dim=Hp.dim, name="q_j"),
+                           as_vec(p_j, dim=Hp.dim, name="p_j"),
+                           as_vec(q_next, dim=Hp.dim, name="q_next"),
+                           as_vec(p_next, dim=Hp.dim, name="p_next"))
+
+
+def _left_right_gap(Hp, Hm, q_j, p_j, q_next, p_next) -> float:
+    """left_right_relation_residual at 1-D float64 arrays already checked."""
     lhs = float(Hm.eval(q_next, p_j)) + float(p_j @ q_j)
     rhs = float(Hp.eval(q_j, p_next)) - float(p_next @ q_next)
     return abs(lhs - rhs)

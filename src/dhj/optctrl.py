@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import (NewtonConfig, NumericalError, _power, as_vec, dot, fd_gradient, newton_solve,
-                   norm_inf)
+from .core import (_DEFAULT_NEWTON, NewtonConfig, NumericalError, _power, as_vec, dot, fd_gradient,
+                   newton_solve, norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -149,7 +149,7 @@ def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
     reaches Newton raises NumericalError naming it, as Newton does for its
     own non-finite residuals.
     """
-    cfg = cfg if cfg is not None else NewtonConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_NEWTON
     accept = max(cfg.tol, 1e-13 * norm_inf(p))
     if cp.control is not None:
         u = cp.control(q, p)
@@ -189,7 +189,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     term; without them d1 is a central difference of eval with cfg.fd_step.
     The problem's d_qp and d_pp become d12 and d22.
     """
-    cfg = cfg if cfg is not None else NewtonConfig()
+    cfg = cfg if cfg is not None else _DEFAULT_NEWTON
     last = (None, None)  # (bytes of q and p, their read-only control)
 
     def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:

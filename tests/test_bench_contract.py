@@ -14,11 +14,13 @@ import pytest
 
 import dhj
 import dhj.cli
+import dhj.mechanics
 from dhj.core import NumericalError, PhasePoint
 from dhj.hj_flow import run_closed_form_flow, solve_generating_sequence
 from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
-from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
+from dhj.mechanics import DiscreteHamiltonian, Side, hamiltonian_from_lagrangian, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
+from test_mechanics import midpoint_pendulum
 
 _TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 _SINGULAR_Q = 1.0 / math.sqrt(3.0)
@@ -76,6 +78,26 @@ def test_traced_generic_compare_lifts_one_right_orbit(tmp_path):
     assert metrics["core.fd_jacobian.calls_per_step"] == 0
     assert metrics["hj_flow.truncated"] == 0
     assert metrics["optctrl.H.d1.calls_per_step"] > 0
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_traced_lagrangian_dual_solves_through_the_traced_names(side):
+    # the lagrangian workload's per-layer counts read core.newton_solve at
+    # the mechanics attribute and core.fd_jacobian at the core attribute:
+    # a step that solved or differenced another way would read 0
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    H = hamiltonian_from_lagrangian(midpoint_pendulum(0.2, 1.3), side)
+    tracer.install()
+    try:
+        tracer.begin_op()
+        traj = dhj.mechanics.run_trajectory(H, PhasePoint(index=1, q=[0.7], p=[-0.2]), 8)
+    finally:
+        tracer.uninstall()
+    assert len(traj) == 9
+    assert tracer.counts[f"mechanics.step_{side.value}"] == 8
+    assert tracer.counts["core.newton_solve"] == 8
+    assert tracer.metrics(0.0)["core.fd_jacobian.calls_per_step"] > 0
 
 
 def _cubic():

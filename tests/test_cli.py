@@ -500,27 +500,54 @@ def test_an_overflowing_orbit_prints_no_numpy_warning(command, tmp_path):
     assert "Warning" not in run.stderr
 
 
-@pytest.mark.parametrize("argv, rows, failure", [
+@pytest.mark.parametrize("argv, rows, failures", [
     # D1 H+ = (1 - 3 q^2) p + q reads -inf * 0 once 3 q^2 overflows
     (["simulate", "--q1=8e153", "--steps=2"], [["1", "8e+153", "0", "8e+153", "0"]],
-     "trajectory failure at j = 1: NumericalError: non-finite residual evaluation at x = [0.]"),
+     ["trajectory failure at j = 1: NumericalError: non-finite residual evaluation at x = [0.]"]),
     # the lift's p_next q_next and H+'s p_next . Gamma overflow at p_next = 1e300,
     # so S_2 and the transition's residual are NaN: the lift rejects it
     (["hj-flow", "--q1=1e-320", "--steps=3", "--ds1=1e300", "--r=2"],
      [["1", "9.9998886718268301e-321", "0", "1.0000000000000001e+300", "init", "0"]],
-     "flow failure at j = 1: ResidualCheckFailure: transition residual nan is not at most inf"),
-    # the row re-check multiplies D2 H+ = 0 by gamma_1 / q_2 = 1e300 / 1e-320 = inf
+     ["flow failure at j = 1: ResidualCheckFailure: transition residual nan is not at most inf"]),
+    # the row re-check multiplies D2 H+ = 0 by gamma_1 / q_2 = 1e300 / 1e-320 = inf:
+    # the NaN row is kept and flagged, after the closed form's own truncation
     (["hj-vf", "--q1=1e-320", "--steps=3", "--gamma1=1e300"],
      [["1", "9.9998886718268301e-321", "1.0000000000000001e+300", "0"],
       ["2", "9.9998886718268301e-321", "9.9998886718268301e-321", "nan"]],
-     "vf failure at j = 2: SingularDenominatorError: singular denominator 1.999978e-320 "
-     "(threshold 1e-14 * scale, scale = 1.000000e+00)"),
+     ["vf failure at j = 2: SingularDenominatorError: singular denominator 1.999978e-320 "
+      "(threshold 1e-14 * scale, scale = 1.000000e+00)",
+      "residual failure at j = 2: ResidualCheckFailure: residual nan is not finite: "
+      "quotient gamma_1 / q_2 = 1e+300 / 1e-320"]),
 ], ids=["simulate", "hj-flow", "hj-vf"])
-def test_an_extreme_product_prints_no_numpy_warning(argv, rows, failure, tmp_path, capsys):
+def test_an_extreme_product_prints_no_numpy_warning(argv, rows, failures, tmp_path, capsys):
     # in process, so pytest's error::RuntimeWarning filter fails the run on a warning
     assert main([*argv, "--csv", str(tmp_path / "out.csv")]) == 1
-    assert capsys.readouterr().err.splitlines() == [failure]
+    assert capsys.readouterr().err.splitlines() == failures
     assert read_csv(tmp_path / "out.csv")[2] == rows
+
+
+@pytest.mark.parametrize("argv, quotient, rows", [
+    # gamma_1 / q_2 = 1e300 / 1e-13 overflows
+    (["--q1=1e-13", "--gamma1=1e300"], "1e+300 / 1e-13",
+     [["1", "1e-13", "1.0000000000000001e+300", "0"], ["2", "1e-13", "1e-13", "nan"],
+      ["3", "1e-13", "-0", "0"], ["4", "1e-13", "-1e-13", "0"]]),
+    # q_2 = 0, where the closed form's denominator is gamma_1 = 5
+    (["--q1=0.01", "--q2=0", "--gamma1=5"], "5.0 / 0.0",
+     [["1", "0.01", "5", "0"], ["2", "0", "0.0099990000000000009", "nan"],
+      ["3", "0.050035056782890636", "-0", "0"],
+      ["4", "0.13059187316939941", "-0.050413689845134987", "6.9388939039072284e-18"]]),
+], ids=["overflow", "zero"])
+def test_an_unformed_vf_residual_is_flagged_and_its_row_kept(argv, quotient, rows, tmp_path,
+                                                              capsys):
+    # row 2 has no residual; the slope run itself goes on to the end
+    out = tmp_path / "out.csv"
+    assert main(["hj-vf", *argv, "--steps=3", "--csv", str(out)]) == 1
+    streams = capsys.readouterr()
+    assert "hj-vf: method=closed-form points=4 truncated=no" in streams.out.splitlines()
+    assert streams.err.splitlines() == [
+        "residual failure at j = 2: ResidualCheckFailure: residual nan is not finite: "
+        f"quotient gamma_1 / q_2 = {quotient}"]
+    assert read_csv(out)[2] == rows
 
 
 _DS_OVERFLOW = "flow failure at j = 1: BranchError: no real branch: discriminant = inf is not finite"

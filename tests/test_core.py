@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +21,6 @@ from dhj.core import (
     dot,
     fd_gradient,
     fd_jacobian,
-    fd_partial,
     iterate,
     newton_solve,
     norm_inf,
@@ -214,6 +213,39 @@ def test_fd_jacobian_non_finite_entry_keeps_class_and_message(n, data):
     assert str(err.value) == "non-finite entries in finite-difference Jacobian"
 
 
+@given(x0=st.floats(allow_nan=False, allow_infinity=False),
+       step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       hi=st.floats(), lo=st.floats())
+@example(x0=0.3, step=1e-7, hi=math.inf, lo=math.inf)
+@example(x0=1.7976931348623157e308, step=1e300, hi=1.0, lo=0.0)
+def test_one_entry_fd_column_is_bitwise_the_generic_formula(x0, step, hi, lo):
+    # the one-entry column runs in Python floats; numpy's column formula,
+    # from the same probes, is the reference, and so is its error
+    probes = []
+
+    def residual(z):
+        probes.append(z.tobytes())
+        return np.array([hi if len(probes) == 1 else lo])
+
+    x, e = np.array([x0]), np.array([step])
+    with np.errstate(all="ignore"):
+        want_probes = [(x + e).tobytes(), (x - e).tobytes()]
+        want = ((np.array([hi]) - np.array([lo])) / (2.0 * step)).reshape(1, 1)
+    if np.isfinite(want).all():
+        assert fd_jacobian(residual, x, step).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(NumericalError) as err:
+            fd_jacobian(residual, x, step)
+        assert err.type is NumericalError
+        assert str(err.value) == "non-finite entries in finite-difference Jacobian"
+    assert probes == want_probes
+
+
+def test_one_entry_fd_column_checks_the_residual_size():
+    with pytest.raises(ValueError, match="^residual must return a vector of dimension 1$"):
+        fd_jacobian(lambda z: np.array([z[0], 0.0]), [0.3])
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-7, math.nan])
 def test_fd_jacobian_rejects_a_step_that_is_not_positive(step):
     with pytest.raises(ValueError, match="^step must be positive"):
@@ -236,8 +268,10 @@ def test_fd_gradient_validates_x_once_and_matches_fd_partial(monkeypatch):
     grad = fd_gradient(f, x, step=1e-6)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert [_bits(g) for g in grad.tolist()] == [_bits(fd_partial(f, x, i, 1e-6))
-                                                 for i in range(3)]
+    # each entry is the central difference along its own axis
+    z = np.array(x)
+    want = [(f(z + e) - f(z - e)) / (2.0 * 1e-6) for e in np.eye(3) * 1e-6]
+    assert [_bits(g) for g in grad.tolist()] == [_bits(w) for w in want]
     for step in (0.0, -1e-7, math.nan):
         with pytest.raises(ValueError, match="^step must be positive"):
             fd_gradient(f, x, step)
@@ -266,29 +300,31 @@ def test_newton_config_validation():
         NewtonConfig(fd_step=-1e-7)
 
 
+# A central-difference partial is one entry of fd_gradient (the one-axis
+# helper these tests were written for is gone).
 def test_fd_partial_cubic_at_origin():
     # central difference of x^3 at 0 with step 1e-6 is step^2 exactly
-    val = fd_partial(lambda x: x[0] ** 3, [0.0], 0, step=1e-6)
+    (val,) = fd_gradient(lambda x: x[0] ** 3, [0.0], step=1e-6)
     assert abs(val) <= 1e-12
 
 
 def test_fd_partial_cubic_away_from_origin():
-    val = fd_partial(lambda x: x[0] ** 3, [2.0], 0, step=1e-6)
+    (val,) = fd_gradient(lambda x: x[0] ** 3, [2.0], step=1e-6)
     assert abs(val - 12.0) <= 1e-6
 
 
 def test_fd_partial_square():
-    val = fd_partial(lambda x: x[0] ** 2, [1.0], 0, step=1e-7)
+    (val,) = fd_gradient(lambda x: x[0] ** 2, [1.0], step=1e-7)
     assert abs(val - 2.0) <= 1e-9
 
 
 def test_fd_partial_input_validation():
     with pytest.raises(ValueError):
-        fd_partial(lambda x: x[0], [1.0], 1)
+        fd_gradient(lambda x: x[0], [[1.0]])
     with pytest.raises(ValueError):
-        fd_partial(lambda x: x[0], [1.0], 0, step=0.0)
+        fd_gradient(lambda x: x[0], [1.0], step=0.0)
     with pytest.raises(NumericalError):
-        fd_partial(lambda x: float("nan"), [1.0], 0)
+        fd_gradient(lambda x: float("nan"), [1.0])
 
 
 def test_fd_gradient_matches_analytic_on_quadratics():
@@ -389,6 +425,23 @@ def test_overflowing_scalar_step_is_silent(recwarn):
         newton_solve(lambda z: np.array([1e300 if z[0] == 0.0 else np.nan]), [0.0],
                      jacobian=lambda z: [[1e-13]])
     assert str(err.value) == "non-finite residual evaluation at x = [-inf]"
+    assert len(recwarn) == 0
+
+
+def test_a_non_finite_root_is_a_numerical_error(recwarn):
+    # the step 1e300 / 1e-13 overflows to -inf, where the residual reads 0:
+    # converged, but not a root to return
+    with pytest.raises(NumericalError) as err:
+        newton_solve(lambda z: np.array([1e300 if z[0] == 0.0 else 0.0]), [0.0],
+                     jacobian=lambda z: [[1e-13]])
+    assert err.type is NumericalError
+    assert str(err.value) == "root x = [-inf] is not finite"
+    assert err.value.quantity == -math.inf
+    # the same through np.linalg.solve, with a finite second entry
+    with pytest.raises(NumericalError) as err:
+        newton_solve(lambda z: np.array([1e300 if z[0] == 0.0 else 0.0, z[1]]), [0.0, 0.0],
+                     jacobian=lambda z: np.diag([1e-13, 1.0]))
+    assert err.type is NumericalError and err.value.quantity == -math.inf
     assert len(recwarn) == 0
 
 

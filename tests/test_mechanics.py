@@ -1,6 +1,7 @@
 """Discrete Lagrangian/Hamiltonian structures and one-step maps."""
 
 import dataclasses
+import hashlib
 import math
 from fractions import Fraction
 
@@ -244,6 +245,27 @@ def test_symplecticity_defect_free_particle():
     assert d <= 1e-8
 
 
+def test_symplecticity_probe_that_overflows_stays_an_error():
+    # the probe q + fd_step = 2e308 is inf: no step is taken from it
+    H = hamiltonian_from_lagrangian(free_particle(), Side.RIGHT)
+    with pytest.raises(ValueError, match=r"^fd_step 1e\+308 overflows the probes around \["):
+        symplecticity_defect(H, PhasePoint(index=1, q=[1e308], p=[0.0]), fd_step=1e308)
+
+
+def test_an_overflowing_newton_step_truncates_the_orbit():
+    # Newton's step from p = 0 is -1e300 / 1e-13 = -inf, where D1 H+ reads 0:
+    # a named truncation, not a ValueError from the new point
+    H = DiscreteHamiltonian(side=Side.RIGHT, eval=lambda q, p: 0.0,
+                            d1=lambda q, p: np.array([1e300 if p[0] == 0.0 else 0.0]),
+                            d2=lambda q, p: q, d12=lambda q, p: np.array([[1e-13]]), dim=1)
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.5], p=[0.0]), 2)
+    assert len(traj) == 1
+    meta = traj.meta
+    assert (meta["truncated"], meta["failure"], meta["failure_index"]) == (True, "NumericalError", 1)
+    assert meta["failure_message"] == "root x = [-inf] is not finite"
+    assert meta["failure_quantity"] == -math.inf
+
+
 def test_verify_step_detects_corruption():
     H = cubic_right()
     x = PhasePoint(index=1, q=[0.5], p=[0.0])
@@ -452,6 +474,22 @@ def test_pendulum_orbit_that_stalled_nested_newton_runs_to_the_end(side):
     worst = max(_mp_step_error(a.q[0], a.p[0], b.q[0], b.p[0], h, w2)
                 for a, b in zip(traj.points[:-1], traj.points[1:]))
     assert worst <= 1e-10
+
+
+# sha256 of the %.17g rows of the orbit below, recorded before the steppers
+# built their points without re-validating them and before a one-entry
+# finite-difference Jacobian was taken in Python floats
+_PENDULUM_ROWS_SHA256 = "c81ed33da962590cbe11e66141d58d9877ae4d44680443dbc1bb5adc7ff8c959"
+
+
+@pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
+def test_pendulum_dual_without_d12_keeps_its_rows_bit_for_bit(side):
+    # no d12: every Newton Jacobian is a one-entry central difference
+    H = hamiltonian_from_lagrangian(midpoint_pendulum(0.2, 1.3), side)
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.7], p=[-0.2]), 32)
+    assert traj.meta["truncated"] is False and len(traj) == 33
+    rows = "".join("%.17g,%.17g\n" % (pt.q[0], pt.p[0]) for pt in traj.points)
+    assert hashlib.sha256(rows.encode()).hexdigest() == _PENDULUM_ROWS_SHA256
 
 
 @pytest.mark.parametrize("side", [Side.RIGHT, Side.LEFT])
