@@ -21,16 +21,13 @@ from .core import (
     iterate,
     newton_solve,
     norm_inf,
-    rk4_reference,
 )
 from .hj_flow import (
     Branch,
     BranchError,
     GeneratingSequence,
     ResidualCheckFailure,
-    closed_form_ds_step,
-    hj_residual_left,
-    hj_residual_right,
+    hj_residual,
     run_closed_form_flow,
     solve_generating_sequence,
 )
@@ -40,11 +37,9 @@ from .hj_vf import (
     closed_form_gamma_step,
     equivalence_check,
     eval_field,
-    eval_field_left,
     run_closed_form_vf,
     solve_gamma_generic,
     vf_residual,
-    vf_residual_left,
 )
 from .mechanics import (
     DiscreteHamiltonian,
@@ -54,8 +49,7 @@ from .mechanics import (
     del_step,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
-    legendre_left,
-    legendre_right,
+    legendre,
     run_trajectory,
     step_left,
     step_right,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .core import NewtonConfig, NumericalError, PhasePoint, fd_gradient, norm_inf
-from .hj_flow import Branch, hj_residual_right, run_closed_form_flow, solve_generating_sequence
+from .hj_flow import Branch, hj_residual, run_closed_form_flow, solve_generating_sequence
 from .hj_vf import run_closed_form_vf, solve_gamma_generic, vf_residual
 from .mechanics import (
     DiscreteLagrangian,
@@ -228,25 +228,14 @@ def trajectory_grid(rc: RunConfig, H, cfg):
 
 
 def config_header(rc: RunConfig) -> list[tuple[str, str]]:
-    return [
-        ("command", rc.command),
-        ("model", rc.model),
-        ("r", _g17(rc.r)),
-        ("s", _g17(rc.s)),
-        ("q1", _g17(rc.q1)),
-        ("p1", _g17(rc.p1)),
-        ("q2", "none" if rc.q2 is None else _g17(rc.q2)),
-        ("ds1", _g17(rc.ds1)),
-        ("gamma1", _g17(rc.gamma1)),
-        ("steps", str(rc.steps)),
-        ("h", _g17(rc.h)),
-        ("branch", rc.branch),
-        ("method", rc.method),
-        ("tol", _g17(rc.tol)),
-        ("max_iter", str(rc.max_iter)),
-        ("damping", _g17(rc.damping)),
-        ("fd_step", _g17(rc.fd_step)),
-    ]
+    """Every RunConfig field up to fd_step (the settings), in declaration order."""
+    header = []
+    for f in fields(RunConfig):
+        value = getattr(rc, f.name)
+        header.append((f.name, "none" if value is None
+                       else _g17(value) if f.name in _FLOAT_KEYS else str(value)))
+        if f.name == "fd_step":
+            return header
 
 
 def write_csv(path: str, rc: RunConfig, colnames: list[str], rows: list[list[str]],
@@ -405,7 +394,7 @@ def _flow_rows(H, seq):
     # a lift carries its residuals; the closed form's are evaluated here
     res = seq.residuals
     if res is None:
-        res = [hj_residual_right(H, S_j, S_next, b.p, a.q, b.q)
+        res = [hj_residual(H, S_j, S_next, b.p, a.q, b.q)
                for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:])]
     res = ["0"] + [_g17(r) for r in res]
     return [[str(pt.index), _g17(pt.q[0]), _g17(S), _g17(pt.p[0]), token, r]

@@ -1,5 +1,5 @@
-"""Shared numeric kernel: vectors, finite differences, damped Newton, the
-stepping loop, RK4 reference.
+"""Shared numeric kernel: vectors, finite differences, damped Newton and the
+stepping loop.
 
 Everything downstream (discrete mechanics, generating-function flows, the
 control benchmark) is built on the primitives in this module.  They are
@@ -35,7 +35,6 @@ __all__ = [
     "fd_jacobian",
     "newton_solve",
     "iterate",
-    "rk4_reference",
 ]
 
 # Jacobians with |det J| below this floor (scaled, see _check_jacobian) are
@@ -381,41 +380,3 @@ def iterate(step, first, steps: int, first_index: int = 1) -> tuple[list, dict]:
             break
     return items, meta
 
-
-def rk4_reference(ham_field, x0: PhasePoint, dt: float, steps: int) -> list[PhasePoint]:
-    """Classic fixed-step RK4 on a phase-space vector field, as a reference orbit.
-
-    ham_field maps the stacked state (q, p) of length 2n to its time
-    derivative of length 2n.  Returns steps + 1 points starting at x0 with
-    consecutive indices.  Used as an independent continuous-time oracle to
-    compare discrete trajectories against; not an integrator meant for
-    production accuracy tuning.
-    """
-    if not (dt > 0.0):
-        raise ValueError(f"dt must be positive, got {dt}")
-    if int(steps) != steps or steps < 1:
-        raise ValueError(f"steps must be a positive integer, got {steps}")
-    n = x0.dim
-    y = np.concatenate([x0.q, x0.p])
-
-    def _field(z: np.ndarray) -> np.ndarray:
-        f = _atleast_1d(ham_field(z))
-        if f.ndim != 1 or f.size != 2 * n:
-            raise ValueError(
-                f"ham_field must return a vector of dimension {2 * n}, got shape {f.shape}"
-            )
-        if not _finite(f):
-            raise NumericalError("non-finite vector field evaluation")
-        return f
-
-    out = [x0]
-    for k in range(int(steps)):
-        k1 = _field(y)
-        k2 = _field(y + 0.5 * dt * k1)
-        k3 = _field(y + 0.5 * dt * k2)
-        k4 = _field(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not _finite(y):
-            raise NumericalError(f"non-finite state after RK4 step {k + 1}")
-        out.append(PhasePoint(index=x0.index + k + 1, q=y[:n], p=y[n:]))
-    return out

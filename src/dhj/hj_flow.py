@@ -7,11 +7,12 @@ momenta:
     S_next - S_j - DS_next . q_next + H+(q_j, DS_next) = 0        (right)
     S_next - S_j + DS_j . q_j + H-(q_next, DS_j) = 0              (left)
 
+hj_residual evaluates either form, the one of H's side.
 solve_generating_sequence lifts a right orbit of the Hamiltonian flow to a
 solution of the right form: the slopes are the orbit's momenta.
-closed_form_ds_step / run_closed_form_flow implement the explicit slope
-recursion for the one-dimensional cubic benchmark with unit parameters,
-where the update is a quadratic with two root branches.
+run_closed_form_flow implements the explicit slope recursion for the
+one-dimensional cubic benchmark with unit parameters, where the update is a
+quadratic with two root branches.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .core import NumericalError, PhasePoint, _power, as_grid, as_vec, dot, iterate, norm_inf
+import numpy as np
+
+from .core import (NumericalError, PhasePoint, _checked_point, _power, as_grid, as_vec, dot,
+                   iterate, norm_inf)
 # step_right is not called here; bench/tracing.py wraps dhj.hj_flow.step_right
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side, step_right
 
@@ -30,10 +34,8 @@ __all__ = [
     "BranchError",
     "ResidualCheckFailure",
     "GeneratingSequence",
-    "hj_residual_right",
-    "hj_residual_left",
+    "hj_residual",
     "solve_generating_sequence",
-    "closed_form_ds_step",
     "run_closed_form_flow",
 ]
 
@@ -72,7 +74,7 @@ class GeneratingSequence:
     could not be completed; completed rows are always kept.  residuals holds
     a lift's signed right evolution residual for each accepted transition,
     residuals[i] for the step from row i to row i + 1 (bitwise
-    hj_residual_right's value); the closed form re-checks nothing and leaves
+    hj_residual's value); the closed form re-checks nothing and leaves
     it None.
     """
 
@@ -86,28 +88,18 @@ class GeneratingSequence:
         return len(self.points)
 
 
-def hj_residual_right(H: DiscreteHamiltonian, S_j: float, S_next: float,
-                      DS_next, q_j, q_next) -> float:
-    """Signed residual of the right evolution equation at one transition."""
-    if H.side is not Side.RIGHT:
-        raise ValueError("hj_residual_right needs a Side.RIGHT Hamiltonian")
-    DS_next = as_vec(DS_next, dim=H.dim, name="DS_next")
+def hj_residual(H: DiscreteHamiltonian, S_j: float, S_next: float, DS, q_j, q_next) -> float:
+    """Signed residual of H's evolution equation at one transition: the right
+    form with DS = DS_next for a right H, the left form with DS = DS_j for a
+    left one."""
+    DS = as_vec(DS, dim=H.dim, name="DS")
     q_j = as_vec(q_j, dim=H.dim, name="q_j")
     q_next = as_vec(q_next, dim=H.dim, name="q_next")
-    return (float(S_next) - float(S_j) - float(DS_next @ q_next)
-            + float(H.eval(q_j, DS_next)))
-
-
-def hj_residual_left(H: DiscreteHamiltonian, S_j: float, S_next: float,
-                     DS_j, q_j, q_next) -> float:
-    """Signed residual of the left evolution equation at one transition."""
-    if H.side is not Side.LEFT:
-        raise ValueError("hj_residual_left needs a Side.LEFT Hamiltonian")
-    DS_j = as_vec(DS_j, dim=H.dim, name="DS_j")
-    q_j = as_vec(q_j, dim=H.dim, name="q_j")
-    q_next = as_vec(q_next, dim=H.dim, name="q_next")
-    return (float(S_next) - float(S_j) + float(DS_j @ q_j)
-            + float(H.eval(q_next, DS_j)))
+    if H.side is Side.RIGHT:
+        pq, H_value = -float(DS @ q_next), H.eval(q_j, DS)
+    else:
+        pq, H_value = float(DS @ q_j), H.eval(q_next, DS)
+    return float(S_next) - float(S_j) + pq + float(H_value)
 
 
 # Relative limit on a transition's recomputed evolution residual.
@@ -133,7 +125,7 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
     which makes the right evolution residual vanish identically.  The
     sequence's points are traj's own.  Each transition is still re-checked
     against residual_limit, with a second evaluation of H+ (the residual is
-    bitwise hj_residual_right's), and residuals keeps each one accepted.  A
+    bitwise hj_residual's), and residuals keeps each one accepted.  A
     violation (ResidualCheckFailure) truncates the sequence with
     core.iterate's failure record in meta.  Otherwise meta carries traj's
     own failure record, so a truncated orbit gives a sequence truncated at
@@ -159,7 +151,7 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
         pq = dot(x_next.p, x_next.q)
         H_value = float(H.eval(x.q, x_next.p))
         s_next = S + pq - H_value
-        # hj_residual_right's arithmetic on the points' validated arrays, with
+        # hj_residual's arithmetic on the points' validated arrays, with
         # H+ evaluated again: re-using H_value would leave only the rounding
         # of s_next, which cannot exceed the limit
         res = s_next - S - pq + float(H.eval(x.q, x_next.p))
@@ -191,55 +183,38 @@ def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[floa
     return prefix + root, prefix - root
 
 
-def _pick_root(plus: float, minus: float, prev_ds: float, branch: Branch) -> tuple[float, str]:
-    """The root branch selects and its log token; Continuity takes the root
-    closer to prev_ds, resolving ties toward Plus."""
-    if not isinstance(branch, Branch):
-        raise ValueError(f"branch must be a Branch enum member, got {branch!r}")
-    if branch is Branch.CONTINUITY:
-        branch = Branch.MINUS if abs(minus - prev_ds) < abs(plus - prev_ds) else Branch.PLUS
-    return (plus if branch is Branch.PLUS else minus), branch.value
-
-
-def closed_form_ds_step(q_j: float, q_next: float, prev_ds: float, h: float,
-                        branch: Branch = Branch.CONTINUITY) -> float:
-    """One explicit slope update for the unit-parameter cubic benchmark.
-
-    Solves the quadratic the right evolution equation reduces to when H+ is
-    the benchmark Hamiltonian with r = s = 1 and the S increment is h times
-    the previous slope.  branch picks the root: Plus and Minus take the
-    fixed sign; Continuity takes the root closer to prev_ds, resolving ties
-    toward Plus.  Raises BranchError (carrying the discriminant) when no
-    real root exists.
-    """
-    prev_ds = float(prev_ds)
-    plus, minus = _ds_roots(float(q_j), float(q_next), prev_ds, float(h))
-    return _pick_root(plus, minus, prev_ds, branch)[0]
-
-
 def run_closed_form_flow(q_sequence, ds0: float, h: float,
                          branch: Branch = Branch.CONTINUITY) -> GeneratingSequence:
     """Run the closed-form slope recursion over a fixed position grid.
 
-    q_sequence is a scalar grid (the benchmark is one-dimensional).  S starts
-    at 0 and accumulates S_next = S_j + h * DS_j, the increment the closed
-    form is derived under.  branch_log records "init" and then the root
-    actually taken each step.  A BranchError truncates with core.iterate's
-    failure record in meta, the discriminant as failure_quantity; completed
-    rows are kept.
+    q_sequence is a scalar grid (the benchmark is one-dimensional).  Each step
+    solves the quadratic the right evolution equation reduces to when H+ is
+    the benchmark Hamiltonian with r = s = 1 and S accumulates h times the
+    previous slope, S_next = S_j + h * DS_j from S = 0.  branch picks the
+    root: Plus and Minus take the fixed sign; Continuity takes the root
+    closer to the previous slope, resolving ties toward Plus.  branch_log
+    records "init" and then the root taken each step.  A step with no finite
+    real root (BranchError) truncates with core.iterate's failure record in
+    meta, the discriminant as failure_quantity; completed rows are kept.
     """
     grid = [float(v) for v in as_grid(q_sequence)]
     if not (h > 0.0):
         raise ValueError(f"h must be positive, got {h}")
+    if not isinstance(branch, Branch):
+        raise ValueError(f"branch must be a Branch enum member, got {branch!r}")
     branch_log = ["init"]
 
     def advance(prev: PhasePoint) -> PhasePoint:
         # point j sits at grid[j - 1], so its successor's position is grid[j]
         prev_ds = float(prev.p[0])
         plus, minus = _ds_roots(grid[prev.index - 1], grid[prev.index], prev_ds, h)
-        ds_next, token = _pick_root(plus, minus, prev_ds, branch)
-        branch_log.append(token)
-        return PhasePoint(index=prev.index + 1, q=[grid[prev.index]], p=[ds_next])
+        taken = branch
+        if taken is Branch.CONTINUITY:
+            taken = Branch.MINUS if abs(minus - prev_ds) < abs(plus - prev_ds) else Branch.PLUS
+        ds_next = plus if taken is Branch.PLUS else minus
+        branch_log.append(taken.value)
+        # _ds_roots accepts only a finite discriminant, so its roots are finite
+        return _checked_point(prev.index + 1, np.array([grid[prev.index]]), np.array([ds_next]))
 
     points, meta = iterate(advance, PhasePoint(index=1, q=[grid[0]], p=[float(ds0)]),
                            len(grid) - 1)

@@ -6,11 +6,13 @@ equation at each transition is
 
     D2 H+(q_j, p_next) . Dgamma = D1 H+(q_j, p_next)
 
-with Dgamma the grid derivative of gamma.  For the one-dimensional cubic
-benchmark with unit parameters this has an explicit rational update
-(closed_form_gamma_step); the generic Newton solver reproduces it by using
-the quotient gamma_j / q_next with the new gamma in the momentum slot, which
-is the discretization the closed form is derived under.
+with Dgamma the grid derivative of gamma (a left H's form negates both
+partials at (q_next, p_j); eval_field and vf_residual read H's side).  For
+the one-dimensional cubic benchmark with unit parameters the right form has
+an explicit rational update (closed_form_gamma_step); the generic Newton
+solver reproduces it by using the quotient gamma_j / q_next with the new
+gamma in the momentum slot, which is the discretization the closed form is
+derived under.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import math
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, _power, as_grid, as_vec, iterate,
-                   newton_solve, norm_inf)
+from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, _power, as_grid,
+                   as_vec, iterate, newton_solve, norm_inf)
 from .hj_flow import GeneratingSequence
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side
 
@@ -28,9 +30,7 @@ __all__ = [
     "DegenerateGridError",
     "SingularDenominatorError",
     "eval_field",
-    "eval_field_left",
     "vf_residual",
-    "vf_residual_left",
     "solve_gamma_generic",
     "closed_form_gamma_step",
     "run_closed_form_vf",
@@ -52,24 +52,15 @@ class SingularDenominatorError(NumericalError):
                          f"(threshold 1e-14 * scale, scale = {self.scale:.6e})", self.denominator)
 
 
-def eval_field(H: DiscreteHamiltonian, q_j, p_next) -> tuple[np.ndarray, np.ndarray]:
-    """Right evolution field in the (dq, dp) frame: the coefficient pair
-    (D2 H+, D1 H+)."""
-    if H.side is not Side.RIGHT:
-        raise ValueError("eval_field needs a Side.RIGHT Hamiltonian")
-    q_j = as_vec(q_j, dim=H.dim, name="q_j")
-    p_next = as_vec(p_next, dim=H.dim, name="p_next")
-    return H.d2(q_j, p_next), H.d1(q_j, p_next)
-
-
-def eval_field_left(H: DiscreteHamiltonian, q_next, p_j) -> tuple[np.ndarray, np.ndarray]:
-    """Left evolution field in the (dq, dp) frame: the coefficient pair
-    (-D2 H-, -D1 H-)."""
-    if H.side is not Side.LEFT:
-        raise ValueError("eval_field_left needs a Side.LEFT Hamiltonian")
-    q_next = as_vec(q_next, dim=H.dim, name="q_next")
-    p_j = as_vec(p_j, dim=H.dim, name="p_j")
-    return -H.d2(q_next, p_j), -H.d1(q_next, p_j)
+def eval_field(H: DiscreteHamiltonian, q, p) -> tuple[np.ndarray, np.ndarray]:
+    """Evolution field of H at its own slot pair in the (dq, dp) frame: the
+    coefficient pair (D2 H+, D1 H+) at (q, p) = (q_j, p_next) for a right H,
+    (-D2 H-, -D1 H-) at (q, p) = (q_next, p_j) for a left one."""
+    q = as_vec(q, dim=H.dim, name="q")
+    p = as_vec(p, dim=H.dim, name="p")
+    if H.side is Side.RIGHT:
+        return H.d2(q, p), H.d1(q, p)
+    return -H.d2(q, p), -H.d1(q, p)
 
 
 def _apply_dgamma(d2: np.ndarray, dgamma) -> np.ndarray:
@@ -83,15 +74,10 @@ def _apply_dgamma(d2: np.ndarray, dgamma) -> np.ndarray:
     raise ValueError(f"dgamma must be a scalar or square matrix, got shape {dg.shape}")
 
 
-def vf_residual(H: DiscreteHamiltonian, q_j, p_next, dgamma) -> float:
-    """Max-norm residual of D2 H+ . Dgamma = D1 H+ at one point."""
-    dq, dp = eval_field(H, q_j, p_next)
-    return norm_inf(_apply_dgamma(dq, dgamma) - dp)
-
-
-def vf_residual_left(H: DiscreteHamiltonian, q_next, p_j, dgamma) -> float:
-    """Max-norm residual of D2 H- . Dgamma = D1 H- at one point (left form)."""
-    dq, dp = eval_field_left(H, q_next, p_j)
+def vf_residual(H: DiscreteHamiltonian, q, p, dgamma) -> float:
+    """Max-norm residual of the field equation dq . Dgamma = dp at H's slot
+    pair (q, p), with (dq, dp) = eval_field(H, q, p)."""
+    dq, dp = eval_field(H, q, p)
     return norm_inf(_apply_dgamma(dq, dgamma) - dp)
 
 
@@ -159,7 +145,8 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
                               - H.d12(q_j, g).item()]])
 
         g_next = newton_solve(residual, prev.p, cfg, jacobian=jacobian if exact else None)
-        return PhasePoint(index=prev.index + 1, q=q_next, p=g_next)
+        # Newton returns only a finite root, and as_grid checked q_next
+        return _checked_point(prev.index + 1, np.array([q_next]), g_next)
 
     points, meta = iterate(advance, PhasePoint(index=1, q=arr[0], p=gamma0), arr.size - 1)
     return DiscreteTrajectory(points=points, meta=meta)
@@ -206,7 +193,8 @@ def run_closed_form_vf(q_sequence, gamma0: float) -> DiscreteTrajectory:
         # point j sits at arr[j - 1], so its successor's position is arr[j]
         gamma = closed_form_gamma_step(float(prev.p[0]), float(arr[prev.index - 1]),
                                        float(arr[prev.index]))
-        return PhasePoint(index=prev.index + 1, q=arr[prev.index], p=gamma)
+        # closed_form_gamma_step raises on a non-finite gamma
+        return _checked_point(prev.index + 1, np.array([arr[prev.index]]), np.array([gamma]))
 
     points, meta = iterate(advance, PhasePoint(index=1, q=arr[0], p=float(gamma0)),
                            arr.size - 1)

@@ -9,7 +9,9 @@ equations are
     right:  q_next = D2 H+(q_j, p_next),   p_j    = D1 H+(q_j, p_next)
     left:   q_j    = -D2 H-(q_next, p_j),  p_next = -D1 H-(q_next, p_j)
 
-where d1/d2 always differentiate the first/second argument slot.
+where d1/d2 always differentiate the first/second argument slot.  One body
+serves both sides of each relation, reading the side off H (legendre takes
+it as an argument); step_right and step_left each accept only their own.
 
 Both duals of one L_d generate the same map: the discrete Lagrangian flow
 (Lall & West 2006; Marsden & West 2001).  A dual built by
@@ -42,8 +44,7 @@ __all__ = [
     "DiscreteLagrangian",
     "DiscreteHamiltonian",
     "DiscreteTrajectory",
-    "legendre_right",
-    "legendre_left",
+    "legendre",
     "del_step",
     "hamiltonian_from_lagrangian",
     "step_right",
@@ -161,20 +162,17 @@ def _computed(value, dim: int, name: str) -> np.ndarray:
     return v if v.ndim else v.reshape(1)
 
 
-def legendre_right(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePoint:
-    """Right Legendre transform: the pair (q_j, q_next) to (q_next, D2 L_d)."""
+def legendre(L: DiscreteLagrangian, side: Side, q_j, q_next, index: int = 1) -> PhasePoint:
+    """Legendre transform of the pair (q_j, q_next) on side: the right one
+    gives (q_next, D2 L_d) at index + 1, the left one (q_j, -D1 L_d) at index."""
     q_j = as_vec(q_j, dim=L.dim, name="q_j")
     q_next = as_vec(q_next, dim=L.dim, name="q_next")
-    p_next = _computed(L.d2(q_j, q_next), L.dim, "D2 L_d")
-    return PhasePoint(index=index + 1, q=q_next, p=p_next)
-
-
-def legendre_left(L: DiscreteLagrangian, q_j, q_next, index: int = 1) -> PhasePoint:
-    """Left Legendre transform: the pair (q_j, q_next) to (q_j, -D1 L_d)."""
-    q_j = as_vec(q_j, dim=L.dim, name="q_j")
-    q_next = as_vec(q_next, dim=L.dim, name="q_next")
-    p_j = -_computed(L.d1(q_j, q_next), L.dim, "D1 L_d")
-    return PhasePoint(index=index, q=q_j, p=p_j)
+    if side is Side.RIGHT:
+        return PhasePoint(index=index + 1, q=q_next,
+                          p=_computed(L.d2(q_j, q_next), L.dim, "D2 L_d"))
+    if side is Side.LEFT:
+        return PhasePoint(index=index, q=q_j, p=-_computed(L.d1(q_j, q_next), L.dim, "D1 L_d"))
+    raise ValueError(f"side must be Side.RIGHT or Side.LEFT, got {side!r}")
 
 
 def _next_position(L: DiscreteLagrangian, q_j: np.ndarray, p_j: np.ndarray, guess,
@@ -183,15 +181,6 @@ def _next_position(L: DiscreteLagrangian, q_j: np.ndarray, p_j: np.ndarray, gues
     the Newton Jacobian is L.d12 when set."""
     jacobian = None if L.d12 is None else (lambda y: L.d12(q_j, y))
     return newton_solve(lambda y: L.d1(q_j, y) + p_j, guess, cfg, jacobian=jacobian)
-
-
-def _lagrangian_step(L: DiscreteLagrangian, x: PhasePoint,
-                     cfg: NewtonConfig | None) -> PhasePoint:
-    """One step of the discrete Lagrangian flow from x, the step map of both
-    Legendre duals of L_d: q_next from the guess q_j, then p_next = D2 L_d."""
-    q_next = _next_position(L, x.q, x.p, x.q, cfg)
-    p_next = _computed(L.d2(x.q, q_next), L.dim, "D2 L_d")
-    return _checked_point(x.index + 1, q_next, p_next)
 
 
 def del_step(L: DiscreteLagrangian, q_prev, q_j, cfg: NewtonConfig | None = None,
@@ -275,20 +264,7 @@ def step_right(H: DiscreteHamiltonian, x: PhasePoint,
     Newton Jacobian is H.d12 when set, else central differences of D1 H+.
     A dual of a Lagrangian takes the discrete Lagrangian flow of H.lagrangian
     instead (see the module docstring)."""
-    if H.side is not Side.RIGHT:
-        raise ValueError(f"step_right needs a Side.RIGHT Hamiltonian, got {H.side}")
-    if x.dim != H.dim:
-        raise ValueError(f"dimension mismatch: point dim {x.dim}, H dim {H.dim}")
-    if H.lagrangian is not None:
-        return _lagrangian_step(H.lagrangian, x, cfg)
-
-    def residual(g: np.ndarray) -> np.ndarray:
-        return H.d1(x.q, g) - x.p
-
-    jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
-    p_next = newton_solve(residual, x.p, cfg, jacobian=jacobian)
-    q_next = _computed(H.d2(x.q, p_next), H.dim, "D2 H+")
-    return _checked_point(x.index + 1, q_next, p_next)
+    return _step(H, x, cfg, Side.RIGHT)
 
 
 def step_left(H: DiscreteHamiltonian, x: PhasePoint,
@@ -297,18 +273,27 @@ def step_left(H: DiscreteHamiltonian, x: PhasePoint,
     then read off p_next = -D1 H-(q_next, p_j).  Guess for q_next is q_j.
     A dual of a Lagrangian takes the discrete Lagrangian flow of H.lagrangian
     instead (see the module docstring)."""
-    if H.side is not Side.LEFT:
-        raise ValueError(f"step_left needs a Side.LEFT Hamiltonian, got {H.side}")
+    return _step(H, x, cfg, Side.LEFT)
+
+
+def _step(H: DiscreteHamiltonian, x: PhasePoint, cfg: NewtonConfig | None,
+          side: Side) -> PhasePoint:
+    """The body of step_right and step_left, for an H of the given side."""
+    if H.side is not side:
+        raise ValueError(f"step_{side.value} needs a Side.{side.name} Hamiltonian, got {H.side}")
     if x.dim != H.dim:
         raise ValueError(f"dimension mismatch: point dim {x.dim}, H dim {H.dim}")
     if H.lagrangian is not None:
-        return _lagrangian_step(H.lagrangian, x, cfg)
-
-    def residual(g: np.ndarray) -> np.ndarray:
-        return -H.d2(g, x.p) - x.q
-
-    q_next = newton_solve(residual, x.q, cfg)
-    p_next = -_computed(H.d1(q_next, x.p), H.dim, "D1 H-")
+        # the discrete Lagrangian flow, the step map of both duals of L_d
+        q_next = _next_position(H.lagrangian, x.q, x.p, x.q, cfg)
+        p_next = _computed(H.lagrangian.d2(x.q, q_next), H.dim, "D2 L_d")
+    elif side is Side.RIGHT:
+        jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
+        p_next = newton_solve(lambda g: H.d1(x.q, g) - x.p, x.p, cfg, jacobian=jacobian)
+        q_next = _computed(H.d2(x.q, p_next), H.dim, "D2 H+")
+    else:
+        q_next = newton_solve(lambda g: -H.d2(g, x.p) - x.q, x.q, cfg)
+        p_next = -_computed(H.d1(q_next, x.p), H.dim, "D1 H-")
     return _checked_point(x.index + 1, q_next, p_next)
 
 

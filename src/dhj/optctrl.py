@@ -246,6 +246,7 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     if not (s > 0.0):
         raise ValueError(f"s must be positive, got {s}")
 
+    # Python floats: a product that overflows is inf, with no numpy warning
     def gamma(q, u):
         x = float(q[0])
         return np.array([x - _power(x, 3) + float(u[0])])
@@ -257,16 +258,16 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
         return np.array([[1.0]])
 
     def du_cost(q, u):
-        return np.array([r * u[0]])
+        return np.array([r * float(u[0])])
 
     def dq_gamma(q, u):
         return np.array([[1.0 - 3.0 * _power(float(q[0]), 2)]])
 
     def dq_cost(q, u):
-        return np.array([s * q[0]])
+        return np.array([s * float(q[0])])
 
     def control(q, p):
-        return np.array([-p[0] / r])
+        return np.array([-float(p[0]) / r])
 
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
                           sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,

@@ -19,7 +19,7 @@ import pytest
 from dhj.core import PhasePoint
 from dhj.hj_flow import (
     Branch,
-    hj_residual_right,
+    hj_residual,
     run_closed_form_flow,
     solve_generating_sequence,
 )
@@ -143,7 +143,7 @@ def test_05_flow_residuals_below_tolerance():
         seq = solve_generating_sequence(H, traj)
         assert not seq.meta["truncated"]
         for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:]):
-            worst = max(worst, abs(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q)))
+            worst = max(worst, abs(hj_residual(H, S_j, S_next, b.p, a.q, b.q)))
     report(5, worst < 1e-12,
            f"max evolution residual = {worst:.3e}, limit 1e-12")
 

@@ -18,7 +18,7 @@ import dhj.hj_flow
 import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
 from dhj.core import NewtonConfig, PhasePoint
-from dhj.hj_flow import hj_residual_right, solve_generating_sequence
+from dhj.hj_flow import hj_residual, solve_generating_sequence
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
 
@@ -171,7 +171,7 @@ def test_generic_compare_steps_one_right_orbit(monkeypatch, tmp_path):
 def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
     # the lift evaluates H+ twice per transition (value and re-check) and the
     # residual column is its re-check, so ten transitions cost 20 evaluations
-    # and the column is what hj_residual_right recomputes
+    # and the column is what hj_residual recomputes
     calls = []
     build_model = dhj.cli.build_model
 
@@ -191,7 +191,7 @@ def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
     H = discretize_right(make_sakamoto1d(r=2.0))
     seq = solve_generating_sequence(H, run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]),
                                                       10))
-    want = ["0"] + [format(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q), ".17g")
+    want = ["0"] + [format(hj_residual(H, S_j, S_next, b.p, a.q, b.q), ".17g")
                     for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:])]
     assert [row[5] for row in rows] == want
 

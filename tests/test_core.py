@@ -1,5 +1,5 @@
 """Numeric kernel: vector coercion, finite differences, Newton, the stepping
-loop, RK4."""
+loop."""
 
 import math
 import struct
@@ -24,7 +24,6 @@ from dhj.core import (
     iterate,
     newton_solve,
     norm_inf,
-    rk4_reference,
 )
 
 
@@ -683,40 +682,3 @@ def test_iterate_lets_other_errors_through():
 def test_newton_nonfinite_residual():
     with pytest.raises(NumericalError):
         newton_solve(lambda z: np.array([float("nan")]), [1.0])
-
-
-def test_rk4_zero_field_is_constant():
-    pts = rk4_reference(lambda z: np.zeros(2), PhasePoint(index=1, q=[0.7], p=[-0.2]),
-                        0.1, 10)
-    assert len(pts) == 11
-    assert [pt.index for pt in pts] == list(range(1, 12))
-    for pt in pts:
-        assert pt.q[0] == 0.7 and pt.p[0] == -0.2
-
-
-def test_rk4_cubic_benchmark_field_one_step():
-    # dq = q - q^3 - p, dp = (3q^2 - 1) p - q from (0.5, 0), dt = 1e-3
-    def field(z):
-        q, p = z
-        return np.array([q - q ** 3 - p, (3.0 * q ** 2 - 1.0) * p - q])
-
-    pts = rk4_reference(field, PhasePoint(index=1, q=[0.5], p=[0.0]), 1e-3, 1)
-    assert abs(pts[1].q[0] - 0.5003752968710657) <= 1e-15
-    assert abs(pts[1].p[0] - (-0.0005001252762228224)) <= 1e-15
-
-
-def test_rk4_harmonic_circle():
-    pts = rk4_reference(lambda z: np.array([z[1], -z[0]]),
-                        PhasePoint(index=1, q=[1.0], p=[0.0]), 0.01, 628)
-    err = math.hypot(pts[-1].q[0] - math.cos(6.28), pts[-1].p[0] + math.sin(6.28))
-    assert err < 1e-6
-
-
-def test_rk4_validation():
-    x0 = PhasePoint(index=1, q=[0.0], p=[0.0])
-    with pytest.raises(ValueError):
-        rk4_reference(lambda z: np.zeros(2), x0, 0.0, 1)
-    with pytest.raises(ValueError):
-        rk4_reference(lambda z: np.zeros(2), x0, 0.1, 0)
-    with pytest.raises(NumericalError):
-        rk4_reference(lambda z: np.array([float("inf"), 0.0]), x0, 0.1, 1)

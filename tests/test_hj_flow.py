@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dhj.core import PhasePoint
 from dhj.hj_flow import (
     Branch,
     BranchError,
-    closed_form_ds_step,
-    hj_residual_left,
-    hj_residual_right,
+    hj_residual,
     run_closed_form_flow,
     solve_generating_sequence,
 )
@@ -26,6 +26,7 @@ from dhj.mechanics import (
     run_trajectory,
 )
 from dhj.optctrl import discretize_right, make_sakamoto1d
+from test_mechanics import midpoint_pendulum
 
 
 def cubic_right():
@@ -36,6 +37,19 @@ def lift(H, q0, ds0, steps):
     """The generating sequence of H's right orbit from (q0, ds0)."""
     return solve_generating_sequence(
         H, run_trajectory(H, PhasePoint(index=1, q=[q0], p=[ds0]), steps))
+
+
+def ds_step(q_j, q_next, prev_ds, h, branch=Branch.CONTINUITY):
+    """One closed-form slope update from (q_j, prev_ds) to q_next: the run of
+    the recursion over the two-point grid [q_j, q_next]."""
+    return run_closed_form_flow([q_j, q_next], prev_ds, h, branch)
+
+
+def ds_root(*args):
+    """The slope ds_step takes; the step must not truncate."""
+    seq = ds_step(*args)
+    assert not seq.meta["truncated"], seq.meta
+    return seq.points[1].p[0]
 
 
 def free_right():
@@ -64,7 +78,7 @@ def test_generated_sequence_has_tiny_residual():
     assert len(seq) == len(seq.S) == 11
     for j in range(len(seq) - 1):
         a, b = seq.points[j], seq.points[j + 1]
-        res = hj_residual_right(H, seq.S[j], seq.S[j + 1], b.p, a.q, b.q)
+        res = hj_residual(H, seq.S[j], seq.S[j + 1], b.p, a.q, b.q)
         assert abs(res) <= 1e-15
 
 
@@ -72,8 +86,8 @@ def test_residual_detects_perturbation():
     H = cubic_right()
     seq = lift(H, 0.2, -0.05, 3)
     a, b = seq.points[1], seq.points[2]
-    clean = hj_residual_right(H, seq.S[1], seq.S[2], b.p, a.q, b.q)
-    dirty = hj_residual_right(H, seq.S[1], seq.S[2], b.p + 1e-3, a.q, b.q)
+    clean = hj_residual(H, seq.S[1], seq.S[2], b.p, a.q, b.q)
+    dirty = hj_residual(H, seq.S[1], seq.S[2], b.p + 1e-3, a.q, b.q)
     assert abs(clean) <= 1e-12
     assert abs(dirty) > 1e-7
 
@@ -86,39 +100,41 @@ def test_left_residual_free_particle():
     q, p, qn = np.array([0.3]), np.array([0.2]), np.array([0.5])
     S = 0.02
     Sn = S + float(p @ qn) - Hp.eval(q, p)
-    assert abs(hj_residual_right(Hp, S, Sn, p, q, qn)) <= 1e-15
-    assert abs(hj_residual_left(Hm, S, Sn, p, q, qn)) <= 1e-15
+    assert abs(hj_residual(Hp, S, Sn, p, q, qn)) <= 1e-15
+    assert abs(hj_residual(Hm, S, Sn, p, q, qn)) <= 1e-15
 
 
 def test_closed_form_step_both_roots():
-    plus = closed_form_ds_step(5e-8, 1.5e-7, 0.0, 1e-4, Branch.PLUS)
-    minus = closed_form_ds_step(5e-8, 1.5e-7, 0.0, 1e-4, Branch.MINUS)
+    plus = ds_root(5e-8, 1.5e-7, 0.0, 1e-4, Branch.PLUS)
+    minus = ds_root(5e-8, 1.5e-7, 0.0, 1e-4, Branch.MINUS)
     assert abs(plus - 1.1803398874989471e-08) <= 1e-20
     assert abs(minus - (-2.1180339887498971e-07)) <= 1e-20
 
 
 def test_continuity_prefers_nearest_root():
     # prev_ds = -3 sits far below both roots; minus root is nearer
-    plus = closed_form_ds_step(0.5, 0.9, -3.0, 1e-4, Branch.PLUS)
-    minus = closed_form_ds_step(0.5, 0.9, -3.0, 1e-4, Branch.MINUS)
-    cont = closed_form_ds_step(0.5, 0.9, -3.0, 1e-4, Branch.CONTINUITY)
+    plus = ds_root(0.5, 0.9, -3.0, 1e-4, Branch.PLUS)
+    minus = ds_root(0.5, 0.9, -3.0, 1e-4, Branch.MINUS)
+    cont = ds_root(0.5, 0.9, -3.0, 1e-4, Branch.CONTINUITY)
     assert abs(plus - 0.1995860887430837) <= 1e-12
     assert abs(minus - (-1.2495860887430839)) <= 1e-12
     assert cont == minus
 
 
 def test_negative_discriminant_raises():
-    with pytest.raises(BranchError) as exc:
-        closed_form_ds_step(0.5, 0.9, -1e4, 1e-4, Branch.PLUS)
-    assert abs(exc.value.discriminant - (-1.4743749999999998)) <= 1e-10
+    # the BranchError truncates the run, the discriminant its quantity
+    seq = ds_step(0.5, 0.9, -1e4, 1e-4, Branch.PLUS)
+    assert len(seq) == 1 and seq.meta["failure"] == BranchError.__name__
+    assert abs(seq.meta["failure_quantity"] - (-1.4743749999999998)) <= 1e-10
 
 
 @pytest.mark.parametrize("q_j, q_next", [(2.0, 1e300), (1e100, 0.5)])
 def test_an_overflowing_discriminant_is_a_branch_error_that_carries_it(q_j, q_next):
     # q_next^2 overflows to inf; q_j^6 - 2 q_j^4 reads inf - inf = NaN
-    with pytest.raises(BranchError, match="is not finite$") as exc:
-        closed_form_ds_step(q_j, q_next, 0.0, 1e-4)
-    assert not math.isfinite(exc.value.quantity)
+    seq = ds_step(q_j, q_next, 0.0, 1e-4)
+    assert len(seq) == 1 and seq.meta["failure"] == BranchError.__name__
+    assert seq.meta["failure_message"].endswith("is not finite")
+    assert not math.isfinite(seq.meta["failure_quantity"])
 
 
 def test_continuity_ladder_matches_frozen_values():
@@ -182,8 +198,8 @@ def test_flow_values_share_momentum_sign_and_monotonicity():
         q_j, ds_j = seq.points[j - 1].q[0], seq.points[j - 1].p[0]
         ds = seq.points[j].p[0]
         p = traj.points[j].p[0]
-        plus = closed_form_ds_step(q_j, q, ds_j, h, Branch.PLUS)
-        minus = closed_form_ds_step(q_j, q, ds_j, h, Branch.MINUS)
+        plus = ds_root(q_j, q, ds_j, h, Branch.PLUS)
+        minus = ds_root(q_j, q, ds_j, h, Branch.MINUS)
         assert ds in (plus, minus), f"index {j}: {ds} is neither root"
         mid = 0.5 * (plus + minus)
         assert abs(mid - p) <= 1e-12 * abs(p), (
@@ -245,7 +261,7 @@ def test_lift_reads_slopes_off_the_orbit_from_S0():
     assert len(seq) == len(traj) and all(a is b for a, b in zip(seq.points, traj.points))
     assert seq.S[0] == 0.25
     for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:]):
-        assert abs(hj_residual_right(H, S_j, S_next, b.p, a.q, b.q)) <= 1e-15
+        assert abs(hj_residual(H, S_j, S_next, b.p, a.q, b.q)) <= 1e-15
     assert seq.meta["truncated"] is False and seq.meta["degenerate"] is False
 
 
@@ -283,7 +299,7 @@ def test_lift_keeps_each_accepted_residual():
     traj = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]), 5)
     seq = solve_generating_sequence(H, traj)
     assert len(seq.residuals) == len(seq) - 1 == 5
-    assert seq.residuals == [hj_residual_right(H, S_j, S_next, b.p, a.q, b.q)
+    assert seq.residuals == [hj_residual(H, S_j, S_next, b.p, a.q, b.q)
                              for a, b, S_j, S_next in
                              zip(seq.points, seq.points[1:], seq.S, seq.S[1:])]
     # a re-check that misses its limit is not among the accepted residuals
@@ -338,3 +354,21 @@ def test_flow_input_validation():
     seq = run_closed_form_flow([0.1], 0.3, 1e-4)
     assert len(seq) == 1
     assert seq.branch_log == ["init"]
+
+
+# the stable band |q| < 1/sqrt(3)
+_BAND = st.floats(-0.57, 0.57)
+
+
+@given(S_j=st.floats(-1.0, 1.0), S_next=st.floats(-1.0, 1.0), ds=_BAND, q_j=_BAND,
+       q_next=_BAND)
+def test_hj_residual_is_each_pre_fold_equation(S_j, S_next, ds, q_j, q_next):
+    # hj_residual_right gave S_next - S_j - DS_next . q_next + H+(q_j, DS_next),
+    # hj_residual_left S_next - S_j + DS_j . q_j + H-(q_next, DS_j)
+    L = midpoint_pendulum(0.1, 1.3, partials=True)
+    Hp, Hm = hamiltonian_from_lagrangian(L, Side.RIGHT), hamiltonian_from_lagrangian(L, Side.LEFT)
+    DS, a, b = np.array([ds]), np.array([q_j]), np.array([q_next])
+    right = S_next - S_j - float(DS @ b) + float(Hp.eval(a, DS))
+    left = S_next - S_j + float(DS @ a) + float(Hm.eval(b, DS))
+    got = (hj_residual(Hp, S_j, S_next, DS, a, b), hj_residual(Hm, S_j, S_next, DS, a, b))
+    assert np.array(got).tobytes() == np.array([right, left]).tobytes()

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dhj.core
 from dhj.core import NumericalError, PhasePoint
@@ -17,11 +19,9 @@ from dhj.hj_vf import (
     closed_form_gamma_step,
     equivalence_check,
     eval_field,
-    eval_field_left,
     run_closed_form_vf,
     solve_gamma_generic,
     vf_residual,
-    vf_residual_left,
 )
 from dhj.mechanics import (
     DiscreteHamiltonian,
@@ -32,6 +32,7 @@ from dhj.mechanics import (
     run_trajectory,
 )
 from dhj.optctrl import discretize_right, make_sakamoto1d
+from test_mechanics import midpoint_pendulum
 
 
 def cubic_right():
@@ -54,7 +55,7 @@ def test_eval_field_free_particle():
     dq, dp = eval_field(Hp, [0.3], [0.2])
     assert abs(dq[0] - 0.5) <= 1e-10
     assert abs(dp[0] - 0.2) <= 1e-10
-    dq, dp = eval_field_left(Hm, [0.5], [0.2])
+    dq, dp = eval_field(Hm, [0.5], [0.2])
     assert abs(dq[0] - 0.3) <= 1e-10
     assert abs(dp[0] - 0.2) <= 1e-10
 
@@ -68,7 +69,7 @@ def test_vf_residual_zero_iff_slope_consistent():
     assert vf_residual(Hp, [q], [p], g) <= 1e-12
     assert vf_residual(Hp, [q], [p], g + 0.1) > 1e-3
     gl = p / (q - p)
-    assert vf_residual_left(Hm, [q], [p], gl) <= 1e-12
+    assert vf_residual(Hm, [q], [p], gl) <= 1e-12
 
 
 def test_closed_form_second_value_oracle():
@@ -279,3 +280,34 @@ def test_sequence_accessors():
         assert [pt.index for pt in seq.points] == [1, 2]
         assert [pt.q[0] for pt in seq.points] == grid
         assert seq.points[0].p[0] == 0.0
+
+
+# the stable band |q| < 1/sqrt(3); one pendulum's two duals give both sides
+_BAND = st.floats(-0.57, 0.57)
+
+
+def pendulum_pair():
+    L = midpoint_pendulum(0.1, 1.3, partials=True)
+    return hamiltonian_from_lagrangian(L, Side.RIGHT), hamiltonian_from_lagrangian(L, Side.LEFT)
+
+
+@given(q=_BAND, p=_BAND)
+def test_eval_field_is_each_pre_fold_field(q, p):
+    # eval_field gave (D2 H+, D1 H+) at (q_j, p_next), eval_field_left
+    # (-D2 H-, -D1 H-) at (q_next, p_j)
+    Hp, Hm = pendulum_pair()
+    a, b = np.array([q]), np.array([p])
+    for H, want in ((Hp, (Hp.d2(a, b), Hp.d1(a, b))), (Hm, (-Hm.d2(a, b), -Hm.d1(a, b)))):
+        assert [v.tobytes() for v in eval_field(H, a, b)] == [v.tobytes() for v in want]
+
+
+@given(q=_BAND, p=_BAND, dgamma=st.floats(-10.0, 10.0))
+def test_vf_residual_is_each_pre_fold_residual(q, p, dgamma):
+    # vf_residual gave |D2 H+ Dgamma - D1 H+|, vf_residual_left
+    # |(-D2 H-) Dgamma - (-D1 H-)|, at the same slot pairs as eval_field
+    Hp, Hm = pendulum_pair()
+    a, b = np.array([q]), np.array([p])
+    right = abs(Hp.d2(a, b)[0] * dgamma - Hp.d1(a, b)[0])
+    left = abs(-Hm.d2(a, b)[0] * dgamma - -Hm.d1(a, b)[0])
+    got = (vf_residual(Hp, a, b, dgamma), vf_residual(Hm, a, b, dgamma))
+    assert np.array(got).tobytes() == np.array([right, left]).tobytes()

@@ -8,13 +8,15 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import dhj.optctrl
 from dhj.cli import _free_particle
 from dhj.core import (NewtonConfig, NumericalError, PhasePoint, SingularJacobianError,
-                      fd_jacobian, newton_solve, rk4_reference)
-from dhj.hj_flow import hj_residual_left
-from dhj.hj_vf import eval_field_left, vf_residual_left
+                      fd_jacobian, newton_solve)
+from dhj.hj_flow import hj_residual
+from dhj.hj_vf import eval_field, vf_residual
 from dhj.mechanics import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
@@ -22,8 +24,7 @@ from dhj.mechanics import (
     del_step,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
-    legendre_left,
-    legendre_right,
+    legendre,
     run_trajectory,
     step_left,
     step_right,
@@ -31,6 +32,7 @@ from dhj.mechanics import (
     verify_step,
 )
 from dhj.optctrl import discretize_right, make_sakamoto1d
+from test_oracles import rk4_reference
 
 
 def _arr(x):
@@ -63,8 +65,8 @@ def cubic_right():
 
 def test_legendre_transforms_free_particle():
     L = free_particle()
-    right = legendre_right(L, [0.3], [0.5])
-    left = legendre_left(L, [0.3], [0.5])
+    right = legendre(L, Side.RIGHT, [0.3], [0.5])
+    left = legendre(L, Side.LEFT, [0.3], [0.5])
     assert abs(right.p[0] - 0.2) <= 1e-15
     assert abs(left.p[0] - 0.2) <= 1e-15
     assert right.q[0] == 0.5 and left.q[0] == 0.3
@@ -78,8 +80,8 @@ def test_legendre_momenta_match_one_forms():
     for _ in range(20):
         a = rng.uniform(-1.0, 1.0, 1)
         b = rng.uniform(-1.0, 1.0, 1)
-        assert abs(legendre_right(L, a, b).p[0] - L.d2(a, b)[0]) <= 1e-15
-        assert abs(legendre_left(L, a, b).p[0] - (-L.d1(a, b)[0])) <= 1e-15
+        assert abs(legendre(L, Side.RIGHT, a, b).p[0] - L.d2(a, b)[0]) <= 1e-15
+        assert abs(legendre(L, Side.LEFT, a, b).p[0] - (-L.d1(a, b)[0])) <= 1e-15
 
 
 def test_del_step_free_particle_extrapolates():
@@ -215,14 +217,14 @@ def test_non_finite_points_from_the_caller_stay_value_errors():
     with pytest.raises(ValueError, match="^q contains non-finite"):
         PhasePoint(index=1, q=[math.inf], p=[0.0])
     with pytest.raises(ValueError, match="^q_j contains non-finite"):
-        legendre_right(L, [math.nan], [0.0])
+        legendre(L, Side.RIGHT, [math.nan], [0.0])
     with pytest.raises(ValueError, match="^q_next contains non-finite"):
-        legendre_left(L, [0.0], [math.inf])
+        legendre(L, Side.LEFT, [0.0], [math.inf])
     with pytest.raises(ValueError, match="^q_prev contains non-finite"):
         del_step(L, [math.nan], [0.0])
     # a non-finite value the model computes is the step's NumericalError
     with pytest.raises(NumericalError, match=r"^D2 L_d contains non-finite entries: \[inf\]$"):
-        legendre_right(_escaping_lagrangian(), [0.0], [0.1])
+        legendre(_escaping_lagrangian(), Side.RIGHT, [0.0], [0.1])
     with pytest.raises(NumericalError, match=r"^D2 L_d contains non-finite entries: \[inf\]$"):
         del_step(_escaping_lagrangian(), [0.0], [0.1])
 
@@ -598,8 +600,8 @@ def test_left_hj_equation_holds_along_the_pendulum_left_dual():
     for a, b in zip(traj.points[:-1], traj.points[1:]):
         S_next = S + L.eval(a.q, b.q)
         scale = max(1.0, abs(S), abs(S_next), abs(float(a.p @ a.q)))
-        assert abs(hj_residual_left(Hm, S, S_next, a.p, a.q, b.q)) <= 16 * eps * scale
-        assert abs(legendre_left(L, a.q, b.q).p[0] - a.p[0]) <= tol * max(1.0, abs(a.p[0]))
+        assert abs(hj_residual(Hm, S, S_next, a.p, a.q, b.q)) <= 16 * eps * scale
+        assert abs(legendre(L, Side.LEFT, a.q, b.q).p[0] - a.p[0]) <= tol * max(1.0, abs(a.p[0]))
         S = S_next
 
 
@@ -612,10 +614,50 @@ def test_left_field_is_the_left_step_along_the_pendulum_left_dual():
     traj = run_trajectory(Hm, PhasePoint(index=1, q=[0.8], p=[0.0]), 30)
     assert traj.meta["truncated"] is False and len(traj) == 31
     for a, b in zip(traj.points[:-1], traj.points[1:]):
-        dq, dp = eval_field_left(Hm, b.q, a.p)
+        dq, dp = eval_field(Hm, b.q, a.p)
         assert abs(dq[0] - a.q[0]) <= 1e-10 and abs(dp[0] - b.p[0]) <= 1e-10
         assert a.q[0] != 0.0
         dgamma = b.p[0] / a.q[0]
-        assert vf_residual_left(Hm, b.q, a.p, dgamma) <= 1e-10 * max(1.0, abs(b.p[0]))
-        missed = vf_residual_left(Hm, b.q, a.p, dgamma + 0.1)
+        assert vf_residual(Hm, b.q, a.p, dgamma) <= 1e-10 * max(1.0, abs(b.p[0]))
+        missed = vf_residual(Hm, b.q, a.p, dgamma + 0.1)
         assert abs(missed - 0.1 * abs(a.q[0])) <= 1e-10
+
+
+# the stable band |q| < 1/sqrt(3), where the cubic's right step is regular
+_BAND = st.floats(-0.57, 0.57)
+
+
+@given(a=_BAND, b=_BAND)
+def test_legendre_is_each_pre_fold_transform(a, b):
+    # legendre_right gave (q_next, D2 L_d) at index + 1, legendre_left
+    # (q_j, -D1 L_d) at index
+    L = midpoint_pendulum(0.1, 1.3)
+    q_j, q_next = np.array([a]), np.array([b])
+    right, left = legendre(L, Side.RIGHT, q_j, q_next, 3), legendre(L, Side.LEFT, q_j, q_next, 3)
+    assert (right.index, right.q.tobytes(), right.p.tobytes()) == \
+        (4, q_next.tobytes(), L.d2(q_j, q_next).tobytes())
+    assert (left.index, left.q.tobytes(), left.p.tobytes()) == \
+        (3, q_j.tobytes(), (-L.d1(q_j, q_next)).tobytes())
+
+
+@given(q=_BAND, p=_BAND)
+def test_the_shared_step_body_is_each_pre_fold_stepper(q, p):
+    x = PhasePoint(index=2, q=[q], p=[p])
+    L = midpoint_pendulum(0.1, 1.3, partials=True)
+    Hp = cubic_right()
+    # a left dual without its L_d steps through H-'s own partials
+    Hm = dataclasses.replace(hamiltonian_from_lagrangian(L, Side.LEFT), lagrangian=None)
+    # right: p_next solves D1 H+(q_j, p_next) = p_j, then q_next = D2 H+
+    p_next = newton_solve(lambda g: Hp.d1(x.q, g) - x.p, x.p, jacobian=lambda g: Hp.d12(x.q, g))
+    right = [x.index + 1, Hp.d2(x.q, p_next), p_next]
+    # left: q_next solves -D2 H-(q_next, p_j) = q_j, then p_next = -D1 H-
+    q_next = newton_solve(lambda g: -Hm.d2(g, x.p) - x.q, x.q)
+    left = [x.index + 1, q_next, -Hm.d1(q_next, x.p)]
+    # a dual of L_d: q_next solves D1 L_d(q_j, q_next) = -p_j, then p_next = D2 L_d
+    q_next = newton_solve(lambda y: L.d1(x.q, y) + x.p, x.q, jacobian=lambda y: L.d12(x.q, y))
+    flow = [x.index + 1, q_next, L.d2(x.q, q_next)]
+    for got, want in ((step_right(Hp, x), right), (step_left(Hm, x), left),
+                      (step_right(hamiltonian_from_lagrangian(L, Side.RIGHT), x), flow),
+                      (step_left(hamiltonian_from_lagrangian(L, Side.LEFT), x), flow)):
+        assert [got.index, got.q.tobytes(), got.p.tobytes()] == \
+            [want[0], want[1].tobytes(), want[2].tobytes()]

@@ -55,7 +55,9 @@ def counts(monkeypatch):
 # _vec (now gone), and 1186 as_vec, 1966 norm_inf and 6240 _vec calls per
 # check.  norm_inf is not called less often: its one-entry case is cheaper.
 # Before the steppers built their points from checked values, a step made
-# two more as_vec calls (the new point's q and p), and a check 812.
+# two more as_vec calls (the new point's q and p), and a check 812.  Before
+# the slope runners did the same for their rows, a check made 432 and a
+# compare 46.
 def test_a_step_coerces_only_at_its_point(counts):
     H = discretize_right(make_sakamoto1d())
     x = PhasePoint(index=1, q=[0.05], p=[0.0])
@@ -90,8 +92,16 @@ def test_a_lagrangian_step_coerces_only_newtons_inputs(counts, monkeypatch, side
 def test_check_coerces_only_at_its_entry_points(counts):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "--q1=0.05", "--steps=8"]) == 0
-    assert counts["as_vec"] <= 432
+    assert counts["as_vec"] <= 400
     assert counts["norm_inf"] <= 1966
+
+
+def test_compare_coerces_only_at_its_entry_points(counts):
+    # the orbit's seed and one Newton guess per step, and each slope run's
+    # seed; none for a row a runner adds
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["compare", "--q1=0.05", "--steps=8"]) == 0
+    assert counts["as_vec"] <= 14
 
 
 def _cubic():
