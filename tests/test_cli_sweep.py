@@ -26,7 +26,8 @@ STARTS = (1e-320, -1e-13, 1e-13, 0.01, -0.5, 2.0, 1e5, 1e103, 8e153, 1e300)
 FLAGS = ((), ("--ds1=1e300",), ("--gamma1=1e300",), ("--p1=1e300",))
 WEIGHTS = ((), ("--r=2",), ("--r=0.5", "--s=2"))
 # a failed part of the run ("flow failure at j = 2: ...") or a raised one
-_FAILURE_LINE = re.compile(r"(trajectory|flow|vf|residual) failure at j = \d+: |numerical failure: ")
+_FAILURE_LINE = re.compile(r"(trajectory|flow|vf|residual) failure at j = \d+: "
+                           r"|numerical failure: ")
 
 
 def _non_finite(field: str) -> bool:

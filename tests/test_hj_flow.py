@@ -350,6 +350,9 @@ def test_flow_input_validation():
         run_closed_form_flow([0.1, float("nan")], 0.0, 1e-4)
     with pytest.raises(ValueError):
         run_closed_form_flow([0.1, 0.2], 0.0, 0.0)
+    # the branch policy is checked on entry, also where no step runs
+    with pytest.raises(ValueError, match="^branch must be a Branch"):
+        run_closed_form_flow([0.1], 0.0, 1e-4, "plus")
     # a single grid position yields the seed row and no transitions
     seq = run_closed_form_flow([0.1], 0.3, 1e-4)
     assert len(seq) == 1
