@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import NewtonConfig, NumericalError, PhasePoint, fd_gradient, norm_inf
+from .core import NewtonConfig, NumericalError, PhasePoint, dot, fd_gradient, norm_inf
 from .hj_flow import Branch, hj_residual, run_closed_form_flow, solve_generating_sequence
 from .hj_vf import run_closed_form_vf, solve_gamma_generic, vf_residual
 from .mechanics import (
@@ -619,14 +619,16 @@ def check_vf_agreement(H, rc, cfg, traj) -> CheckResult:
 
 
 def _free_particle() -> DiscreteLagrangian:
+    # the constant second partials, one read-only array each for every call
+    eye, minus_eye = np.broadcast_to(1.0, (1, 1)), np.broadcast_to(-1.0, (1, 1))
     return DiscreteLagrangian(
-        eval=lambda a, b: 0.5 * float((b - a) @ (b - a)),
+        eval=lambda a, b: 0.5 * dot(b - a, b - a),
         d1=lambda a, b: a - b,
         d2=lambda a, b: b - a,
         dim=1,
-        d11=lambda a, b: np.eye(1),
-        d12=lambda a, b: -np.eye(1),
-        d22=lambda a, b: np.eye(1),
+        d11=lambda a, b: eye,
+        d12=lambda a, b: minus_eye,
+        d22=lambda a, b: eye,
     )
 
 

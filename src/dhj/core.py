@@ -10,8 +10,9 @@ Inputs are validated where they enter: as_vec (and PhasePoint, which calls
 it) at an API boundary, once per call chain.  Past it, vectors are 1-D
 float64 arrays, and the inner calls that receive them trust them.  The
 vectors hold one or two entries, where numpy's fixed cost per call outweighs
-the arithmetic, so the max-norm, one-entry products and the finiteness tests
-run over Python floats.
+the arithmetic, so the max-norm, one-entry products, the finiteness tests,
+the finite-difference probes of one entry and newton_solve's one-unknown
+iteration run over Python floats, bitwise what numpy computes.
 """
 
 from __future__ import annotations
@@ -214,9 +215,14 @@ def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
     _check_step(step)
     grad = []
     for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = step
-        val = (float(f(x + e)) - float(f(x - e))) / (2.0 * step)
+        if x.size == 1:
+            # Python floats, bitwise numpy's x + e and x - e
+            hi, lo = np.array([x.item() + step]), np.array([x.item() - step])
+        else:
+            e = np.zeros_like(x)
+            e[i] = step
+            hi, lo = x + e, x - e
+        val = (float(f(hi)) - float(f(lo))) / (2.0 * step)
         if not math.isfinite(val):
             raise NumericalError(f"non-finite finite-difference evaluation at coordinate {i} "
                                  f"(step {step:g})")
@@ -290,29 +296,35 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     cfg.max_iter iterations would raise, with the residual norm the cycle
     reaches at iteration cfg.max_iter.
 
-    A 1 x 1 step is the division r / J[0, 0], bitwise what
-    np.linalg.solve returns for it, under the same scaled singularity test
-    on det J = J[0, 0] and ||J||_inf = |J[0, 0]|; a SingularJacobianError
-    carries that entry exactly as its det.  Larger systems go through
-    np.linalg.det and np.linalg.solve.
+    A non-finite residual raises NumericalError with its first non-finite
+    entry as the quantity.
+
+    One unknown is iterated over Python floats: the residual r, its norm
+    |r|, the Jacobian entry a = J[0, 0] and the update x - damping * (r / a),
+    bitwise what numpy and np.linalg.solve return for them.  The step is
+    taken under the same scaled singularity test on det J = a and
+    ||J||_inf = |a|; a SingularJacobianError carries a exactly as its det.
+    Larger systems go through norm_inf, np.linalg.det and np.linalg.solve.
     """
     if cfg is None:
         cfg = _DEFAULT_NEWTON
     x = as_vec(guess, name="guess").copy()
     n = x.size
 
-    def _eval(z: np.ndarray) -> np.ndarray:
+    def _eval(z: np.ndarray):
+        # the residual and its max-norm; one entry is read as a float
         r = _atleast_1d(residual(z))
         if r.ndim != 1 or r.size != n:
             raise ValueError(
                 f"residual must return a vector of dimension {n}, got shape {r.shape}"
             )
-        if not _finite(r):
-            raise NumericalError(f"non-finite residual evaluation at x = {z}")
-        return r
+        vals = r.tolist()
+        for v in vals:
+            if not math.isfinite(v):
+                raise NumericalError(f"non-finite residual evaluation at x = {z}", v)
+        return (vals[0], abs(vals[0])) if n == 1 else (r, norm_inf(r))
 
-    r = _eval(x)
-    rn = norm_inf(r)
+    r, rn = _eval(x)
     seen: dict[bytes, int] = {}
     norms: list[float] = []
     for iteration in range(cfg.max_iter + 1):
@@ -332,26 +344,27 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
             break
         seen[key] = iteration
         norms.append(rn)
-        if jacobian is not None:
-            jac = np.asarray(jacobian(x), dtype=float).reshape(n, n)
-            if not _finite(jac):
-                raise NumericalError("non-finite entries in supplied Jacobian")
-        else:
+        if jacobian is None:
             jac = fd_jacobian(residual, x, cfg.fd_step)
+        else:
+            jac = np.asarray(jacobian(x), dtype=float)
+            if n > 1:
+                jac = jac.reshape(n, n)
+            # item(), like reshape, raises ValueError unless there are n * n entries
+            if not (math.isfinite(jac.item()) if n == 1 else _finite(jac)):
+                raise NumericalError("non-finite entries in supplied Jacobian")
         if n == 1:
             # Python floats: a step that overflows is inf, as from LAPACK,
             # with no numpy warning
-            a = float(jac[0, 0])
+            a = jac.item()
             scale = max(1.0, abs(a))
             if abs(a) < SINGULAR_DET_FLOOR * scale:
                 raise SingularJacobianError(det=a, scale=scale)
-            dx = float(r[0]) / a
+            x = np.array([x.item() - cfg.damping * (r / a)])
         else:
             _check_jacobian(jac)
-            dx = np.linalg.solve(jac, r)
-        x = x - cfg.damping * dx
-        r = _eval(x)
-        rn = norm_inf(r)
+            x = x - cfg.damping * np.linalg.solve(jac, r)
+        r, rn = _eval(x)
     raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
 
 

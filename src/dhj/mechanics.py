@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, as_vec,
+from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, as_vec, dot,
                    fd_jacobian, iterate, newton_solve, norm_inf)
 
 __all__ = [
@@ -226,7 +226,7 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
 
         def _eval(q: np.ndarray, p_next: np.ndarray) -> float:
             y = _recover(q, p_next)
-            return float(p_next @ y) - float(L.eval(q, y))
+            return dot(p_next, y) - float(L.eval(q, y))
 
         def _d1(q: np.ndarray, p_next: np.ndarray) -> np.ndarray:
             return -L.d1(q, _recover(q, p_next))
@@ -243,7 +243,7 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
 
         def _eval_left(q_next: np.ndarray, p: np.ndarray) -> float:
             y = _recover_left(q_next, p)
-            return -float(p @ y) - float(L.eval(y, q_next))
+            return -dot(p, y) - float(L.eval(y, q_next))
 
         def _d1_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
             return -L.d2(_recover_left(q_next, p), q_next)
@@ -368,6 +368,6 @@ def left_right_relation_residual(Hp: DiscreteHamiltonian, Hm: DiscreteHamiltonia
 
 def _left_right_gap(Hp, Hm, q_j, p_j, q_next, p_next) -> float:
     """left_right_relation_residual at 1-D float64 arrays already checked."""
-    lhs = float(Hm.eval(q_next, p_j)) + float(p_j @ q_j)
-    rhs = float(Hp.eval(q_j, p_next)) - float(p_next @ q_next)
+    lhs = float(Hm.eval(q_next, p_j)) + dot(p_j, q_j)
+    rhs = float(Hp.eval(q_j, p_next)) - dot(p_next, q_next)
     return abs(lhs - rhs)

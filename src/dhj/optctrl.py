@@ -43,9 +43,9 @@ class SignCriterion(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
-    @property
-    def factor(self) -> float:
-        return 1.0 if self is SignCriterion.PLUS else -1.0
+    def __init__(self, value: str):
+        # +1.0 or -1.0, set once per member: every constraint evaluation reads it
+        self.factor = 1.0 if value == "plus" else -1.0
 
 
 @dataclass(frozen=True)
@@ -131,6 +131,11 @@ def _affine_part(phi, k: int):
     return phi0, aff
 
 
+def _norm(v: np.ndarray) -> float:
+    """norm_inf of a float64 vector; one entry is read as a float, |v|."""
+    return abs(v.item()) if v.size == 1 else norm_inf(v)
+
+
 def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
                       cfg: NewtonConfig | None = None) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
@@ -150,10 +155,10 @@ def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
     own non-finite residuals.
     """
     cfg = cfg if cfg is not None else _DEFAULT_NEWTON
-    accept = max(cfg.tol, 1e-13 * norm_inf(p))
+    accept = max(cfg.tol, 1e-13 * _norm(p))
     if cp.control is not None:
         u = cp.control(q, p)
-        if norm_inf(secondary_constraint(cp, q, p, u)) <= accept:
+        if _norm(secondary_constraint(cp, q, p, u)) <= accept:
             return u
 
     def phi(u: np.ndarray) -> np.ndarray:
@@ -190,6 +195,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     The problem's d_qp and d_pp become d12 and d22.
     """
     cfg = cfg if cfg is not None else _DEFAULT_NEWTON
+    sign = cp.sign.factor
     last = (None, None)  # (bytes of q and p, their read-only control)
 
     def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -204,7 +210,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
 
     def _eval(q: np.ndarray, p: np.ndarray) -> float:
         u = control(q, p)
-        return dot(p, cp.gamma(q, u)) + cp.sign.factor * float(cp.cost(q, u))
+        return dot(p, cp.gamma(q, u)) + sign * float(cp.cost(q, u))
 
     def _d2(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         return cp.gamma(q, control(q, p))
@@ -212,7 +218,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     if cp.dq_gamma is not None and cp.dq_cost is not None:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             u = control(q, p)
-            return _adjoined(cp.sign.factor, cp.dq_gamma(q, u), p, cp.dq_cost(q, u))
+            return _adjoined(sign, cp.dq_gamma(q, u), p, cp.dq_cost(q, u))
     else:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, cfg.fd_step)
@@ -254,8 +260,11 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     def cost(q, u):
         return 0.5 * (s * _power(float(q[0]), 2) + r * _power(float(u[0]), 2))
 
+    # the constant Jacobians, one read-only array each for every call
+    one, curvature = np.broadcast_to(1.0, (1, 1)), np.broadcast_to(-1.0 / r, (1, 1))
+
     def du_gamma(q, u):
-        return np.array([[1.0]])
+        return one
 
     def du_cost(q, u):
         return np.array([r * float(u[0])])
@@ -272,7 +281,7 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
                           sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,
                           dq_cost=dq_cost, d_qp=lambda q, p, u: dq_gamma(q, u),
-                          d_pp=lambda q, p, u: np.array([[-1.0 / r]]), control=control)
+                          d_pp=lambda q, p, u: curvature, control=control)
 
 
 # Models addressable by name from configuration; callables take (r, s).

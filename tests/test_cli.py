@@ -58,7 +58,16 @@ _COMPARE_DIGESTS = {
     "r2-s0.5": ("cab1536c8161c52d3added6d0b3bade2a2fbd95e9f161a35b7e0edb7121b6a74",
                 "e572696250a68365c68d8888b83ea9523eac478d7c41ac692a5eeaee2873cee5"),
 }
-_CHECK_DIGEST = "4048a01c144ab30bb6689b05d026ceaf12571abfb7cc9b08444bc947b665b974"
+# check flags -> (exit code, report digest): the default partials, the
+# generic ones with a vf-agreement SKIP, and a FAIL that quotes a truncation
+_CHECK_DIGESTS = {
+    ("--q1=0.05", "--steps=8"): (
+        0, "4048a01c144ab30bb6689b05d026ceaf12571abfb7cc9b08444bc947b665b974"),
+    ("--q1=0.05", "--steps=8", "--r=2", "--s=0.5"): (
+        0, "bdd816c8a24433c2c2b30474c1f1bf94f80295b5a8a38c58251babe6380cacf7"),
+    ("--q1=1e-13", "--steps=4"): (
+        1, "5a8556975b8ecaea93e7161f1d2d7a8f2296f35d88e506682dabf06724319482"),
+}
 
 
 @pytest.mark.parametrize("label, flags", [("defaults", []), ("r2-s0.5", ["--r=2", "--s=0.5"])])
@@ -70,8 +79,9 @@ def test_compare_outputs_are_pinned_byte_for_byte(label, flags, tmp_path, capsys
 
 
 def test_check_report_is_pinned_byte_for_byte(capsys):
-    assert main(["check", "--q1=0.05", "--steps=8"]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _CHECK_DIGEST
+    for flags, (code, digest) in _CHECK_DIGESTS.items():
+        assert main(["check", *flags]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_simulate_csv_row_oracle(tmp_path):

@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -237,6 +237,40 @@ def test_one_entry_fd_column_is_bitwise_the_generic_formula(x0, step, hi, lo):
             fd_jacobian(residual, x, step)
         assert err.type is NumericalError
         assert str(err.value) == "non-finite entries in finite-difference Jacobian"
+    assert probes == want_probes
+
+
+@given(x0=st.floats(allow_nan=False, allow_infinity=False, width=64),
+       step=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       hi=st.floats(), lo=st.floats())
+@example(x0=5e-324, step=5e-324, hi=1.0, lo=-1.0)
+@example(x0=1e300, step=1e-7, hi=2.0, lo=1.0)
+@example(x0=-1e300, step=1e300, hi=-math.inf, lo=-math.inf)
+@example(x0=1.7976931348623157e308, step=1e300, hi=1.0, lo=0.0)
+def test_one_entry_fd_gradient_is_bitwise_the_axis_loop(x0, step, hi, lo):
+    # the one-entry probes run in Python floats; numpy's axis loop, from the
+    # same values, is the reference, and so is its error
+    probes = []
+
+    def f(z):
+        probes.append(z.tobytes())
+        return hi if len(probes) % 2 else lo
+
+    x = np.array([x0])
+    want_probes, want = [], []
+    with np.errstate(all="ignore"):
+        for i in range(x.size):
+            e = np.zeros_like(x)
+            e[i] = step
+            want_probes += [(x + e).tobytes(), (x - e).tobytes()]
+            want.append((np.float64(hi) - np.float64(lo)) / (2.0 * step))
+    want = np.array(want)
+    if np.isfinite(want).all():
+        assert fd_gradient(f, x, step).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(NumericalError, match="^non-finite finite-difference evaluation at "
+                                                 "coordinate 0 "):
+            fd_gradient(f, x, step)
     assert probes == want_probes
 
 
@@ -532,7 +566,7 @@ def _plain_newton(residual, guess, cfg, jacobian=None):
     def _eval(z):
         r = np.asarray(residual(z), dtype=float).reshape(1)
         if not math.isfinite(r[0]):
-            raise NumericalError(f"non-finite residual evaluation at x = {z}")
+            raise NumericalError(f"non-finite residual evaluation at x = {z}", r[0])
         return float(r[0])
 
     r = _eval(x)
@@ -565,7 +599,8 @@ def _outcome(solve, residual, guess, cfg, jacobian=None):
     try:
         got = ("root", [_bits(v) for v in solve(counted, guess, cfg, jacobian=jacobian).tolist()])
     except NumericalError as exc:
-        got = (type(exc).__name__, str(exc), _bits(exc.quantity),
+        quantity = None if exc.quantity is None else _bits(exc.quantity)
+        got = (type(exc).__name__, str(exc), quantity,
                vars(exc).get("residual_norm"), vars(exc).get("iterations"))
     return got, evals[0]
 
@@ -604,15 +639,43 @@ def test_newton_stops_on_a_fixed_point_stall():
                     lambda z: [[1e300]]) == (got, 51)
 
 
-@given(st.floats(-3.0, 3.0), st.integers(1, 60), st.sampled_from([1.0, 0.5]),
-       st.booleans())
-def test_newton_agrees_with_the_plain_loop(guess, max_iter, damping, exact):
-    # roots, stalls and cycles alike: the same outcome, bit for bit, from no
-    # more residual evaluations
+def _scaled_cycle(scale):
+    # scale * (x^3 - 2x + 2) and its derivative in Python floats: past
+    # |x| ~ 5.6e102 the residual is inf or NaN, with no numpy warning
+    def residual(z):
+        x = z.item()
+        return np.array([scale * (x * x * x - 2.0 * x + 2.0)])
+
+    def jacobian(z):
+        x = z.item()
+        return [[scale * (3.0 * x * x - 2.0)]]
+    return residual, jacobian
+
+
+def _quiet_plain_newton(*args, **kwargs):
+    # the reference updates x in numpy, which warns where x - step overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _plain_newton(*args, **kwargs)
+
+
+@settings(max_examples=300)
+@given(guess=st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False)),
+       scale=st.one_of(st.just(1.0), st.floats(1e-300, 1e300)), max_iter=st.integers(1, 60),
+       damping=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.0, 1.0, exclude_min=True)),
+       exact=st.booleans())
+@example(guess=1e300, scale=1.0, max_iter=50, damping=1.0, exact=False)
+@example(guess=-1e300, scale=1e300, max_iter=50, damping=0.5, exact=True)
+@example(guess=5e-324, scale=1e-300, max_iter=50, damping=1.0, exact=True)
+@example(guess=-2.2250738585072014e-308, scale=1.0, max_iter=3, damping=5e-324, exact=False)
+def test_newton_agrees_with_the_plain_loop(guess, scale, max_iter, damping, exact):
+    # one unknown over the whole float64 range: roots, stalls, cycles,
+    # singular steps and non-finite residuals alike, with their quantities,
+    # the same outcome, bit for bit, from no more residual evaluations
     cfg = NewtonConfig(max_iter=max_iter, damping=damping)
-    jacobian = _cubic_cycle_prime if exact else None
-    got, evals = _outcome(newton_solve, _cubic_cycle, [guess], cfg, jacobian)
-    want, plain_evals = _outcome(_plain_newton, _cubic_cycle, [guess], cfg, jacobian)
+    residual, jacobian = _scaled_cycle(scale)
+    jacobian = jacobian if exact else None
+    got, evals = _outcome(newton_solve, residual, [guess], cfg, jacobian)
+    want, plain_evals = _outcome(_quiet_plain_newton, residual, [guess], cfg, jacobian)
     assert got == want
     assert evals <= plain_evals
 

@@ -212,6 +212,17 @@ def test_non_finite_step_output_truncates_naming_the_quantity(H, q, message, qua
     assert got == quantity or (math.isnan(got) and math.isnan(quantity))
 
 
+@pytest.mark.parametrize("q", [8e153, 1e300])
+def test_a_non_finite_newton_residual_is_the_failure_quantity(q):
+    # 3 q^2 overflows, so D1 H+(q, 0) = -inf * 0 + q is NaN at Newton's seed
+    traj = run_trajectory(cubic_right(), PhasePoint(index=1, q=[q], p=[0.0]), 2)
+    meta = traj.meta
+    assert len(traj) == 1
+    assert (meta["truncated"], meta["failure"], meta["failure_index"]) == (True, "NumericalError", 1)
+    assert meta["failure_message"] == "non-finite residual evaluation at x = [0.]"
+    assert math.isnan(meta["failure_quantity"])
+
+
 def test_non_finite_points_from_the_caller_stay_value_errors():
     L = free_particle()
     with pytest.raises(ValueError, match="^q contains non-finite"):

@@ -57,7 +57,9 @@ def counts(monkeypatch):
 # Before the steppers built their points from checked values, a step made
 # two more as_vec calls (the new point's q and p), and a check 812.  Before
 # the slope runners did the same for their rows, a check made 432 and a
-# compare 46.
+# compare 46.  Before Newton read a one-entry residual's norm as |r| and the
+# control elimination read |p| and |phi| the same way, a check made 1966
+# norm_inf calls; the work is the same (see the exact counts below).
 def test_a_step_coerces_only_at_its_point(counts):
     H = discretize_right(make_sakamoto1d())
     x = PhasePoint(index=1, q=[0.05], p=[0.0])
@@ -93,7 +95,35 @@ def test_check_coerces_only_at_its_entry_points(counts):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "--q1=0.05", "--steps=8"]) == 0
     assert counts["as_vec"] <= 400
-    assert counts["norm_inf"] <= 1966
+    assert counts["norm_inf"] <= 433
+
+
+def test_check_does_the_same_newton_work(monkeypatch):
+    # exact counts, not bounds: the one-entry float paths make each call
+    # cheaper and must not change how many calls a check makes
+    calls = Counter()
+    solve, eliminate = dhj.core.newton_solve, dhj.optctrl.eliminate_control
+
+    def counted_solve(residual, *args, **kwargs):
+        calls["newton_solve"] += 1
+
+        def counted_residual(z):
+            calls["residual"] += 1
+            return residual(z)
+        return solve(counted_residual, *args, **kwargs)
+
+    def counted_eliminate(*args, **kwargs):
+        calls["eliminate_control"] += 1
+        return eliminate(*args, **kwargs)
+
+    for module in _MODULES:
+        if hasattr(module, "newton_solve"):
+            monkeypatch.setattr(module, "newton_solve", counted_solve)
+    monkeypatch.setattr(dhj.optctrl, "eliminate_control", counted_eliminate)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["check", "--q1=0.05", "--steps=8"]) == 0
+    # residual evaluations include the finite-difference probes
+    assert calls == {"newton_solve": 183, "residual": 367, "eliminate_control": 583}
 
 
 def test_compare_coerces_only_at_its_entry_points(counts):
