@@ -17,11 +17,14 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import NewtonConfig, NumericalError, PhasePoint, dot, fd_gradient, norm_inf
-from .hj_flow import Branch, hj_residual, run_closed_form_flow, solve_generating_sequence
-from .hj_vf import run_closed_form_vf, solve_gamma_generic, vf_residual
+from .core import (NewtonConfig, NumericalError, PhasePoint, _record_failure, _untruncated, dot,
+                   fd_gradient, norm_inf)
+from .hj_flow import (Branch, _ds_transition, hj_residual, run_closed_form_flow,
+                      solve_generating_sequence)
+from .hj_vf import _gamma_transition, run_closed_form_vf, solve_gamma_generic, vf_residual
 from .mechanics import (
     DiscreteLagrangian,
+    DiscreteTrajectory,
     Side,
     _left_right_gap,
     hamiltonian_from_lagrangian,
@@ -302,13 +305,12 @@ def _panel(out: list[str], box: tuple[float, float, float, float], title: str,
 
     for k, (label, pts) in enumerate(plotted):
         color = _COLORS[k % len(_COLORS)]
-        if len(pts) >= 2:
-            coords = " ".join(f"{_px(mx(x))},{_px(my(y))}" for x, y in pts)
+        pixels = [(_px(mx(x)), _px(my(y))) for x, y in pts]
+        if len(pixels) >= 2:
+            coords = " ".join(f"{cx},{cy}" for cx, cy in pixels)
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
                        f'stroke-width="1.2"/>')
-        for x, y in pts:
-            out.append(f'<circle cx="{_px(mx(x))}" cy="{_px(my(y))}" r="2" '
-                       f'fill="{color}"/>')
+        out.extend(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>' for cx, cy in pixels)
         out.append(f'<text x="{_px(x0 + w - 6)}" y="{_px(y0 + 16 + 14 * k)}" '
                    f'text-anchor="end" font-family="monospace" font-size="11" '
                    f'fill="{color}">{label}</text>')
@@ -475,20 +477,52 @@ def cmd_hj_vf(rc: RunConfig) -> int:
                    [("trajectory", traj.meta), ("vf", seq.meta), ("residual", residuals)])
 
 
+def _closed_form_runs(rc: RunConfig, H, cfg):
+    """The orbit and both closed-form slope runs, stepped together.
+
+    Each new orbit point takes each slope one transition (the slopes' second
+    position is --q2 when it is set).  The orbit ends after the first point
+    that a slope cannot step to, the one that transition needed, so it
+    takes no step for a row the join of the three would drop.  Each slope
+    run is a DiscreteTrajectory with the slope in the momentum slot and
+    core.iterate's failure record in meta."""
+    branch = Branch(rc.branch)
+    flow = DiscreteTrajectory([PhasePoint(index=1, q=[rc.q1], p=[rc.ds1])], _untruncated())
+    vf = DiscreteTrajectory([PhasePoint(index=1, q=[rc.q1], p=[rc.gamma1])], _untruncated())
+    slopes = ((flow, lambda x, q: _ds_transition(x, q, rc.h, branch)[0]),
+              (vf, _gamma_transition))
+
+    def until(pt) -> bool:
+        q_next = rc.q2 if pt.index == 2 and rc.q2 is not None else pt.q.item()
+        for seq, transition in slopes:
+            try:
+                seq.points.append(transition(seq.points[-1], q_next))
+            except NumericalError as exc:
+                _record_failure(seq.meta, exc, seq.points[-1].index)
+        return flow.meta["truncated"] or vf.meta["truncated"]
+
+    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg, until)
+    return traj, flow, vf
+
+
 def cmd_compare(rc: RunConfig) -> int:
     H, cfg = build_model(rc)
-    grid, traj = trajectory_grid(rc, H, cfg)
-    flow = _flow_sequence(rc, H, cfg, grid, traj)
-    vf = _gamma_sequence(rc, H, cfg, grid)
-    rows, stats_flow, stats_vf = [], [], []
+    if rc.method == "closed-form":
+        traj, flow, vf = _closed_form_runs(rc, H, cfg)
+    else:
+        grid, traj = trajectory_grid(rc, H, cfg)
+        flow = _flow_sequence(rc, H, cfg, grid, traj)
+        vf = _gamma_sequence(rc, H, cfg, grid)
+    # each row's floats: j, q, p, DS, gamma and the two slope errors
+    table, stats_flow, stats_vf = [], [], []
     for pt, f, v in zip(traj.points, flow.points, vf.points):
-        q, p, ds, g = float(pt.q[0]), float(pt.p[0]), float(f.p[0]), float(v.p[0])
+        q, p, ds, g = pt.q.item(), pt.p.item(), f.p.item(), v.p.item()
         err_flow, err_vf = abs(ds - p), abs(g - p)
         if abs(q) < 0.9:
             stats_flow.append(err_flow)
             stats_vf.append(err_vf)
-        rows.append([str(pt.index), _g17(q), _g17(p), _g17(ds), _g17(g),
-                     _g17(err_flow), _g17(err_vf)])
+        table.append((pt.index, q, p, ds, g, err_flow, err_vf))
+    rows = [[str(j), *map(_g17, vals)] for j, *vals in table]
 
     def _stat(vals, fn):
         return _g17(fn(vals)) if vals else "nan"
@@ -499,17 +533,13 @@ def cmd_compare(rc: RunConfig) -> int:
         f"max_err_vf = {_stat(stats_vf, max)}",
         f"mean_err_vf = {_stat(stats_vf, lambda v: sum(v) / len(v))}",
     ]
-
-    def column(k):
-        # the 17 significant digits of a row give back the float exactly
-        return [float(r[k]) for r in rows]
-
-    js = column(0)
+    js, _, ps, dss, gs, errs_flow, errs_vf = zip(*table)
+    js = [float(j) for j in js]
     panels = [
         {"title": "momentum and slopes along the run",
-         "series": [("p", js, column(2)), ("DS", js, column(3)), ("gamma", js, column(4))]},
+         "series": [("p", js, ps), ("DS", js, dss), ("gamma", js, gs)]},
         {"title": "slope errors against the momentum",
-         "series": [("|DS - p|", js, column(5)), ("|gamma - p|", js, column(6))],
+         "series": [("|DS - p|", js, errs_flow), ("|gamma - p|", js, errs_vf)],
          "log_y": rc.log_abs},
     ]
     return _finish(rc, f"method={rc.method} points={len(rows)}",

@@ -368,7 +368,7 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
 
 
-def iterate(step, first, steps: int, first_index: int = 1) -> tuple[list, dict]:
+def iterate(step, first, steps: int, first_index: int = 1, until=None) -> tuple[list, dict]:
     """Apply step (an item to the next item) to the last item up to steps
     times: the one stepping loop of the trajectory and slope runners.
 
@@ -378,18 +378,29 @@ def iterate(step, first, steps: int, first_index: int = 1) -> tuple[list, dict]:
     name), failure_index (the index of the item the failed step started
     from, counting first as first_index), failure_message and
     failure_quantity (the error's quantity).  An untruncated run leaves
-    those four keys None.
+    those four keys None.  until, if given, is called with each new item
+    and ends the run, untruncated, after the first one it returns true for.
     """
     items = [first]
-    meta: dict = {"truncated": False, "failure": None, "failure_index": None,
-                  "failure_message": None, "failure_quantity": None}
+    meta = _untruncated()
     for k in range(steps):
         try:
             items.append(step(items[-1]))
         except NumericalError as exc:
-            meta.update(truncated=True, failure=type(exc).__name__,
-                        failure_index=first_index + k, failure_message=str(exc),
-                        failure_quantity=exc.quantity)
+            _record_failure(meta, exc, first_index + k)
+            break
+        if until is not None and until(items[-1]):
             break
     return items, meta
 
+
+def _untruncated() -> dict:
+    """The failure record of a run that has not failed."""
+    return {"truncated": False, "failure": None, "failure_index": None,
+            "failure_message": None, "failure_quantity": None}
+
+
+def _record_failure(meta: dict, exc: NumericalError, index: int) -> None:
+    """Record in meta that the step from the item at index raised exc."""
+    meta.update(truncated=True, failure=type(exc).__name__, failure_index=index,
+                failure_message=str(exc), failure_quantity=exc.quantity)

@@ -183,6 +183,21 @@ def _ds_roots(q_j: float, q_next: float, prev_ds: float, h: float) -> tuple[floa
     return prefix + root, prefix - root
 
 
+def _ds_transition(prev: PhasePoint, q_next: float, h: float,
+                   branch: Branch) -> tuple[PhasePoint, Branch]:
+    """One transition of run_closed_form_flow's recursion: the successor of
+    prev, a point (q_j, DS_j) of that recursion, at position q_next, and the
+    root taken.  A BranchError means there is no finite real root."""
+    prev_ds = prev.p.item()
+    plus, minus = _ds_roots(prev.q.item(), q_next, prev_ds, h)
+    taken = branch
+    if taken is Branch.CONTINUITY:
+        taken = Branch.MINUS if abs(minus - prev_ds) < abs(plus - prev_ds) else Branch.PLUS
+    # _ds_roots accepts only a finite discriminant, so its roots are finite
+    return (_checked_point(prev.index + 1, np.array([q_next]),
+                           np.array([plus if taken is Branch.PLUS else minus])), taken)
+
+
 def run_closed_form_flow(q_sequence, ds0: float, h: float,
                          branch: Branch = Branch.CONTINUITY) -> GeneratingSequence:
     """Run the closed-form slope recursion over a fixed position grid.
@@ -206,15 +221,9 @@ def run_closed_form_flow(q_sequence, ds0: float, h: float,
 
     def advance(prev: PhasePoint) -> PhasePoint:
         # point j sits at grid[j - 1], so its successor's position is grid[j]
-        prev_ds = float(prev.p[0])
-        plus, minus = _ds_roots(grid[prev.index - 1], grid[prev.index], prev_ds, h)
-        taken = branch
-        if taken is Branch.CONTINUITY:
-            taken = Branch.MINUS if abs(minus - prev_ds) < abs(plus - prev_ds) else Branch.PLUS
-        ds_next = plus if taken is Branch.PLUS else minus
+        nxt, taken = _ds_transition(prev, grid[prev.index], h, branch)
         branch_log.append(taken.value)
-        # _ds_roots accepts only a finite discriminant, so its roots are finite
-        return _checked_point(prev.index + 1, np.array([grid[prev.index]]), np.array([ds_next]))
+        return nxt
 
     points, meta = iterate(advance, PhasePoint(index=1, q=[grid[0]], p=[float(ds0)]),
                            len(grid) - 1)

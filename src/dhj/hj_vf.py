@@ -177,6 +177,14 @@ def closed_form_gamma_step(gamma_j: float, q_j: float, q_next: float) -> float:
     return gamma
 
 
+def _gamma_transition(prev: PhasePoint, q_next: float) -> PhasePoint:
+    """One transition of run_closed_form_vf: the successor of prev, a point
+    (q_j, gamma_j), at position q_next (closed_form_gamma_step's update)."""
+    gamma = closed_form_gamma_step(prev.p.item(), prev.q.item(), q_next)
+    # closed_form_gamma_step raises on a non-finite gamma
+    return _checked_point(prev.index + 1, np.array([q_next]), np.array([gamma]))
+
+
 def run_closed_form_vf(q_sequence, gamma0: float) -> DiscreteTrajectory:
     """Run the closed-form slope update over a scalar position grid.
 
@@ -188,16 +196,9 @@ def run_closed_form_vf(q_sequence, gamma0: float) -> DiscreteTrajectory:
     benchmark).
     """
     arr = as_grid(q_sequence)
-
-    def advance(prev: PhasePoint) -> PhasePoint:
-        # point j sits at arr[j - 1], so its successor's position is arr[j]
-        gamma = closed_form_gamma_step(float(prev.p[0]), float(arr[prev.index - 1]),
-                                       float(arr[prev.index]))
-        # closed_form_gamma_step raises on a non-finite gamma
-        return _checked_point(prev.index + 1, np.array([arr[prev.index]]), np.array([gamma]))
-
-    points, meta = iterate(advance, PhasePoint(index=1, q=arr[0], p=float(gamma0)),
-                           arr.size - 1)
+    # point j sits at arr[j - 1], so its successor's position is arr[j]
+    points, meta = iterate(lambda prev: _gamma_transition(prev, float(arr[prev.index])),
+                           PhasePoint(index=1, q=arr[0], p=float(gamma0)), arr.size - 1)
     return DiscreteTrajectory(points=points, meta=meta)
 
 

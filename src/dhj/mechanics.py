@@ -132,12 +132,13 @@ class DiscreteTrajectory:
 
     meta records the failure record of core.iterate; the points before a
     failed step are kept.  An orbit from run_trajectory also records its
-    side and steps_requested, and every adjacent pair solves the stepper's
-    Newton equation to its tolerance: D1 H+ (right) or D2 H- (left), or, for
-    a dual of a Lagrangian, D1 L_d(q_j, q_next) = -p_j.  verify_step
-    re-checks a pair through H's own partials.  The slope runners of hj_vf
-    return the same container with the slope gamma_j in the momentum slot;
-    they make no step-equation promise.
+    side and steps_requested; one that its until callback ended early is
+    untruncated and shorter than steps_requested.  Every adjacent pair
+    solves the stepper's Newton equation to its tolerance: D1 H+ (right) or
+    D2 H- (left), or, for a dual of a Lagrangian, D1 L_d(q_j, q_next) =
+    -p_j.  verify_step re-checks a pair through H's own partials.  The slope
+    runners of hj_vf return the same container with the slope gamma_j in
+    the momentum slot; they make no step-equation promise.
     """
 
     points: list[PhasePoint]
@@ -218,43 +219,36 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
     take the discrete Lagrangian flow under their own cfg instead.
     """
     if side is Side.RIGHT:
+        d_q, d_y, d_yy = L.d1, L.d2, L.d22
+    elif side is Side.LEFT:
+        d_q, d_y, d_yy = L.d2, L.d1, L.d11
+    else:
+        raise ValueError(f"side must be Side.RIGHT or Side.LEFT, got {side!r}")
+    right = side is Side.RIGHT
 
-        def _recover(q: np.ndarray, p_next: np.ndarray) -> np.ndarray:
-            # invert p_next = D2 L_d(q, .) from the guess q
-            jacobian = None if L.d22 is None else (lambda y: L.d22(q, y))
-            return newton_solve(lambda y: L.d2(q, y) - p_next, q, cfg, jacobian=jacobian)
+    def _slots(q: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # L_d's arguments: q in its own slot, y in the one the inversion solves for
+        return (q, y) if right else (y, q)
 
-        def _eval(q: np.ndarray, p_next: np.ndarray) -> float:
-            y = _recover(q, p_next)
-            return dot(p_next, y) - float(L.eval(q, y))
+    def _recover(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # invert p = D2 L_d(q, .) on the right, p = -D1 L_d(., q) on the left,
+        # from the guess q
+        target = p if right else -p
+        jacobian = None if d_yy is None else (lambda y: d_yy(*_slots(q, y)))
+        return newton_solve(lambda y: d_y(*_slots(q, y)) - target, q, cfg, jacobian=jacobian)
 
-        def _d1(q: np.ndarray, p_next: np.ndarray) -> np.ndarray:
-            return -L.d1(q, _recover(q, p_next))
+    def _eval(q: np.ndarray, p: np.ndarray) -> float:
+        y = _recover(q, p)
+        py = dot(p, y)
+        # -dot(p, y), not dot(-p, y): the sign of a zero product differs
+        return (py if right else -py) - float(L.eval(*_slots(q, y)))
 
-        return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_recover, dim=L.dim,
-                                   lagrangian=L)
+    def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        return -d_q(*_slots(q, _recover(q, p)))
 
-    if side is Side.LEFT:
-
-        def _recover_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
-            # invert p = -D1 L_d(., q_next) from the guess q_next
-            jacobian = None if L.d11 is None else (lambda y: L.d11(y, q_next))
-            return newton_solve(lambda y: L.d1(y, q_next) + p, q_next, cfg, jacobian=jacobian)
-
-        def _eval_left(q_next: np.ndarray, p: np.ndarray) -> float:
-            y = _recover_left(q_next, p)
-            return -dot(p, y) - float(L.eval(y, q_next))
-
-        def _d1_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
-            return -L.d2(_recover_left(q_next, p), q_next)
-
-        def _d2_left(q_next: np.ndarray, p: np.ndarray) -> np.ndarray:
-            return -_recover_left(q_next, p)
-
-        return DiscreteHamiltonian(side=Side.LEFT, eval=_eval_left, d1=_d1_left,
-                                   d2=_d2_left, dim=L.dim, lagrangian=L)
-
-    raise ValueError(f"side must be Side.RIGHT or Side.LEFT, got {side!r}")
+    return DiscreteHamiltonian(side=side, eval=_eval, d1=_d1,
+                               d2=_recover if right else (lambda q, p: -_recover(q, p)),
+                               dim=L.dim, lagrangian=L)
 
 
 def step_right(H: DiscreteHamiltonian, x: PhasePoint,
@@ -309,18 +303,21 @@ def verify_step(H: DiscreteHamiltonian, a: PhasePoint, b: PhasePoint) -> float:
 
 
 def run_trajectory(H: DiscreteHamiltonian, x0: PhasePoint, steps: int,
-                   cfg: NewtonConfig | None = None) -> DiscreteTrajectory:
+                   cfg: NewtonConfig | None = None, until=None) -> DiscreteTrajectory:
     """Iterate the step map from x0 for the requested number of steps.
 
     A numeric failure (singular Jacobian, divergence, non-finite values) does
     not raise: the trajectory is truncated at the last good point and meta
     carries core.iterate's failure record, with the index of the point the
-    failed step started from, plus side and steps_requested.
+    failed step started from, plus side and steps_requested.  until, if
+    given, is called with each new point, and the orbit ends after the
+    first one it returns true for: untruncated, and shorter than
+    steps_requested when that point is not the last.
     """
     if int(steps) != steps or steps < 0:
         raise ValueError(f"steps must be a nonnegative integer, got {steps}")
     stepper = step_right if H.side is Side.RIGHT else step_left
-    points, meta = iterate(lambda x: stepper(H, x, cfg), x0, int(steps), x0.index)
+    points, meta = iterate(lambda x: stepper(H, x, cfg), x0, int(steps), x0.index, until)
     meta.update(side=H.side.value, steps_requested=int(steps))
     return DiscreteTrajectory(points=points, meta=meta)
 

@@ -18,7 +18,8 @@ import dhj.hj_flow
 import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
 from dhj.core import NewtonConfig, PhasePoint
-from dhj.hj_flow import hj_residual, solve_generating_sequence
+from dhj.hj_flow import Branch, hj_residual, run_closed_form_flow, solve_generating_sequence
+from dhj.hj_vf import run_closed_form_vf
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
 
@@ -176,6 +177,64 @@ def test_generic_compare_steps_one_right_orbit(monkeypatch, tmp_path):
     assert main(["compare", "--r=2", "--q1=0.01", "--steps=10", "--csv", str(out)]) == 0
     assert len(read_csv(out)[2]) == 11
     assert len(calls) == 10
+
+
+def _full_grid_runs(rc, H, cfg):
+    # the reference: the whole orbit, then each closed-form slope runner over
+    # the grid it gives (--q2 in its second position)
+    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
+    grid = [pt.q.item() for pt in traj.points]
+    if rc.q2 is not None and len(grid) >= 2:
+        grid[1] = rc.q2
+    return (traj, run_closed_form_flow(grid, rc.ds1, rc.h, Branch(rc.branch)),
+            run_closed_form_vf(grid, rc.gamma1))
+
+
+def _compare_outputs(argv, tmp_path, capsys):
+    csv, svg = tmp_path / "run.csv", tmp_path / "run.svg"
+    code = main(["compare", *argv, "--csv", str(csv), "--svg", str(svg)])
+    out, err = capsys.readouterr()
+    return code, csv.read_bytes(), svg.read_bytes(), out, err.splitlines()
+
+
+_PORTRAIT = ["--r=1.0", "--s=1.0", "--steps=24", "--h=0.0001"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q1=-1.901555638953343e-08", *_PORTRAIT],  # the flow has no root at j = 2
+    ["--q1=1.887335789153114e-08", *_PORTRAIT],   # nor at j = 22
+    ["--q1=1e-13"], ["--branch=plus"], ["--branch=minus"], ["--q2=1e-7"],
+    ["--q1=0.5773502691896258"], ["--q1", "0.01", "--steps", "40"], ["--q1=1e103"],
+    ["--q1=0", "--ds1=-1"],  # both slopes fail on the first transition
+])
+def test_compare_ends_its_orbit_with_its_table(argv, monkeypatch, tmp_path, capsys):
+    # the same files, stdout and exit code as the full-grid reference; its
+    # stderr lines that name a j past the table's last row are gone
+    code, csv, svg, out, err = _compare_outputs(argv, tmp_path, capsys)
+    monkeypatch.setattr(dhj.cli, "_closed_form_runs", _full_grid_runs)
+    ref_code, ref_csv, ref_svg, ref_out, ref_err = _compare_outputs(argv, tmp_path, capsys)
+    assert (code, csv, svg, out) == (ref_code, ref_csv, ref_svg, ref_out)
+    last = int(read_csv(tmp_path / "run.csv")[2][-1][0])
+    assert err == [line for line in ref_err
+                   if int(re.match(r"\w+ failure at j = (\d+): ", line)[1]) <= last]
+
+
+def test_compare_steps_its_orbit_only_as_far_as_its_table(monkeypatch, capsys):
+    # the table ends at row 2, where the flow has no real root, so the orbit
+    # takes the two steps that give row 3's position, not the 23 it has
+    calls = []
+    step_right = dhj.mechanics.step_right
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step_right(*args, **kwargs)
+
+    monkeypatch.setattr(dhj.mechanics, "step_right", counted)
+    assert main(["compare", "--q1=-1.901555638953343e-08", "--steps=24"]) == 1
+    assert len(calls) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "flow failure at j = 2: BranchError: no real branch: discriminant = -1.570600e-12 "
+        "is negative"]
 
 
 def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
