@@ -46,10 +46,8 @@ from .mechanics import (
     DiscreteLagrangian,
     DiscreteTrajectory,
     Side,
-    del_step,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
-    legendre,
     run_trajectory,
     step_left,
     step_right,

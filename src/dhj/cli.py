@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import re
 import sys
@@ -19,8 +20,9 @@ import numpy as np
 
 from .core import (NewtonConfig, NumericalError, PhasePoint, _record_failure, _untruncated, dot,
                    fd_gradient, norm_inf)
-from .hj_flow import (Branch, _ds_transition, hj_residual, run_closed_form_flow,
-                      solve_generating_sequence)
+# run_closed_form_flow is not called here; bench/tracing.py wraps dhj.cli.run_closed_form_flow
+from .hj_flow import (Branch, GeneratingSequence, _ds_transition, hj_residual,
+                      run_closed_form_flow, solve_generating_sequence)
 from .hj_vf import _gamma_transition, run_closed_form_vf, solve_gamma_generic, vf_residual
 from .mechanics import (
     DiscreteLagrangian,
@@ -206,6 +208,9 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     elif rc.method == "closed-form" and not unit:
         raise ConfigError("the closed-form recursions are derived for "
                           "sakamoto1d with r = s = 1; use --method generic")
+    if rc.command == "hj-flow" and rc.method == "generic" and rc.q2 is not None:
+        raise ConfigError("--q2 only applies to the closed-form method "
+                          "(the generic solver generates its own grid)")
     return rc
 
 
@@ -216,18 +221,9 @@ def build_model(rc: RunConfig):
     return discretize_right(MODEL_REGISTRY[rc.model](r=rc.r, s=rc.s), cfg), cfg
 
 
-def _orbit(rc: RunConfig, H, cfg):
-    """The run's right orbit from (q1, p1)."""
-    return run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
-
-
-def trajectory_grid(rc: RunConfig, H, cfg):
-    """Simulated position grid, with the optional second-entry override."""
-    traj = _orbit(rc, H, cfg)
-    grid = [float(pt.q[0]) for pt in traj.points]
-    if rc.q2 is not None and len(grid) >= 2:
-        grid[1] = float(rc.q2)
-    return grid, traj
+def _orbit(rc: RunConfig, H, cfg, until=None):
+    """The run's right orbit from (q1, p1); until as run_trajectory's."""
+    return run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg, until)
 
 
 def config_header(rc: RunConfig) -> list[tuple[str, str]]:
@@ -345,9 +341,10 @@ def write_svg(path: str, panels: list[dict]) -> None:
 # Subcommands.
 
 
-def _portrait(what: str, name: str, qs: list[float], vs: list[float],
-              log_y: bool) -> list[dict]:
-    """The two SVG panels of one quantity: name against q, |name| against |q|."""
+def _portrait(what: str, name: str, points, log_y: bool) -> list[dict]:
+    """The two SVG panels of the momentum slot of points, named name: it
+    against q, and its magnitude against |q|."""
+    qs, vs = [pt.q.item() for pt in points], [pt.p.item() for pt in points]
     return [
         {"title": f"{what} {name} against position q",
          "series": [(f"{name}(q)", qs, vs)]},
@@ -389,7 +386,7 @@ def cmd_simulate(rc: RunConfig) -> int:
             for pt, q, p in zip(traj.points, qs, ps)]
     return _finish(rc, f"model={rc.model} points={len(traj)}",
                    ["j", "q", "p", "abs_q", "abs_p"], rows,
-                   _portrait("momentum", "p", qs, ps, rc.log_abs), [("trajectory", traj.meta)])
+                   _portrait("momentum", "p", traj.points, rc.log_abs), [("trajectory", traj.meta)])
 
 
 def _flow_rows(H, seq):
@@ -414,29 +411,73 @@ def _flow_orbit(rc: RunConfig, H, cfg, traj=None):
     return run_trajectory(H, start, rc.steps, cfg)
 
 
-def _flow_sequence(rc: RunConfig, H, cfg, grid, traj=None):
-    """The generating sequence of rc.method: the closed form on grid, or the
-    lift of the generic flow's own orbit (see _flow_orbit)."""
-    if rc.method == "closed-form":
-        return run_closed_form_flow(grid, rc.ds1, rc.h, Branch(rc.branch))
-    return solve_generating_sequence(H, _flow_orbit(rc, H, cfg, traj))
+def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False,
+          sequence: bool = False):
+    """The orbit from (q1, p1) and the slope runs a command asks for, as
+    (traj, flow, vf), None for a run not asked for.
+
+    The generic flow lifts _flow_orbit's orbit, so a flow alone steps no
+    (q1, p1) orbit (traj None); the generic vf solves along the orbit's
+    positions, --q2 in the second when it is set.  On the closed form each
+    new orbit point takes each slope one transition to its position (the
+    second is --q2 when it is set), and the orbit ends after the first
+    point that a slope cannot step to, the one that transition needed, so
+    it takes no step for a row the command's table would drop.  A
+    closed-form slope run is a DiscreteTrajectory with the slope in the
+    momentum slot and core.iterate's failure record in meta.  With
+    sequence, the closed-form flow is a GeneratingSequence: its branch log
+    names the root each transition took, and S accumulates h times the
+    previous slope from 0 (compare reads neither)."""
+    if rc.method == "generic":
+        traj = _orbit(rc, H, cfg) if vf else None
+        flow_run = solve_generating_sequence(H, _flow_orbit(rc, H, cfg, traj)) if flow else None
+        if not vf:
+            return traj, flow_run, None
+        grid = [pt.q.item() for pt in traj.points]
+        if rc.q2 is not None and len(grid) >= 2:
+            grid[1] = rc.q2
+        return traj, flow_run, solve_gamma_generic(H, grid, [rc.gamma1], cfg)
+    branch, tokens = Branch(rc.branch), ["init"]
+
+    def ds_step(x, q_next):
+        nxt, taken = _ds_transition(x, q_next, rc.h, branch)
+        if sequence:
+            tokens.append(taken.value)
+        return nxt
+
+    def start(p1: float) -> DiscreteTrajectory:
+        return DiscreteTrajectory([PhasePoint(index=1, q=[rc.q1], p=[p1])], _untruncated())
+
+    flow_run = start(rc.ds1) if flow else None
+    vf_run = start(rc.gamma1) if vf else None
+    slopes = [(seq, step) for seq, step in ((flow_run, ds_step), (vf_run, _gamma_transition))
+              if seq is not None]
+
+    def until(pt) -> bool:
+        q_next = rc.q2 if pt.index == 2 and rc.q2 is not None else pt.q.item()
+        stop = False
+        for seq, transition in slopes:
+            try:
+                seq.points.append(transition(seq.points[-1], q_next))
+            except NumericalError as exc:
+                _record_failure(seq.meta, exc, seq.points[-1].index)
+                stop = True
+        return stop
+
+    traj = _orbit(rc, H, cfg, until)
+    if sequence:
+        S = itertools.accumulate((rc.h * x.p.item() for x in flow_run.points[:-1]), initial=0.0)
+        flow_run = GeneratingSequence(flow_run.points, list(S), tokens, flow_run.meta)
+    return traj, flow_run, vf_run
 
 
 def cmd_hj_flow(rc: RunConfig) -> int:
     H, cfg = build_model(rc)
-    grid, parts = None, []
-    if rc.method == "closed-form":
-        grid, traj = trajectory_grid(rc, H, cfg)
-        parts.append(("trajectory", traj.meta))
-    elif rc.q2 is not None:
-        raise ConfigError("--q2 only applies to the closed-form method "
-                          "(the generic solver generates its own grid)")
-    seq = _flow_sequence(rc, H, cfg, grid)
-    qs = [float(pt.q[0]) for pt in seq.points]
-    dss = [float(pt.p[0]) for pt in seq.points]
+    traj, seq, _ = _runs(rc, H, cfg, flow=True, sequence=True)
+    parts = [] if traj is None else [("trajectory", traj.meta)]
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "S", "DS", "branch", "residual"], _flow_rows(H, seq),
-                   _portrait("slope", "DS", qs, dss, rc.log_abs), parts + [("flow", seq.meta)])
+                   _portrait("slope", "DS", seq.points, rc.log_abs), parts + [("flow", seq.meta)])
 
 
 def _vf_rows(H, seq):
@@ -457,62 +498,19 @@ def _vf_rows(H, seq):
     return rows, meta
 
 
-def _gamma_sequence(rc: RunConfig, H, cfg, grid):
-    """The slope sequence of rc.method on grid."""
-    if rc.method == "closed-form":
-        return run_closed_form_vf(grid, rc.gamma1)
-    return solve_gamma_generic(H, grid, [rc.gamma1], cfg)
-
-
 def cmd_hj_vf(rc: RunConfig) -> int:
     H, cfg = build_model(rc)
-    grid, traj = trajectory_grid(rc, H, cfg)
-    seq = _gamma_sequence(rc, H, cfg, grid)
-    qs = [float(pt.q[0]) for pt in seq.points]
-    gs = [float(pt.p[0]) for pt in seq.points]
+    traj, _, seq = _runs(rc, H, cfg, vf=True)
     rows, residuals = _vf_rows(H, seq)
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "gamma", "residual"], rows,
-                   _portrait("slope", "gamma", qs, gs, rc.log_abs),
+                   _portrait("slope", "gamma", seq.points, rc.log_abs),
                    [("trajectory", traj.meta), ("vf", seq.meta), ("residual", residuals)])
-
-
-def _closed_form_runs(rc: RunConfig, H, cfg):
-    """The orbit and both closed-form slope runs, stepped together.
-
-    Each new orbit point takes each slope one transition (the slopes' second
-    position is --q2 when it is set).  The orbit ends after the first point
-    that a slope cannot step to, the one that transition needed, so it
-    takes no step for a row the join of the three would drop.  Each slope
-    run is a DiscreteTrajectory with the slope in the momentum slot and
-    core.iterate's failure record in meta."""
-    branch = Branch(rc.branch)
-    flow = DiscreteTrajectory([PhasePoint(index=1, q=[rc.q1], p=[rc.ds1])], _untruncated())
-    vf = DiscreteTrajectory([PhasePoint(index=1, q=[rc.q1], p=[rc.gamma1])], _untruncated())
-    slopes = ((flow, lambda x, q: _ds_transition(x, q, rc.h, branch)[0]),
-              (vf, _gamma_transition))
-
-    def until(pt) -> bool:
-        q_next = rc.q2 if pt.index == 2 and rc.q2 is not None else pt.q.item()
-        for seq, transition in slopes:
-            try:
-                seq.points.append(transition(seq.points[-1], q_next))
-            except NumericalError as exc:
-                _record_failure(seq.meta, exc, seq.points[-1].index)
-        return flow.meta["truncated"] or vf.meta["truncated"]
-
-    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg, until)
-    return traj, flow, vf
 
 
 def cmd_compare(rc: RunConfig) -> int:
     H, cfg = build_model(rc)
-    if rc.method == "closed-form":
-        traj, flow, vf = _closed_form_runs(rc, H, cfg)
-    else:
-        grid, traj = trajectory_grid(rc, H, cfg)
-        flow = _flow_sequence(rc, H, cfg, grid, traj)
-        vf = _gamma_sequence(rc, H, cfg, grid)
+    traj, flow, vf = _runs(rc, H, cfg, flow=True, vf=True)
     # each row's floats: j, q, p, DS, gamma and the two slope errors
     table, stats_flow, stats_vf = [], [], []
     for pt, f, v in zip(traj.points, flow.points, vf.points):

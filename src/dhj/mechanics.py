@@ -1,5 +1,5 @@
-"""Discrete mechanics on a lattice: one-step Lagrangians, their Legendre
-transforms, right/left discrete Hamiltonians, and the induced phase-space maps.
+"""Discrete mechanics on a lattice: one-step Lagrangians, their right/left
+discrete Hamiltonian duals, and the induced phase-space maps.
 
 Conventions.  A discrete Lagrangian L_d(q_j, q_next) generates momenta through
 its two slot partials D1, D2.  The right Hamiltonian H+(q_j, p_next) and left
@@ -10,8 +10,8 @@ equations are
     left:   q_j    = -D2 H-(q_next, p_j),  p_next = -D1 H-(q_next, p_j)
 
 where d1/d2 always differentiate the first/second argument slot.  One body
-serves both sides of each relation, reading the side off H (legendre takes
-it as an argument); step_right and step_left each accept only their own.
+serves both sides of each relation, reading the side off H; step_right
+and step_left each accept only their own.
 
 Both duals of one L_d generate the same map: the discrete Lagrangian flow
 (Lall & West 2006; Marsden & West 2001).  A dual built by
@@ -22,9 +22,9 @@ their own Legendre inversions, so verify_step re-checks a step independently.
 
 A DiscreteLagrangian may carry its second partials d11, d12 and d22, model
 data like its slot partials.  Each is the exact Newton Jacobian of one of
-these solves: d12 of the momentum relation (both steppers and del_step),
-d22 of the right dual's inversion of D2 L_d, d11 of the left dual's
-inversion of D1 L_d.  Without one, Newton differences d1 or d2 centrally,
+these solves: d12 of the momentum relation (both steppers), d22 of the
+right dual's inversion of D2 L_d, d11 of the left dual's inversion of
+D1 L_d.  Without one, Newton differences d1 or d2 centrally,
 two more evaluations per iteration and often one more iteration.
 """
 
@@ -44,8 +44,6 @@ __all__ = [
     "DiscreteLagrangian",
     "DiscreteHamiltonian",
     "DiscreteTrajectory",
-    "legendre",
-    "del_step",
     "hamiltonian_from_lagrangian",
     "step_right",
     "step_left",
@@ -163,41 +161,12 @@ def _computed(value, dim: int, name: str) -> np.ndarray:
     return v if v.ndim else v.reshape(1)
 
 
-def legendre(L: DiscreteLagrangian, side: Side, q_j, q_next, index: int = 1) -> PhasePoint:
-    """Legendre transform of the pair (q_j, q_next) on side: the right one
-    gives (q_next, D2 L_d) at index + 1, the left one (q_j, -D1 L_d) at index."""
-    q_j = as_vec(q_j, dim=L.dim, name="q_j")
-    q_next = as_vec(q_next, dim=L.dim, name="q_next")
-    if side is Side.RIGHT:
-        return PhasePoint(index=index + 1, q=q_next,
-                          p=_computed(L.d2(q_j, q_next), L.dim, "D2 L_d"))
-    if side is Side.LEFT:
-        return PhasePoint(index=index, q=q_j, p=-_computed(L.d1(q_j, q_next), L.dim, "D1 L_d"))
-    raise ValueError(f"side must be Side.RIGHT or Side.LEFT, got {side!r}")
-
-
 def _next_position(L: DiscreteLagrangian, q_j: np.ndarray, p_j: np.ndarray, guess,
                    cfg: NewtonConfig | None) -> np.ndarray:
     """Solve the momentum relation D1 L_d(q_j, q_next) + p_j = 0 for q_next;
     the Newton Jacobian is L.d12 when set."""
     jacobian = None if L.d12 is None else (lambda y: L.d12(q_j, y))
     return newton_solve(lambda y: L.d1(q_j, y) + p_j, guess, cfg, jacobian=jacobian)
-
-
-def del_step(L: DiscreteLagrangian, q_prev, q_j, cfg: NewtonConfig | None = None,
-             guess=None) -> np.ndarray:
-    """Advance the discrete Euler-Lagrange equations by one position.
-
-    Solves D2 L_d(q_prev, q_j) + D1 L_d(q_j, q_next) = 0 for q_next, the
-    momentum relation at p_j = D2 L_d(q_prev, q_j).  The default guess is the
-    linear extrapolation 2 q_j - q_prev.
-    """
-    q_prev = as_vec(q_prev, dim=L.dim, name="q_prev")
-    q_j = as_vec(q_j, dim=L.dim, name="q_j")
-    if guess is None:
-        guess = 2.0 * q_j - q_prev
-    p_j = _computed(L.d2(q_prev, q_j), L.dim, "D2 L_d")
-    return _next_position(L, q_j, p_j, guess, cfg)
 
 
 def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,

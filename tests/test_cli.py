@@ -179,62 +179,79 @@ def test_generic_compare_steps_one_right_orbit(monkeypatch, tmp_path):
     assert len(calls) == 10
 
 
-def _full_grid_runs(rc, H, cfg):
-    # the reference: the whole orbit, then each closed-form slope runner over
-    # the grid it gives (--q2 in its second position)
+def _full_grid_runs(rc, H, cfg, flow=False, vf=False, sequence=False):
+    # the reference: the whole orbit, then each closed-form slope runner asked
+    # for over the grid it gives (--q2 in its second position)
     traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
     grid = [pt.q.item() for pt in traj.points]
     if rc.q2 is not None and len(grid) >= 2:
         grid[1] = rc.q2
-    return (traj, run_closed_form_flow(grid, rc.ds1, rc.h, Branch(rc.branch)),
-            run_closed_form_vf(grid, rc.gamma1))
+    return (traj, run_closed_form_flow(grid, rc.ds1, rc.h, Branch(rc.branch)) if flow else None,
+            run_closed_form_vf(grid, rc.gamma1) if vf else None)
 
 
-def _compare_outputs(argv, tmp_path, capsys):
+def _run_outputs(command, argv, tmp_path, capsys):
     csv, svg = tmp_path / "run.csv", tmp_path / "run.svg"
-    code = main(["compare", *argv, "--csv", str(csv), "--svg", str(svg)])
+    code = main([command, *argv, "--csv", str(csv), "--svg", str(svg)])
     out, err = capsys.readouterr()
     return code, csv.read_bytes(), svg.read_bytes(), out, err.splitlines()
 
 
 _PORTRAIT = ["--r=1.0", "--s=1.0", "--steps=24", "--h=0.0001"]
-
-
-@pytest.mark.parametrize("argv", [
+_TABLE_ENDS = [
     ["--q1=-1.901555638953343e-08", *_PORTRAIT],  # the flow has no root at j = 2
     ["--q1=1.887335789153114e-08", *_PORTRAIT],   # nor at j = 22
     ["--q1=1e-13"], ["--branch=plus"], ["--branch=minus"], ["--q2=1e-7"],
     ["--q1=0.5773502691896258"], ["--q1", "0.01", "--steps", "40"], ["--q1=1e103"],
     ["--q1=0", "--ds1=-1"],  # both slopes fail on the first transition
-])
-def test_compare_ends_its_orbit_with_its_table(argv, monkeypatch, tmp_path, capsys):
+]
+
+
+# compare's ids are argv0 to argv9; the other commands' carry the command's name
+@pytest.mark.parametrize("command, argv", [
+    (command, argv) for command in ("compare", "hj-flow", "hj-vf") for argv in _TABLE_ENDS],
+    ids=[f"{'' if command == 'compare' else command + '-'}argv{k}"
+         for command in ("compare", "hj-flow", "hj-vf") for k in range(len(_TABLE_ENDS))])
+def test_compare_ends_its_orbit_with_its_table(command, argv, monkeypatch, tmp_path, capsys):
     # the same files, stdout and exit code as the full-grid reference; its
     # stderr lines that name a j past the table's last row are gone
-    code, csv, svg, out, err = _compare_outputs(argv, tmp_path, capsys)
-    monkeypatch.setattr(dhj.cli, "_closed_form_runs", _full_grid_runs)
-    ref_code, ref_csv, ref_svg, ref_out, ref_err = _compare_outputs(argv, tmp_path, capsys)
+    code, csv, svg, out, err = _run_outputs(command, argv, tmp_path, capsys)
+    monkeypatch.setattr(dhj.cli, "_runs", _full_grid_runs)
+    ref_code, ref_csv, ref_svg, ref_out, ref_err = _run_outputs(command, argv, tmp_path, capsys)
     assert (code, csv, svg, out) == (ref_code, ref_csv, ref_svg, ref_out)
     last = int(read_csv(tmp_path / "run.csv")[2][-1][0])
     assert err == [line for line in ref_err
                    if int(re.match(r"\w+ failure at j = (\d+): ", line)[1]) <= last]
 
 
-def test_compare_steps_its_orbit_only_as_far_as_its_table(monkeypatch, capsys):
+@pytest.mark.parametrize("argv, code, calls, err", [
     # the table ends at row 2, where the flow has no real root, so the orbit
     # takes the two steps that give row 3's position, not the 23 it has
-    calls = []
+    (["compare", "--q1=-1.901555638953343e-08", "--steps=24"], 1, 2,
+     ["flow failure at j = 2: BranchError: no real branch: discriminant = -1.570600e-12 "
+      "is negative"]),
+    (["hj-flow", "--branch=minus"], 1, 2,
+     ["flow failure at j = 2: BranchError: no real branch: discriminant = -2.410964e-11 "
+      "is negative"]),
+    (["hj-vf", "--q1=1e-13"], 1, 2,
+     ["vf failure at j = 2: SingularDenominatorError: singular denominator -3.000000e-39 "
+      "(threshold 1e-14 * scale, scale = 1.000000e+00)"]),
+    # the generic flow steps only the orbit it lifts, from (q1, ds1)
+    (["hj-flow", "--method", "generic", "--ds1=0.3", "--q1=0.01", "--steps=10"], 0, 10, []),
+], ids=["compare", "hj-flow", "hj-vf", "hj-flow-generic"])
+def test_compare_steps_its_orbit_only_as_far_as_its_table(argv, code, calls, err, monkeypatch,
+                                                          capsys):
+    counted_calls = []
     step_right = dhj.mechanics.step_right
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        counted_calls.append(1)
         return step_right(*args, **kwargs)
 
     monkeypatch.setattr(dhj.mechanics, "step_right", counted)
-    assert main(["compare", "--q1=-1.901555638953343e-08", "--steps=24"]) == 1
-    assert len(calls) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "flow failure at j = 2: BranchError: no real branch: discriminant = -1.570600e-12 "
-        "is negative"]
+    assert main(argv) == code
+    assert len(counted_calls) == calls
+    assert capsys.readouterr().err.splitlines() == err
 
 
 def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
@@ -293,8 +310,10 @@ def test_escaping_generic_flow_stops_where_its_orbit_does(tmp_path, capsys):
         ["flow failure at j = 5", "ConvergenceError"]]
 
 
-def test_hj_flow_rejects_q2_with_generic_method():
+def test_hj_flow_rejects_q2_with_generic_method(capsys):
     assert main(["hj-flow", "--method", "generic", "--q2", "1e-7"]) == 2
+    assert capsys.readouterr().err == ("config error: --q2 only applies to the closed-form "
+                                       "method (the generic solver generates its own grid)\n")
 
 
 def test_hj_vf_csv_values(tmp_path):

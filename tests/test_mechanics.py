@@ -21,10 +21,8 @@ from dhj.mechanics import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
     Side,
-    del_step,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
-    legendre,
     run_trajectory,
     step_left,
     step_right,
@@ -61,39 +59,6 @@ def quadratic_lagrangian():
 
 def cubic_right():
     return discretize_right(make_sakamoto1d())
-
-
-def test_legendre_transforms_free_particle():
-    L = free_particle()
-    right = legendre(L, Side.RIGHT, [0.3], [0.5])
-    left = legendre(L, Side.LEFT, [0.3], [0.5])
-    assert abs(right.p[0] - 0.2) <= 1e-15
-    assert abs(left.p[0] - 0.2) <= 1e-15
-    assert right.q[0] == 0.5 and left.q[0] == 0.3
-    assert right.index == 2 and left.index == 1
-
-
-def test_legendre_momenta_match_one_forms():
-    # the discrete one-forms at a pair: theta+ = D2 L_d, theta- = -D1 L_d
-    L = quadratic_lagrangian()
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        a = rng.uniform(-1.0, 1.0, 1)
-        b = rng.uniform(-1.0, 1.0, 1)
-        assert abs(legendre(L, Side.RIGHT, a, b).p[0] - L.d2(a, b)[0]) <= 1e-15
-        assert abs(legendre(L, Side.LEFT, a, b).p[0] - (-L.d1(a, b)[0])) <= 1e-15
-
-
-def test_del_step_free_particle_extrapolates():
-    q2 = del_step(free_particle(), [0.1], [0.3])
-    assert abs(q2[0] - 0.5) <= 1e-12
-
-
-def test_del_step_satisfies_stationarity():
-    L = quadratic_lagrangian()
-    q2 = del_step(L, [0.2], [0.35])
-    res = L.d2([0.2], [0.35]) + L.d1([0.35], q2)
-    assert abs(res[0]) <= 1e-10
 
 
 def test_right_dual_of_free_particle():
@@ -224,20 +189,8 @@ def test_a_non_finite_newton_residual_is_the_failure_quantity(q):
 
 
 def test_non_finite_points_from_the_caller_stay_value_errors():
-    L = free_particle()
     with pytest.raises(ValueError, match="^q contains non-finite"):
         PhasePoint(index=1, q=[math.inf], p=[0.0])
-    with pytest.raises(ValueError, match="^q_j contains non-finite"):
-        legendre(L, Side.RIGHT, [math.nan], [0.0])
-    with pytest.raises(ValueError, match="^q_next contains non-finite"):
-        legendre(L, Side.LEFT, [0.0], [math.inf])
-    with pytest.raises(ValueError, match="^q_prev contains non-finite"):
-        del_step(L, [math.nan], [0.0])
-    # a non-finite value the model computes is the step's NumericalError
-    with pytest.raises(NumericalError, match=r"^D2 L_d contains non-finite entries: \[inf\]$"):
-        legendre(_escaping_lagrangian(), Side.RIGHT, [0.0], [0.1])
-    with pytest.raises(NumericalError, match=r"^D2 L_d contains non-finite entries: \[inf\]$"):
-        del_step(_escaping_lagrangian(), [0.0], [0.1])
 
 
 def test_step_right_raises_on_singular_start():
@@ -535,13 +488,6 @@ def test_second_partials_match_central_differences(L):
             assert abs(got[0, 0] - want[0, 0]) <= 1e-8 * max(1.0, abs(want[0, 0]))
 
 
-def test_del_step_with_the_mixed_partial_finds_the_same_root():
-    plain, exact = midpoint_pendulum(0.2, 1.3), midpoint_pendulum(0.2, 1.3, partials=True)
-    for q_prev, q_j in ((0.1, 0.15), (-1.0, -0.9), (0.7, 0.5)):
-        a, b = np.array([q_prev]), np.array([q_j])
-        assert abs(del_step(exact, a, b)[0] - del_step(plain, a, b)[0]) <= 1e-13
-
-
 _PENDULUM_STARTS = ((0.1, 0.2), (-1.1, 0.4), (0.9, -0.5), (1e-9, 0.0))
 
 
@@ -571,15 +517,6 @@ def test_right_and_left_duals_take_the_same_step():
         assert verify_step(Hm, x, b) <= 10 * tol
 
 
-def test_del_step_is_the_stationarity_solve_bit_for_bit():
-    L = midpoint_pendulum(0.2, 1.3)
-    for q_prev, q_j in ((0.1, 0.15), (-1.0, -0.9), (0.7, 0.5)):
-        a, b = np.array([q_prev]), np.array([q_j])
-        const = L.d2(a, b)
-        want = newton_solve(lambda y: const + L.d1(b, y), 2.0 * b - a)
-        assert del_step(L, a, b).tobytes() == want.tobytes()
-
-
 def test_midpoint_pendulum_converges_at_second_order_to_rk4():
     # the midpoint L_d samples L = v^2 / 2 - w2 (1 - cos q), whose flow is
     # q' = p, p' = -w2 sin q; RK4 at dt = 1e-4 is the continuous reference
@@ -600,8 +537,8 @@ def test_midpoint_pendulum_converges_at_second_order_to_rk4():
 def test_left_hj_equation_holds_along_the_pendulum_left_dual():
     # the left picture: with S_{j+1} = S_j + L_d(q_j, q_{j+1}) and DS_j = p_j,
     # the left evolution equation vanishes on every transition of the left
-    # dual's orbit, and the left Legendre transform of (q_j, q_{j+1}) gives
-    # back p_j up to the Newton tolerance of the step that found q_{j+1}
+    # dual's orbit, and the left Legendre transform -D1 L_d(q_j, q_{j+1})
+    # gives back p_j up to the Newton tolerance of the step that found q_{j+1}
     L = midpoint_pendulum(0.1, 1.3)
     Hm = hamiltonian_from_lagrangian(L, Side.LEFT)
     traj = run_trajectory(Hm, PhasePoint(index=1, q=[0.8], p=[0.0]), 30)
@@ -612,7 +549,7 @@ def test_left_hj_equation_holds_along_the_pendulum_left_dual():
         S_next = S + L.eval(a.q, b.q)
         scale = max(1.0, abs(S), abs(S_next), abs(float(a.p @ a.q)))
         assert abs(hj_residual(Hm, S, S_next, a.p, a.q, b.q)) <= 16 * eps * scale
-        assert abs(legendre(L, Side.LEFT, a.q, b.q).p[0] - a.p[0]) <= tol * max(1.0, abs(a.p[0]))
+        assert abs(-L.d1(a.q, b.q)[0] - a.p[0]) <= tol * max(1.0, abs(a.p[0]))
         S = S_next
 
 
@@ -636,19 +573,6 @@ def test_left_field_is_the_left_step_along_the_pendulum_left_dual():
 
 # the stable band |q| < 1/sqrt(3), where the cubic's right step is regular
 _BAND = st.floats(-0.57, 0.57)
-
-
-@given(a=_BAND, b=_BAND)
-def test_legendre_is_each_pre_fold_transform(a, b):
-    # legendre_right gave (q_next, D2 L_d) at index + 1, legendre_left
-    # (q_j, -D1 L_d) at index
-    L = midpoint_pendulum(0.1, 1.3)
-    q_j, q_next = np.array([a]), np.array([b])
-    right, left = legendre(L, Side.RIGHT, q_j, q_next, 3), legendre(L, Side.LEFT, q_j, q_next, 3)
-    assert (right.index, right.q.tobytes(), right.p.tobytes()) == \
-        (4, q_next.tobytes(), L.d2(q_j, q_next).tobytes())
-    assert (left.index, left.q.tobytes(), left.p.tobytes()) == \
-        (3, q_j.tobytes(), (-L.d1(q_j, q_next)).tobytes())
 
 
 @given(q=_BAND, p=_BAND)
