@@ -561,17 +561,37 @@ def check_partial_consistency(H, points: int = 100, box: float = 2.0,
                               rel_tol: float = 1e-6, seed: int = 0) -> CheckResult:
     """Analytic slot partials against central differences at sampled points."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = []
     # one draw, in the order of a q then a p per point
     for q, p in rng.uniform(-box, box, (points, 2, H.dim)):
         fd1 = fd_gradient(lambda z: H.eval(z, p), q, 1e-6)
         fd2 = fd_gradient(lambda z: H.eval(q, z), p, 1e-6)
-        e1 = norm_inf(H.d1(q, p) - fd1) / max(1.0, norm_inf(fd1))
-        e2 = norm_inf(H.d2(q, p) - fd2) / max(1.0, norm_inf(fd2))
-        worst = max(worst, e1, e2)
+        gaps.append(_relative_gap(H.d1(q, p), fd1))
+        gaps.append(_relative_gap(H.d2(q, p), fd2))
+    worst = _worst(gaps)
     status = "PASS" if worst <= rel_tol else "FAIL"
     return CheckResult("partial-consistency", status, worst,
                        f"max relative gap over {points} sampled points, limit {rel_tol:g}")
+
+
+def _relative_gap(analytic: np.ndarray, fd: np.ndarray) -> float:
+    """norm_inf(analytic - fd) / max(1, norm_inf(fd)) in one pass over Python
+    floats, bitwise numpy's; fd is finite, and a NaN gap stays NaN."""
+    gap, scale = 0.0, 1.0
+    for a, b in zip(analytic.tolist(), fd.tolist()):
+        d = abs(a - b)
+        if d > gap or d != d:
+            gap = d
+        if abs(b) > scale:
+            scale = abs(b)
+    return gap / scale
+
+
+def _worst(values) -> float:
+    """The largest of values, 0.0 if there is none, and NaN if one is NaN:
+    max() would keep a NaN only in first place."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def _truncation(label: str, meta: dict) -> str:
@@ -589,9 +609,7 @@ def check_step_residuals(H, traj, cfg) -> CheckResult:
     if len(traj) < 2:
         return _nothing_measured("step-residuals", "transition", traj)
     limit = 10.0 * cfg.tol
-    worst = 0.0
-    for a, b in zip(traj.points[:-1], traj.points[1:]):
-        worst = max(worst, verify_step(H, a, b))
+    worst = _worst(verify_step(H, a, b) for a, b in zip(traj.points[:-1], traj.points[1:]))
     status = "PASS" if worst <= limit else "FAIL"
     return CheckResult("step-residuals", status, worst,
                        f"max step-equation residual over {len(traj) - 1} "
@@ -602,9 +620,7 @@ def check_symplecticity(H, traj, band: float = 0.9, limit: float = 1e-5) -> Chec
     pts = [pt for pt in traj.points if norm_inf(pt.q) < band]
     if not pts:
         return _nothing_measured("symplecticity", f"point with |q| < {band:g}", traj)
-    worst = 0.0
-    for pt in pts:
-        worst = max(worst, symplecticity_defect(H, pt, fd_step=1e-6))
+    worst = _worst(symplecticity_defect(H, pt, fd_step=1e-6) for pt in pts)
     status = "PASS" if worst <= limit else "FAIL"
     return CheckResult("symplecticity", status, worst,
                        f"max defect over {len(pts)} points with |q| < {band:g}, "
@@ -632,9 +648,7 @@ def check_vf_agreement(H, rc, cfg, traj) -> CheckResult:
     gen = solve_gamma_generic(H, grid, [rc.gamma1], cfg)
     cf = run_closed_form_vf(grid, rc.gamma1)
     n = min(len(gen), len(cf))
-    worst = 0.0
-    for i in range(n):
-        worst = max(worst, abs(float(gen.points[i].p[0]) - float(cf.points[i].p[0])))
+    worst = _worst(abs(float(gen.points[i].p[0]) - float(cf.points[i].p[0])) for i in range(n))
     sides = [("generic", gen.meta), ("closed form", cf.meta)]
     if n < 2:
         # an orbit truncated at its first step leaves a one-entry grid
@@ -666,9 +680,8 @@ def check_left_right(cfg, steps: int = 50) -> CheckResult:
     Hp = hamiltonian_from_lagrangian(L, Side.RIGHT, cfg)
     Hm = hamiltonian_from_lagrangian(L, Side.LEFT, cfg)
     traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), steps, cfg)
-    worst = 0.0
-    for a, b in zip(traj.points[:-1], traj.points[1:]):
-        worst = max(worst, _left_right_gap(Hp, Hm, a.q, a.p, b.q, b.p))
+    worst = _worst(_left_right_gap(Hp, Hm, a.q, a.p, b.q, b.p)
+                   for a, b in zip(traj.points[:-1], traj.points[1:]))
     ok = not traj.meta["truncated"]
     status = "PASS" if ok and worst <= 1e-9 else "FAIL"
     return CheckResult("left-right-identity", status, worst,

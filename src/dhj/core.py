@@ -42,6 +42,8 @@ __all__ = [
 # treated as singular rather than handed to the linear solver.
 SINGULAR_DET_FLOOR = 1e-14
 
+_FLOAT64 = np.dtype(float)
+
 
 class NumericalError(RuntimeError):
     """A numeric computation produced a non-finite value or cannot proceed.
@@ -86,8 +88,12 @@ def as_vec(x, dim: int | None = None, name: str = "value") -> np.ndarray:
 
     Scalars become shape-(1,) vectors.  Non-finite entries and rank >= 2
     inputs are rejected with ValueError; this is the single choke point
-    through which all numeric inputs pass.
+    through which all numeric inputs pass.  A finite one-entry float64
+    array, the common case, is returned as it is after one float test.
     """
+    if (type(x) is np.ndarray and x.shape == (1,) and x.dtype is _FLOAT64
+            and math.isfinite(x.item()) and (dim is None or dim == 1)):
+        return x
     v = _atleast_1d(x)
     if v.ndim != 1:
         raise ValueError(f"{name} must be a scalar or 1-D vector, got shape {v.shape}")
@@ -299,30 +305,26 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     A non-finite residual raises NumericalError with its first non-finite
     entry as the quantity.
 
-    One unknown is iterated over Python floats: the residual r, its norm
-    |r|, the Jacobian entry a = J[0, 0] and the update x - damping * (r / a),
-    bitwise what numpy and np.linalg.solve return for them.  The step is
-    taken under the same scaled singularity test on det J = a and
-    ||J||_inf = |a|; a SingularJacobianError carries a exactly as its det.
-    Larger systems go through norm_inf, np.linalg.det and np.linalg.solve.
+    One unknown is iterated by _newton_scalar, over Python floats.  Larger
+    systems go through norm_inf, np.linalg.det and np.linalg.solve.
     """
     if cfg is None:
         cfg = _DEFAULT_NEWTON
     x = as_vec(guess, name="guess").copy()
+    if x.size == 1:
+        return _newton_scalar(residual, x, cfg, jacobian)
     n = x.size
 
     def _eval(z: np.ndarray):
-        # the residual and its max-norm; one entry is read as a float
         r = _atleast_1d(residual(z))
         if r.ndim != 1 or r.size != n:
             raise ValueError(
                 f"residual must return a vector of dimension {n}, got shape {r.shape}"
             )
-        vals = r.tolist()
-        for v in vals:
+        for v in r.tolist():
             if not math.isfinite(v):
                 raise NumericalError(f"non-finite residual evaluation at x = {z}", v)
-        return (vals[0], abs(vals[0])) if n == 1 else (r, norm_inf(r))
+        return r, norm_inf(r)
 
     r, rn = _eval(x)
     seen: dict[bytes, int] = {}
@@ -335,37 +337,89 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
             return x
         if iteration == cfg.max_iter:
             break
-        key = x.tobytes()
-        j = seen.get(key)
-        if j is not None:
-            # x repeats x_j, so the iterates cycle with period iteration - j
-            # from j on; iteration max_iter would end on this norm
-            rn = norms[j + (cfg.max_iter - j) % (iteration - j)]
+        cycle_norm = _repeat_norm(seen, norms, x.tobytes(), iteration, rn, cfg.max_iter)
+        if cycle_norm is not None:
+            rn = cycle_norm
             break
-        seen[key] = iteration
-        norms.append(rn)
         if jacobian is None:
             jac = fd_jacobian(residual, x, cfg.fd_step)
         else:
-            jac = np.asarray(jacobian(x), dtype=float)
-            if n > 1:
-                jac = jac.reshape(n, n)
-            # item(), like reshape, raises ValueError unless there are n * n entries
-            if not (math.isfinite(jac.item()) if n == 1 else _finite(jac)):
+            jac = np.asarray(jacobian(x), dtype=float).reshape(n, n)
+            if not _finite(jac):
                 raise NumericalError("non-finite entries in supplied Jacobian")
-        if n == 1:
-            # Python floats: a step that overflows is inf, as from LAPACK,
-            # with no numpy warning
-            a = jac.item()
-            scale = max(1.0, abs(a))
-            if abs(a) < SINGULAR_DET_FLOOR * scale:
-                raise SingularJacobianError(det=a, scale=scale)
-            x = np.array([x.item() - cfg.damping * (r / a)])
-        else:
-            _check_jacobian(jac)
-            x = x - cfg.damping * np.linalg.solve(jac, r)
+        _check_jacobian(jac)
+        x = x - cfg.damping * np.linalg.solve(jac, r)
         r, rn = _eval(x)
     raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
+
+
+def _newton_scalar(residual, x: np.ndarray, cfg: NewtonConfig, jacobian) -> np.ndarray:
+    """newton_solve on one unknown from the one-entry guess x, which it may
+    return as the root.
+
+    The iterate, the residual r, its norm |r|, the Jacobian entry a = J[0, 0]
+    and the update x - damping * (r / a) are Python floats, bitwise what
+    numpy and np.linalg.solve return for them; a step that overflows is inf,
+    as from LAPACK, with no numpy warning.  The step is taken under the
+    general scaled singularity test on det J = a and ||J||_inf = |a|, so a
+    SingularJacobianError carries a exactly as its det.  Each iterate is
+    built as an array once, for the residual and as the returned root.
+    """
+    xf = x.item()
+    r = _scalar_residual(residual, x)
+    seen: dict[bytes, int] = {}
+    norms: list[float] = []
+    for iteration in range(cfg.max_iter + 1):
+        rn = abs(r)
+        if rn <= cfg.tol:
+            if not math.isfinite(xf):
+                raise NumericalError(f"root x = {x} is not finite", xf)
+            return x
+        if iteration == cfg.max_iter:
+            break
+        cycle_norm = _repeat_norm(seen, norms, x.tobytes(), iteration, rn, cfg.max_iter)
+        if cycle_norm is not None:
+            rn = cycle_norm
+            break
+        if jacobian is None:
+            a = fd_jacobian(residual, x, cfg.fd_step).item()
+        else:
+            # item() raises ValueError unless there is one entry
+            a = np.asarray(jacobian(x), dtype=float).item()
+            if not math.isfinite(a):
+                raise NumericalError("non-finite entries in supplied Jacobian")
+        scale = max(1.0, abs(a))
+        if abs(a) < SINGULAR_DET_FLOOR * scale:
+            raise SingularJacobianError(det=a, scale=scale)
+        xf = xf - cfg.damping * (r / a)
+        x = np.array([xf])
+        r = _scalar_residual(residual, x)
+    raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
+
+
+def _scalar_residual(residual, z: np.ndarray) -> float:
+    """The one entry of residual(z), which must be a finite one-entry vector."""
+    r = _atleast_1d(residual(z))
+    if r.ndim != 1 or r.size != 1:
+        raise ValueError(f"residual must return a vector of dimension 1, got shape {r.shape}")
+    v = r.item()
+    if not math.isfinite(v):
+        raise NumericalError(f"non-finite residual evaluation at x = {z}", v)
+    return v
+
+
+def _repeat_norm(seen: dict, norms: list, key: bytes, iteration: int, rn: float,
+                 max_iter: int) -> float | None:
+    """Record iterate `iteration` (its bytes key, its residual norm rn) and
+    return None; or, if it repeats an earlier iterate x_j, the norm that
+    iteration max_iter ends on, since the iterates cycle with period
+    iteration - j from j on."""
+    j = seen.get(key)
+    if j is not None:
+        return norms[j + (max_iter - j) % (iteration - j)]
+    seen[key] = iteration
+    norms.append(rn)
+    return None
 
 
 def iterate(step, first, steps: int, first_index: int = 1, until=None) -> tuple[list, dict]:

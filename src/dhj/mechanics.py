@@ -312,7 +312,9 @@ def symplecticity_defect(H: DiscreteHamiltonian, x: PhasePoint,
     eye = np.eye(n)
     sym[:n, n:] = eye
     sym[n:, :n] = -eye
-    defect = df.T @ sym @ df - sym
+    # a DF too large to square reads inf or NaN, which the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = df.T @ sym @ df - sym
     return float(np.linalg.norm(defect, np.inf))
 
 

@@ -254,11 +254,11 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
 
     # Python floats: a product that overflows is inf, with no numpy warning
     def gamma(q, u):
-        x = float(q[0])
-        return np.array([x - _power(x, 3) + float(u[0])])
+        x = q.item()
+        return np.array([x - _power(x, 3) + u.item()])
 
     def cost(q, u):
-        return 0.5 * (s * _power(float(q[0]), 2) + r * _power(float(u[0]), 2))
+        return 0.5 * (s * _power(q.item(), 2) + r * _power(u.item(), 2))
 
     # the constant Jacobians, one read-only array each for every call
     one, curvature = np.broadcast_to(1.0, (1, 1)), np.broadcast_to(-1.0 / r, (1, 1))
@@ -267,16 +267,16 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
         return one
 
     def du_cost(q, u):
-        return np.array([r * float(u[0])])
+        return np.array([r * u.item()])
 
     def dq_gamma(q, u):
-        return np.array([[1.0 - 3.0 * _power(float(q[0]), 2)]])
+        return np.array([[1.0 - 3.0 * _power(q.item(), 2)]])
 
     def dq_cost(q, u):
-        return np.array([s * float(q[0])])
+        return np.array([s * q.item()])
 
     def control(q, p):
-        return np.array([-float(p[0]) / r])
+        return np.array([-p.item() / r])
 
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
                           sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,

@@ -458,6 +458,48 @@ def test_partial_consistency_flags_corrupted_hamiltonian():
     assert res.measured > 1e-3
 
 
+def test_partial_consistency_fails_a_nan_partial():
+    # max() drops a NaN that is not in first place, so a d1 that is NaN
+    # everywhere once read as a pass at the size of d2's gap
+    H = discretize_right(make_sakamoto1d())
+    bad = dataclasses.replace(H, d1=lambda q, p: np.array([math.nan]))
+    res = check_partial_consistency(bad)
+    assert res.status == "FAIL"
+    assert math.isnan(res.measured)
+
+
+def _quadratic_2d(d1_error=(0.0, 0.0)):
+    # H(q, p) = q.A q / 2 + q.B p + p.C p / 2, with d1 off by d1_error
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    B = np.array([[1.0, -0.3], [0.2, 0.7]])
+    C = np.array([[-1.0, 0.1], [0.1, -0.5]])
+    return DiscreteHamiltonian(
+        side=Side.RIGHT,
+        eval=lambda q, p: 0.5 * q @ A @ q + q @ B @ p + 0.5 * p @ C @ p,
+        d1=lambda q, p: A @ q + B @ p + np.array(d1_error),
+        d2=lambda q, p: B.T @ q + C @ p,
+        dim=2,
+    )
+
+
+def test_partial_consistency_in_two_dimensions():
+    H = _quadratic_2d()
+    res = check_partial_consistency(H)
+    assert res.status == "PASS"
+    # the largest relative gap as numpy forms it, on the check's own draw
+    want = 0.0
+    for q, p in np.random.default_rng(0).uniform(-2.0, 2.0, (100, 2, 2)):
+        for analytic, fd in ((H.d1(q, p), dhj.core.fd_gradient(lambda z: H.eval(z, p), q, 1e-6)),
+                             (H.d2(q, p), dhj.core.fd_gradient(lambda z: H.eval(q, z), p, 1e-6))):
+            want = max(want, float(np.abs(analytic - fd).max()) / max(1.0, float(np.abs(fd).max())))
+    assert res.measured == want
+    # a wrong second entry, or a NaN there, is not hidden behind a right first one
+    res = check_partial_consistency(_quadratic_2d(d1_error=(0.0, 0.1)))
+    assert res.status == "FAIL" and res.measured > 1e-3
+    res = check_partial_consistency(_quadratic_2d(d1_error=(0.0, math.nan)))
+    assert res.status == "FAIL" and math.isnan(res.measured)
+
+
 def test_svg_deterministic_and_well_formed(tmp_path):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"

@@ -1,4 +1,4 @@
-"""Every run ends well: the run subcommands over extreme starts and slopes.
+"""Every run ends well: the CLI subcommands over extreme starts and slopes.
 
 A run exits 0 or 1. It never raises and never emits a numpy warning, and a
 non-finite CSV field appears only in a run that exits 1 and prints a
@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from dhj.cli import main
 from test_cli import read_csv
 
-COMMANDS = ("simulate", "hj-flow", "hj-vf", "compare")
+COMMANDS = ("simulate", "hj-flow", "hj-vf", "compare", "check")
 STARTS = (1e-320, -1e-13, 1e-13, 0.01, -0.5, 2.0, 1e5, 1e103, 8e153, 1e300)
 FLAGS = ((), ("--ds1=1e300",), ("--gamma1=1e300",), ("--p1=1e300",))
 WEIGHTS = ((), ("--r=2",), ("--r=0.5", "--s=2"))
