@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import re
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 from .core import (NewtonConfig, NumericalError, PhasePoint, _record_failure, _untruncated, dot,
                    fd_gradient, norm_inf)
 # run_closed_form_flow is not called here; bench/tracing.py wraps dhj.cli.run_closed_form_flow
-from .hj_flow import (Branch, GeneratingSequence, _ds_transition, hj_residual,
+from .hj_flow import (Branch, _closed_form_sequence, _ds_transition, hj_residual,
                       run_closed_form_flow, solve_generating_sequence)
 from .hj_vf import _gamma_transition, run_closed_form_vf, solve_gamma_generic, vf_residual
 from .mechanics import (
@@ -208,6 +207,8 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     elif rc.method == "closed-form" and not unit:
         raise ConfigError("the closed-form recursions are derived for "
                           "sakamoto1d with r = s = 1; use --method generic")
+    if rc.command == "check" and (rc.csv is not None or rc.svg is not None):
+        raise ConfigError("check writes no CSV or SVG file; drop --csv and --svg")
     if rc.command == "hj-flow" and rc.method == "generic" and rc.q2 is not None:
         raise ConfigError("--q2 only applies to the closed-form method "
                           "(the generic solver generates its own grid)")
@@ -466,8 +467,7 @@ def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False,
 
     traj = _orbit(rc, H, cfg, until)
     if sequence:
-        S = itertools.accumulate((rc.h * x.p.item() for x in flow_run.points[:-1]), initial=0.0)
-        flow_run = GeneratingSequence(flow_run.points, list(S), tokens, flow_run.meta)
+        flow_run = _closed_form_sequence(flow_run.points, rc.h, tokens, flow_run.meta)
     return traj, flow_run, vf_run
 
 

@@ -11,8 +11,9 @@ it) at an API boundary, once per call chain.  Past it, vectors are 1-D
 float64 arrays, and the inner calls that receive them trust them.  The
 vectors hold one or two entries, where numpy's fixed cost per call outweighs
 the arithmetic, so the max-norm, one-entry products, the finiteness tests,
-the finite-difference probes of one entry and newton_solve's one-unknown
-iteration run over Python floats, bitwise what numpy computes.
+the finite-difference probes of one entry and the residual and step of
+newton_solve's one loop on one unknown run over Python floats, bitwise what
+numpy computes.
 """
 
 from __future__ import annotations
@@ -127,8 +128,10 @@ def as_grid(q_sequence) -> np.ndarray:
 
 def norm_inf(v) -> float:
     """Max-norm of a vector (or absolute value of a scalar); any shape is
-    read flat.  NaN if any entry is NaN; ValueError if there is no entry."""
-    v = np.asarray(v, dtype=float)
+    read flat.  NaN if any entry is NaN; ValueError if there is no entry.
+    A float64 array is read as it is, one entry as abs of its float."""
+    if type(v) is not np.ndarray or v.dtype is not _FLOAT64:
+        v = np.asarray(v, dtype=float)
     if v.size == 1:
         return abs(v.item())
     vals = v.ravel().tolist()
@@ -276,11 +279,12 @@ def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
 def _check_jacobian(jac: np.ndarray) -> None:
     # Scaled singularity test: |det J| < floor * max(1, ||J||_inf)^n.  The
     # power of n keeps the test meaningful when J is large in norm but
-    # rank-deficient.
+    # rank-deficient.  A norm or det that overflows is inf, with no warning.
     n = jac.shape[0]
-    scale = max(1.0, float(np.linalg.norm(jac, np.inf)))
-    det = float(np.linalg.det(jac))
-    if abs(det) < SINGULAR_DET_FLOOR * scale**n:
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.linalg.norm(jac, np.inf)))
+        det = float(np.linalg.det(jac))
+    if abs(det) < SINGULAR_DET_FLOOR * _power(scale, n):
         raise SingularJacobianError(det=det, scale=scale)
 
 
@@ -302,31 +306,13 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     cfg.max_iter iterations would raise, with the residual norm the cycle
     reaches at iteration cfg.max_iter.
 
-    A non-finite residual raises NumericalError with its first non-finite
-    entry as the quantity.
-
-    One unknown is iterated by _newton_scalar, over Python floats.  Larger
-    systems go through norm_inf, np.linalg.det and np.linalg.solve.
+    One loop serves every n: only reading the residual (_read_residual) and
+    taking the step (_newton_step) depend on it.
     """
     if cfg is None:
         cfg = _DEFAULT_NEWTON
     x = as_vec(guess, name="guess").copy()
-    if x.size == 1:
-        return _newton_scalar(residual, x, cfg, jacobian)
-    n = x.size
-
-    def _eval(z: np.ndarray):
-        r = _atleast_1d(residual(z))
-        if r.ndim != 1 or r.size != n:
-            raise ValueError(
-                f"residual must return a vector of dimension {n}, got shape {r.shape}"
-            )
-        for v in r.tolist():
-            if not math.isfinite(v):
-                raise NumericalError(f"non-finite residual evaluation at x = {z}", v)
-        return r, norm_inf(r)
-
-    r, rn = _eval(x)
+    r, rn = _read_residual(residual, x)
     seen: dict[bytes, int] = {}
     norms: list[float] = []
     for iteration in range(cfg.max_iter + 1):
@@ -337,89 +323,62 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
             return x
         if iteration == cfg.max_iter:
             break
-        cycle_norm = _repeat_norm(seen, norms, x.tobytes(), iteration, rn, cfg.max_iter)
-        if cycle_norm is not None:
-            rn = cycle_norm
+        # a repeat of iterate j: the iterates cycle with period iteration - j
+        # from j on, so iteration max_iter ends on a norm already seen
+        j = seen.setdefault(x.tobytes(), iteration)
+        if j != iteration:
+            rn = norms[j + (cfg.max_iter - j) % (iteration - j)]
             break
-        if jacobian is None:
-            jac = fd_jacobian(residual, x, cfg.fd_step)
-        else:
-            jac = np.asarray(jacobian(x), dtype=float).reshape(n, n)
-            if not _finite(jac):
-                raise NumericalError("non-finite entries in supplied Jacobian")
-        _check_jacobian(jac)
-        x = x - cfg.damping * np.linalg.solve(jac, r)
-        r, rn = _eval(x)
+        norms.append(rn)
+        x = _newton_step(residual, jacobian, x, r, cfg)
+        r, rn = _read_residual(residual, x)
     raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
 
 
-def _newton_scalar(residual, x: np.ndarray, cfg: NewtonConfig, jacobian) -> np.ndarray:
-    """newton_solve on one unknown from the one-entry guess x, which it may
-    return as the root.
+def _read_residual(residual, z: np.ndarray):
+    """residual(z) and its max-norm: (r, |r|) in Python floats for one entry,
+    (the array, its norm) otherwise.  The residual must be a finite vector of
+    z's size; its first non-finite entry is a NumericalError's quantity."""
+    r = _atleast_1d(residual(z))
+    if r.ndim != 1 or r.size != z.size:
+        raise ValueError(f"residual must return a vector of dimension {z.size}, "
+                         f"got shape {r.shape}")
+    if r.size == 1:
+        v = r.item()
+        if math.isfinite(v):
+            return v, abs(v)
+    # a non-finite one-entry residual falls through to the raise below
+    vals = r.tolist()
+    for v in vals:
+        if not math.isfinite(v):
+            raise NumericalError(f"non-finite residual evaluation at x = {z}", v)
+    return r, max(map(abs, vals))
 
-    The iterate, the residual r, its norm |r|, the Jacobian entry a = J[0, 0]
-    and the update x - damping * (r / a) are Python floats, bitwise what
-    numpy and np.linalg.solve return for them; a step that overflows is inf,
-    as from LAPACK, with no numpy warning.  The step is taken under the
-    general scaled singularity test on det J = a and ||J||_inf = |a|, so a
-    SingularJacobianError carries a exactly as its det.  Each iterate is
-    built as an array once, for the residual and as the returned root.
-    """
-    xf = x.item()
-    r = _scalar_residual(residual, x)
-    seen: dict[bytes, int] = {}
-    norms: list[float] = []
-    for iteration in range(cfg.max_iter + 1):
-        rn = abs(r)
-        if rn <= cfg.tol:
-            if not math.isfinite(xf):
-                raise NumericalError(f"root x = {x} is not finite", xf)
-            return x
-        if iteration == cfg.max_iter:
-            break
-        cycle_norm = _repeat_norm(seen, norms, x.tobytes(), iteration, rn, cfg.max_iter)
-        if cycle_norm is not None:
-            rn = cycle_norm
-            break
-        if jacobian is None:
-            a = fd_jacobian(residual, x, cfg.fd_step).item()
-        else:
-            # item() raises ValueError unless there is one entry
-            a = np.asarray(jacobian(x), dtype=float).item()
-            if not math.isfinite(a):
-                raise NumericalError("non-finite entries in supplied Jacobian")
+
+def _newton_step(residual, jacobian, x: np.ndarray, r, cfg: NewtonConfig) -> np.ndarray:
+    """The damped Newton update of iterate x, whose residual r is as
+    _read_residual returns it; a supplied Jacobian must be finite.  One
+    unknown steps by x - damping * (r / a), a = J[0, 0], in Python floats,
+    bitwise np.linalg.solve's (an overflow is inf, with no numpy warning),
+    under _check_jacobian's test on det J = a, so a SingularJacobianError
+    carries a exactly as its det."""
+    n = x.size
+    jac = (fd_jacobian(residual, x, cfg.fd_step) if jacobian is None
+           else np.asarray(jacobian(x), dtype=float))
+    if n == 1:
+        a = jac.item()  # ValueError unless there is one entry
+        if not math.isfinite(a):
+            raise NumericalError("non-finite entries in supplied Jacobian")
         scale = max(1.0, abs(a))
         if abs(a) < SINGULAR_DET_FLOOR * scale:
             raise SingularJacobianError(det=a, scale=scale)
-        xf = xf - cfg.damping * (r / a)
-        x = np.array([xf])
-        r = _scalar_residual(residual, x)
-    raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
-
-
-def _scalar_residual(residual, z: np.ndarray) -> float:
-    """The one entry of residual(z), which must be a finite one-entry vector."""
-    r = _atleast_1d(residual(z))
-    if r.ndim != 1 or r.size != 1:
-        raise ValueError(f"residual must return a vector of dimension 1, got shape {r.shape}")
-    v = r.item()
-    if not math.isfinite(v):
-        raise NumericalError(f"non-finite residual evaluation at x = {z}", v)
-    return v
-
-
-def _repeat_norm(seen: dict, norms: list, key: bytes, iteration: int, rn: float,
-                 max_iter: int) -> float | None:
-    """Record iterate `iteration` (its bytes key, its residual norm rn) and
-    return None; or, if it repeats an earlier iterate x_j, the norm that
-    iteration max_iter ends on, since the iterates cycle with period
-    iteration - j from j on."""
-    j = seen.get(key)
-    if j is not None:
-        return norms[j + (max_iter - j) % (iteration - j)]
-    seen[key] = iteration
-    norms.append(rn)
-    return None
+        return np.array([x.item() - cfg.damping * (r / a)])
+    if jacobian is not None:
+        jac = jac.reshape(n, n)
+        if not _finite(jac):
+            raise NumericalError("non-finite entries in supplied Jacobian")
+    _check_jacobian(jac)
+    return x - cfg.damping * np.linalg.solve(jac, r)
 
 
 def iterate(step, first, steps: int, first_index: int = 1, until=None) -> tuple[list, dict]:

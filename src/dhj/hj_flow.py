@@ -227,5 +227,11 @@ def run_closed_form_flow(q_sequence, ds0: float, h: float,
 
     points, meta = iterate(advance, PhasePoint(index=1, q=[grid[0]], p=[float(ds0)]),
                            len(grid) - 1)
-    S = list(itertools.accumulate((h * float(x.p[0]) for x in points[:-1]), initial=0.0))
-    return GeneratingSequence(points=points, S=S, branch_log=branch_log, meta=meta)
+    return _closed_form_sequence(points, h, branch_log, meta)
+
+
+def _closed_form_sequence(points: list, h: float, branch_log: list,
+                          meta: dict) -> GeneratingSequence:
+    """The flow of points (q_j, DS_j) with S_next = S_j + h * DS_j from S = 0."""
+    S = itertools.accumulate((h * x.p.item() for x in points[:-1]), initial=0.0)
+    return GeneratingSequence(points, list(S), branch_log, meta)

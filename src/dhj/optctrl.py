@@ -131,11 +131,6 @@ def _affine_part(phi, k: int):
     return phi0, aff
 
 
-def _norm(v: np.ndarray) -> float:
-    """norm_inf of a float64 vector; one entry is read as a float, |v|."""
-    return abs(v.item()) if v.size == 1 else norm_inf(v)
-
-
 def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
                       cfg: NewtonConfig | None = None) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
@@ -155,10 +150,10 @@ def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
     own non-finite residuals.
     """
     cfg = cfg if cfg is not None else _DEFAULT_NEWTON
-    accept = max(cfg.tol, 1e-13 * _norm(p))
+    accept = max(cfg.tol, 1e-13 * norm_inf(p))
     if cp.control is not None:
         u = cp.control(q, p)
-        if _norm(secondary_constraint(cp, q, p, u)) <= accept:
+        if norm_inf(secondary_constraint(cp, q, p, u)) <= accept:
             return u
 
     def phi(u: np.ndarray) -> np.ndarray:

@@ -625,7 +625,8 @@ def test_non_finite_step_output_fails_the_check_that_needs_the_orbit():
 
 @pytest.mark.parametrize("command", ["simulate", "hj-flow", "hj-vf", "compare", "check"])
 def test_an_overflowing_orbit_prints_no_numpy_warning(command, tmp_path):
-    run = _cli(command, "--q1=1e103", "--steps=2", "--csv", str(tmp_path / "out.csv"))
+    csv = [] if command == "check" else ["--csv", str(tmp_path / "out.csv")]
+    run = _cli(command, "--q1=1e103", "--steps=2", *csv)
     assert run.returncode == 1
     assert "Warning" not in run.stderr
 
@@ -795,3 +796,22 @@ def test_non_finite_float_in_config_file_is_a_config_error(tmp_path, capsys):
     cfgfile.write_text("q1 = inf\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfgfile), "--steps", "2"]) == 2
     assert "config error: q1 must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, config", [
+    (["--csv", "c.csv"], ""), (["--svg", "c.svg"], ""), (["--csv", "c.csv", "--svg", "c.svg"], ""),
+    ([], "csv = c.csv\n"), ([], "svg = c.svg\n")])
+def test_check_rejects_an_output_file(flags, config, tmp_path, monkeypatch, capsys):
+    # check prints its report and writes no file, so asking for one is an error
+    monkeypatch.chdir(tmp_path)
+    if config:
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
+        flags = ["--config", "run.cfg"]
+    assert main(["check", "--steps=3", *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "config error: check writes no CSV or SVG file; drop --csv and --svg\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if config else [])
+    # a config file may still say none
+    (tmp_path / "run.cfg").write_text("csv = none\nsvg = none\n", encoding="utf-8")
+    assert main(["check", "--steps=3", "--config", "run.cfg"]) == 0

@@ -38,14 +38,16 @@ def _non_finite(field: str) -> bool:
 
 
 def bad_run(argv: list[str], csv) -> str | None:
-    """What went wrong in one in-process run of argv, or None."""
+    """What went wrong in one in-process run of argv, or None; a command
+    that writes a CSV writes it to csv (check writes none)."""
     csv.unlink(missing_ok=True)
+    output = [] if argv[0] == "check" else ["--csv", str(csv)]
     err = io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         try:
-            code = main([*argv, "--steps=3", "--csv", str(csv)])
+            code = main([*argv, "--steps=3", *output])
         except Exception as exc:  # the finding to report, with every other bad run
             return f"raised {type(exc).__name__}: {exc}"
     if caught:

@@ -617,24 +617,30 @@ def _cubic_cycle_prime(z):
 @pytest.mark.parametrize("max_iter, last", [(50, 2.0), (51, 1.0), (2, 2.0), (3, 1.0)])
 def test_newton_stops_on_a_two_cycle_with_the_full_budgets_error(max_iter, last):
     cfg = NewtonConfig(max_iter=max_iter)
-    got, evals = _outcome(newton_solve, _cubic_cycle, [0.0], cfg, _cubic_cycle_prime)
     message = f"no convergence after {max_iter} iterations, last residual norm {last:.6e}"
-    assert got == ("ConvergenceError", message, _bits(last), last, max_iter)
-    assert evals == 3
+    # one unknown, then the decoupled 2-D system through np.linalg
+    for guess, jacobian in (([0.0], _cubic_cycle_prime),
+                            ([0.0, 0.0], lambda z: np.diag(3.0 * z**2 - 2.0))):
+        got, evals = _outcome(newton_solve, _cubic_cycle, guess, cfg, jacobian)
+        assert got == ("ConvergenceError", message, _bits(last), last, max_iter)
+        assert evals == 3
     # the plain loop reaches the same error after max_iter + 1 evaluations
     assert _outcome(_plain_newton, _cubic_cycle, [0.0], cfg, _cubic_cycle_prime) == (
         got, max_iter + 1)
 
 
-def test_newton_stops_on_a_fixed_point_stall():
-    # the step 1 / 1e300 is below half an ulp of 1, so the iterate stays put
+def test_newton_stops_on_a_fixed_point_stall(recwarn):
+    # the step 1 / 1e300 is below half an ulp of 1, so the iterate stays put;
+    # in two dimensions det J = 1e600 overflows to inf, with no numpy warning
     cfg = NewtonConfig()
-    got, evals = _outcome(newton_solve, lambda z: np.array([1.0]), [1.0], cfg,
-                          lambda z: [[1e300]])
-    assert got == ("ConvergenceError",
-                   "no convergence after 50 iterations, last residual norm 1.000000e+00",
-                   _bits(1.0), 1.0, 50)
-    assert evals == 2
+    for guess, jacobian in (([1.0], lambda z: [[1e300]]),
+                            ([1.0, 1.0], lambda z: np.diag([1e300, 1e300]))):
+        got, evals = _outcome(newton_solve, lambda z: np.ones(len(z)), guess, cfg, jacobian)
+        assert got == ("ConvergenceError",
+                       "no convergence after 50 iterations, last residual norm 1.000000e+00",
+                       _bits(1.0), 1.0, 50)
+        assert evals == 2
+    assert len(recwarn) == 0
     assert _outcome(_plain_newton, lambda z: np.array([1.0]), [1.0], cfg,
                     lambda z: [[1e300]]) == (got, 51)
 
