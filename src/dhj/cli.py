@@ -70,10 +70,16 @@ class RunConfig:
 
 
 _FLOAT_KEYS = {"r", "s", "q1", "p1", "q2", "ds1", "gamma1", "h", "tol", "damping", "fd_step"}
-_INT_KEYS = {"steps", "max_iter"}
-_BOOL_KEYS = {"log_abs"}
-_STR_KEYS = {"model", "branch", "method", "csv", "svg"}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
+# each config file key's parser; a ValueError or KeyError is a bad value
+_PARSERS = {**dict.fromkeys(_FLOAT_KEYS, float), "steps": int, "max_iter": int,
+            "log_abs": lambda value: _BOOLS[value.lower()],
+            **dict.fromkeys(("model", "branch", "method", "csv", "svg"), str)}
 _OPTIONAL_KEYS = {"q2", "csv", "svg"}
+# the stable band: compare's footer and the symplecticity probe read only
+# the points with |q| below it
+_STABLE_BAND = 0.9
 # argparse takes a word such as -3.2e-05 for an option, not a value.
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
@@ -99,26 +105,14 @@ def load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in (_FLOAT_KEYS | _INT_KEYS | _BOOL_KEYS | _STR_KEYS):
+        if key not in _PARSERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in _OPTIONAL_KEYS and value.lower() == "none":
             out[key] = None
             continue
         try:
-            if key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _BOOL_KEYS:
-                if value.lower() in ("true", "1", "yes", "on"):
-                    out[key] = True
-                elif value.lower() in ("false", "0", "no", "off"):
-                    out[key] = False
-                else:
-                    raise ValueError(value)
-            else:
-                out[key] = value
-        except ValueError:
+            out[key] = _PARSERS[key](value)
+        except (ValueError, KeyError):
             raise ConfigError(f"{path}:{lineno}: bad value {value!r} for {key!r}")
     return out
 
@@ -360,13 +354,15 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
             footer: list[str] | None = None) -> int:
     """Write the CSV and SVG, print the footer and summary, and report each
     failed part (a label and its failure record) on stderr.  Exit code 1 if
-    any part failed, else 0."""
-    if rc.csv:
-        write_csv(rc.csv, rc, colnames, rows, footer)
-        print(f"wrote {rc.csv}")
-    if rc.svg:
-        write_svg(rc.svg, panels)
-        print(f"wrote {rc.svg}")
+    any part failed, else 0; a file that cannot be written is a ConfigError."""
+    for path, write in ((rc.csv, lambda: write_csv(rc.csv, rc, colnames, rows, footer)),
+                        (rc.svg, lambda: write_svg(rc.svg, panels))):
+        if path:
+            try:
+                write()
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path!r}: {exc}")
+            print(f"wrote {path}")
     for line in footer or ():
         print(line)
     truncated = any(meta["truncated"] for _, meta in parts)
@@ -412,8 +408,7 @@ def _flow_orbit(rc: RunConfig, H, cfg, traj=None):
     return run_trajectory(H, start, rc.steps, cfg)
 
 
-def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False,
-          sequence: bool = False):
+def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False):
     """The orbit from (q1, p1) and the slope runs a command asks for, as
     (traj, flow, vf), None for a run not asked for.
 
@@ -425,10 +420,9 @@ def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False,
     point that a slope cannot step to, the one that transition needed, so
     it takes no step for a row the command's table would drop.  A
     closed-form slope run is a DiscreteTrajectory with the slope in the
-    momentum slot and core.iterate's failure record in meta.  With
-    sequence, the closed-form flow is a GeneratingSequence: its branch log
-    names the root each transition took, and S accumulates h times the
-    previous slope from 0 (compare reads neither)."""
+    momentum slot and core.iterate's failure record in meta; the flow's is a
+    GeneratingSequence whose branch log names the root each transition took,
+    and S accumulates h times the previous slope from 0."""
     if rc.method == "generic":
         traj = _orbit(rc, H, cfg) if vf else None
         flow_run = solve_generating_sequence(H, _flow_orbit(rc, H, cfg, traj)) if flow else None
@@ -442,8 +436,7 @@ def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False,
 
     def ds_step(x, q_next):
         nxt, taken = _ds_transition(x, q_next, rc.h, branch)
-        if sequence:
-            tokens.append(taken.value)
+        tokens.append(taken.value)
         return nxt
 
     def start(p1: float) -> DiscreteTrajectory:
@@ -466,14 +459,14 @@ def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False,
         return stop
 
     traj = _orbit(rc, H, cfg, until)
-    if sequence:
+    if flow:
         flow_run = _closed_form_sequence(flow_run.points, rc.h, tokens, flow_run.meta)
     return traj, flow_run, vf_run
 
 
 def cmd_hj_flow(rc: RunConfig) -> int:
     H, cfg = build_model(rc)
-    traj, seq, _ = _runs(rc, H, cfg, flow=True, sequence=True)
+    traj, seq, _ = _runs(rc, H, cfg, flow=True)
     parts = [] if traj is None else [("trajectory", traj.meta)]
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "S", "DS", "branch", "residual"], _flow_rows(H, seq),
@@ -516,7 +509,7 @@ def cmd_compare(rc: RunConfig) -> int:
     for pt, f, v in zip(traj.points, flow.points, vf.points):
         q, p, ds, g = pt.q.item(), pt.p.item(), f.p.item(), v.p.item()
         err_flow, err_vf = abs(ds - p), abs(g - p)
-        if abs(q) < 0.9:
+        if abs(q) < _STABLE_BAND:
             stats_flow.append(err_flow)
             stats_vf.append(err_vf)
         table.append((pt.index, q, p, ds, g, err_flow, err_vf))
@@ -557,21 +550,30 @@ class CheckResult:
     detail: str
 
 
-def check_partial_consistency(H, points: int = 100, box: float = 2.0,
-                              rel_tol: float = 1e-6, seed: int = 0) -> CheckResult:
-    """Analytic slot partials against central differences at sampled points."""
-    rng = np.random.default_rng(seed)
+def _measured(name: str, worst: float, limit: float | str, detail: str, ok: bool = True,
+              note: str = "") -> CheckResult:
+    """A measured probe's result: PASS when ok (the probe's own condition)
+    holds and worst <= limit, so a NaN worst FAILs.  limit is a float, shown
+    in %g, or the text to show; the detail ends in ", limit" and it, then
+    note."""
+    shown = limit if isinstance(limit, str) else format(limit, "g")
+    status = "PASS" if ok and worst <= float(limit) else "FAIL"
+    return CheckResult(name, status, worst, f"{detail}, limit {shown}{note}")
+
+
+def check_partial_consistency(H) -> CheckResult:
+    """Analytic slot partials against central differences at 100 points drawn
+    from [-2, 2] with seed 0."""
+    rng = np.random.default_rng(0)
     gaps = []
     # one draw, in the order of a q then a p per point
-    for q, p in rng.uniform(-box, box, (points, 2, H.dim)):
+    for q, p in rng.uniform(-2.0, 2.0, (100, 2, H.dim)):
         fd1 = fd_gradient(lambda z: H.eval(z, p), q, 1e-6)
         fd2 = fd_gradient(lambda z: H.eval(q, z), p, 1e-6)
         gaps.append(_relative_gap(H.d1(q, p), fd1))
         gaps.append(_relative_gap(H.d2(q, p), fd2))
-    worst = _worst(gaps)
-    status = "PASS" if worst <= rel_tol else "FAIL"
-    return CheckResult("partial-consistency", status, worst,
-                       f"max relative gap over {points} sampled points, limit {rel_tol:g}")
+    return _measured("partial-consistency", _worst(gaps), 1e-6,
+                     "max relative gap over 100 sampled points")
 
 
 def _relative_gap(analytic: np.ndarray, fd: np.ndarray) -> float:
@@ -608,23 +610,18 @@ def _nothing_measured(name: str, what: str, traj) -> CheckResult:
 def check_step_residuals(H, traj, cfg) -> CheckResult:
     if len(traj) < 2:
         return _nothing_measured("step-residuals", "transition", traj)
-    limit = 10.0 * cfg.tol
     worst = _worst(verify_step(H, a, b) for a, b in zip(traj.points[:-1], traj.points[1:]))
-    status = "PASS" if worst <= limit else "FAIL"
-    return CheckResult("step-residuals", status, worst,
-                       f"max step-equation residual over {len(traj) - 1} "
-                       f"transitions, limit {limit:g}")
+    return _measured("step-residuals", worst, 10.0 * cfg.tol,
+                     f"max step-equation residual over {len(traj) - 1} transitions")
 
 
-def check_symplecticity(H, traj, band: float = 0.9, limit: float = 1e-5) -> CheckResult:
-    pts = [pt for pt in traj.points if norm_inf(pt.q) < band]
+def check_symplecticity(H, traj) -> CheckResult:
+    pts = [pt for pt in traj.points if norm_inf(pt.q) < _STABLE_BAND]
     if not pts:
-        return _nothing_measured("symplecticity", f"point with |q| < {band:g}", traj)
+        return _nothing_measured("symplecticity", f"point with |q| < {_STABLE_BAND:g}", traj)
     worst = _worst(symplecticity_defect(H, pt, fd_step=1e-6) for pt in pts)
-    status = "PASS" if worst <= limit else "FAIL"
-    return CheckResult("symplecticity", status, worst,
-                       f"max defect over {len(pts)} points with |q| < {band:g}, "
-                       f"limit {limit:g}")
+    return _measured("symplecticity", worst, 1e-5,
+                     f"max defect over {len(pts)} points with |q| < {_STABLE_BAND:g}")
 
 
 def check_flow_residuals(H, rc, cfg, traj) -> CheckResult:
@@ -655,9 +652,8 @@ def check_vf_agreement(H, rc, cfg, traj) -> CheckResult:
         sides.append(("orbit", traj.meta))
     truncated = "".join(f"; {_truncation(label, meta)}"
                         for label, meta in sides if meta["truncated"])
-    status = "PASS" if n >= 2 and not truncated and worst <= 1e-9 else "FAIL"
-    return CheckResult("vf-agreement", status, worst,
-                       f"max |generic - closed form| over {n} rows, limit 1e-9{truncated}")
+    return _measured("vf-agreement", worst, "1e-9", f"max |generic - closed form| over {n} rows",
+                     ok=n >= 2 and not truncated, note=truncated)
 
 
 def _free_particle() -> DiscreteLagrangian:
@@ -674,19 +670,17 @@ def _free_particle() -> DiscreteLagrangian:
     )
 
 
-def check_left_right(cfg, steps: int = 50) -> CheckResult:
-    """Right/left dual identity along a free-particle trajectory."""
+def check_left_right(cfg) -> CheckResult:
+    """Right/left dual identity along a 50-step free-particle trajectory."""
     L = _free_particle()
     Hp = hamiltonian_from_lagrangian(L, Side.RIGHT, cfg)
     Hm = hamiltonian_from_lagrangian(L, Side.LEFT, cfg)
-    traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), steps, cfg)
+    traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), 50, cfg)
     worst = _worst(_left_right_gap(Hp, Hm, a.q, a.p, b.q, b.p)
                    for a, b in zip(traj.points[:-1], traj.points[1:]))
-    ok = not traj.meta["truncated"]
-    status = "PASS" if ok and worst <= 1e-9 else "FAIL"
-    return CheckResult("left-right-identity", status, worst,
-                       f"max dual-relation residual over {len(traj) - 1} "
-                       f"free-particle transitions, limit 1e-9")
+    return _measured("left-right-identity", worst, "1e-9",
+                     f"max dual-relation residual over {len(traj) - 1} free-particle transitions",
+                     ok=not traj.meta["truncated"])
 
 
 def singular_start_probe(H, cfg) -> CheckResult:
@@ -727,20 +721,16 @@ def run_checks(rc: RunConfig) -> list[CheckResult]:
 
 def cmd_check(rc: RunConfig) -> int:
     results = run_checks(rc)
-    n_pass = n_fail = n_skip = 0
     for res in results:
         if res.status == "INFO":
             print(f"INFO {res.name}: {res.detail}")
             continue
         measured = "n/a" if res.measured is None else f"{res.measured:.6e}"
         print(f"CHECK {res.name}: {res.status} (measured = {measured}; {res.detail})")
-        if res.status == "PASS":
-            n_pass += 1
-        elif res.status == "SKIP":
-            n_skip += 1
-        else:
-            n_fail += 1
-    print(f"check: {n_pass} passed, {n_fail} failed, {n_skip} skipped")
+    statuses = [res.status for res in results]
+    n_fail = statuses.count("FAIL")
+    print(f"check: {statuses.count('PASS')} passed, {n_fail} failed, "
+          f"{statuses.count('SKIP')} skipped")
     return 1 if n_fail else 0
 
 
@@ -769,12 +759,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns = parser.parse_args(_attach_negative_numbers(argv))
-        rc = resolve_config(ns)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        rc = resolve_config(parser.parse_args(_attach_negative_numbers(argv)))
         return _HANDLERS[rc.command](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -163,6 +163,13 @@ def _power(x: float, n: int) -> float:
         return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
+def _positive_int(name: str, value) -> int:
+    """value as an int, or a ValueError naming it when it is not a positive integer."""
+    if int(value) != value or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class PhasePoint:
     """One phase-space sample (q_j, p_j) at integer step index j >= 1."""
@@ -172,9 +179,7 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        if int(self.index) != self.index or self.index < 1:
-            raise ValueError(f"index must be an integer >= 1, got {self.index}")
-        object.__setattr__(self, "index", int(self.index))
+        object.__setattr__(self, "index", _positive_int("index", self.index))
         q = as_vec(self.q, name="q")
         p = as_vec(self.p, dim=q.size, name="p")
         object.__setattr__(self, "q", q)
@@ -204,9 +209,7 @@ class NewtonConfig:
     def __post_init__(self):
         if not (self.tol > 0.0):
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if int(self.max_iter) != self.max_iter or self.max_iter < 1:
-            raise ValueError(f"max_iter must be a positive integer, got {self.max_iter}")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "max_iter", _positive_int("max_iter", self.max_iter))
         if not (0.0 < self.damping <= 1.0):
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
         if not (self.fd_step > 0.0):

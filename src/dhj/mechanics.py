@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, as_vec, dot,
-                   fd_jacobian, iterate, newton_solve, norm_inf)
+from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, _positive_int, as_vec,
+                   dot, fd_jacobian, iterate, newton_solve, norm_inf)
 
 __all__ = [
     "Side",
@@ -83,9 +83,7 @@ class DiscreteLagrangian:
     d22: object = None
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _positive_int("dim", self.dim))
 
 
 @dataclass(frozen=True)
@@ -119,9 +117,7 @@ class DiscreteHamiltonian:
     def __post_init__(self):
         if not isinstance(self.side, Side):
             raise ValueError(f"side must be a Side enum member, got {self.side!r}")
-        if int(self.dim) != self.dim or self.dim < 1:
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _positive_int("dim", self.dim))
 
 
 @dataclass

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import (_DEFAULT_NEWTON, NewtonConfig, NumericalError, _power, as_vec, dot, fd_gradient,
-                   newton_solve, norm_inf)
+from .core import (_DEFAULT_NEWTON, NewtonConfig, NumericalError, _positive_int, _power, as_vec,
+                   dot, fd_gradient, newton_solve, norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -88,11 +88,8 @@ class ControlProblem:
     def __post_init__(self):
         if not isinstance(self.sign, SignCriterion):
             raise ValueError(f"sign must be a SignCriterion member, got {self.sign!r}")
-        for label, val in (("n", self.n), ("k", self.k)):
-            if int(val) != val or val < 1:
-                raise ValueError(f"{label} must be a positive integer, got {val}")
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "n", _positive_int("n", self.n))
+        object.__setattr__(self, "k", _positive_int("k", self.k))
 
 
 def _adjoined(sign: float, jac: np.ndarray, p: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import dhj.core
 import dhj.hj_flow
 import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
-from dhj.core import NewtonConfig, PhasePoint
+from dhj.core import NewtonConfig, PhasePoint, _checked_point
 from dhj.hj_flow import Branch, hj_residual, run_closed_form_flow, solve_generating_sequence
 from dhj.hj_vf import run_closed_form_vf
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
@@ -468,6 +468,28 @@ def test_partial_consistency_fails_a_nan_partial():
     assert math.isnan(res.measured)
 
 
+def _nan_closed_form_vf(grid, gamma1):
+    vf = run_closed_form_vf(grid, gamma1)
+    vf.points = [_checked_point(pt.index, pt.q, np.array([math.nan])) for pt in vf.points]
+    return vf
+
+
+@pytest.mark.parametrize("name, measure, nan", [
+    ("step-residuals", "verify_step", lambda *args: math.nan),
+    ("symplecticity", "symplecticity_defect", lambda *args, **kwargs: math.nan),
+    ("vf-agreement", "run_closed_form_vf", _nan_closed_form_vf),
+    ("left-right-identity", "_left_right_gap", lambda *args: math.nan),
+])
+def test_a_nan_worst_fails_every_measured_probe(name, measure, nan, monkeypatch, capsys):
+    # each probe's own measure reads NaN; worst <= limit is false for it
+    monkeypatch.setattr(dhj.cli, measure, nan)
+    assert main(["check", "--q1=0.05", "--steps=8"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [ln for ln in lines if ": FAIL " in ln]
+    assert len(failed) == 1 and failed[0].startswith(f"CHECK {name}: FAIL (measured = nan; ")
+    assert lines[-1] == "check: 5 passed, 1 failed, 0 skipped"
+
+
 def _quadratic_2d(d1_error=(0.0, 0.0)):
     # H(q, p) = q.A q / 2 + q.B p + p.C p / 2, with d1 off by d1_error
     A = np.array([[2.0, 0.5], [0.5, 1.0]])
@@ -815,3 +837,14 @@ def test_check_rejects_an_output_file(flags, config, tmp_path, monkeypatch, caps
     # a config file may still say none
     (tmp_path / "run.cfg").write_text("csv = none\nsvg = none\n", encoding="utf-8")
     assert main(["check", "--steps=3", "--config", "run.cfg"]) == 0
+
+
+@pytest.mark.parametrize("flag, target", [("--csv", "missing/x.csv"), ("--svg", ".")])
+def test_an_unwritable_output_file_is_a_config_error(flag, target, tmp_path, capsys):
+    # a missing directory, or a directory where the file should be
+    path = str(tmp_path / target)
+    assert main(["simulate", "--steps", "2", flag, path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {path!r}: [Errno ")
+    assert err.count("\n") == 1
