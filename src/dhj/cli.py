@@ -77,6 +77,26 @@ _PARSERS = {**dict.fromkeys(_FLOAT_KEYS, float), "steps": int, "max_iter": int,
             "log_abs": lambda value: _BOOLS[value.lower()],
             **dict.fromkeys(("model", "branch", "method", "csv", "svg"), str)}
 _OPTIONAL_KEYS = {"q2", "csv", "svg"}
+# keys that only a config file sets; every command reads them
+_FILE_ONLY = ("tol", "max_iter", "damping", "fd_step")
+# each flag's help
+_HELP = {
+    "model": "registered model name",
+    "r": "control effort weight",
+    "s": "state cost weight",
+    "q1": "initial position",
+    "p1": "initial momentum",
+    "q2": "override the second grid position fed to the slope recursions, and only it",
+    "ds1": "initial slope DS_1",
+    "gamma1": "initial slope gamma_1",
+    "steps": "number of steps",
+    "h": "increment scale of the closed-form slope recursion",
+    "branch": "root policy of the closed-form slope recursion: plus, minus or continuity",
+    "method": "auto, closed-form (unit weights only) or generic; auto picks closed-form if valid",
+    "csv": "write results as CSV",
+    "svg": "write plots as SVG",
+    "log_abs": "log10 vertical scale on magnitude plots",
+}
 # the stable band: compare's footer and the symplecticity probe read only
 # the points with |q| below it
 _STABLE_BAND = 0.9
@@ -88,8 +108,9 @@ def _g17(x) -> str:
     return format(float(x), ".17g")
 
 
-def load_config_file(path: str) -> dict:
-    """Parse a key = value configuration file into a typed dict."""
+def load_config_file(path: str, command: str) -> dict:
+    """Parse command's key = value configuration file into a typed dict."""
+    keys = _COMMANDS[command][2] + _FILE_ONLY
     out: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -105,8 +126,8 @@ def load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _PARSERS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: {command} reads no key {key!r}")
         if key in _OPTIONAL_KEYS and value.lower() == "none":
             out[key] = None
             continue
@@ -117,47 +138,23 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", default=None, metavar="FILE",
-                    help="key = value file; explicit flags override it")
-    sp.add_argument("--model", default=None, help="registered model name")
-    sp.add_argument("--r", type=float, default=None, help="control effort weight")
-    sp.add_argument("--s", type=float, default=None, help="state cost weight")
-    sp.add_argument("--q1", type=float, default=None, help="initial position")
-    sp.add_argument("--p1", type=float, default=None, help="initial momentum")
-    sp.add_argument("--q2", type=float, default=None,
-                    help="override the second grid position fed to the slope "
-                         "recursions (the later grid stays the trajectory's own)")
-    sp.add_argument("--ds1", type=float, default=None, help="initial slope DS_1")
-    sp.add_argument("--gamma1", type=float, default=None, help="initial slope gamma_1")
-    sp.add_argument("--steps", type=int, default=None, help="number of steps")
-    sp.add_argument("--h", type=float, default=None,
-                    help="increment scale of the closed-form slope recursion")
-    sp.add_argument("--branch", choices=["plus", "minus", "continuity"], default=None,
-                    help="root policy of the closed-form slope recursion")
-    sp.add_argument("--method", choices=["auto", "closed-form", "generic"], default=None,
-                    help="closed-form recursions need unit weights; auto picks "
-                         "them when valid and the Newton path otherwise")
-    sp.add_argument("--csv", default=None, metavar="FILE", help="write results as CSV")
-    sp.add_argument("--svg", default=None, metavar="FILE", help="write plots as SVG")
-    sp.add_argument("--log-abs", dest="log_abs", action="store_true", default=None,
-                    help="log10 vertical scale on magnitude plots")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dhj",
         description="Discrete Hamilton-Jacobi runs on reduced control models")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (
-        ("simulate", "iterate the implicit phase-space map"),
-        ("hj-flow", "evolve generating-function values and slopes"),
-        ("hj-vf", "evolve the slope as a discrete vector field section"),
-        ("compare", "run all three on one configuration and difference them"),
-        ("check", "run the internal consistency battery"),
-    ):
-        _add_common(sub.add_parser(name, help=text))
+    for name, (_, text, reads) in _COMMANDS.items():
+        # flags are spelled in full: an abbreviation would read --h as --help
+        sp = sub.add_parser(name, help=text, allow_abbrev=False)
+        sp.add_argument("--config", metavar="FILE",
+                        help="key = value file; explicit flags override it")
+        for key in reads:
+            flag = "--" + key.replace("_", "-")
+            if key == "log_abs":
+                sp.add_argument(flag, action="store_true", default=None, help=_HELP[key])
+            else:
+                sp.add_argument(flag, type=_PARSERS[key], help=_HELP[key])
     return parser
 
 
@@ -170,7 +167,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and explicit flags; validate the result."""
     rc = RunConfig(command=ns.command)
     if ns.config is not None:
-        for key, value in load_config_file(ns.config).items():
+        for key, value in load_config_file(ns.config, ns.command).items():
             rc = replace(rc, **{key: value})
     rc = replace(rc, **{f.name: getattr(ns, f.name) for f in fields(RunConfig)
                         if f.name != "command" and getattr(ns, f.name, None) is not None})
@@ -201,8 +198,6 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     elif rc.method == "closed-form" and not unit:
         raise ConfigError("the closed-form recursions are derived for "
                           "sakamoto1d with r = s = 1; use --method generic")
-    if rc.command == "check" and (rc.csv is not None or rc.svg is not None):
-        raise ConfigError("check writes no CSV or SVG file; drop --csv and --svg")
     if rc.command == "hj-flow" and rc.method == "generic" and rc.q2 is not None:
         raise ConfigError("--q2 only applies to the closed-form method "
                           "(the generic solver generates its own grid)")
@@ -357,7 +352,7 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
     any part failed, else 0; a file that cannot be written is a ConfigError."""
     for path, write in ((rc.csv, lambda: write_csv(rc.csv, rc, colnames, rows, footer)),
                         (rc.svg, lambda: write_svg(rc.svg, panels))):
-        if path:
+        if path is not None:
             try:
                 write()
             except OSError as exc:
@@ -734,13 +729,20 @@ def cmd_check(rc: RunConfig) -> int:
     return 1 if n_fail else 0
 
 
-_HANDLERS = {
-    "simulate": cmd_simulate,
-    "hj-flow": cmd_hj_flow,
-    "hj-vf": cmd_hj_vf,
-    "compare": cmd_compare,
-    "check": cmd_check,
-}
+# each command's handler, help line and the RunConfig fields it reads: its
+# flags, and with _FILE_ONLY its config file keys
+_COMMANDS = {name: (handler, text, tuple(reads.split())) for name, handler, text, reads in (
+    ("simulate", cmd_simulate, "iterate the implicit phase-space map",
+     "model r s q1 p1 steps csv svg log_abs"),
+    ("hj-flow", cmd_hj_flow, "evolve generating-function values and slopes",
+     "model r s q1 p1 q2 ds1 steps h branch method csv svg log_abs"),
+    ("hj-vf", cmd_hj_vf, "evolve the slope as a discrete vector field section",
+     "model r s q1 p1 q2 gamma1 steps method csv svg log_abs"),
+    ("compare", cmd_compare, "run all three on one configuration and difference them",
+     "model r s q1 p1 q2 ds1 gamma1 steps h branch method csv svg log_abs"),
+    ("check", cmd_check, "run the internal consistency battery",
+     "model r s q1 p1 ds1 gamma1 steps"),
+)}
 
 
 def _attach_negative_numbers(argv: list[str]) -> list[str]:
@@ -760,7 +762,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         rc = resolve_config(parser.parse_args(_attach_negative_numbers(argv)))
-        return _HANDLERS[rc.command](rc)
+        return _COMMANDS[rc.command][0](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, file formats, exit codes."""
 
+import argparse
 import dataclasses
 import hashlib
 import math
@@ -40,6 +41,30 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return header, colnames, rows, footer
+
+
+# the contract: the flags each command reads, written out here and not taken
+# from dhj.cli; a command's config file keys are these (without --config),
+# spelled with underscores, and the solver settings below
+READS = {command: set(flags.split()) for command, flags in {
+    "simulate": "--config --model --r --s --q1 --p1 --steps --csv --svg --log-abs",
+    "hj-flow": "--config --model --r --s --q1 --p1 --q2 --ds1 --steps --h --branch --method "
+               "--csv --svg --log-abs",
+    "hj-vf": "--config --model --r --s --q1 --p1 --q2 --gamma1 --steps --method "
+             "--csv --svg --log-abs",
+    "compare": "--config --model --r --s --q1 --p1 --q2 --ds1 --gamma1 --steps --h --branch "
+               "--method --csv --svg --log-abs",
+    "check": "--config --model --r --s --q1 --p1 --ds1 --gamma1 --steps",
+}.items()}
+SOLVER_KEYS = ("tol", "max_iter", "damping", "fd_step")
+# each (command, flag) of the 16 flags that the command does not read
+UNREAD = [(command, flag) for command in READS
+          for flag in sorted(READS["compare"] - READS[command])]
+
+
+def reads(command: str, flags) -> bool:
+    """Whether command reads every flag of flags, each spelled --flag=value."""
+    return all(flag.split("=")[0] in READS[command] for flag in flags)
 
 
 def test_simulate_csv_is_byte_deterministic(tmp_path):
@@ -207,11 +232,23 @@ _TABLE_ENDS = [
 ]
 
 
-# compare's ids are argv0 to argv9; the other commands' carry the command's name
-@pytest.mark.parametrize("command, argv", [
-    (command, argv) for command in ("compare", "hj-flow", "hj-vf") for argv in _TABLE_ENDS],
-    ids=[f"{'' if command == 'compare' else command + '-'}argv{k}"
-         for command in ("compare", "hj-flow", "hj-vf") for k in range(len(_TABLE_ENDS))])
+def _table_cases() -> dict:
+    """Each command's _TABLE_ENDS cases without the flags it does not read, by
+    id (compare's are argv0 to argv9, the others' carry the command's name);
+    a case that then repeats an earlier one goes (hj-vf's argv4)."""
+    cases = {}
+    for command in ("compare", "hj-flow", "hj-vf"):
+        for k, argv in enumerate(_TABLE_ENDS):
+            argv = [a for a in argv if not a.startswith("--") or reads(command, [a])]
+            if (command, argv) not in cases.values():
+                cases[f"{'' if command == 'compare' else command + '-'}argv{k}"] = (command, argv)
+    return cases
+
+
+_TABLE_CASES = _table_cases()
+
+
+@pytest.mark.parametrize("command, argv", list(_TABLE_CASES.values()), ids=list(_TABLE_CASES))
 def test_compare_ends_its_orbit_with_its_table(command, argv, monkeypatch, tmp_path, capsys):
     # the same files, stdout and exit code as the full-grid reference; its
     # stderr lines that name a j past the table's last row are gone
@@ -783,8 +820,11 @@ def test_negative_float_with_exponent_is_a_separate_value(tmp_path):
     assert "# q1 = -3.1999999999999999e-05" in out.read_text(encoding="utf-8").splitlines()
 
     out = tmp_path / "all.csv"
-    rcode = main(["simulate", "--q1", "-1e-7", "--p1", "-2E-8", "--q2", "-.25e-6",
-                  "--ds1", "-1e-9", "--gamma1", "-3.5e-9", "--steps", "2", "--csv", str(out)])
+    # compare reads every float flag; generic, since the closed-form flow has
+    # no real root from this slope
+    rcode = main(["compare", "--q1", "-1e-7", "--p1", "-2E-8", "--q2", "-.25e-6",
+                  "--ds1", "-1e-9", "--gamma1", "-3.5e-9", "--steps", "2", "--method", "generic",
+                  "--csv", str(out)])
     assert rcode == 0
     header, _, _, _ = read_csv(out)
     assert [header[k] for k in ("q1", "p1", "q2", "ds1", "gamma1")] == [
@@ -793,7 +833,7 @@ def test_negative_float_with_exponent_is_a_separate_value(tmp_path):
 
 def test_negative_weight_or_scale_is_read_then_rejected(capsys):
     for flag in ("--r", "--s", "--h"):
-        assert main(["simulate", flag, "-1e-3"]) == 2
+        assert main(["compare", flag, "-1e-3"]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "expected one argument" not in err
 
@@ -820,23 +860,114 @@ def test_non_finite_float_in_config_file_is_a_config_error(tmp_path, capsys):
     assert "config error: q1 must be finite" in capsys.readouterr().err
 
 
+def _unread_exit(argv: list[str], capsys) -> str:
+    """Run argv, whose last flags the command does not read: argparse exits 2
+    before anything runs, with no traceback; its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+def taken_flags() -> dict:
+    """Each subcommand's flags as the parser has them, without --help."""
+    parser = dhj.cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {command: {flag for action in sp._actions for flag in action.option_strings}
+            - {"-h", "--help"} for command, sp in sub.choices.items()}
+
+
+def test_each_command_takes_the_flags_it_reads():
+    assert taken_flags() == READS
+    assert len(UNREAD) == 17
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_an_unread_flag_is_rejected(command, flag, capsys):
+    given = [flag] if flag == "--log-abs" else [flag, "1"]
+    err = _unread_exit([command, "--steps=2", *given], capsys)
+    assert err.endswith(f"dhj: error: unrecognized arguments: {' '.join(given)}\n")
+
+
+# a value compare accepts for each unread key; none for the optional ones
+_KEY_VALUES = {"q2": "none", "csv": "none", "svg": "none", "ds1": "0", "gamma1": "0",
+               "h": "1e-4", "branch": "continuity", "method": "auto", "log_abs": "true"}
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_an_unread_config_key_is_rejected(command, flag, tmp_path, capsys):
+    key = flag[2:].replace("-", "_")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"steps = 2\n{key} = {_KEY_VALUES[key]}\n", encoding="utf-8")
+    assert main([command, "--config", str(cfgfile)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {cfgfile}:2: {command} reads no key {key!r}\n"
+    # compare reads every key, and the value is one it takes
+    assert main(["compare", "--config", str(cfgfile)]) == 0
+
+
+def test_every_solver_setting_is_a_config_key_of_every_command(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("steps = 2\ntol = 1e-12\nmax_iter = 50\ndamping = 1\nfd_step = 1e-7\n",
+                       encoding="utf-8")
+    for command in READS:
+        assert main([command, "--config", str(cfgfile)]) == 0
+    capsys.readouterr()
+    # and no command takes one as a flag
+    for key in SOLVER_KEYS:
+        _unread_exit(["compare", f"--{key.replace('_', '-')}=1"], capsys)
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--h", "0.5"], ["simulate", "--gam=3"],
+                                  ["compare", "--gam=3"], ["hj-vf", "--log"]])
+def test_a_flag_is_spelled_in_full(argv, capsys):
+    # with abbreviations, simulate's --h would be --help: usage on stdout, exit 0
+    err = _unread_exit(argv, capsys)
+    assert err.endswith(f"dhj: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+
+
+def test_an_unread_flag_exits_2_from_the_shell():
+    for argv in (["simulate", "--h", "0.5"], ["check", "--log-abs"]):
+        run = subprocess.run([sys.executable, "-m", "dhj.cli", *argv],
+                             capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert "Traceback" not in run.stderr and "unrecognized arguments" in run.stderr
+
+
 @pytest.mark.parametrize("flags, config", [
     (["--csv", "c.csv"], ""), (["--svg", "c.svg"], ""), (["--csv", "c.csv", "--svg", "c.svg"], ""),
     ([], "csv = c.csv\n"), ([], "svg = c.svg\n")])
 def test_check_rejects_an_output_file(flags, config, tmp_path, monkeypatch, capsys):
-    # check prints its report and writes no file, so asking for one is an error
+    # check prints its report and writes no file, so it reads no --csv or --svg
     monkeypatch.chdir(tmp_path)
     if config:
         (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
-        flags = ["--config", "run.cfg"]
-    assert main(["check", "--steps=3", *flags]) == 2
+        assert main(["check", "--steps=3", "--config", "run.cfg"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"config error: run.cfg:1: check reads no key {config[:3]!r}\n"
+    else:
+        err = _unread_exit(["check", "--steps=3", *flags], capsys)
+        assert err.endswith(f"dhj: error: unrecognized arguments: {' '.join(flags)}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if config else [])
+    # nor may a config file name them to say none
+    (tmp_path / "run.cfg").write_text("csv = none\nsvg = none\n", encoding="utf-8")
+    assert main(["check", "--steps=3", "--config", "run.cfg"]) == 2
+    assert capsys.readouterr().err == "config error: run.cfg:1: check reads no key 'csv'\n"
+
+
+@pytest.mark.parametrize("flags", [["--csv", ""], ["--svg", ""], ["--csv", "", "--svg", ""]])
+def test_an_empty_output_path_is_a_config_error(flags, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--steps", "2", *flags]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "config error: check writes no CSV or SVG file; drop --csv and --svg\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if config else [])
-    # a config file may still say none
-    (tmp_path / "run.cfg").write_text("csv = none\nsvg = none\n", encoding="utf-8")
-    assert main(["check", "--steps=3", "--config", "run.cfg"]) == 0
+    assert err.startswith("config error: cannot write '': [Errno ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag, target", [("--csv", "missing/x.csv"), ("--svg", ".")])

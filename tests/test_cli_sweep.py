@@ -4,7 +4,8 @@ A run exits 0 or 1. It never raises and never emits a numpy warning, and a
 non-finite CSV field appears only in a run that exits 1 and prints a
 failure line saying why. The fixed grid holds starts from a subnormal to
 1e300, slopes and momenta of 1e300, and three weight sets; a derandomized
-strategy draws further starts from all of float64.
+strategy draws further starts from all of float64. Each command is given
+only the flags it reads (test_cli.READS).
 """
 
 import contextlib
@@ -15,11 +16,11 @@ import re
 import warnings
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dhj.cli import main
-from test_cli import read_csv
+from test_cli import read_csv, reads
 
 COMMANDS = ("simulate", "hj-flow", "hj-vf", "compare", "check")
 STARTS = (1e-320, -1e-13, 1e-13, 0.01, -0.5, 2.0, 1e5, 1e103, 8e153, 1e300)
@@ -64,7 +65,8 @@ def bad_run(argv: list[str], csv) -> str | None:
 @pytest.mark.parametrize("command", COMMANDS)
 def test_every_run_of_the_grid_ends_well(command, tmp_path):
     bad = {}
-    for q1, flags, weights in itertools.product(STARTS, FLAGS, WEIGHTS):
+    flag_sets = [flags for flags in FLAGS if reads(command, flags)]
+    for q1, flags, weights in itertools.product(STARTS, flag_sets, WEIGHTS):
         argv = [command, f"--q1={q1!r}", *flags, *weights]
         why = bad_run(argv, tmp_path / "run.csv")
         if why is not None:
@@ -79,5 +81,6 @@ def test_every_run_of_the_grid_ends_well(command, tmp_path):
 @example(command="compare", q1=-1e308, flags=("--p1=1e300",), weights=("--r=2",))
 @example(command="hj-vf", q1=5e-324, flags=("--gamma1=1e300",), weights=())
 def test_any_float64_start_ends_well(tmp_path_factory, command, q1, flags, weights):
+    assume(reads(command, flags))
     csv = tmp_path_factory.getbasetemp() / "sweep.csv"
     assert bad_run([command, f"--q1={q1!r}", *flags, *weights], csv) is None

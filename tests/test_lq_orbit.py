@@ -9,6 +9,15 @@ so the right step p_j = D1 H+ = A^T p' + Q q_j, q_next = D2 H+ is
     p' = A^-T (p_j - Q q_j),    q_next = A q_j - B B^T p' / R,
 
 which fractions evaluates exactly from the floats' own values.
+
+On an orbit whose momentum is a linear function of its position, p_j =
+P_j q_j, the step maps it to p' = P' q' with P' given by the discrete
+Riccati recursion
+
+    P' = A^-T (P - Q) M^-1,    M = A - B B^T A^-T (P - Q) / R,
+
+the discrete HJ equation of the problem (Ohsawa, Bloch & Leok, SIAM J.
+Control Optim. 2011), so the exact P_j is an oracle of every row.
 """
 
 from fractions import Fraction
@@ -65,9 +74,9 @@ def relative_miss(got: np.ndarray, exact) -> float:
     return float(max(abs(Fraction(g) - x) for g, x in zip(got.tolist(), exact)) / scale)
 
 
-def orbit(q1, exact_jacobian: bool = True):
+def orbit(q1, exact_jacobian: bool = True, p1=P1):
     H = discretize_right(lq_problem(exact_jacobian))
-    return H, run_trajectory(H, PhasePoint(index=1, q=list(q1), p=list(P1)), STEPS)
+    return H, run_trajectory(H, PhasePoint(index=1, q=list(q1), p=list(p1)), STEPS)
 
 
 def worst_row_miss(traj) -> float:
@@ -93,6 +102,53 @@ def test_lq_step_map_is_symplectic_and_lifts_untruncated(q1):
     seq = solve_generating_sequence(H, traj)
     assert not seq.meta["truncated"]
     assert len(seq) == STEPS + 1
+
+
+def fractions(rows) -> list[list[Fraction]]:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def matmul(x, y):
+    return [[sum(x[i][k] * y[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+
+
+def inverse(x):
+    det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
+    return [[x[1][1] / det, -x[0][1] / det], [-x[1][0] / det, x[0][0] / det]]
+
+
+def riccati_step(P):
+    """P' = A^-T (P - Q) M^-1 with M = A - B B^T A^-T (P - Q) / R, exactly."""
+    a, q, bbt = fractions(A.tolist()), fractions(Q.tolist()), fractions((B @ B.T).tolist())
+    x = matmul(inverse([[a[0][0], a[1][0]], [a[0][1], a[1][1]]]),
+               [[P[i][j] - q[i][j] for j in range(2)] for i in range(2)])
+    bx = matmul(bbt, x)
+    m = [[a[i][j] - bx[i][j] / Fraction(R) for j in range(2)] for i in range(2)]
+    return matmul(x, inverse(m))
+
+
+def apply(P, q) -> list[Fraction]:
+    """P q exactly, for the floats q."""
+    return [sum(P[i][k] * Fraction(q[k]) for k in range(2)) for i in range(2)]
+
+
+RICCATI_P1 = [fractions([[Fraction(1, 2), Fraction(1, 10)], [Fraction(1, 10), Fraction(3, 10)]]),
+              fractions([[Fraction(2), Fraction(-1, 4)], [Fraction(-1, 4), Fraction(1, 5)]])]
+
+
+@pytest.mark.parametrize("P1", RICCATI_P1, ids=["P1a", "P1b"])
+@pytest.mark.parametrize("q1", STARTS)
+def test_lq_slope_is_the_riccati_sequence(q1, P1):
+    # the orbit from p1 = float(P1 q1): each row's momentum is P_j q_j, to
+    # rounding, with P_j the exact Riccati sequence, which stays symmetric
+    _, traj = orbit(q1, p1=[float(x) for x in apply(P1, q1)])
+    assert not traj.meta["truncated"]
+    assert len(traj) == STEPS + 1
+    P = P1
+    for pt in traj.points:
+        assert P[0][1] == P[1][0]
+        assert relative_miss(pt.p, apply(P, pt.q.tolist())) <= 2e-15
+        P = riccati_step(P)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Newton's absolute 1e-12 tolerance "

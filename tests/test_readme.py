@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 from dhj.cli import main
+from test_cli import taken_flags
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -23,6 +24,15 @@ def test_readme_csv_columns_match_the_written_files(tmp_path):
         assert main([command, "--steps", "2", "--csv", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
         assert [line for line in lines if not line.startswith("#")][0] == columns
+
+
+def test_readme_flag_lists_match_the_parser():
+    # "- `simulate` reads `--model`, ... and `--log-abs`." over one or more lines
+    documented = {command: set(re.findall(r"`(--[a-z0-9-]+)`", flags)) | {"--config"}
+                  for command, flags in re.findall(r"^- `([a-z-]+)` reads (.*?\.)$",
+                                                   README.read_text(encoding="utf-8"),
+                                                   re.M | re.S)}
+    assert documented == taken_flags()
 
 
 def test_readme_failure_line_is_what_the_cli_prints(capsys):
