@@ -147,6 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, text, reads) in _COMMANDS.items():
         # flags are spelled in full: an abbreviation would read --h as --help
         sp = sub.add_parser(name, help=text, allow_abbrev=False)
+        sp.set_defaults(parser=sp)  # main reports an unread flag with this usage
         sp.add_argument("--config", metavar="FILE",
                         help="key = value file; explicit flags override it")
         for key in reads:
@@ -165,12 +166,10 @@ def _unit_weights(rc: RunConfig) -> bool:
 
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and explicit flags; validate the result."""
-    rc = RunConfig(command=ns.command)
-    if ns.config is not None:
-        for key, value in load_config_file(ns.config, ns.command).items():
-            rc = replace(rc, **{key: value})
-    rc = replace(rc, **{f.name: getattr(ns, f.name) for f in fields(RunConfig)
-                        if f.name != "command" and getattr(ns, f.name, None) is not None})
+    given = {} if ns.config is None else load_config_file(ns.config, ns.command)
+    given.update((f.name, getattr(ns, f.name)) for f in fields(RunConfig)
+                 if f.name != "command" and getattr(ns, f.name, None) is not None)
+    rc = replace(RunConfig(command=ns.command), **given)
 
     for key in sorted(_FLOAT_KEYS):
         value = getattr(rc, key)
@@ -198,9 +197,10 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     elif rc.method == "closed-form" and not unit:
         raise ConfigError("the closed-form recursions are derived for "
                           "sakamoto1d with r = s = 1; use --method generic")
-    if rc.command == "hj-flow" and rc.method == "generic" and rc.q2 is not None:
-        raise ConfigError("--q2 only applies to the closed-form method "
-                          "(the generic solver generates its own grid)")
+    ignored = [key for key in ("p1", "q2", "h", "branch") if key in given]
+    if rc.command == "hj-flow" and rc.method == "generic" and ignored:
+        raise ConfigError("the generic hj-flow lifts its orbit from q1 and ds1 and reads no "
+                          + ", ".join(ignored))
     return rc
 
 
@@ -761,7 +761,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        rc = resolve_config(parser.parse_args(_attach_negative_numbers(argv)))
+        ns, unread = parser.parse_known_args(_attach_negative_numbers(argv))
+        if unread:
+            ns.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+        rc = resolve_config(ns)
         return _COMMANDS[rc.command][0](rc)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ import sys
 
 import mpmath
 import numpy as np
-import pytest
 
 from dhj.core import PhasePoint
 from dhj.hj_flow import (
@@ -25,7 +24,6 @@ from dhj.hj_flow import (
 )
 from dhj.hj_vf import closed_form_gamma_step, equivalence_check
 from dhj.mechanics import (
-    DiscreteLagrangian,
     Side,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
@@ -34,11 +32,7 @@ from dhj.mechanics import (
     symplecticity_defect,
 )
 from dhj.cli import main
-from dhj.optctrl import discretize_right, make_sakamoto1d
-
-
-def benchmark():
-    return discretize_right(make_sakamoto1d())
+from test_mechanics import cubic_right, free_particle
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -49,7 +43,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 def test_01_symplectic_determinant_along_trajectory():
     # |det DF - 1| < 1e-5 at 20 trajectory points with |q| < 0.9, Jacobian
     # by central differences with step 1e-6
-    H = benchmark()
+    H = cubic_right()
     traj = run_trajectory(H, PhasePoint(index=1, q=[1e-9], p=[0.0]), 25)
     pts = [pt for pt in traj.points if abs(pt.q[0]) < 0.9]
     assert len(pts) >= 20
@@ -61,7 +55,7 @@ def test_01_symplectic_determinant_along_trajectory():
 
 def test_02_single_right_step_closed_form():
     # p2 = -q1 / (1 - 3 q1^2), q2 = q1 - q1^3 - p2, both to 1e-18 absolute
-    H = benchmark()
+    H = cubic_right()
     q1 = 5e-8
     nxt = step_right(H, PhasePoint(index=1, q=[q1], p=[0.0]))
     p2_ref = -q1 / (1.0 - 3.0 * q1 ** 2)
@@ -80,7 +74,7 @@ def test_03_doubling_regime_near_origin():
     # F_{2j+1}/F_{2j-1}: 2 on the first step only, then towards phi^2.
     # Every ratio with |q_j| < 0.01 must lie within 0.01 of that Fibonacci
     # ratio and match a 60-digit mpmath iteration of the exact map
-    H = benchmark()
+    H = cubic_right()
     q1 = 5e-8
     traj = run_trajectory(H, PhasePoint(index=1, q=[q1], p=[0.0]), 18)
     with mpmath.workdps(60):
@@ -119,7 +113,7 @@ def test_03_doubling_regime_near_origin():
 def test_04_phase_portrait_shape():
     # |p_{j+1}| strictly increases while |q_{j+1}| lies in (0, 0.9); the
     # run's largest |p| occurs at an index with |q| in (0.8, 1.2)
-    H = benchmark()
+    H = cubic_right()
     traj = run_trajectory(H, PhasePoint(index=1, q=[3e-8], p=[0.0]), 19)
     absq = [abs(pt.q[0]) for pt in traj.points]
     absp = [abs(pt.p[0]) for pt in traj.points]
@@ -136,7 +130,7 @@ def test_04_phase_portrait_shape():
 def test_05_flow_residuals_below_tolerance():
     # independent re-evaluation of the evolution equation at every
     # transition of the generating sequences
-    H = benchmark()
+    H = cubic_right()
     worst = 0.0
     for q0, steps in ((5e-8, 18), (3e-8, 19)):
         traj = run_trajectory(H, PhasePoint(index=1, q=[q0], p=[0.0]), steps)
@@ -150,7 +144,7 @@ def test_05_flow_residuals_below_tolerance():
 
 def test_06_momentum_identification():
     # DS_j of the generating sequence equals p_j of the trajectory
-    H = benchmark()
+    H = cubic_right()
     traj = run_trajectory(H, PhasePoint(index=1, q=[5e-8], p=[0.0]), 18)
     seq = solve_generating_sequence(H, traj)
     assert len(seq) == len(traj)
@@ -162,7 +156,7 @@ def test_06_momentum_identification():
 def test_07_vector_field_first_value():
     # gamma_2 from the explicit slope update, with gamma_1 = 0 and
     # q_1 = q_2 = 5e-8, equals the p_2 of criterion 2
-    H = benchmark()
+    H = cubic_right()
     q1 = 5e-8
     g2 = closed_form_gamma_step(0.0, q1, q1)
     p2 = step_right(H, PhasePoint(index=1, q=[q1], p=[0.0])).p[0]
@@ -194,12 +188,7 @@ def test_08_accuracy_ranking_in_compare_footer(tmp_path):
 def test_09_left_right_dual_identity():
     # both duals of L(a, b) = (b - a)^2 / 2; the defining relation between
     # them re-evaluated along 50 steps
-    L = DiscreteLagrangian(
-        eval=lambda a, b: 0.5 * float((b - a) @ (b - a)),
-        d1=lambda a, b: np.asarray(a - b, dtype=float),
-        d2=lambda a, b: np.asarray(b - a, dtype=float),
-        dim=1,
-    )
+    L = free_particle()
     Hp = hamiltonian_from_lagrangian(L, Side.RIGHT)
     Hm = hamiltonian_from_lagrangian(L, Side.LEFT)
     traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), 50)
@@ -214,7 +203,7 @@ def test_10_equivalence_residual_halving():
     # halving the start position halves the effective grid spacing of the
     # first transition (the one transition the two runs share a footing on);
     # its equivalence residual must shrink by a factor in [1.5, 3]
-    H = benchmark()
+    H = cubic_right()
 
     def first_transition(q0: float):
         traj = run_trajectory(H, PhasePoint(index=1, q=[q0], p=[0.0]), 10)
@@ -235,7 +224,7 @@ def test_11_reduction_fidelity():
     # eliminated-control Hamiltonian against the hand formula at 1000
     # sampled points; then the discrete partials against central differences
     # of the hand right-hand sides
-    H = discretize_right(make_sakamoto1d())
+    H = cubic_right()
     rng = np.random.default_rng(0)
     worst_val = 0.0
     for _ in range(1000):

@@ -5,9 +5,7 @@ look up and reads the `meta` failure record of every run it traces.  A
 rename of either breaks the benchmark; these tests make it fail here too.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,21 +18,14 @@ from dhj.hj_flow import run_closed_form_flow, solve_generating_sequence
 from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
 from dhj.mechanics import DiscreteHamiltonian, Side, hamiltonian_from_lagrangian, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
-from test_mechanics import midpoint_pendulum
+from test_mechanics import cubic_right, midpoint_pendulum
+from test_oracles import load_bench
 
-_TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 _SINGULAR_Q = 1.0 / math.sqrt(3.0)
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", _TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_tracer_installs_on_every_name_and_uninstalls(tmp_path):
-    tracing = _load_tracing()
+    tracing = load_bench("tracing")
     patched = [(module, attr) for modules, attr in
                list(tracing.SPANS.values()) + list(tracing.COUNTS.values())
                for module in modules]
@@ -60,7 +51,7 @@ def test_tracer_installs_on_every_name_and_uninstalls(tmp_path):
 def test_traced_generic_compare_lifts_one_right_orbit(tmp_path):
     # the flow must be reached through dhj.cli.solve_generating_sequence and
     # the orbit stepped through the traced step_right and run_trajectory
-    tracing = _load_tracing()
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -85,7 +76,7 @@ def test_traced_lagrangian_dual_solves_through_the_traced_names(side):
     # the lagrangian workload's per-layer counts read core.newton_solve at
     # the mechanics attribute and core.fd_jacobian at the core attribute:
     # a step that solved or differenced another way would read 0
-    tracing = _load_tracing()
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     H = hamiltonian_from_lagrangian(midpoint_pendulum(0.2, 1.3), side)
     tracer.install()
@@ -100,15 +91,11 @@ def test_traced_lagrangian_dual_solves_through_the_traced_names(side):
     assert tracer.metrics(0.0)["core.fd_jacobian.calls_per_step"] > 0
 
 
-def _cubic():
-    return discretize_right(make_sakamoto1d())
-
-
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_reduced_hamiltonian_eliminates_through_the_traced_name(r):
     # bench/tracing.py counts optctrl.eliminate_control at the module
     # attribute: a partial that reached elimination another way would read 0
-    tracing = _load_tracing()
+    tracing = load_bench("tracing")
     tracer = tracing.Tracer()
     H = discretize_right(make_sakamoto1d(r=r))
     tracer.install()
@@ -133,10 +120,10 @@ def _no_real_root():
 
 
 @pytest.mark.parametrize("run, failures", [
-    (lambda: run_trajectory(_cubic(), PhasePoint(index=1, q=[_SINGULAR_Q], p=[0.0]), 3),
+    (lambda: run_trajectory(cubic_right(), PhasePoint(index=1, q=[_SINGULAR_Q], p=[0.0]), 3),
      {"SingularJacobianError"}),
-    (lambda: solve_generating_sequence(
-        _cubic(), run_trajectory(_cubic(), PhasePoint(index=1, q=[_SINGULAR_Q], p=[0.0]), 3)),
+    (lambda: solve_generating_sequence(cubic_right(), run_trajectory(
+        cubic_right(), PhasePoint(index=1, q=[_SINGULAR_Q], p=[0.0]), 3)),
      {"SingularJacobianError"}),
     (lambda: run_closed_form_flow([0.5, 0.9], -1e4, 1e-4), {"BranchError"}),
     (lambda: solve_gamma_generic(_no_real_root(), [0.5, 0.25], 0.0),

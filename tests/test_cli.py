@@ -62,9 +62,16 @@ UNREAD = [(command, flag) for command in READS
           for flag in sorted(READS["compare"] - READS[command])]
 
 
-def reads(command: str, flags) -> bool:
-    """Whether command reads every flag of flags, each spelled --flag=value."""
-    return all(flag.split("=")[0] in READS[command] for flag in flags)
+# the flags hj-flow takes and its generic method does not read: it lifts
+# its own orbit from --q1 and --ds1
+GENERIC_FLOW_UNREAD = {"--p1", "--q2", "--h", "--branch"}
+
+
+def reads(command: str, flags, generic: bool = False) -> bool:
+    """Whether command, on the generic method if generic, reads every flag of
+    flags, each spelled --flag=value."""
+    unread = GENERIC_FLOW_UNREAD if generic and command == "hj-flow" else set()
+    return all(flag.split("=")[0] in READS[command] - unread for flag in flags)
 
 
 def test_simulate_csv_is_byte_deterministic(tmp_path):
@@ -347,10 +354,35 @@ def test_escaping_generic_flow_stops_where_its_orbit_does(tmp_path, capsys):
         ["flow failure at j = 5", "ConvergenceError"]]
 
 
+_GENERIC_FLOW_ERROR = ("config error: the generic hj-flow lifts its orbit from q1 and ds1 "
+                       "and reads no ")
+
+
 def test_hj_flow_rejects_q2_with_generic_method(capsys):
     assert main(["hj-flow", "--method", "generic", "--q2", "1e-7"]) == 2
-    assert capsys.readouterr().err == ("config error: --q2 only applies to the closed-form "
-                                       "method (the generic solver generates its own grid)\n")
+    assert capsys.readouterr().err == f"{_GENERIC_FLOW_ERROR}q2\n"
+
+
+@pytest.mark.parametrize("flag", sorted(GENERIC_FLOW_UNREAD))
+def test_generic_hj_flow_rejects_each_key_it_does_not_read(flag, tmp_path, capsys):
+    # by flag or by config file, on --method generic or on weights that pick it
+    key, value = flag[2:], {"--branch": "plus"}.get(flag, "0.001")
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n", encoding="utf-8")
+    for argv in ([f"{flag}={value}", "--method=generic"], [f"{flag}={value}", "--r=2"],
+                 ["--config", str(cfgfile), "--s=0.5"]):
+        assert main(["hj-flow", "--steps=2", *argv]) == 2
+        assert capsys.readouterr() == ("", f"{_GENERIC_FLOW_ERROR}{key}\n")
+    # the closed form reads it
+    csv = str(tmp_path / "run.csv")
+    assert main(["hj-flow", "--steps=2", "--csv", csv, f"{flag}={value}"]) == 0
+
+
+def test_generic_hj_flow_names_every_key_it_does_not_read(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("h = 0.001\n", encoding="utf-8")
+    assert main(["hj-flow", "--r=2", "--branch=plus", "--p1=0", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"{_GENERIC_FLOW_ERROR}p1, h, branch\n"
 
 
 def test_hj_vf_csv_values(tmp_path):
@@ -860,6 +892,13 @@ def test_non_finite_float_in_config_file_is_a_config_error(tmp_path, capsys):
     assert "config error: q1 must be finite" in capsys.readouterr().err
 
 
+def _assert_names_the_command(err: str, command: str, flags: list[str]) -> None:
+    """err is argparse's report of flags that command does not read: the
+    command's own usage line and an error that carries its name."""
+    assert err.startswith(f"usage: dhj {command} [-h] [--config FILE] ")
+    assert err.endswith(f"\ndhj {command}: error: unrecognized arguments: {' '.join(flags)}\n")
+
+
 def _unread_exit(argv: list[str], capsys) -> str:
     """Run argv, whose last flags the command does not read: argparse exits 2
     before anything runs, with no traceback; its stderr."""
@@ -888,7 +927,7 @@ def test_each_command_takes_the_flags_it_reads():
 def test_an_unread_flag_is_rejected(command, flag, capsys):
     given = [flag] if flag == "--log-abs" else [flag, "1"]
     err = _unread_exit([command, "--steps=2", *given], capsys)
-    assert err.endswith(f"dhj: error: unrecognized arguments: {' '.join(given)}\n")
+    _assert_names_the_command(err, command, given)
 
 
 # a value compare accepts for each unread key; none for the optional ones
@@ -926,7 +965,7 @@ def test_every_solver_setting_is_a_config_key_of_every_command(tmp_path, capsys)
 def test_a_flag_is_spelled_in_full(argv, capsys):
     # with abbreviations, simulate's --h would be --help: usage on stdout, exit 0
     err = _unread_exit(argv, capsys)
-    assert err.endswith(f"dhj: error: unrecognized arguments: {' '.join(argv[1:])}\n")
+    _assert_names_the_command(err, argv[0], argv[1:])
 
 
 def test_an_unread_flag_exits_2_from_the_shell():
@@ -951,7 +990,7 @@ def test_check_rejects_an_output_file(flags, config, tmp_path, monkeypatch, caps
         assert err == f"config error: run.cfg:1: check reads no key {config[:3]!r}\n"
     else:
         err = _unread_exit(["check", "--steps=3", *flags], capsys)
-        assert err.endswith(f"dhj: error: unrecognized arguments: {' '.join(flags)}\n")
+        _assert_names_the_command(err, "check", flags)
     assert sorted(p.name for p in tmp_path.iterdir()) == (["run.cfg"] if config else [])
     # nor may a config file name them to say none
     (tmp_path / "run.cfg").write_text("csv = none\nsvg = none\n", encoding="utf-8")

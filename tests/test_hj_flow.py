@@ -20,17 +20,11 @@ from dhj.hj_flow import (
 from dhj.hj_vf import run_closed_form_vf
 from dhj.mechanics import (
     DiscreteHamiltonian,
-    DiscreteLagrangian,
     Side,
     hamiltonian_from_lagrangian,
     run_trajectory,
 )
-from dhj.optctrl import discretize_right, make_sakamoto1d
-from test_mechanics import midpoint_pendulum
-
-
-def cubic_right():
-    return discretize_right(make_sakamoto1d())
+from test_mechanics import cubic_right, free_particle, midpoint_pendulum
 
 
 def lift(H, q0, ds0, steps):
@@ -53,23 +47,11 @@ def ds_root(*args):
 
 
 def free_right():
-    L = DiscreteLagrangian(
-        eval=lambda a, b: 0.5 * float((b - a) @ (b - a)),
-        d1=lambda a, b: np.asarray(a - b, dtype=float),
-        d2=lambda a, b: np.asarray(b - a, dtype=float),
-        dim=1,
-    )
-    return hamiltonian_from_lagrangian(L, Side.RIGHT)
+    return hamiltonian_from_lagrangian(free_particle(), Side.RIGHT)
 
 
 def free_left():
-    L = DiscreteLagrangian(
-        eval=lambda a, b: 0.5 * float((b - a) @ (b - a)),
-        d1=lambda a, b: np.asarray(a - b, dtype=float),
-        d2=lambda a, b: np.asarray(b - a, dtype=float),
-        dim=1,
-    )
-    return hamiltonian_from_lagrangian(L, Side.LEFT)
+    return hamiltonian_from_lagrangian(free_particle(), Side.LEFT)
 
 
 def test_generated_sequence_has_tiny_residual():

@@ -25,27 +25,18 @@ from dhj.hj_vf import (
 )
 from dhj.mechanics import (
     DiscreteHamiltonian,
-    DiscreteLagrangian,
     DiscreteTrajectory,
     Side,
     hamiltonian_from_lagrangian,
     run_trajectory,
 )
 from dhj.optctrl import discretize_right, make_sakamoto1d
-from test_mechanics import midpoint_pendulum
-
-
-def cubic_right():
-    return discretize_right(make_sakamoto1d())
+from test_mechanics import WEIGHTS, cubic_right, free_particle, midpoint_pendulum
+from test_oracles import bench_oracles
 
 
 def free_pair():
-    L = DiscreteLagrangian(
-        eval=lambda a, b: 0.5 * float((b - a) @ (b - a)),
-        d1=lambda a, b: np.asarray(a - b, dtype=float),
-        d2=lambda a, b: np.asarray(b - a, dtype=float),
-        dim=1,
-    )
+    L = free_particle()
     return (hamiltonian_from_lagrangian(L, Side.RIGHT),
             hamiltonian_from_lagrangian(L, Side.LEFT))
 
@@ -128,22 +119,7 @@ def test_generic_solver_matches_closed_form():
     assert worst <= 1e-9
 
 
-# The benchmark's seven weight pairs: unit weights and the six non-unit ones.
-WEIGHT_PAIRS = [(1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 0.5), (2.0, 0.5),
-                (0.5, 2.0)]
-
-
-def exact_slope_update(gamma, q, q_next, r, s):
-    """The generic slope update of the cubic model in exact rationals.
-
-    With D2 H+ = q - q^3 - g/r and D1 H+ = g (1 - 3q^2) + s q, the update
-    (q - q^3 - g/r) gamma / q_next = g (1 - 3q^2) + s q, multiplied through
-    by q_next, is linear in g."""
-    gamma, q, q_next, r, s = (Fraction(v) for v in (gamma, q, q_next, r, s))
-    return (gamma * (q - q**3) - s * q * q_next) / (q_next * (1 - 3 * q * q) + gamma / r)
-
-
-@pytest.mark.parametrize("r, s", WEIGHT_PAIRS)
+@pytest.mark.parametrize("r, s", WEIGHTS)
 def test_generic_slope_rows_match_the_exact_rational_update(r, s):
     # row-local: each row re-derived from the emitted inputs of the row before
     H = discretize_right(make_sakamoto1d(r=r, s=s))
@@ -153,7 +129,8 @@ def test_generic_slope_rows_match_the_exact_rational_update(r, s):
         seq = solve_gamma_generic(H, [pt.q[0] for pt in traj.points], 0.0)
         assert len(seq) == len(traj)
         for a, b in zip(seq.points[:-1], seq.points[1:]):
-            want = exact_slope_update(a.p[0], a.q[0], b.q[0], r, s)
+            want = bench_oracles.exact_gamma(a.p[0], a.q[0], b.q[0], r, s)
+            assert want is not None
             miss = abs(Fraction(b.p[0]) - want) / max(abs(want), abs(Fraction(a.p[0])))
             worst = max(worst, float(miss))
     assert worst <= 1e-13

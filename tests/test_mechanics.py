@@ -3,18 +3,16 @@
 import dataclasses
 import hashlib
 import math
-from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dhj.optctrl
 from dhj.cli import _free_particle
-from dhj.core import (NewtonConfig, NumericalError, PhasePoint, SingularJacobianError,
-                      fd_jacobian, newton_solve)
+from dhj.core import NewtonConfig, PhasePoint, SingularJacobianError, fd_jacobian, newton_solve
 from dhj.hj_flow import hj_residual
 from dhj.hj_vf import eval_field, vf_residual
 from dhj.mechanics import (
@@ -30,7 +28,7 @@ from dhj.mechanics import (
     verify_step,
 )
 from dhj.optctrl import discretize_right, make_sakamoto1d
-from test_oracles import rk4_reference
+from test_oracles import bench_oracles, rk4_reference
 
 
 def _arr(x):
@@ -59,6 +57,10 @@ def quadratic_lagrangian():
 
 def cubic_right():
     return discretize_right(make_sakamoto1d())
+
+
+# The benchmark's unit weights and the six non-unit (r, s) of the comparisons.
+WEIGHTS = ((1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 0.5), (2.0, 0.5), (0.5, 2.0))
 
 
 def test_right_dual_of_free_particle():
@@ -283,21 +285,7 @@ def test_hamiltonian_from_lagrangian_uses_newton_config():
     assert verify_step(H, x, nxt) <= 1e-10
 
 
-# The benchmark's unit weights and the six non-unit (r, s) of the comparisons.
-_WEIGHTS = ((1.0, 1.0), (2.0, 1.0), (0.5, 1.0), (1.0, 2.0), (1.0, 0.5), (2.0, 0.5), (0.5, 2.0))
-
-
-def _exact_step_error(q, p, q_next, p_next, r, s):
-    """Relative miss of one transition against the step map in rationals,
-    p' = (p - s q) / (1 - 3 q^2), q' = q - q^3 - p' / r."""
-    q, p, r, s = (Fraction(v) for v in (q, p, r, s))
-    ep = (p - s * q) / (1 - 3 * q * q)
-    eq = q - q**3 - ep / r
-    mag = max(abs(q), abs(p), abs(eq), abs(ep))
-    return float(max(abs(Fraction(q_next) - eq), abs(Fraction(p_next) - ep)) / mag)
-
-
-@pytest.mark.parametrize("r, s", _WEIGHTS)
+@pytest.mark.parametrize("r, s", WEIGHTS)
 def test_trajectory_rows_match_the_exact_rational_map(r, s):
     # with the exact mixed partial one Newton step solves the affine D1 H+
     # equation to rounding; finite-difference Jacobians left ~1e-11 misses
@@ -309,11 +297,11 @@ def test_trajectory_rows_match_the_exact_rational_map(r, s):
             for a, b in zip(traj.points[:-1], traj.points[1:]):
                 if abs(a.q[0]) >= 0.9 or abs(b.q[0]) >= 0.9:
                     break
-                worst = max(worst, _exact_step_error(a.q[0], a.p[0], b.q[0], b.p[0], r, s))
+                worst = max(worst, bench_oracles.step_error(a.q[0], a.p[0], b.q[0], b.p[0], r, s))
     assert worst <= 1e-13
 
 
-@pytest.mark.parametrize("r, s", _WEIGHTS)
+@pytest.mark.parametrize("r, s", WEIGHTS)
 def test_orbit_without_a_supplied_control_matches_the_exact_rational_map(r, s):
     # with no supplied control, every elimination probes the constraint,
     # solves it and verifies the solution
@@ -324,8 +312,34 @@ def test_orbit_without_a_supplied_control_matches_the_exact_rational_map(r, s):
             traj = run_trajectory(H, PhasePoint(index=1, q=[sign * q1], p=[0.0]), 24)
             for a, b in zip(traj.points[:-1], traj.points[1:]):
                 if abs(a.q[0]) < 0.9:
-                    worst = max(worst, _exact_step_error(a.q[0], a.p[0], b.q[0], b.p[0], r, s))
+                    worst = max(worst, bench_oracles.step_error(a.q[0], a.p[0], b.q[0],
+                                                                b.p[0], r, s))
     assert worst <= 1e-12
+
+
+def _signed_power_of_ten(lo, hi):
+    """+-10^u with u drawn from [lo, hi]."""
+    return st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from((1.0, -1.0)),
+                     st.floats(lo, hi))
+
+
+@given(weights=st.sampled_from(WEIGHTS), q=_signed_power_of_ten(-15.0, math.log10(0.5)),
+       p=_signed_power_of_ten(-15.0, 0.0))
+def test_a_right_step_is_the_exact_rational_map(weights, q, p):
+    r, s = weights
+    # where the seed's residual s q - 3 q^2 p is within Newton's absolute 1e-12
+    # the seed is accepted and the step stalls: the strict xfail below
+    assume(abs(s * q - 3.0 * q * q * p) > 1e-12)
+    H = discretize_right(make_sakamoto1d(r=r, s=s))
+    nxt = step_right(H, PhasePoint(index=1, q=[q], p=[p]))
+    assert bench_oracles.step_error(q, p, nxt.q[0], nxt.p[0], r, s) <= 1e-14
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Newton's absolute 1e-12 tolerance "
+                                       "accepts the seed, so the step from (1e-13, 0) stalls")
+def test_a_right_step_from_a_tiny_start_is_the_exact_rational_map():
+    nxt = step_right(cubic_right(), PhasePoint(index=1, q=[1e-13], p=[0.0]))
+    assert bench_oracles.step_error(1e-13, 0.0, nxt.q[0], nxt.p[0], 1.0, 1.0) <= 1e-14
 
 
 def test_step_right_with_one_newton_iteration_runs_two_eliminations():

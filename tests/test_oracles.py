@@ -2,15 +2,38 @@
 the references themselves.
 
 An oracle here shares no solver with dhj, so agreement with it is evidence,
-not a tautology.  Other test modules import the oracles from here.
+not a tautology.  Other test modules import the oracles from here, the
+benchmark's exact maps among them (`bench_oracles`).
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dhj.core import NumericalError, PhasePoint
+
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_bench(name: str):
+    """bench/NAME.py, loaded by path as the module bench_NAME.
+
+    A distinct name keeps it from shadowing the benchmark's own `import
+    oracles` when one pytest run collects tests/ and bench/.  The module is
+    registered before it runs: a @dataclass looks its module up by name."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's exact rational step map and slope update, and its mpmath checks
+bench_oracles = load_bench("oracles")
 
 
 def rk4_reference(ham_field, x0: PhasePoint, dt: float, steps: int) -> list[PhasePoint]:

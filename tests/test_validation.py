@@ -27,8 +27,7 @@ from dhj.core import PhasePoint, as_vec, fd_gradient, fd_jacobian, newton_solve
 from dhj.hj_flow import run_closed_form_flow
 from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
 from dhj.mechanics import Side, hamiltonian_from_lagrangian, run_trajectory, step_right
-from dhj.optctrl import discretize_right, make_sakamoto1d
-from test_mechanics import midpoint_pendulum
+from test_mechanics import cubic_right, midpoint_pendulum
 
 _MODULES = (dhj.core, dhj.mechanics, dhj.optctrl, dhj.hj_flow, dhj.hj_vf, dhj.cli)
 _HELPERS = ("as_vec", "norm_inf")
@@ -67,7 +66,7 @@ def counts(monkeypatch):
 # norm_inf reads a float64 array as it is, the elimination reads |p| and
 # |phi| through it again: 1166 of a check's 1199 calls, none of them coercing.
 def test_a_step_coerces_only_at_its_point(counts):
-    H = discretize_right(make_sakamoto1d())
+    H = cubic_right()
     x = PhasePoint(index=1, q=[0.05], p=[0.0])
     counts.clear()
     steps = 100
@@ -141,10 +140,6 @@ def test_compare_coerces_only_at_its_entry_points(counts):
     assert counts["as_vec"] <= 14
 
 
-def _cubic():
-    return discretize_right(make_sakamoto1d())
-
-
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
 
@@ -162,7 +157,7 @@ def _fd_jacobian(x):
 
 
 def _orbit(q):
-    return [pt.q for pt in run_trajectory(_cubic(), PhasePoint(index=1, q=q, p=0.0), 3).points]
+    return [pt.q for pt in run_trajectory(cubic_right(), PhasePoint(index=1, q=q, p=0.0), 3).points]
 
 
 def _flow(grid):
@@ -174,7 +169,8 @@ def _vf(grid):
 
 
 def _generic_vf(gamma0):
-    return [pt.p for pt in solve_gamma_generic(_cubic(), [0.05, 0.0475, 0.0453], gamma0).points]
+    seq = solve_gamma_generic(cubic_right(), [0.05, 0.0475, 0.0453], gamma0)
+    return [pt.p for pt in seq.points]
 
 
 # (entry point, an array input, the same input as a list, as a scalar)
