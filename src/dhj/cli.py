@@ -9,15 +9,17 @@ failure (partial outputs are still written), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, _record_failure, _untruncated, dot,
+from .core import (TOL, NumericalError, PhasePoint, _record_failure, _untruncated, dot,
                    fd_gradient, norm_inf)
 # run_closed_form_flow is not called here; bench/tracing.py wraps dhj.cli.run_closed_form_flow
 from .hj_flow import (Branch, _closed_form_sequence, _ds_transition, hj_residual,
@@ -60,25 +62,19 @@ class RunConfig:
     h: float = 1e-4
     branch: str = "continuity"
     method: str = "auto"
-    tol: float = 1e-12
-    max_iter: int = 50
-    damping: float = 1.0
-    fd_step: float = 1e-7
     csv: str | None = None
     svg: str | None = None
     log_abs: bool = False
 
 
-_FLOAT_KEYS = {"r", "s", "q1", "p1", "q2", "ds1", "gamma1", "h", "tol", "damping", "fd_step"}
+_FLOAT_KEYS = {"r", "s", "q1", "p1", "q2", "ds1", "gamma1", "h"}
 _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
           "false": False, "0": False, "no": False, "off": False}
 # each config file key's parser; a ValueError or KeyError is a bad value
-_PARSERS = {**dict.fromkeys(_FLOAT_KEYS, float), "steps": int, "max_iter": int,
+_PARSERS = {**dict.fromkeys(_FLOAT_KEYS, float), "steps": int,
             "log_abs": lambda value: _BOOLS[value.lower()],
             **dict.fromkeys(("model", "branch", "method", "csv", "svg"), str)}
 _OPTIONAL_KEYS = {"q2", "csv", "svg"}
-# keys that only a config file sets; every command reads them
-_FILE_ONLY = ("tol", "max_iter", "damping", "fd_step")
 # each flag's help
 _HELP = {
     "model": "registered model name",
@@ -110,7 +106,7 @@ def _g17(x) -> str:
 
 def load_config_file(path: str, command: str) -> dict:
     """Parse command's key = value configuration file into a typed dict."""
-    keys = _COMMANDS[command][2] + _FILE_ONLY
+    keys = _COMMANDS[command][2]
     out: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -184,9 +180,6 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"steps must be at least 1, got {rc.steps}")
     if not (rc.h > 0.0):
         raise ConfigError(f"h must be positive, got {rc.h}")
-    if not (rc.tol > 0.0) or rc.max_iter < 1 or not (0.0 < rc.damping <= 1.0) \
-            or not (rc.fd_step > 0.0):
-        raise ConfigError("invalid solver settings (tol, max_iter, damping, fd_step)")
     if rc.branch not in ("plus", "minus", "continuity"):
         raise ConfigError(f"unknown branch {rc.branch!r}")
     if rc.method not in ("auto", "closed-form", "generic"):
@@ -201,29 +194,41 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
     if rc.command == "hj-flow" and rc.method == "generic" and ignored:
         raise ConfigError("the generic hj-flow lifts its orbit from q1 and ds1 and reads no "
                           + ", ".join(ignored))
+    _check_output_paths(rc)
     return rc
 
 
+def _check_output_paths(rc: RunConfig) -> None:
+    """A ConfigError, worded as open's, for an output path that is empty, a
+    directory or in a directory that does not exist, before the run starts."""
+    for path in [path for path in (rc.csv, rc.svg) if path is not None]:
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not path or not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.ENOENT
+        else:
+            continue
+        raise ConfigError(f"cannot write {path!r}: {OSError(code, os.strerror(code), path)}")
+
+
 def build_model(rc: RunConfig):
-    """The right discrete Hamiltonian of rc's model and rc's Newton settings."""
-    cfg = NewtonConfig(tol=rc.tol, max_iter=rc.max_iter, damping=rc.damping,
-                       fd_step=rc.fd_step)
-    return discretize_right(MODEL_REGISTRY[rc.model](r=rc.r, s=rc.s), cfg), cfg
+    """The right discrete Hamiltonian of rc's model."""
+    return discretize_right(MODEL_REGISTRY[rc.model](r=rc.r, s=rc.s))
 
 
-def _orbit(rc: RunConfig, H, cfg, until=None):
+def _orbit(rc: RunConfig, H, until=None):
     """The run's right orbit from (q1, p1); until as run_trajectory's."""
-    return run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg, until)
+    return run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, until)
 
 
 def config_header(rc: RunConfig) -> list[tuple[str, str]]:
-    """Every RunConfig field up to fd_step (the settings), in declaration order."""
+    """Every RunConfig field up to method (the settings), in declaration order."""
     header = []
     for f in fields(RunConfig):
         value = getattr(rc, f.name)
         header.append((f.name, "none" if value is None
                        else _g17(value) if f.name in _FLOAT_KEYS else str(value)))
-        if f.name == "fd_step":
+        if f.name == "method":
             return header
 
 
@@ -370,8 +375,8 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
 
 
 def cmd_simulate(rc: RunConfig) -> int:
-    H, cfg = build_model(rc)
-    traj = _orbit(rc, H, cfg)
+    H = build_model(rc)
+    traj = _orbit(rc, H)
     qs = [float(pt.q[0]) for pt in traj.points]
     ps = [float(pt.p[0]) for pt in traj.points]
     rows = [[str(pt.index), _g17(q), _g17(p), _g17(abs(q)), _g17(abs(p))]
@@ -392,7 +397,7 @@ def _flow_rows(H, seq):
             for pt, S, token, r in zip(seq.points, seq.S, seq.branch_log, res)]
 
 
-def _flow_orbit(rc: RunConfig, H, cfg, traj=None):
+def _flow_orbit(rc: RunConfig, H, traj=None):
     """The right orbit the generic flow lifts, from (q1, ds1): traj when it
     starts there bit for bit (-0.0 and 0.0 are different starts), else a
     fresh run."""
@@ -400,10 +405,10 @@ def _flow_orbit(rc: RunConfig, H, cfg, traj=None):
     if traj is not None and traj.points[0].q.tobytes() == start.q.tobytes() \
             and traj.points[0].p.tobytes() == start.p.tobytes():
         return traj
-    return run_trajectory(H, start, rc.steps, cfg)
+    return run_trajectory(H, start, rc.steps)
 
 
-def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False):
+def _runs(rc: RunConfig, H, flow: bool = False, vf: bool = False):
     """The orbit from (q1, p1) and the slope runs a command asks for, as
     (traj, flow, vf), None for a run not asked for.
 
@@ -419,14 +424,14 @@ def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False):
     GeneratingSequence whose branch log names the root each transition took,
     and S accumulates h times the previous slope from 0."""
     if rc.method == "generic":
-        traj = _orbit(rc, H, cfg) if vf else None
-        flow_run = solve_generating_sequence(H, _flow_orbit(rc, H, cfg, traj)) if flow else None
+        traj = _orbit(rc, H) if vf else None
+        flow_run = solve_generating_sequence(H, _flow_orbit(rc, H, traj)) if flow else None
         if not vf:
             return traj, flow_run, None
         grid = [pt.q.item() for pt in traj.points]
         if rc.q2 is not None and len(grid) >= 2:
             grid[1] = rc.q2
-        return traj, flow_run, solve_gamma_generic(H, grid, [rc.gamma1], cfg)
+        return traj, flow_run, solve_gamma_generic(H, grid, [rc.gamma1])
     branch, tokens = Branch(rc.branch), ["init"]
 
     def ds_step(x, q_next):
@@ -453,15 +458,15 @@ def _runs(rc: RunConfig, H, cfg, flow: bool = False, vf: bool = False):
                 stop = True
         return stop
 
-    traj = _orbit(rc, H, cfg, until)
+    traj = _orbit(rc, H, until)
     if flow:
         flow_run = _closed_form_sequence(flow_run.points, rc.h, tokens, flow_run.meta)
     return traj, flow_run, vf_run
 
 
 def cmd_hj_flow(rc: RunConfig) -> int:
-    H, cfg = build_model(rc)
-    traj, seq, _ = _runs(rc, H, cfg, flow=True)
+    H = build_model(rc)
+    traj, seq, _ = _runs(rc, H, flow=True)
     parts = [] if traj is None else [("trajectory", traj.meta)]
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "S", "DS", "branch", "residual"], _flow_rows(H, seq),
@@ -487,8 +492,8 @@ def _vf_rows(H, seq):
 
 
 def cmd_hj_vf(rc: RunConfig) -> int:
-    H, cfg = build_model(rc)
-    traj, _, seq = _runs(rc, H, cfg, vf=True)
+    H = build_model(rc)
+    traj, _, seq = _runs(rc, H, vf=True)
     rows, residuals = _vf_rows(H, seq)
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "gamma", "residual"], rows,
@@ -497,8 +502,8 @@ def cmd_hj_vf(rc: RunConfig) -> int:
 
 
 def cmd_compare(rc: RunConfig) -> int:
-    H, cfg = build_model(rc)
-    traj, flow, vf = _runs(rc, H, cfg, flow=True, vf=True)
+    H = build_model(rc)
+    traj, flow, vf = _runs(rc, H, flow=True, vf=True)
     # each row's floats: j, q, p, DS, gamma and the two slope errors
     table, stats_flow, stats_vf = [], [], []
     for pt, f, v in zip(traj.points, flow.points, vf.points):
@@ -602,11 +607,11 @@ def _nothing_measured(name: str, what: str, traj) -> CheckResult:
     return CheckResult(name, "SKIP", None, f"no {what} to measure{why}")
 
 
-def check_step_residuals(H, traj, cfg) -> CheckResult:
+def check_step_residuals(H, traj) -> CheckResult:
     if len(traj) < 2:
         return _nothing_measured("step-residuals", "transition", traj)
     worst = _worst(verify_step(H, a, b) for a, b in zip(traj.points[:-1], traj.points[1:]))
-    return _measured("step-residuals", worst, 10.0 * cfg.tol,
+    return _measured("step-residuals", worst, 10.0 * TOL,
                      f"max step-equation residual over {len(traj) - 1} transitions")
 
 
@@ -614,15 +619,15 @@ def check_symplecticity(H, traj) -> CheckResult:
     pts = [pt for pt in traj.points if norm_inf(pt.q) < _STABLE_BAND]
     if not pts:
         return _nothing_measured("symplecticity", f"point with |q| < {_STABLE_BAND:g}", traj)
-    worst = _worst(symplecticity_defect(H, pt, fd_step=1e-6) for pt in pts)
+    worst = _worst(symplecticity_defect(H, pt) for pt in pts)
     return _measured("symplecticity", worst, 1e-5,
                      f"max defect over {len(pts)} points with |q| < {_STABLE_BAND:g}")
 
 
-def check_flow_residuals(H, rc, cfg, traj) -> CheckResult:
+def check_flow_residuals(H, rc, traj) -> CheckResult:
     # the lift re-checks every transition against residual_limit and
     # truncates at the first that misses it, so an untruncated lift passes
-    seq = solve_generating_sequence(H, _flow_orbit(rc, H, cfg, traj))
+    seq = solve_generating_sequence(H, _flow_orbit(rc, H, traj))
     worst = max(map(abs, seq.residuals), default=0.0)
     if seq.meta["truncated"]:
         return CheckResult("flow-residuals", "FAIL", worst,
@@ -632,12 +637,12 @@ def check_flow_residuals(H, rc, cfg, traj) -> CheckResult:
                        f"transitions, limit 1e-12")
 
 
-def check_vf_agreement(H, rc, cfg, traj) -> CheckResult:
+def check_vf_agreement(H, rc, traj) -> CheckResult:
     if not _unit_weights(rc):
         return CheckResult("vf-agreement", "SKIP", None,
                            "closed-form reference needs r = s = 1")
     grid = [float(pt.q[0]) for pt in traj.points]
-    gen = solve_gamma_generic(H, grid, [rc.gamma1], cfg)
+    gen = solve_gamma_generic(H, grid, [rc.gamma1])
     cf = run_closed_form_vf(grid, rc.gamma1)
     n = min(len(gen), len(cf))
     worst = _worst(abs(float(gen.points[i].p[0]) - float(cf.points[i].p[0])) for i in range(n))
@@ -665,12 +670,12 @@ def _free_particle() -> DiscreteLagrangian:
     )
 
 
-def check_left_right(cfg) -> CheckResult:
+def check_left_right() -> CheckResult:
     """Right/left dual identity along a 50-step free-particle trajectory."""
     L = _free_particle()
-    Hp = hamiltonian_from_lagrangian(L, Side.RIGHT, cfg)
-    Hm = hamiltonian_from_lagrangian(L, Side.LEFT, cfg)
-    traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), 50, cfg)
+    Hp = hamiltonian_from_lagrangian(L, Side.RIGHT)
+    Hm = hamiltonian_from_lagrangian(L, Side.LEFT)
+    traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), 50)
     worst = _worst(_left_right_gap(Hp, Hm, a.q, a.p, b.q, b.p)
                    for a, b in zip(traj.points[:-1], traj.points[1:]))
     return _measured("left-right-identity", worst, "1e-9",
@@ -678,11 +683,11 @@ def check_left_right(cfg) -> CheckResult:
                      ok=not traj.meta["truncated"])
 
 
-def singular_start_probe(H, cfg) -> CheckResult:
+def singular_start_probe(H) -> CheckResult:
     """Classify what a step from the stationary-band start does."""
     q_band = 1.0 / math.sqrt(3.0)
     try:
-        step_right(H, PhasePoint(index=1, q=[q_band], p=[0.0]), cfg)
+        step_right(H, PhasePoint(index=1, q=[q_band], p=[0.0]))
     except NumericalError as exc:
         return CheckResult("singular-start", "INFO", None,
                            f"step from q = 1/sqrt(3) raised {type(exc).__name__} "
@@ -693,16 +698,16 @@ def singular_start_probe(H, cfg) -> CheckResult:
 
 def run_checks(rc: RunConfig) -> list[CheckResult]:
     """Run every probe; one that raises a NumericalError FAILs on its own."""
-    H, cfg = build_model(rc)
-    traj = _orbit(rc, H, cfg)
+    H = build_model(rc)
+    traj = _orbit(rc, H)
     probes = [
         ("partial-consistency", lambda: check_partial_consistency(H)),
-        ("step-residuals", lambda: check_step_residuals(H, traj, cfg)),
+        ("step-residuals", lambda: check_step_residuals(H, traj)),
         ("symplecticity", lambda: check_symplecticity(H, traj)),
-        ("flow-residuals", lambda: check_flow_residuals(H, rc, cfg, traj)),
-        ("vf-agreement", lambda: check_vf_agreement(H, rc, cfg, traj)),
-        ("left-right-identity", lambda: check_left_right(cfg)),
-        ("singular-start", lambda: singular_start_probe(H, cfg)),
+        ("flow-residuals", lambda: check_flow_residuals(H, rc, traj)),
+        ("vf-agreement", lambda: check_vf_agreement(H, rc, traj)),
+        ("left-right-identity", check_left_right),
+        ("singular-start", lambda: singular_start_probe(H)),
     ]
     results = []
     for name, probe in probes:
@@ -729,8 +734,8 @@ def cmd_check(rc: RunConfig) -> int:
     return 1 if n_fail else 0
 
 
-# each command's handler, help line and the RunConfig fields it reads: its
-# flags, and with _FILE_ONLY its config file keys
+# each command's handler, help line and the RunConfig fields it reads, as
+# flags and as config file keys
 _COMMANDS = {name: (handler, text, tuple(reads.split())) for name, handler, text, reads in (
     ("simulate", cmd_simulate, "iterate the implicit phase-space map",
      "model r s q1 p1 steps csv svg log_abs"),

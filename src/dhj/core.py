@@ -1,4 +1,4 @@
-"""Shared numeric kernel: vectors, finite differences, damped Newton and the
+"""Shared numeric kernel: vectors, finite differences, Newton and the
 stepping loop.
 
 Everything downstream (discrete mechanics, generating-function flows, the
@@ -28,7 +28,6 @@ __all__ = [
     "ConvergenceError",
     "SingularJacobianError",
     "PhasePoint",
-    "NewtonConfig",
     "as_vec",
     "as_grid",
     "norm_inf",
@@ -42,6 +41,13 @@ __all__ = [
 # Jacobians with |det J| below this floor (scaled, see _check_jacobian) are
 # treated as singular rather than handed to the linear solver.
 SINGULAR_DET_FLOOR = 1e-14
+
+# newton_solve's settings, the same for every solve: it converges once
+# ||residual||_inf <= TOL, takes at most MAX_ITER steps, and differences the
+# residual centrally with FD_STEP when it is given no Jacobian.
+TOL = 1e-12
+MAX_ITER = 50
+FD_STEP = 1e-7
 
 _FLOAT64 = np.dtype(float)
 
@@ -61,7 +67,7 @@ class NumericalError(RuntimeError):
 class ConvergenceError(NumericalError):
     """Newton iteration exhausted its budget without meeting the tolerance.
 
-    It reports the outcome of max_iter iterations (its `iterations`):
+    It reports the outcome of MAX_ITER iterations (its `iterations`):
     residual_norm is the norm after the last of them, also when
     newton_solve stopped early on a repeated iterate and read that norm off
     the cycle.
@@ -197,28 +203,6 @@ def _checked_point(index: int, q: np.ndarray, p: np.ndarray) -> PhasePoint:
     return pt
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Knobs for the damped Newton iteration and its finite differences."""
-
-    tol: float = 1e-12
-    max_iter: int = 50
-    damping: float = 1.0
-    fd_step: float = 1e-7
-
-    def __post_init__(self):
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        object.__setattr__(self, "max_iter", _positive_int("max_iter", self.max_iter))
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if not (self.fd_step > 0.0):
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
-
-
-_DEFAULT_NEWTON = NewtonConfig()  # newton_solve's cfg when it is given none
-
-
 def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
     """Central-difference gradient of scalar f at x (f maps a 1-D vector to a
     scalar), one partial per axis, with x and step validated once.  step must
@@ -291,13 +275,12 @@ def _check_jacobian(jac: np.ndarray) -> None:
         raise SingularJacobianError(det=det, scale=scale)
 
 
-def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
-                 jacobian=None) -> np.ndarray:
-    """Solve residual(x) = 0 by damped Newton from guess; returns the root.
+def newton_solve(residual, guess, jacobian=None) -> np.ndarray:
+    """Solve residual(x) = 0 by Newton from guess; returns the root.
 
     residual maps an n-vector to an n-vector; jacobian, if given, maps the
     iterate to the n x n Jacobian (otherwise central differences with
-    cfg.fd_step are used).  Convergence means ||residual||_inf <= cfg.tol.
+    FD_STEP are used).  Convergence means ||residual||_inf <= TOL.
     A guess that already satisfies the tolerance is returned unchanged after
     one residual evaluation.  A converged iterate with a non-finite entry (a
     step overflowed) raises NumericalError with that entry as its quantity.
@@ -306,36 +289,35 @@ def newton_solve(residual, guess, cfg: NewtonConfig | None = None,
     same x (bit for bit) gives the same values.  So once an iterate repeats
     an earlier one, every later iterate is known.  The solve then stops
     before building another Jacobian and raises the ConvergenceError that
-    cfg.max_iter iterations would raise, with the residual norm the cycle
-    reaches at iteration cfg.max_iter.
+    MAX_ITER iterations would raise, with the residual norm the cycle
+    reaches at iteration MAX_ITER (read at call time).
 
     One loop serves every n: only reading the residual (_read_residual) and
     taking the step (_newton_step) depend on it.
     """
-    if cfg is None:
-        cfg = _DEFAULT_NEWTON
+    max_iter = MAX_ITER
     x = as_vec(guess, name="guess").copy()
     r, rn = _read_residual(residual, x)
     seen: dict[bytes, int] = {}
     norms: list[float] = []
-    for iteration in range(cfg.max_iter + 1):
-        if rn <= cfg.tol:
+    for iteration in range(max_iter + 1):
+        if rn <= TOL:
             for v in x.tolist():
                 if not math.isfinite(v):
                     raise NumericalError(f"root x = {x} is not finite", v)
             return x
-        if iteration == cfg.max_iter:
+        if iteration == max_iter:
             break
         # a repeat of iterate j: the iterates cycle with period iteration - j
         # from j on, so iteration max_iter ends on a norm already seen
         j = seen.setdefault(x.tobytes(), iteration)
         if j != iteration:
-            rn = norms[j + (cfg.max_iter - j) % (iteration - j)]
+            rn = norms[j + (max_iter - j) % (iteration - j)]
             break
         norms.append(rn)
-        x = _newton_step(residual, jacobian, x, r, cfg)
+        x = _newton_step(residual, jacobian, x, r)
         r, rn = _read_residual(residual, x)
-    raise ConvergenceError(residual_norm=rn, iterations=cfg.max_iter)
+    raise ConvergenceError(residual_norm=rn, iterations=max_iter)
 
 
 def _read_residual(residual, z: np.ndarray):
@@ -358,15 +340,15 @@ def _read_residual(residual, z: np.ndarray):
     return r, max(map(abs, vals))
 
 
-def _newton_step(residual, jacobian, x: np.ndarray, r, cfg: NewtonConfig) -> np.ndarray:
-    """The damped Newton update of iterate x, whose residual r is as
+def _newton_step(residual, jacobian, x: np.ndarray, r) -> np.ndarray:
+    """The Newton update of iterate x, whose residual r is as
     _read_residual returns it; a supplied Jacobian must be finite.  One
-    unknown steps by x - damping * (r / a), a = J[0, 0], in Python floats,
+    unknown steps by x - r / a, a = J[0, 0], in Python floats,
     bitwise np.linalg.solve's (an overflow is inf, with no numpy warning),
     under _check_jacobian's test on det J = a, so a SingularJacobianError
     carries a exactly as its det."""
     n = x.size
-    jac = (fd_jacobian(residual, x, cfg.fd_step) if jacobian is None
+    jac = (fd_jacobian(residual, x, FD_STEP) if jacobian is None
            else np.asarray(jacobian(x), dtype=float))
     if n == 1:
         a = jac.item()  # ValueError unless there is one entry
@@ -375,13 +357,13 @@ def _newton_step(residual, jacobian, x: np.ndarray, r, cfg: NewtonConfig) -> np.
         scale = max(1.0, abs(a))
         if abs(a) < SINGULAR_DET_FLOOR * scale:
             raise SingularJacobianError(det=a, scale=scale)
-        return np.array([x.item() - cfg.damping * (r / a)])
+        return np.array([x.item() - r / a])
     if jacobian is not None:
         jac = jac.reshape(n, n)
         if not _finite(jac):
             raise NumericalError("non-finite entries in supplied Jacobian")
     _check_jacobian(jac)
-    return x - cfg.damping * np.linalg.solve(jac, r)
+    return x - np.linalg.solve(jac, r)
 
 
 def iterate(step, first, steps: int, first_index: int = 1, until=None) -> tuple[list, dict]:

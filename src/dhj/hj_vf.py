@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, _power, as_grid,
-                   as_vec, iterate, newton_solve, norm_inf)
+from .core import (NumericalError, PhasePoint, _checked_point, _power, as_grid, as_vec, iterate,
+                   newton_solve, norm_inf)
 from .hj_flow import GeneratingSequence
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side
 
@@ -81,8 +81,7 @@ def vf_residual(H: DiscreteHamiltonian, q, p, dgamma) -> float:
     return norm_inf(_apply_dgamma(dq, dgamma) - dp)
 
 
-def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
-                        cfg: NewtonConfig | None = None) -> DiscreteTrajectory:
+def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0) -> DiscreteTrajectory:
     """Advance gamma along a given position grid by solving the field equation.
 
     At each transition the grid derivative is discretized as the quotient
@@ -144,7 +143,7 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0,
             return np.array([[slope_product(H.d22(q_j, g), "D22 H+", g)
                               - H.d12(q_j, g).item()]])
 
-        g_next = newton_solve(residual, prev.p, cfg, jacobian=jacobian if exact else None)
+        g_next = newton_solve(residual, prev.p, jacobian=jacobian if exact else None)
         # Newton returns only a finite root, and as_grid checked q_next
         return _checked_point(prev.index + 1, np.array([q_next]), g_next)
 

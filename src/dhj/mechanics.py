@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NewtonConfig, NumericalError, PhasePoint, _checked_point, _positive_int, as_vec,
-                   dot, fd_jacobian, iterate, newton_solve, norm_inf)
+from .core import (NumericalError, PhasePoint, _checked_point, _positive_int, as_vec, dot,
+                   fd_jacobian, iterate, newton_solve, norm_inf)
 
 __all__ = [
     "Side",
@@ -52,6 +52,8 @@ __all__ = [
     "symplecticity_defect",
     "left_right_relation_residual",
 ]
+
+DEFECT_STEP = 1e-6  # symplecticity_defect's central-difference step
 
 
 class Side(enum.Enum):
@@ -157,16 +159,7 @@ def _computed(value, dim: int, name: str) -> np.ndarray:
     return v if v.ndim else v.reshape(1)
 
 
-def _next_position(L: DiscreteLagrangian, q_j: np.ndarray, p_j: np.ndarray, guess,
-                   cfg: NewtonConfig | None) -> np.ndarray:
-    """Solve the momentum relation D1 L_d(q_j, q_next) + p_j = 0 for q_next;
-    the Newton Jacobian is L.d12 when set."""
-    jacobian = None if L.d12 is None else (lambda y: L.d12(q_j, y))
-    return newton_solve(lambda y: L.d1(q_j, y) + p_j, guess, cfg, jacobian=jacobian)
-
-
-def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
-                                cfg: NewtonConfig | None = None) -> DiscreteHamiltonian:
+def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side) -> DiscreteHamiltonian:
     """Build the right or left discrete Hamiltonian of L_d by Legendre duality.
 
     The evaluator inverts the matching momentum relation with a Newton solve
@@ -179,9 +172,8 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
         left, with y(q', p) solving D1 L_d(y, q') = -p:
             H- = -p . y - L_d(y, q'),  d1 = -D2 L_d(y, q'),  d2 = -y
 
-    cfg tunes only these inversions in eval/d1/d2 (default NewtonConfig()).
     The result keeps L as its lagrangian field, so step_right and step_left
-    take the discrete Lagrangian flow under their own cfg instead.
+    take the discrete Lagrangian flow instead of these inversions.
     """
     if side is Side.RIGHT:
         d_q, d_y, d_yy = L.d1, L.d2, L.d22
@@ -200,7 +192,7 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
         # from the guess q
         target = p if right else -p
         jacobian = None if d_yy is None else (lambda y: d_yy(*_slots(q, y)))
-        return newton_solve(lambda y: d_y(*_slots(q, y)) - target, q, cfg, jacobian=jacobian)
+        return newton_solve(lambda y: d_y(*_slots(q, y)) - target, q, jacobian=jacobian)
 
     def _eval(q: np.ndarray, p: np.ndarray) -> float:
         y = _recover(q, p)
@@ -216,42 +208,42 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side,
                                dim=L.dim, lagrangian=L)
 
 
-def step_right(H: DiscreteHamiltonian, x: PhasePoint,
-               cfg: NewtonConfig | None = None) -> PhasePoint:
+def step_right(H: DiscreteHamiltonian, x: PhasePoint) -> PhasePoint:
     """One right-Hamiltonian step: solve p_j = D1 H+(q_j, p_next) for p_next,
     then read off q_next = D2 H+(q_j, p_next).  Guess for p_next is p_j; the
     Newton Jacobian is H.d12 when set, else central differences of D1 H+.
     A dual of a Lagrangian takes the discrete Lagrangian flow of H.lagrangian
     instead (see the module docstring)."""
-    return _step(H, x, cfg, Side.RIGHT)
+    return _step(H, x, Side.RIGHT)
 
 
-def step_left(H: DiscreteHamiltonian, x: PhasePoint,
-              cfg: NewtonConfig | None = None) -> PhasePoint:
+def step_left(H: DiscreteHamiltonian, x: PhasePoint) -> PhasePoint:
     """One left-Hamiltonian step: solve q_j = -D2 H-(q_next, p_j) for q_next,
     then read off p_next = -D1 H-(q_next, p_j).  Guess for q_next is q_j.
     A dual of a Lagrangian takes the discrete Lagrangian flow of H.lagrangian
     instead (see the module docstring)."""
-    return _step(H, x, cfg, Side.LEFT)
+    return _step(H, x, Side.LEFT)
 
 
-def _step(H: DiscreteHamiltonian, x: PhasePoint, cfg: NewtonConfig | None,
-          side: Side) -> PhasePoint:
+def _step(H: DiscreteHamiltonian, x: PhasePoint, side: Side) -> PhasePoint:
     """The body of step_right and step_left, for an H of the given side."""
     if H.side is not side:
         raise ValueError(f"step_{side.value} needs a Side.{side.name} Hamiltonian, got {H.side}")
     if x.dim != H.dim:
         raise ValueError(f"dimension mismatch: point dim {x.dim}, H dim {H.dim}")
     if H.lagrangian is not None:
-        # the discrete Lagrangian flow, the step map of both duals of L_d
-        q_next = _next_position(H.lagrangian, x.q, x.p, x.q, cfg)
-        p_next = _computed(H.lagrangian.d2(x.q, q_next), H.dim, "D2 L_d")
+        # the discrete Lagrangian flow, the step map of both duals of L_d: solve
+        # D1 L_d(q_j, q_next) + p_j = 0 from q_j, with Jacobian L.d12 when set
+        L = H.lagrangian
+        jacobian = None if L.d12 is None else (lambda y: L.d12(x.q, y))
+        q_next = newton_solve(lambda y: L.d1(x.q, y) + x.p, x.q, jacobian=jacobian)
+        p_next = _computed(L.d2(x.q, q_next), H.dim, "D2 L_d")
     elif side is Side.RIGHT:
         jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
-        p_next = newton_solve(lambda g: H.d1(x.q, g) - x.p, x.p, cfg, jacobian=jacobian)
+        p_next = newton_solve(lambda g: H.d1(x.q, g) - x.p, x.p, jacobian=jacobian)
         q_next = _computed(H.d2(x.q, p_next), H.dim, "D2 H+")
     else:
-        q_next = newton_solve(lambda g: -H.d2(g, x.p) - x.q, x.q, cfg)
+        q_next = newton_solve(lambda g: -H.d2(g, x.p) - x.q, x.q)
         p_next = -_computed(H.d1(q_next, x.p), H.dim, "D1 H-")
     return _checked_point(x.index + 1, q_next, p_next)
 
@@ -268,7 +260,7 @@ def verify_step(H: DiscreteHamiltonian, a: PhasePoint, b: PhasePoint) -> float:
 
 
 def run_trajectory(H: DiscreteHamiltonian, x0: PhasePoint, steps: int,
-                   cfg: NewtonConfig | None = None, until=None) -> DiscreteTrajectory:
+                   until=None) -> DiscreteTrajectory:
     """Iterate the step map from x0 for the requested number of steps.
 
     A numeric failure (singular Jacobian, divergence, non-finite values) does
@@ -282,16 +274,16 @@ def run_trajectory(H: DiscreteHamiltonian, x0: PhasePoint, steps: int,
     if int(steps) != steps or steps < 0:
         raise ValueError(f"steps must be a nonnegative integer, got {steps}")
     stepper = step_right if H.side is Side.RIGHT else step_left
-    points, meta = iterate(lambda x: stepper(H, x, cfg), x0, int(steps), x0.index, until)
+    points, meta = iterate(lambda x: stepper(H, x), x0, int(steps), x0.index, until)
     meta.update(side=H.side.value, steps_requested=int(steps))
     return DiscreteTrajectory(points=points, meta=meta)
 
 
-def symplecticity_defect(H: DiscreteHamiltonian, x: PhasePoint,
-                         fd_step: float = 1e-6) -> float:
+def symplecticity_defect(H: DiscreteHamiltonian, x: PhasePoint) -> float:
     """Max-norm of DF^T J DF - J for the step map F at x, with J the standard
     symplectic matrix.  Zero for an exact symplectic map; for dim 1 this
-    equals |det DF - 1|.  DF is taken by central differences with fd_step."""
+    equals |det DF - 1|.  DF is taken by central differences with
+    DEFECT_STEP, whose probes around a finite point are finite."""
     n = H.dim
     stepper = step_right if H.side is Side.RIGHT else step_left
 
@@ -299,11 +291,7 @@ def symplecticity_defect(H: DiscreteHamiltonian, x: PhasePoint,
         pt = stepper(H, _checked_point(x.index, z[:n], z[n:]))
         return np.concatenate([pt.q, pt.p])
 
-    z0 = np.concatenate([x.q, x.p])
-    # every probe z0 +- fd_step along one axis is finite unless this overflows
-    if max(map(abs, z0.tolist())) + fd_step == math.inf:
-        raise ValueError(f"fd_step {fd_step:g} overflows the probes around {z0}")
-    df = fd_jacobian(flow, z0, fd_step)
+    df = fd_jacobian(flow, np.concatenate([x.q, x.p]), DEFECT_STEP)
     sym = np.zeros((2 * n, 2 * n))
     eye = np.eye(n)
     sym[:n, n:] = eye

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import (_DEFAULT_NEWTON, NewtonConfig, NumericalError, _positive_int, _power, as_vec,
-                   dot, fd_gradient, newton_solve, norm_inf)
+from .core import (FD_STEP, TOL, NumericalError, _positive_int, _power, as_vec, dot, fd_gradient,
+                   newton_solve, norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -128,26 +128,24 @@ def _affine_part(phi, k: int):
     return phi0, aff
 
 
-def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
-                      cfg: NewtonConfig | None = None) -> np.ndarray:
+def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
 
     A control the model supplies (cp.control) is accepted when |phi| at it
-    is at most max(cfg.tol, 1e-13 |p|), one evaluation of the constraint.
+    is at most max(core.TOL, 1e-13 |p|), one evaluation of the constraint.
     Without one, or when it misses, phi at this (q, p) is probed for
     affinity in u with unit-offset second differences; when affine
     (quadratic costs with control-affine dynamics, the common case) the
     control comes from one linear solve, verified by the same test.
-    Otherwise, or when that candidate fails verification, a damped Newton
-    runs from the candidate or from zero.
+    Otherwise, or when that candidate fails verification, Newton runs from
+    the candidate or from zero.
 
     q and p are float64 n-vectors (the problem's callbacks receive them as
     they are), but their entries are not checked: a non-finite one that
     reaches Newton raises NumericalError naming it, as Newton does for its
     own non-finite residuals.
     """
-    cfg = cfg if cfg is not None else _DEFAULT_NEWTON
-    accept = max(cfg.tol, 1e-13 * norm_inf(p))
+    accept = max(TOL, 1e-13 * norm_inf(p))
     if cp.control is not None:
         u = cp.control(q, p)
         if norm_inf(secondary_constraint(cp, q, p, u)) <= accept:
@@ -169,10 +167,10 @@ def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
         if not np.all(np.isfinite(v)):
             raise NumericalError(f"{name} contains non-finite entries: {v}")
     # an affine candidate that needs polish (rounding in the solve) seeds Newton
-    return newton_solve(phi, np.zeros(cp.k) if cand is None else cand, cfg)
+    return newton_solve(phi, np.zeros(cp.k) if cand is None else cand)
 
 
-def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> DiscreteHamiltonian:
+def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
     """Eliminate the control and read the result as a right discrete Hamiltonian.
 
     H+(q_j, p_next) = p_next . Gamma(q_j, u*) + sign * cost(q_j, u*), with u*
@@ -183,10 +181,9 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
     phi(q, p, u*) = 0, the envelope identities give d2 = Gamma(q, u*) and,
     when the problem carries analytic state partials,
     d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no du*/dq or du*/dp
-    term; without them d1 is a central difference of eval with cfg.fd_step.
+    term; without them d1 is a central difference of eval with core.FD_STEP.
     The problem's d_qp and d_pp become d12 and d22.
     """
-    cfg = cfg if cfg is not None else _DEFAULT_NEWTON
     sign = cp.sign.factor
     last = (None, None)  # (bytes of q and p, their read-only control)
 
@@ -195,7 +192,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
         key = q.tobytes() + p.tobytes()
         if key != last[0]:
             # a read-only view: a supplied control may hand back the model's own array
-            u = eliminate_control(cp, q, p, cfg).view()
+            u = eliminate_control(cp, q, p).view()
             u.setflags(write=False)
             last = (key, u)
         return last[1]
@@ -213,7 +210,7 @@ def discretize_right(cp: ControlProblem, cfg: NewtonConfig | None = None) -> Dis
             return _adjoined(sign, cp.dq_gamma(q, u), p, cp.dq_cost(q, u))
     else:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            return fd_gradient(lambda z: _eval(z, p), q, cfg.fd_step)
+            return fd_gradient(lambda z: _eval(z, p), q, FD_STEP)
 
     def second_partial(d):
         # d(q, p, u) read at the eliminated control

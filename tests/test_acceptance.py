@@ -47,7 +47,7 @@ def test_01_symplectic_determinant_along_trajectory():
     traj = run_trajectory(H, PhasePoint(index=1, q=[1e-9], p=[0.0]), 25)
     pts = [pt for pt in traj.points if abs(pt.q[0]) < 0.9]
     assert len(pts) >= 20
-    worst = max(symplecticity_defect(H, pt, fd_step=1e-6) for pt in pts[:20])
+    worst = max(symplecticity_defect(H, pt) for pt in pts[:20])
     report(1, worst < 1e-5,
            f"max |det DF - 1| = {worst:.3e} over 20 points with |q| < 0.9, "
            f"limit 1e-5")

@@ -18,7 +18,7 @@ import dhj.core
 import dhj.hj_flow
 import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
-from dhj.core import NewtonConfig, PhasePoint, _checked_point
+from dhj.core import PhasePoint, _checked_point
 from dhj.hj_flow import Branch, hj_residual, run_closed_form_flow, solve_generating_sequence
 from dhj.hj_vf import run_closed_form_vf
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
@@ -86,9 +86,9 @@ def test_simulate_csv_is_byte_deterministic(tmp_path):
 # byte of them unnoticed; a change that means to move them says why and
 # updates the digests.
 _COMPARE_DIGESTS = {
-    "defaults": ("7dec34a3fea8f4840fb1528df8a81906ccc8bbab84c10929674be49f6b6b4cca",
+    "defaults": ("0b978b9635600d1bbc4c84a1ea99867d41a04a65674a1dd7e06be8b2702f8083",
                  "e3c2b96bee8a24199e9ec2d91f93b6874d0fbffbfa47e744db10b6f8ea253533"),
-    "r2-s0.5": ("cab1536c8161c52d3added6d0b3bade2a2fbd95e9f161a35b7e0edb7121b6a74",
+    "r2-s0.5": ("bec2f5f46c69d22855d5380c7c1bf280ea229059603dbbac744ed7af8b0bd528",
                 "e572696250a68365c68d8888b83ea9523eac478d7c41ac692a5eeaee2873cee5"),
 }
 # check flags -> (exit code, report digest): the default partials, the
@@ -145,7 +145,7 @@ def test_exit_codes_via_subprocess(tmp_path):
     assert sing.returncode == 1
     assert "SingularJacobianError" in sing.stderr
     lines = csv.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 19  # 17 header lines, column names, one surviving row
+    assert len(lines) == 15  # 13 header lines, column names, one surviving row
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -211,10 +211,10 @@ def test_generic_compare_steps_one_right_orbit(monkeypatch, tmp_path):
     assert len(calls) == 10
 
 
-def _full_grid_runs(rc, H, cfg, flow=False, vf=False, sequence=False):
+def _full_grid_runs(rc, H, flow=False, vf=False, sequence=False):
     # the reference: the whole orbit, then each closed-form slope runner asked
     # for over the grid it gives (--q2 in its second position)
-    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps, cfg)
+    traj = run_trajectory(H, PhasePoint(index=1, q=[rc.q1], p=[rc.p1]), rc.steps)
     grid = [pt.q.item() for pt in traj.points]
     if rc.q2 is not None and len(grid) >= 2:
         grid[1] = rc.q2
@@ -306,12 +306,12 @@ def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
     build_model = dhj.cli.build_model
 
     def counted_model(rc):
-        H, cfg = build_model(rc)
+        H = build_model(rc)
 
         def eval_(q, p):
             calls.append(1)
             return H.eval(q, p)
-        return dataclasses.replace(H, eval=eval_), cfg
+        return dataclasses.replace(H, eval=eval_)
 
     monkeypatch.setattr(dhj.cli, "build_model", counted_model)
     out = tmp_path / "flow.csv"
@@ -458,7 +458,7 @@ def test_each_left_right_newton_solve_takes_one_exact_step(monkeypatch):
         return newton_solve(tallied, *args, **kwargs)
 
     monkeypatch.setattr(dhj.mechanics, "newton_solve", counted)
-    assert dhj.cli.check_left_right(NewtonConfig()).status == "PASS"
+    assert dhj.cli.check_left_right().status == "PASS"
     assert len(evals) > 50 and set(evals) == {2}
 
 
@@ -948,15 +948,16 @@ def test_an_unread_config_key_is_rejected(command, flag, tmp_path, capsys):
     assert main(["compare", "--config", str(cfgfile)]) == 0
 
 
-def test_every_solver_setting_is_a_config_key_of_every_command(tmp_path, capsys):
+def test_no_command_reads_a_solver_setting(tmp_path, capsys):
+    # Newton's settings are constants of dhj.core: no config key sets one
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("steps = 2\ntol = 1e-12\nmax_iter = 50\ndamping = 1\nfd_step = 1e-7\n",
-                       encoding="utf-8")
-    for command in READS:
-        assert main([command, "--config", str(cfgfile)]) == 0
-    capsys.readouterr()
-    # and no command takes one as a flag
-    for key in SOLVER_KEYS:
+    for key, value in zip(SOLVER_KEYS, ("1e-12", "50", "1", "1e-7")):
+        cfgfile.write_text(f"steps = 2\n{key} = {value}\n", encoding="utf-8")
+        for command in READS:
+            assert main([command, "--config", str(cfgfile)]) == 2
+            assert capsys.readouterr() == (
+                "", f"config error: {cfgfile}:2: {command} reads no key {key!r}\n")
+        # and no command takes one as a flag
         _unread_exit(["compare", f"--{key.replace('_', '-')}=1"], capsys)
 
 
@@ -1018,3 +1019,19 @@ def test_an_unwritable_output_file_is_a_config_error(flag, target, tmp_path, cap
     assert out == ""
     assert err.startswith(f"config error: cannot write {path!r}: [Errno ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("bad", ["missing/y.svg", ""])
+@pytest.mark.parametrize("svg_first", [False, True])
+def test_no_file_is_written_when_one_output_path_cannot_be(bad, svg_first, tmp_path,
+                                                           monkeypatch, capsys):
+    # the paths are checked before the run, so the good one is not written
+    # either, whichever flag comes first
+    monkeypatch.chdir(tmp_path)
+    flags = [["--csv", "x.csv"], ["--svg", bad]]
+    argv = ["simulate", "--steps", "2", *flags[svg_first], *flags[not svg_first]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {bad!r}: [Errno 2] ")
+    assert list(tmp_path.iterdir()) == []

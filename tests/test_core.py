@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 import dhj.core
 from dhj.core import (
     ConvergenceError,
-    NewtonConfig,
     NumericalError,
     PhasePoint,
     SingularJacobianError,
@@ -319,20 +318,6 @@ def test_phase_point_validation():
         PhasePoint(index=1, q=[0.0, 1.0], p=[0.0])
 
 
-def test_newton_config_validation():
-    cfg = NewtonConfig()
-    assert cfg.tol == 1e-12 and cfg.max_iter == 50
-    assert cfg.damping == 1.0 and cfg.fd_step == 1e-7
-    with pytest.raises(ValueError):
-        NewtonConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        NewtonConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        NewtonConfig(damping=1.5)
-    with pytest.raises(ValueError):
-        NewtonConfig(fd_step=-1e-7)
-
-
 # A central-difference partial is one entry of fd_gradient (the one-axis
 # helper these tests were written for is gone).
 def test_fd_partial_cubic_at_origin():
@@ -411,15 +396,6 @@ def test_newton_returns_guess_when_already_converged():
     assert again[0] == root[0]
 
 
-def test_newton_damping_halves_each_update():
-    # residual x with an exact Jacobian and damping 0.5: each update halves
-    # the iterate exactly, and 0.5**39 > 1e-12 >= 0.5**40, so the root
-    # returned is 0.5**40 after exactly 40 updates
-    cfg = NewtonConfig(damping=0.5)
-    x = newton_solve(lambda z: z.copy(), [1.0], cfg, jacobian=lambda z: np.eye(1))
-    assert x[0] == 0.5**40
-
-
 def test_newton_uses_supplied_jacobian():
     calls = []
 
@@ -487,26 +463,27 @@ def _cubic_prime(z):
 
 
 @pytest.mark.parametrize("guess", [3.0, 1.2, -0.4, 40.0, 2.2, -3.7, 0.3, 1e3, -25.0])
-@pytest.mark.parametrize("damping", [1.0, 0.5])
-def test_scalar_newton_matches_the_general_path_bit_for_bit(guess, damping):
-    # the same residual stacked as a decoupled 2-D system goes through
-    # np.linalg.det and np.linalg.solve; root and evaluation count agree
-    cfg = NewtonConfig(damping=damping, max_iter=200)
+@pytest.mark.parametrize("row_scale", [1.0, 0.5])
+def test_scalar_newton_matches_the_general_path_bit_for_bit(guess, row_scale):
+    # the same residual stacked as a decoupled 2-D system, its second row
+    # scaled by a power of two, goes through np.linalg.det and
+    # np.linalg.solve; root and evaluation count agree
+    rows = np.array([1.0, row_scale])
     evals = {1: 0, 2: 0}
 
     def residual(z):
         evals[z.size] += 1
-        return _cubic(z)
+        return _cubic(z) * rows[:z.size]
 
-    one = newton_solve(residual, [guess], cfg, jacobian=lambda z: [[_cubic_prime(z[0])]])
-    two = newton_solve(residual, [guess, guess], cfg,
-                       jacobian=lambda z: np.diag(_cubic_prime(z)))
+    one = newton_solve(residual, [guess], jacobian=lambda z: [[_cubic_prime(z[0])]])
+    two = newton_solve(residual, [guess, guess],
+                       jacobian=lambda z: np.diag(_cubic_prime(z) * rows))
     assert one[0] == two[0] == two[1] and abs(_cubic(one[0])) <= 1e-12
     assert evals[1] == evals[2] > 2
     # central differences give the same diagonal and an exactly zero
     # off-diagonal, so the same root
-    one = newton_solve(_cubic, [guess], cfg)
-    two = newton_solve(_cubic, [guess, guess], cfg)
+    one = newton_solve(_cubic, [guess])
+    two = newton_solve(lambda z: _cubic(z) * rows, [guess, guess])
     assert one[0] == two[0] == two[1]
 
 
@@ -550,17 +527,18 @@ def test_scalar_singular_error_carries_the_entry_exactly():
                                   f"* scale (scale = 1.000000e+00)")
 
 
-def test_newton_convergence_error_carries_residual():
-    cfg = NewtonConfig(max_iter=5)
+def test_newton_convergence_error_carries_residual(monkeypatch):
+    monkeypatch.setattr(dhj.core, "MAX_ITER", 5)
     with pytest.raises(ConvergenceError) as exc:
-        newton_solve(lambda z: np.array([1.0 + z[0] ** 2]), [3.0], cfg)
+        newton_solve(lambda z: np.array([1.0 + z[0] ** 2]), [3.0])
     assert exc.value.iterations == 5
     assert exc.value.residual_norm > 0.0
 
 
-def _plain_newton(residual, guess, cfg, jacobian=None):
+def _plain_newton(residual, guess, jacobian=None):
     # newton_solve's scalar iteration with no early stop: it spends the whole
     # budget, the reference for the repeated-iterate rule
+    max_iter = dhj.core.MAX_ITER
     x = np.array(guess, dtype=float).reshape(1)
 
     def _eval(z):
@@ -570,24 +548,24 @@ def _plain_newton(residual, guess, cfg, jacobian=None):
         return float(r[0])
 
     r = _eval(x)
-    for iteration in range(cfg.max_iter + 1):
-        if abs(r) <= cfg.tol:
+    for iteration in range(max_iter + 1):
+        if abs(r) <= dhj.core.TOL:
             return x
-        if iteration == cfg.max_iter:
-            raise ConvergenceError(residual_norm=abs(r), iterations=cfg.max_iter)
+        if iteration == max_iter:
+            raise ConvergenceError(residual_norm=abs(r), iterations=max_iter)
         if jacobian is None:
-            a = float(fd_jacobian(residual, x, cfg.fd_step)[0, 0])
+            a = float(fd_jacobian(residual, x, dhj.core.FD_STEP)[0, 0])
         else:
             a = np.asarray(jacobian(x), dtype=float).item()
             if not math.isfinite(a):
                 raise NumericalError("non-finite entries in supplied Jacobian")
         if abs(a) < 1e-14 * max(1.0, abs(a)):
             raise SingularJacobianError(det=a, scale=max(1.0, abs(a)))
-        x = x - cfg.damping * (r / a)
+        x = x - r / a
         r = _eval(x)
 
 
-def _outcome(solve, residual, guess, cfg, jacobian=None):
+def _outcome(solve, residual, guess, jacobian=None):
     """(the root's bits or the error's class, message and fields, residual
     evaluations) of one solve."""
     evals = [0]
@@ -597,7 +575,7 @@ def _outcome(solve, residual, guess, cfg, jacobian=None):
         return residual(z)
 
     try:
-        got = ("root", [_bits(v) for v in solve(counted, guess, cfg, jacobian=jacobian).tolist()])
+        got = ("root", [_bits(v) for v in solve(counted, guess, jacobian=jacobian).tolist()])
     except NumericalError as exc:
         quantity = None if exc.quantity is None else _bits(exc.quantity)
         got = (type(exc).__name__, str(exc), quantity,
@@ -615,33 +593,32 @@ def _cubic_cycle_prime(z):
 
 
 @pytest.mark.parametrize("max_iter, last", [(50, 2.0), (51, 1.0), (2, 2.0), (3, 1.0)])
-def test_newton_stops_on_a_two_cycle_with_the_full_budgets_error(max_iter, last):
-    cfg = NewtonConfig(max_iter=max_iter)
+def test_newton_stops_on_a_two_cycle_with_the_full_budgets_error(max_iter, last, monkeypatch):
+    monkeypatch.setattr(dhj.core, "MAX_ITER", max_iter)
     message = f"no convergence after {max_iter} iterations, last residual norm {last:.6e}"
     # one unknown, then the decoupled 2-D system through np.linalg
     for guess, jacobian in (([0.0], _cubic_cycle_prime),
                             ([0.0, 0.0], lambda z: np.diag(3.0 * z**2 - 2.0))):
-        got, evals = _outcome(newton_solve, _cubic_cycle, guess, cfg, jacobian)
+        got, evals = _outcome(newton_solve, _cubic_cycle, guess, jacobian)
         assert got == ("ConvergenceError", message, _bits(last), last, max_iter)
         assert evals == 3
     # the plain loop reaches the same error after max_iter + 1 evaluations
-    assert _outcome(_plain_newton, _cubic_cycle, [0.0], cfg, _cubic_cycle_prime) == (
+    assert _outcome(_plain_newton, _cubic_cycle, [0.0], _cubic_cycle_prime) == (
         got, max_iter + 1)
 
 
 def test_newton_stops_on_a_fixed_point_stall(recwarn):
     # the step 1 / 1e300 is below half an ulp of 1, so the iterate stays put;
     # in two dimensions det J = 1e600 overflows to inf, with no numpy warning
-    cfg = NewtonConfig()
     for guess, jacobian in (([1.0], lambda z: [[1e300]]),
                             ([1.0, 1.0], lambda z: np.diag([1e300, 1e300]))):
-        got, evals = _outcome(newton_solve, lambda z: np.ones(len(z)), guess, cfg, jacobian)
+        got, evals = _outcome(newton_solve, lambda z: np.ones(len(z)), guess, jacobian)
         assert got == ("ConvergenceError",
                        "no convergence after 50 iterations, last residual norm 1.000000e+00",
                        _bits(1.0), 1.0, 50)
         assert evals == 2
     assert len(recwarn) == 0
-    assert _outcome(_plain_newton, lambda z: np.array([1.0]), [1.0], cfg,
+    assert _outcome(_plain_newton, lambda z: np.array([1.0]), [1.0],
                     lambda z: [[1e300]]) == (got, 51)
 
 
@@ -667,21 +644,21 @@ def _quiet_plain_newton(*args, **kwargs):
 @settings(max_examples=300)
 @given(guess=st.one_of(st.floats(-3.0, 3.0), st.floats(allow_nan=False, allow_infinity=False)),
        scale=st.one_of(st.just(1.0), st.floats(1e-300, 1e300)), max_iter=st.integers(1, 60),
-       damping=st.one_of(st.sampled_from([1.0, 0.5]), st.floats(0.0, 1.0, exclude_min=True)),
        exact=st.booleans())
-@example(guess=1e300, scale=1.0, max_iter=50, damping=1.0, exact=False)
-@example(guess=-1e300, scale=1e300, max_iter=50, damping=0.5, exact=True)
-@example(guess=5e-324, scale=1e-300, max_iter=50, damping=1.0, exact=True)
-@example(guess=-2.2250738585072014e-308, scale=1.0, max_iter=3, damping=5e-324, exact=False)
-def test_newton_agrees_with_the_plain_loop(guess, scale, max_iter, damping, exact):
+@example(guess=1e300, scale=1.0, max_iter=50, exact=False)
+@example(guess=-1e300, scale=1e300, max_iter=50, exact=True)
+@example(guess=5e-324, scale=1e-300, max_iter=50, exact=True)
+@example(guess=-2.2250738585072014e-308, scale=1.0, max_iter=3, exact=False)
+def test_newton_agrees_with_the_plain_loop(guess, scale, max_iter, exact):
     # one unknown over the whole float64 range: roots, stalls, cycles,
     # singular steps and non-finite residuals alike, with their quantities,
     # the same outcome, bit for bit, from no more residual evaluations
-    cfg = NewtonConfig(max_iter=max_iter, damping=damping)
     residual, jacobian = _scaled_cycle(scale)
     jacobian = jacobian if exact else None
-    got, evals = _outcome(newton_solve, residual, [guess], cfg, jacobian)
-    want, plain_evals = _outcome(_quiet_plain_newton, residual, [guess], cfg, jacobian)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dhj.core, "MAX_ITER", max_iter)
+        got, evals = _outcome(newton_solve, residual, [guess], jacobian)
+        want, plain_evals = _outcome(_quiet_plain_newton, residual, [guess], jacobian)
     assert got == want
     assert evals <= plain_evals
 
@@ -699,14 +676,13 @@ def test_sakamoto_steps_agree_with_the_plain_loop(q1, steps, r, s, monkeypatch):
 
     failed = []
 
-    def both(residual, guess, cfg=None, jacobian=None):
-        cfg = cfg if cfg is not None else NewtonConfig()
-        want, plain_evals = _outcome(_plain_newton, residual, guess, cfg, jacobian)
-        got, evals = _outcome(newton_solve, residual, guess, cfg, jacobian)
+    def both(residual, guess, jacobian=None):
+        want, plain_evals = _outcome(_plain_newton, residual, guess, jacobian)
+        got, evals = _outcome(newton_solve, residual, guess, jacobian)
         assert got == want
         if want[0] != "root":
             failed.append((got, evals, plain_evals))
-        return newton_solve(residual, guess, cfg, jacobian=jacobian)
+        return newton_solve(residual, guess, jacobian=jacobian)
 
     monkeypatch.setattr(mechanics, "newton_solve", both)
     H = discretize_right(make_sakamoto1d(r, s))
