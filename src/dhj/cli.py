@@ -200,7 +200,8 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 def _check_output_paths(rc: RunConfig) -> None:
     """A ConfigError, worded as open's, for an output path that is empty, a
-    directory or in a directory that does not exist, before the run starts."""
+    directory or in a directory that does not exist, or for --csv and --svg
+    naming one path (compared as abspath spells them), before the run starts."""
     for path in [path for path in (rc.csv, rc.svg) if path is not None]:
         if os.path.isdir(path):
             code = errno.EISDIR
@@ -209,6 +210,8 @@ def _check_output_paths(rc: RunConfig) -> None:
         else:
             continue
         raise ConfigError(f"cannot write {path!r}: {OSError(code, os.strerror(code), path)}")
+    if None not in (rc.csv, rc.svg) and os.path.abspath(rc.csv) == os.path.abspath(rc.svg):
+        raise ConfigError(f"--csv and --svg name one file: {rc.csv!r} and {rc.svg!r}")
 
 
 def build_model(rc: RunConfig):
@@ -354,15 +357,21 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
             footer: list[str] | None = None) -> int:
     """Write the CSV and SVG, print the footer and summary, and report each
     failed part (a label and its failure record) on stderr.  Exit code 1 if
-    any part failed, else 0; a file that cannot be written is a ConfigError."""
+    any part failed, else 0; a file that cannot be written is a ConfigError,
+    raised after removing the one already written."""
+    written = []
     for path, write in ((rc.csv, lambda: write_csv(rc.csv, rc, colnames, rows, footer)),
                         (rc.svg, lambda: write_svg(rc.svg, panels))):
         if path is not None:
             try:
                 write()
             except OSError as exc:
+                for done in written:
+                    os.remove(done)
                 raise ConfigError(f"cannot write {path!r}: {exc}")
-            print(f"wrote {path}")
+            written.append(path)
+    for path in written:
+        print(f"wrote {path}")
     for line in footer or ():
         print(line)
     truncated = any(meta["truncated"] for _, meta in parts)
@@ -766,9 +775,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        ns, unread = parser.parse_known_args(_attach_negative_numbers(argv))
+        ns, unread = parser.parse_known_args(args := _attach_negative_numbers(argv))
         if unread:
-            ns.parser.error(f"unrecognized arguments: {' '.join(unread)}")
+            # a word before the command word is the root parser's to report
+            root = unread[0] in args[:args.index(ns.command)]
+            (parser if root else ns.parser).error(f"unrecognized arguments: {' '.join(unread)}")
         rc = resolve_config(ns)
         return _COMMANDS[rc.command][0](rc)
     except ConfigError as exc:

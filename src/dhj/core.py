@@ -209,16 +209,19 @@ def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
     be positive; a non-finite partial raises NumericalError."""
     x = as_vec(x, name="x")
     _check_step(step)
+    if x.size == 1:
+        # Python floats, bitwise numpy's x + e and x - e
+        x0 = x.item()
+        val = (float(f(np.array([x0 + step]))) - float(f(np.array([x0 - step])))) / (2.0 * step)
+        if not math.isfinite(val):
+            raise NumericalError(f"non-finite finite-difference evaluation at coordinate 0 "
+                                 f"(step {step:g})")
+        return np.array([val])
     grad = []
     for i in range(x.size):
-        if x.size == 1:
-            # Python floats, bitwise numpy's x + e and x - e
-            hi, lo = np.array([x.item() + step]), np.array([x.item() - step])
-        else:
-            e = np.zeros_like(x)
-            e[i] = step
-            hi, lo = x + e, x - e
-        val = (float(f(hi)) - float(f(lo))) / (2.0 * step)
+        e = np.zeros_like(x)
+        e[i] = step
+        val = (float(f(x + e)) - float(f(x - e))) / (2.0 * step)
         if not math.isfinite(val):
             raise NumericalError(f"non-finite finite-difference evaluation at coordinate {i} "
                                  f"(step {step:g})")

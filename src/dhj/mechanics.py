@@ -183,25 +183,24 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side) -> DiscreteHa
         raise ValueError(f"side must be Side.RIGHT or Side.LEFT, got {side!r}")
     right = side is Side.RIGHT
 
-    def _slots(q: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # L_d's arguments: q in its own slot, y in the one the inversion solves for
-        return (q, y) if right else (y, q)
-
     def _recover(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         # invert p = D2 L_d(q, .) on the right, p = -D1 L_d(., q) on the left,
-        # from the guess q
-        target = p if right else -p
-        jacobian = None if d_yy is None else (lambda y: d_yy(*_slots(q, y)))
-        return newton_solve(lambda y: d_y(*_slots(q, y)) - target, q, jacobian=jacobian)
+        # from the guess q; a - (-p) is a + p, bit for bit
+        if right:
+            residual, jacobian = (lambda y: d_y(q, y) - p), (lambda y: d_yy(q, y))
+        else:
+            residual, jacobian = (lambda y: d_y(y, q) + p), (lambda y: d_yy(y, q))
+        return newton_solve(residual, q, jacobian=None if d_yy is None else jacobian)
 
     def _eval(q: np.ndarray, p: np.ndarray) -> float:
         y = _recover(q, p)
         py = dot(p, y)
         # -dot(p, y), not dot(-p, y): the sign of a zero product differs
-        return (py if right else -py) - float(L.eval(*_slots(q, y)))
+        return py - float(L.eval(q, y)) if right else -py - float(L.eval(y, q))
 
     def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return -d_q(*_slots(q, _recover(q, p)))
+        y = _recover(q, p)
+        return -(d_q(q, y) if right else d_q(y, q))
 
     return DiscreteHamiltonian(side=side, eval=_eval, d1=_d1,
                                d2=_recover if right else (lambda q, p: -_recover(q, p)),

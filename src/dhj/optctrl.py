@@ -145,11 +145,12 @@ def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray) -> np.nd
     reaches Newton raises NumericalError naming it, as Newton does for its
     own non-finite residuals.
     """
-    accept = max(TOL, 1e-13 * norm_inf(p))
     if cp.control is not None:
         u = cp.control(q, p)
-        if norm_inf(secondary_constraint(cp, q, p, u)) <= accept:
+        gap = norm_inf(secondary_constraint(cp, q, p, u))
+        if gap <= TOL or gap <= 1e-13 * norm_inf(p):
             return u
+    accept = max(TOL, 1e-13 * norm_inf(p))
 
     def phi(u: np.ndarray) -> np.ndarray:
         return secondary_constraint(cp, q, p, u)
@@ -184,42 +185,38 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
     term; without them d1 is a central difference of eval with core.FD_STEP.
     The problem's d_qp and d_pp become d12 and d22.
     """
-    sign = cp.sign.factor
-    last = (None, None)  # (bytes of q and p, their read-only control)
+    sign, gamma, cost = cp.sign.factor, cp.gamma, cp.cost
+    dq_gamma, dq_cost = cp.dq_gamma, cp.dq_cost
+    last_key = last_u = None  # the bytes of the last q and p, and their read-only control
 
     def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        nonlocal last
+        nonlocal last_key, last_u
         key = q.tobytes() + p.tobytes()
-        if key != last[0]:
+        if key != last_key:
             # a read-only view: a supplied control may hand back the model's own array
             u = eliminate_control(cp, q, p).view()
             u.setflags(write=False)
-            last = (key, u)
-        return last[1]
+            last_key, last_u = key, u
+        return last_u
 
     def _eval(q: np.ndarray, p: np.ndarray) -> float:
         u = control(q, p)
-        return dot(p, cp.gamma(q, u)) + sign * float(cp.cost(q, u))
+        return dot(p, gamma(q, u)) + sign * float(cost(q, u))
 
     def _d2(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return cp.gamma(q, control(q, p))
+        return gamma(q, control(q, p))
 
-    if cp.dq_gamma is not None and cp.dq_cost is not None:
+    if dq_gamma is not None and dq_cost is not None:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             u = control(q, p)
-            return _adjoined(sign, cp.dq_gamma(q, u), p, cp.dq_cost(q, u))
+            return _adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u))
     else:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, FD_STEP)
 
     def second_partial(d):
         # d(q, p, u) read at the eliminated control
-        if d is None:
-            return None
-
-        def _partial(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            return d(q, p, control(q, p))
-        return _partial
+        return None if d is None else (lambda q, p: d(q, p, control(q, p)))
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
                                d12=second_partial(cp.d_qp), d22=second_partial(cp.d_pp))

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import errno
 import hashlib
 import math
 import re
@@ -1035,3 +1036,43 @@ def test_no_file_is_written_when_one_output_path_cannot_be(bad, svg_first, tmp_p
     assert out == ""
     assert err.startswith(f"config error: cannot write {bad!r}: [Errno 2] ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("csv, svg", [("x.out", "x.out"), ("./x.out", "x.out"),
+                                      ("sub/../x.out", "x.out")])
+def test_csv_and_svg_naming_one_file_is_a_config_error(csv, svg, tmp_path, monkeypatch, capsys):
+    # one file would hold only the SVG, the CSV silently overwritten
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert main(["simulate", "--steps", "2", "--csv", csv, "--svg", svg]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: --csv and --svg name one file: {csv!r} and {svg!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+@pytest.mark.parametrize("long_flag", ["--csv", "--svg"])
+def test_an_output_that_cannot_be_written_leaves_neither_file(long_flag, tmp_path, monkeypatch,
+                                                              capsys):
+    # a 300-character name passes the checks made before the run and fails
+    # at open; the CSV, written first, is removed again
+    monkeypatch.chdir(tmp_path)
+    paths = {"--csv": "y.csv", "--svg": "y.svg"}
+    paths[long_flag] = "A" * 300 + long_flag.replace("--", ".")
+    argv = ["simulate", "--steps", "2", "--csv", paths["--csv"], "--svg", paths["--svg"]]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot write {paths[long_flag]!r}: "
+                          f"[Errno {errno.ENAMETOOLONG}] ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_unknown_option_before_the_command_gets_the_root_usage(capsys):
+    err = _unread_exit(["--foo", "simulate", "--steps=2"], capsys)
+    assert err.startswith("usage: dhj [-h] {simulate,hj-flow,hj-vf,compare,check} ...\n")
+    assert err.endswith("\ndhj: error: unrecognized arguments: --foo\n")
+
+
+def test_an_unknown_option_after_the_command_gets_the_command_usage(capsys):
+    err = _unread_exit(["simulate", "--steps=2", "--foo"], capsys)
+    _assert_names_the_command(err, "simulate", ["--foo"])

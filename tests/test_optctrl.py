@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dhj.core import NumericalError, PhasePoint, norm_inf
+from dhj.core import TOL, NumericalError, PhasePoint, norm_inf
 from dhj.mechanics import Side, run_trajectory
 from dhj.optctrl import (
     MODEL_REGISTRY,
@@ -416,6 +416,35 @@ def test_supplied_control_skips_the_affinity_probe():
         calls.clear()
         missing.d1(vec(q), vec(p))
         assert len(calls) == 1 + 4  # candidate, phi(0), phi(1), phi(2), verification
+
+
+_ABOVE_TOL = math.nextafter(TOL, math.inf)
+
+
+@pytest.mark.parametrize("jac, p, gap, accepted", [
+    (0.0, 0.0, TOL, True),                # at TOL itself
+    (0.0, 20.0, _ABOVE_TOL, True),        # past TOL, within 1e-13 |p| = 2e-12
+    (0.0, 1.0, _ABOVE_TOL, False),        # the same gap past both
+    (0.0, 1e6, 1e-6, False),              # past 1e-13 |p| = 1e-7 too
+    (1.0, math.inf, 0.0, True),           # phi = p: an infinite gap, an infinite threshold
+    (1.0, -math.inf, 0.0, True),
+    (0.0, 1.0, math.nan, False),          # a NaN gap is never accepted
+])
+def test_supplied_control_is_accepted_exactly_within_the_threshold(jac, p, gap, accepted):
+    # phi = (0.0 + jac p) + u, so the supplied control [gap] misses phi = 0 by
+    # |phi| = gap for jac = 0; the rule is |phi| <= max(TOL, 1e-13 |p|)
+    supplied = vec(gap)
+    cp = ControlProblem(gamma=lambda q, u: u, cost=lambda q, u: 0.5 * u.item() ** 2,
+                        du_gamma=lambda q, u: np.array([[jac]]), du_cost=lambda q, u: u,
+                        sign=SignCriterion.PLUS, n=1, k=1, control=lambda q, p: supplied)
+    measured = abs((0.0 + jac * p) + gap)
+    assert (measured <= max(TOL, 1e-13 * abs(p))) is accepted
+    u = eliminate_control(cp, vec(0.3), vec(p))
+    if accepted:
+        assert u is supplied
+    else:
+        # the affine path: one linear solve of phi(u) = u = 0
+        assert u is not supplied and u.tolist() == [0.0]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -106,9 +106,9 @@ def test_check_coerces_only_at_its_entry_points(counts):
 
 def test_check_does_the_same_newton_work(monkeypatch):
     # exact counts, not bounds: the one-entry float paths make each call
-    # cheaper and must not change how many calls a check makes
+    # cheaper and must not change how many calls a check makes, nor skip one
     calls = Counter()
-    solve, eliminate = dhj.core.newton_solve, dhj.optctrl.eliminate_control
+    solve = dhj.core.newton_solve
 
     def counted_solve(residual, *args, **kwargs):
         calls["newton_solve"] += 1
@@ -118,18 +118,25 @@ def test_check_does_the_same_newton_work(monkeypatch):
             return residual(z)
         return solve(counted_residual, *args, **kwargs)
 
-    def counted_eliminate(*args, **kwargs):
-        calls["eliminate_control"] += 1
-        return eliminate(*args, **kwargs)
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
 
     for module in _MODULES:
         if hasattr(module, "newton_solve"):
             monkeypatch.setattr(module, "newton_solve", counted_solve)
-    monkeypatch.setattr(dhj.optctrl, "eliminate_control", counted_eliminate)
+    for name in ("eliminate_control", "secondary_constraint"):
+        monkeypatch.setattr(dhj.optctrl, name, counted(name, getattr(dhj.optctrl, name)))
+    fd = counted("fd_gradient", dhj.core.fd_gradient)
+    for module in (dhj.optctrl, dhj.cli):
+        monkeypatch.setattr(module, "fd_gradient", fd)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "--q1=0.05", "--steps=8"]) == 0
     # residual evaluations include the finite-difference probes
-    assert calls == {"newton_solve": 183, "residual": 367, "eliminate_control": 583}
+    assert calls == {"newton_solve": 183, "residual": 367, "eliminate_control": 583,
+                     "secondary_constraint": 583, "fd_gradient": 200}
 
 
 def test_compare_coerces_only_at_its_entry_points(counts):
