@@ -75,6 +75,8 @@ _PARSERS = {**dict.fromkeys(_FLOAT_KEYS, float), "steps": int,
             "log_abs": lambda value: _BOOLS[value.lower()],
             **dict.fromkeys(("model", "branch", "method", "csv", "svg"), str)}
 _OPTIONAL_KEYS = {"q2", "csv", "svg"}
+# the momentum the generic flow's orbit starts from, and the keys it then reads no value of
+_GENERIC_LIFT = {"hj-flow": ("ds1", ("p1", "q2", "h", "branch")), "compare": ("p1", ("ds1",))}
 # each flag's help
 _HELP = {
     "model": "registered model name",
@@ -155,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unit_weights(rc: RunConfig) -> bool:
-    """Whether the closed-form recursions apply: sakamoto1d with r = s = 1."""
-    return rc.model == "sakamoto1d" and rc.r == 1.0 and rc.s == 1.0
-
-
 def resolve_config(ns: argparse.Namespace) -> RunConfig:
     """Merge defaults, config file, and explicit flags; validate the result."""
     given = {} if ns.config is None else load_config_file(ns.config, ns.command)
@@ -184,16 +181,17 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown branch {rc.branch!r}")
     if rc.method not in ("auto", "closed-form", "generic"):
         raise ConfigError(f"unknown method {rc.method!r}")
-    unit = _unit_weights(rc)
+    unit = rc.model == "sakamoto1d" and rc.r == 1.0 and rc.s == 1.0
     if rc.method == "auto":
         rc = replace(rc, method="closed-form" if unit else "generic")
     elif rc.method == "closed-form" and not unit:
         raise ConfigError("the closed-form recursions are derived for "
                           "sakamoto1d with r = s = 1; use --method generic")
-    ignored = [key for key in ("p1", "q2", "h", "branch") if key in given]
-    if rc.command == "hj-flow" and rc.method == "generic" and ignored:
-        raise ConfigError("the generic hj-flow lifts its orbit from q1 and ds1 and reads no "
-                          + ", ".join(ignored))
+    start, unread = _GENERIC_LIFT.get(rc.command, ("", ()))
+    ignored = [key for key in unread if key in given]
+    if rc.method == "generic" and ignored:
+        raise ConfigError(f"the generic {rc.command} lifts its orbit from q1 and {start} and "
+                          "reads no " + ", ".join(ignored))
     _check_output_paths(rc)
     return rc
 
@@ -201,7 +199,7 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 def _check_output_paths(rc: RunConfig) -> None:
     """A ConfigError, worded as open's, for an output path that is empty, a
     directory or in a directory that does not exist, or for --csv and --svg
-    naming one path (compared as abspath spells them), before the run starts."""
+    that reach one file, before the run starts."""
     for path in [path for path in (rc.csv, rc.svg) if path is not None]:
         if os.path.isdir(path):
             code = errno.EISDIR
@@ -210,8 +208,20 @@ def _check_output_paths(rc: RunConfig) -> None:
         else:
             continue
         raise ConfigError(f"cannot write {path!r}: {OSError(code, os.strerror(code), path)}")
-    if None not in (rc.csv, rc.svg) and os.path.abspath(rc.csv) == os.path.abspath(rc.svg):
+    if None not in (rc.csv, rc.svg) and _one_file(rc.csv, rc.svg):
         raise ConfigError(f"--csv and --svg name one file: {rc.csv!r} and {rc.svg!r}")
+
+
+def _one_file(a: str, b: str) -> bool:
+    """Whether paths a and b reach one file: samefile when both exist, else one
+    name in one directory, by (st_dev, st_ino), with a symlink resolved."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    a, b = (os.path.realpath(p) if os.path.islink(p) else p for p in (a, b))
+    dirs = [os.path.dirname(p) or "." for p in (a, b)]
+    # a symlink into a missing directory reaches no file; writing it fails
+    return (os.path.basename(a) == os.path.basename(b) and all(map(os.path.isdir, dirs))
+            and os.path.samefile(*dirs))
 
 
 def build_model(rc: RunConfig):
@@ -386,10 +396,8 @@ def _finish(rc: RunConfig, summary: str, colnames: list[str], rows: list[list[st
 def cmd_simulate(rc: RunConfig) -> int:
     H = build_model(rc)
     traj = _orbit(rc, H)
-    qs = [float(pt.q[0]) for pt in traj.points]
-    ps = [float(pt.p[0]) for pt in traj.points]
-    rows = [[str(pt.index), _g17(q), _g17(p), _g17(abs(q)), _g17(abs(p))]
-            for pt, q, p in zip(traj.points, qs, ps)]
+    rows = [[str(pt.index), *map(_g17, (q, p, abs(q), abs(p)))]
+            for pt in traj.points for q, p in [(pt.q.item(), pt.p.item())]]
     return _finish(rc, f"model={rc.model} points={len(traj)}",
                    ["j", "q", "p", "abs_q", "abs_p"], rows,
                    _portrait("momentum", "p", traj.points, rc.log_abs), [("trajectory", traj.meta)])
@@ -406,22 +414,12 @@ def _flow_rows(H, seq):
             for pt, S, token, r in zip(seq.points, seq.S, seq.branch_log, res)]
 
 
-def _flow_orbit(rc: RunConfig, H, traj=None):
-    """The right orbit the generic flow lifts, from (q1, ds1): traj when it
-    starts there bit for bit (-0.0 and 0.0 are different starts), else a
-    fresh run."""
-    start = PhasePoint(index=1, q=[rc.q1], p=[rc.ds1])
-    if traj is not None and traj.points[0].q.tobytes() == start.q.tobytes() \
-            and traj.points[0].p.tobytes() == start.p.tobytes():
-        return traj
-    return run_trajectory(H, start, rc.steps)
-
-
 def _runs(rc: RunConfig, H, flow: bool = False, vf: bool = False):
     """The orbit from (q1, p1) and the slope runs a command asks for, as
     (traj, flow, vf), None for a run not asked for.
 
-    The generic flow lifts _flow_orbit's orbit, so a flow alone steps no
+    The generic flow lifts the one orbit the command steps: compare's from
+    (q1, p1), and a flow alone its own from (q1, ds1), so it steps no
     (q1, p1) orbit (traj None); the generic vf solves along the orbit's
     positions, --q2 in the second when it is set.  On the closed form each
     new orbit point takes each slope one transition to its position (the
@@ -433,13 +431,12 @@ def _runs(rc: RunConfig, H, flow: bool = False, vf: bool = False):
     GeneratingSequence whose branch log names the root each transition took,
     and S accumulates h times the previous slope from 0."""
     if rc.method == "generic":
-        traj = _orbit(rc, H) if vf else None
-        flow_run = solve_generating_sequence(H, _flow_orbit(rc, H, traj)) if flow else None
+        traj = _orbit(rc if vf else replace(rc, p1=rc.ds1), H)
+        flow_run = solve_generating_sequence(H, traj) if flow else None
         if not vf:
-            return traj, flow_run, None
-        grid = [pt.q.item() for pt in traj.points]
-        if rc.q2 is not None and len(grid) >= 2:
-            grid[1] = rc.q2
+            return None, flow_run, None
+        grid = [rc.q2 if pt.index == 2 and rc.q2 is not None else pt.q.item()
+                for pt in traj.points]
         return traj, flow_run, solve_gamma_generic(H, grid, [rc.gamma1])
     branch, tokens = Branch(rc.branch), ["init"]
 
@@ -633,10 +630,10 @@ def check_symplecticity(H, traj) -> CheckResult:
                      f"max defect over {len(pts)} points with |q| < {_STABLE_BAND:g}")
 
 
-def check_flow_residuals(H, rc, traj) -> CheckResult:
+def check_flow_residuals(H, traj) -> CheckResult:
     # the lift re-checks every transition against residual_limit and
     # truncates at the first that misses it, so an untruncated lift passes
-    seq = solve_generating_sequence(H, _flow_orbit(rc, H, traj))
+    seq = solve_generating_sequence(H, traj)
     worst = max(map(abs, seq.residuals), default=0.0)
     if seq.meta["truncated"]:
         return CheckResult("flow-residuals", "FAIL", worst,
@@ -647,7 +644,7 @@ def check_flow_residuals(H, rc, traj) -> CheckResult:
 
 
 def check_vf_agreement(H, rc, traj) -> CheckResult:
-    if not _unit_weights(rc):
+    if rc.method != "closed-form":
         return CheckResult("vf-agreement", "SKIP", None,
                            "closed-form reference needs r = s = 1")
     grid = [float(pt.q[0]) for pt in traj.points]
@@ -713,7 +710,7 @@ def run_checks(rc: RunConfig) -> list[CheckResult]:
         ("partial-consistency", lambda: check_partial_consistency(H)),
         ("step-residuals", lambda: check_step_residuals(H, traj)),
         ("symplecticity", lambda: check_symplecticity(H, traj)),
-        ("flow-residuals", lambda: check_flow_residuals(H, rc, traj)),
+        ("flow-residuals", lambda: check_flow_residuals(H, traj)),
         ("vf-agreement", lambda: check_vf_agreement(H, rc, traj)),
         ("left-right-identity", check_left_right),
         ("singular-start", lambda: singular_start_probe(H)),
@@ -755,7 +752,7 @@ _COMMANDS = {name: (handler, text, tuple(reads.split())) for name, handler, text
     ("compare", cmd_compare, "run all three on one configuration and difference them",
      "model r s q1 p1 q2 ds1 gamma1 steps h branch method csv svg log_abs"),
     ("check", cmd_check, "run the internal consistency battery",
-     "model r s q1 p1 ds1 gamma1 steps"),
+     "model r s q1 p1 gamma1 steps"),
 )}
 
 

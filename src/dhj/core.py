@@ -267,13 +267,15 @@ def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
 
 
 def _check_jacobian(jac: np.ndarray) -> None:
-    # Scaled singularity test: |det J| < floor * max(1, ||J||_inf)^n.  The
-    # power of n keeps the test meaningful when J is large in norm but
-    # rank-deficient.  A norm or det that overflows is inf, with no warning.
+    # Scaled singularity test: |det J| < floor * max(1, ||J||_inf)^n, the power
+    # of n for a J large in norm but rank-deficient.  det J = det R det Q (-1
+    # per reflection with tau != 0) is exact for an upper-triangular J, where
+    # np.linalg.det reads a few ulps low.  An overflow is inf, with no warning.
     n = jac.shape[0]
     with np.errstate(over="ignore"):
         scale = max(1.0, float(np.linalg.norm(jac, np.inf)))
-        det = float(np.linalg.det(jac))
+        h, tau = np.linalg.qr(jac, mode="raw")
+        det = float(np.prod(h.diagonal())) * (-1.0) ** int(np.count_nonzero(tau))
     if abs(det) < SINGULAR_DET_FLOOR * _power(scale, n):
         raise SingularJacobianError(det=det, scale=scale)
 

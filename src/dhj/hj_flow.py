@@ -113,11 +113,11 @@ def residual_limit(S_j: float, S_next: float, pq: float, H_value: float) -> floa
     return _POST_CHECK_TOL * max(1.0, abs(S_j), abs(pq), abs(H_value), abs(S_next))
 
 
-def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
-                              S0: float = 0.0) -> GeneratingSequence:
+def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory
+                              ) -> GeneratingSequence:
     """Lift a right orbit of H to a generating sequence along it.
 
-    The slope is the momentum, DS_j = p_j, and S starts at S0 and
+    The slope is the momentum, DS_j = p_j, and S starts at 0 and
     accumulates via
 
         S_next = S_j + p_next . q_next - H+(q_j, p_next)
@@ -162,7 +162,7 @@ def solve_generating_sequence(H: DiscreteHamiltonian, traj: DiscreteTrajectory,
         residuals.append(res)
         return s_next
 
-    values, meta = iterate(advance, float(S0), len(traj) - 1, traj.points[0].index)
+    values, meta = iterate(advance, 0.0, len(traj) - 1, traj.points[0].index)
     if not meta["truncated"]:
         meta = {key: traj.meta.get(key, value) for key, value in meta.items()}
     meta["degenerate"] = degenerate

@@ -21,7 +21,7 @@ import dhj.mechanics
 from dhj.cli import check_partial_consistency, main
 from dhj.core import PhasePoint, _checked_point
 from dhj.hj_flow import Branch, hj_residual, run_closed_form_flow, solve_generating_sequence
-from dhj.hj_vf import run_closed_form_vf
+from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
 from dhj.mechanics import DiscreteHamiltonian, Side, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
 
@@ -55,10 +55,10 @@ READS = {command: set(flags.split()) for command, flags in {
              "--csv --svg --log-abs",
     "compare": "--config --model --r --s --q1 --p1 --q2 --ds1 --gamma1 --steps --h --branch "
                "--method --csv --svg --log-abs",
-    "check": "--config --model --r --s --q1 --p1 --ds1 --gamma1 --steps",
+    "check": "--config --model --r --s --q1 --p1 --gamma1 --steps",
 }.items()}
 SOLVER_KEYS = ("tol", "max_iter", "damping", "fd_step")
-# each (command, flag) of the 16 flags that the command does not read
+# each (command, flag) of the 18 flags that the command does not read
 UNREAD = [(command, flag) for command in READS
           for flag in sorted(READS["compare"] - READS[command])]
 
@@ -66,12 +66,14 @@ UNREAD = [(command, flag) for command in READS
 # the flags hj-flow takes and its generic method does not read: it lifts
 # its own orbit from --q1 and --ds1
 GENERIC_FLOW_UNREAD = {"--p1", "--q2", "--h", "--branch"}
+# the generic compare lifts the orbit it steps, from --q1 and --p1
+GENERIC_UNREAD = {"hj-flow": GENERIC_FLOW_UNREAD, "compare": {"--ds1"}}
 
 
 def reads(command: str, flags, generic: bool = False) -> bool:
     """Whether command, on the generic method if generic, reads every flag of
     flags, each spelled --flag=value."""
-    unread = GENERIC_FLOW_UNREAD if generic and command == "hj-flow" else set()
+    unread = GENERIC_UNREAD.get(command, set()) if generic else set()
     return all(flag.split("=")[0] in READS[command] - unread for flag in flags)
 
 
@@ -167,6 +169,67 @@ def test_unknown_config_key_is_a_config_error(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("bogus = 1\n", encoding="utf-8")
     assert main(["simulate", "--config", str(cfgfile)]) == 2
+
+
+def test_config_file_errors_name_the_file_and_line(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["simulate", "--config", missing]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: cannot read config file {missing!r}: [Errno {errno.ENOENT}] ")
+    for text, err in (("steps 3\n", "expected 'key = value', got 'steps 3'"),
+                      ("\n   # a note\nsteps = three\n", "bad value 'three' for 'steps'"),
+                      ("log_abs = maybe\n", "bad value 'maybe' for 'log_abs'")):
+        cfgfile.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--config", str(cfgfile)]) == 2
+        line = text.count("\n")
+        assert capsys.readouterr() == ("", f"config error: {cfgfile}:{line}: {err}\n")
+    # blank and comment-only lines are skipped
+    cfgfile.write_text("\n# a note\n   \nsteps = 2  # two\n", encoding="utf-8")
+    out = tmp_path / "run.csv"
+    assert main(["simulate", "--config", str(cfgfile), "--csv", str(out)]) == 0
+    assert len(read_csv(out)[2]) == 3
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["simulate", "--steps=0"], "steps must be at least 1, got 0"),
+    (["hj-flow", "--branch=left"], "unknown branch 'left'"),
+    (["hj-vf", "--method=newton"], "unknown method 'newton'"),
+    (["simulate", "--model=bogus"], "unknown model 'bogus' (known: sakamoto1d)"),
+])
+def test_resolve_config_names_the_bad_setting(argv, err, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"config error: {err}\n")
+
+
+def test_a_panel_with_no_finite_data_says_so(tmp_path):
+    out = tmp_path / "p.svg"
+    dhj.cli.write_svg(str(out), [{"title": "empty", "series": [("a", [math.nan], [1.0])]}])
+    root = ET.fromstring(out.read_text(encoding="utf-8"))
+    texts = [el.text for el in root if el.tag.endswith("text")]
+    assert texts == ["empty", "no finite data"]
+    assert not [el for el in root if el.tag.endswith(("polyline", "circle"))]
+
+
+def test_generic_vf_solves_along_the_orbit_with_q2_spliced(tmp_path):
+    out = tmp_path / "vf.csv"
+    assert main(["hj-vf", "--r=2", "--q1=0.01", "--q2=0.02", "--steps=4", "--gamma1=0.001",
+                 "--csv", str(out)]) == 0
+    rows = read_csv(out)[2]
+    H = discretize_right(make_sakamoto1d(r=2.0))
+    grid = [pt.q.item() for pt in run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[0.0]),
+                                                 4).points]
+    grid[1] = 0.02
+    want = solve_gamma_generic(H, grid, [0.001])
+    assert [row[1] for row in rows] == [format(q, ".17g") for q in grid]
+    assert [row[2] for row in rows] == [format(pt.p.item(), ".17g") for pt in want.points]
+
+
+def test_singular_start_reports_a_completed_step():
+    H = dhj.mechanics.hamiltonian_from_lagrangian(dhj.cli._free_particle(), Side.RIGHT)
+    res = dhj.cli.singular_start_probe(H)
+    assert (res.status, res.detail) == (
+        "INFO", "step from q = 1/sqrt(3) completed; no singularity detected")
 
 
 def test_hj_flow_q2_override_splices_only_second_entry(tmp_path):
@@ -327,18 +390,75 @@ def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
     assert [row[5] for row in rows] == want
 
 
-@pytest.mark.parametrize("flags", [["--ds1=0.01"], ["--p1=-0.0"]])
+@pytest.mark.parametrize("flags", [["--ds1=0.01"], ["--ds1=-0.0"]])
 def test_generic_flow_lifts_its_own_orbit_from_ds1(flags, tmp_path):
-    # -0.0 and 0.0 are different starts, so --p1=-0.0 with ds1 = 0 is one too
-    out = tmp_path / "cmp.csv"
-    argv = ["compare", "--r=2", "--q1=0.01", "--steps=8", *flags, "--csv", str(out)]
+    # hj-flow steps no other orbit, so its lift starts from (q1, ds1), -0.0 as given
+    out = tmp_path / "flow.csv"
+    argv = ["hj-flow", "--r=2", "--q1=0.01", "--steps=8", *flags, "--csv", str(out)]
     assert main(argv) == 0
-    header, _, rows, _ = read_csv(out)
+    _, _, rows, _ = read_csv(out)
     H = discretize_right(make_sakamoto1d(r=2.0))
-    start = PhasePoint(index=1, q=[0.01], p=[float(header["ds1"])])
-    own = run_trajectory(H, start, 8)
+    ds1 = float(flags[0].split("=")[1])
+    own = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[ds1]), 8)
     assert [row[3] for row in rows] == [format(pt.p[0], ".17g") for pt in own.points]
-    assert [row[2] for row in rows] != [row[3] for row in rows]
+    assert rows[0][3] == format(ds1, ".17g")
+
+
+@pytest.mark.parametrize("p1", ["0.01", "-0.0"])
+def test_generic_compare_lifts_the_orbit_it_steps(p1, monkeypatch, tmp_path):
+    # one orbit from (q1, p1): ten steps, and DS is its momentum bit for bit
+    calls = []
+    step_right = dhj.mechanics.step_right
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return step_right(*args, **kwargs)
+
+    monkeypatch.setattr(dhj.mechanics, "step_right", counted)
+    out = tmp_path / "cmp.csv"
+    argv = ["compare", "--r=2", "--q1=0.01", "--steps=10", f"--p1={p1}", "--csv", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == 10
+    _, _, rows, footer = read_csv(out)
+    assert len(rows) == 11 and rows[0][2] == format(float(p1), ".17g")
+    assert [row[3] for row in rows] == [row[2] for row in rows]
+    assert {row[5] for row in rows} == {"0"}
+    assert (footer["max_err_flow"], footer["mean_err_flow"]) == ("0", "0")
+
+
+def test_check_steps_its_orbit_once(monkeypatch, capsys):
+    # the flow-residuals probe lifts the run's orbit, -0.0 start and all
+    calls = []
+    run_trajectory = dhj.mechanics.run_trajectory
+
+    def counted(H, start, *args, **kwargs):
+        calls.append(start.p.tobytes())
+        return run_trajectory(H, start, *args, **kwargs)
+
+    monkeypatch.setattr(dhj.cli, "run_trajectory", counted)
+    assert main(["check", "--r=2", "--p1=-0.0", "--steps=6"]) == 0
+    # the run's orbit and check_left_right's free particle
+    assert calls == [np.array([-0.0]).tobytes(), np.array([0.1]).tobytes()]
+    line, = [ln for ln in capsys.readouterr().out.splitlines() if "flow-residuals" in ln]
+    assert line.startswith("CHECK flow-residuals: PASS ") and "over 6 transitions" in line
+
+
+_GENERIC_COMPARE_ERROR = ("config error: the generic compare lifts its orbit from q1 and p1 "
+                          "and reads no ds1\n")
+
+
+def test_generic_compare_rejects_ds1(tmp_path, capsys):
+    # by flag or by config file, on --method generic or on weights that pick it
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("ds1 = 0.3\n", encoding="utf-8")
+    for argv in (["--ds1=0.3", "--method=generic"], ["--r=2", "--ds1=0.3"],
+                 ["--config", str(cfgfile), "--s=0.5"], ["--ds1=0", "--r=2"]):
+        assert main(["compare", "--steps=2", *argv]) == 2
+        assert capsys.readouterr() == ("", _GENERIC_COMPARE_ERROR)
+    # the closed form reads it: DS starts there
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--steps=2", "--ds1=0.3", "--csv", str(out)]) == 0
+    assert read_csv(out)[2][0][3] == "0.29999999999999999"
 
 
 def test_escaping_generic_flow_stops_where_its_orbit_does(tmp_path, capsys):
@@ -464,7 +584,7 @@ def test_each_left_right_newton_solve_takes_one_exact_step(monkeypatch):
 
 
 class _NumpyWithLinalg:
-    """numpy as dhj.core sees it, with linalg.solve, det and norm replaced."""
+    """numpy as dhj.core sees it, with linalg.solve, qr and norm replaced."""
 
     def __init__(self, **linalg):
         self.linalg = types.SimpleNamespace(**linalg)
@@ -477,7 +597,7 @@ class _NumpyWithLinalg:
                                   ["compare", "--q1=0.01", "--r=2", "--steps=24"]])
 def test_scalar_newton_steps_call_no_dense_linear_algebra(argv, monkeypatch, tmp_path, capsys):
     # every Newton system the CLI solves is 1 x 1, so each step is one
-    # division: with numpy's solve, det and norm refusing to run inside
+    # division: with numpy's solve, qr and norm refusing to run inside
     # dhj.core, output and CSV are unchanged
     def refuse(*args, **kwargs):
         raise AssertionError("dense linear algebra inside dhj.core")
@@ -489,7 +609,7 @@ def test_scalar_newton_steps_call_no_dense_linear_algebra(argv, monkeypatch, tmp
     for patched in (False, True):
         if patched:
             monkeypatch.setattr(dhj.core, "np",
-                                _NumpyWithLinalg(solve=refuse, det=refuse, norm=refuse))
+                                _NumpyWithLinalg(solve=refuse, qr=refuse, norm=refuse))
         code = main(argv)
         runs.append((code, capsys.readouterr(), csv.read_bytes() if csv.exists() else None))
     assert runs[0] == runs[1]
@@ -507,11 +627,11 @@ def test_two_dimensional_newton_still_solves_through_numpy(monkeypatch):
         return call
 
     monkeypatch.setattr(dhj.core, "np", _NumpyWithLinalg(
-        **{name: counted(name) for name in ("solve", "det", "norm")}))
+        **{name: counted(name) for name in ("solve", "qr", "norm")}))
     A, b = np.array([[3.0, 1.0], [1.0, 2.0]]), np.array([1.0, -1.0])
     x = dhj.core.newton_solve(lambda z: A @ z - b, [0.0, 0.0], jacobian=lambda z: A)
     assert np.abs(A @ x - b).max() <= 1e-12
-    assert calls.count("solve") >= 1 and calls.count("det") == calls.count("solve")
+    assert calls.count("solve") >= 1 and calls.count("qr") == calls.count("solve")
 
 
 def test_partial_consistency_flags_corrupted_hamiltonian():
@@ -853,12 +973,12 @@ def test_negative_float_with_exponent_is_a_separate_value(tmp_path):
     assert "# q1 = -3.1999999999999999e-05" in out.read_text(encoding="utf-8").splitlines()
 
     out = tmp_path / "all.csv"
-    # compare reads every float flag; generic, since the closed-form flow has
-    # no real root from this slope
+    # compare reads every float flag on the closed form (the generic one reads
+    # no --ds1); the flow has no real root from this slope, so it exits 1, and
+    # the header still records each value
     rcode = main(["compare", "--q1", "-1e-7", "--p1", "-2E-8", "--q2", "-.25e-6",
-                  "--ds1", "-1e-9", "--gamma1", "-3.5e-9", "--steps", "2", "--method", "generic",
-                  "--csv", str(out)])
-    assert rcode == 0
+                  "--ds1", "-1e-9", "--gamma1", "-3.5e-9", "--steps", "2", "--csv", str(out)])
+    assert rcode == 1
     header, _, _, _ = read_csv(out)
     assert [header[k] for k in ("q1", "p1", "q2", "ds1", "gamma1")] == [
         format(v, ".17g") for v in (-1e-7, -2e-8, -0.25e-6, -1e-9, -3.5e-9)]
@@ -921,7 +1041,7 @@ def taken_flags() -> dict:
 
 def test_each_command_takes_the_flags_it_reads():
     assert taken_flags() == READS
-    assert len(UNREAD) == 17
+    assert len(UNREAD) == 18
 
 
 @pytest.mark.parametrize("command, flag", UNREAD)
@@ -1048,6 +1168,73 @@ def test_csv_and_svg_naming_one_file_is_a_config_error(csv, svg, tmp_path, monke
     assert capsys.readouterr() == (
         "", f"config error: --csv and --svg name one file: {csv!r} and {svg!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+def _symlink_to_existing(tmp_path):
+    (tmp_path / "a.out").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "link.out").symlink_to("a.out")
+    return "a.out", "link.out"
+
+
+def _symlink_to_missing(tmp_path):
+    (tmp_path / "link.out").symlink_to("a.out")
+    return "a.out", "link.out"
+
+
+def _hard_link(tmp_path):
+    (tmp_path / "a.out").write_text("kept\n", encoding="utf-8")
+    (tmp_path / "hard.out").hardlink_to(tmp_path / "a.out")
+    return "a.out", "hard.out"
+
+
+def _symlinked_directory(tmp_path):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "dirlink").symlink_to("sub")
+    return "sub/a.out", "dirlink/a.out"
+
+
+@pytest.mark.parametrize("make", [_symlink_to_existing, _symlink_to_missing, _hard_link,
+                                  _symlinked_directory])
+@pytest.mark.parametrize("swap", [False, True])
+def test_csv_and_svg_reaching_one_file_through_a_link_is_a_config_error(make, swap, tmp_path,
+                                                                        monkeypatch, capsys):
+    # the file would hold only the SVG; refused before the run, nothing written
+    monkeypatch.chdir(tmp_path)
+    csv, svg = make(tmp_path)[::-1 if swap else 1]
+    before = {p: (p.is_symlink(), p.read_bytes() if p.is_file() else None)
+              for p in tmp_path.rglob("*")}
+    calls = []
+    monkeypatch.setattr(dhj.cli, "run_trajectory", lambda *args: calls.append(args))
+    assert main(["simulate", "--steps", "2", "--csv", csv, "--svg", svg]) == 2
+    assert capsys.readouterr() == (
+        "", f"config error: --csv and --svg name one file: {csv!r} and {svg!r}\n")
+    assert calls == []
+    assert {p: (p.is_symlink(), p.read_bytes() if p.is_file() else None)
+            for p in tmp_path.rglob("*")} == before
+
+
+def test_a_symlink_into_a_missing_directory_fails_at_its_write(tmp_path, monkeypatch, capsys):
+    # its target's directory is missing, so it reaches no file: the run goes
+    # ahead, its write fails, and the CSV written first is removed again
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link.out").symlink_to("missing/a.out")
+    assert main(["simulate", "--steps", "2", "--csv", "a.out", "--svg", "link.out"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: cannot write 'link.out': [Errno {errno.ENOENT}] ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
+
+
+def test_distinct_outputs_beside_links_are_written(tmp_path, monkeypatch, capsys):
+    # a link to another file, and one name in two directories, are two files
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.out").symlink_to("b.out")
+    for csv, svg in (("a.out", "link.out"), ("a.out", "sub/a.out")):
+        assert main(["simulate", "--steps", "2", "--csv", csv, "--svg", svg]) == 0
+        assert (tmp_path / csv).read_text(encoding="utf-8").startswith("# command = simulate")
+        assert (tmp_path / svg).read_text(encoding="utf-8").startswith("<svg ")
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("long_flag", ["--csv", "--svg"])

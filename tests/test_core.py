@@ -278,6 +278,34 @@ def test_one_entry_fd_column_checks_the_residual_size():
         fd_jacobian(lambda z: np.array([z[0], 0.0]), [0.3])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_fd_column_checks_the_residual_size_at_any_dimension(n):
+    with pytest.raises(ValueError, match=f"^residual must return a vector of dimension {n}$"):
+        fd_jacobian(lambda z: z[:-1], np.ones(n))
+
+
+@pytest.mark.parametrize("n, out", [(1, np.zeros(2)), (2, np.zeros(3)), (2, np.zeros((2, 1)))])
+def test_newton_rejects_a_residual_of_the_wrong_shape(n, out):
+    with pytest.raises(ValueError) as exc:
+        newton_solve(lambda z: out, np.ones(n))
+    assert str(exc.value) == (f"residual must return a vector of dimension {n}, "
+                              f"got shape {out.shape}")
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_fd_gradient_names_the_first_non_finite_coordinate(axis):
+    # the partial along axis overflows: f is 1e308 on one side of x and
+    # -1e308 on the other, so the difference is -inf
+    def f(z):
+        return math.copysign(1e308, z[axis] - 0.5) if z[axis] != 0.5 else 0.0
+
+    with pytest.raises(NumericalError) as exc:
+        fd_gradient(f, [0.5, 0.5, 0.5], 1e-3)
+    assert exc.type is NumericalError
+    assert str(exc.value) == (f"non-finite finite-difference evaluation at coordinate {axis} "
+                              "(step 0.001)")
+
+
 @pytest.mark.parametrize("step", [0.0, -1e-7, math.nan])
 def test_fd_jacobian_rejects_a_step_that_is_not_positive(step):
     with pytest.raises(ValueError, match="^step must be positive"):
@@ -466,7 +494,7 @@ def _cubic_prime(z):
 @pytest.mark.parametrize("row_scale", [1.0, 0.5])
 def test_scalar_newton_matches_the_general_path_bit_for_bit(guess, row_scale):
     # the same residual stacked as a decoupled 2-D system, its second row
-    # scaled by a power of two, goes through np.linalg.det and
+    # scaled by a power of two, goes through np.linalg.qr and
     # np.linalg.solve; root and evaluation count agree
     rows = np.array([1.0, row_scale])
     evals = {1: 0, 2: 0}
@@ -494,9 +522,7 @@ def test_scalar_newton_matches_the_general_path_bit_for_bit(guess, row_scale):
 def test_scalar_singular_floor_on_both_sides(a, singular):
     # residual a (z - 1000): one exact step from 0 lands on the root unless a
     # falls under SINGULAR_DET_FLOOR * max(1, |a|).  The decoupled 2-D system
-    # diag(a, 1) decides the same way off the floor; on it np.linalg.det can
-    # read a few ulps low (9.999999999999987e-15 for 1e-14), so the general
-    # path is the reference only at +-0.99e-14 and +-1.01e-14
+    # diag(a, 1) decides the same way, on the floor too: its det is a exactly
     def one():
         return newton_solve(lambda z: a * (z - 1e3), [0.0], jacobian=lambda z: [[a]])
 
@@ -513,8 +539,25 @@ def test_scalar_singular_floor_on_both_sides(a, singular):
     else:
         root = one()[0]
         assert abs(root - 1e3) <= 1e-12 * 1e3
-        if abs(a) != 1e-14:
-            assert root == two()[0]
+        assert root == two()[0]
+
+
+def test_two_unknowns_meet_the_singular_floor_where_one_does():
+    # diag(a, 1) against [[a]] for a from the floor up by 16 ulps, both signs:
+    # det J is a exactly, so both solve, and just below the floor both raise
+    for k in range(-1, 17):
+        for sign in (1.0, -1.0):
+            a = sign * (1e-14 + k * math.ulp(1e-14))
+            outcomes = []
+            for jac, guess in (([[a]], [0.0]), (np.diag([a, 1.0]), [0.0, 1.0])):
+                try:
+                    root = newton_solve(lambda z: np.array([a * (z[0] - 1e3), *z[1:]]), guess,
+                                        jacobian=lambda z, jac=jac: jac)
+                    outcomes.append(root[0])
+                except SingularJacobianError as exc:
+                    outcomes.append((exc.det, exc.scale))
+            assert outcomes[0] == outcomes[1]
+            assert isinstance(outcomes[0], tuple) == (k < 0)
 
 
 def test_scalar_singular_error_carries_the_entry_exactly():

@@ -238,10 +238,14 @@ def test_solver_rejects_left_side_and_left_orbits():
 def test_lift_reads_slopes_off_the_orbit_from_S0():
     H = cubic_right()
     traj = run_trajectory(H, PhasePoint(index=3, q=[0.01], p=[-0.002]), 5)
-    seq = solve_generating_sequence(H, traj, S0=0.25)
+    seq = solve_generating_sequence(H, traj)
     # the orbit's own points, not copies
     assert len(seq) == len(traj) and all(a is b for a, b in zip(seq.points, traj.points))
-    assert seq.S[0] == 0.25
+    # S_0 is +0.0, as the closed form's
+    assert math.copysign(1.0, seq.S[0]) == 1.0 and seq.S[0] == 0.0
+    # S_next - S_j is p_next q_next - H+(q_j, p_next), the first difference from S_0
+    b, a = traj.points[1], traj.points[0]
+    assert seq.S[1] == float(b.p @ b.q) - float(H.eval(a.q, b.p))
     for a, b, S_j, S_next in zip(seq.points, seq.points[1:], seq.S, seq.S[1:]):
         assert abs(hj_residual(H, S_j, S_next, b.p, a.q, b.q)) <= 1e-15
     assert seq.meta["truncated"] is False and seq.meta["degenerate"] is False

@@ -63,6 +63,24 @@ def test_vf_residual_zero_iff_slope_consistent():
     assert vf_residual(Hm, [q], [p], gl) <= 1e-12
 
 
+def test_vf_residual_takes_a_square_matrix_dgamma():
+    # a 2-D right H with field (dq, dp) = (q, p): Dgamma^T q = p
+    H = DiscreteHamiltonian(side=Side.RIGHT, eval=lambda q, p: float(q @ p),
+                            d1=lambda q, p: p, d2=lambda q, p: q, dim=2)
+    q, p = np.array([1.0, 2.0]), np.array([5.0, -1.0])
+    dgamma = np.array([[1.0, 1.0], [2.0, -1.0]])  # columns give q . col = p
+    assert vf_residual(H, q, p, dgamma) == 0.0
+    assert vf_residual(H, q, p, np.eye(2)) == 4.0  # max |q - p|
+    # in one dimension a 1 x 1 matrix is the scalar, bit for bit
+    Hp, _ = free_pair()
+    assert vf_residual(Hp, [0.3], [0.2], [[0.7]]) == vf_residual(Hp, [0.3], [0.2], 0.7)
+    for bad in (np.zeros(2), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError) as exc:
+            vf_residual(H, q, p, bad)
+        assert str(exc.value) == ("dgamma must be a scalar or square matrix, got shape "
+                                  f"{bad.shape}")
+
+
 def test_closed_form_second_value_oracle():
     # with gamma1 = 0 the second value is -q1 / (1 - 3 q1^2) independent of
     # the next position up to a rounding ulp in the shared-factor cancellation
@@ -181,8 +199,25 @@ def test_generic_solver_rejections():
         d2=lambda q, p: np.zeros(2),
         dim=2,
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the slope quotient scheme is one-dimensional only$"):
         solve_gamma_generic(multi, [0.5, 0.7], 0.0)
+    with pytest.raises(ValueError, match="^solve_gamma_generic needs a Side.RIGHT Hamiltonian$"):
+        solve_gamma_generic(free_pair()[1], [0.5, 0.7], 0.0)
+
+
+def test_equivalence_check_rejections():
+    Hp, Hm = free_pair()
+    seq = run_closed_form_flow_free(Hp, [0.3, 0.4], 0.1)
+    with pytest.raises(ValueError, match="^equivalence_check needs a Side.RIGHT Hamiltonian$"):
+        equivalence_check(Hm, seq)
+    multi = DiscreteHamiltonian(side=Side.RIGHT, eval=lambda q, p: 0.0, d1=lambda q, p: p,
+                                d2=lambda q, p: q, dim=2)
+    with pytest.raises(ValueError, match="^the difference quotient is one-dimensional only$"):
+        equivalence_check(multi, seq)
+    one_row = dataclasses.replace(seq, points=seq.points[:1], S=seq.S[:1],
+                                  branch_log=seq.branch_log[:1])
+    with pytest.raises(ValueError, match="^flow_seq must contain at least two rows$"):
+        equivalence_check(Hp, one_row)
 
 
 def test_generic_solver_truncates_on_newton_failure():

@@ -262,6 +262,27 @@ def test_side_mismatch_rejected():
     assert left_traj.meta["side"] == "left"
 
 
+def test_mechanics_argument_checks_name_what_is_wrong():
+    L = free_particle()
+    Hp = hamiltonian_from_lagrangian(L, Side.RIGHT)
+    Hm = hamiltonian_from_lagrangian(L, Side.LEFT)
+    with pytest.raises(ValueError, match="^side must be Side.RIGHT or Side.LEFT, got 'right'$"):
+        hamiltonian_from_lagrangian(L, "right")
+    with pytest.raises(ValueError, match="^side must be a Side enum member, got 'right'$"):
+        dataclasses.replace(Hp, side="right")
+    with pytest.raises(ValueError, match=r"^dimension mismatch: point dim 2, H dim 1$"):
+        step_right(Hp, PhasePoint(index=1, q=[0.1, 0.2], p=[0.0, 0.0]))
+    with pytest.raises(ValueError, match=r"^step_right needs a Side.RIGHT Hamiltonian, got "):
+        step_right(Hm, PhasePoint(index=1, q=[0.1], p=[0.0]))
+    with pytest.raises(ValueError, match=r"^expected a \(right, left\) Hamiltonian pair$"):
+        left_right_relation_residual(Hm, Hp, [0.1], [0.0], [0.1], [0.0])
+    # a model partial of the wrong size is named where it enters the step
+    wide = DiscreteHamiltonian(side=Side.RIGHT, eval=lambda q, p: 0.0, d1=lambda q, p: p - 0.5,
+                               d2=lambda q, p: np.zeros(2), dim=1)
+    with pytest.raises(ValueError, match=r"^D2 H\+ must have dimension 1, got shape \(2,\)$"):
+        step_right(wide, PhasePoint(index=1, q=[0.1], p=[0.0]))
+
+
 def test_run_trajectory_validation():
     H = cubic_right()
     with pytest.raises(ValueError):

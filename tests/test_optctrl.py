@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dhj.core import TOL, NumericalError, PhasePoint, norm_inf
+import dhj.optctrl
+from dhj.core import TOL, NumericalError, PhasePoint, SingularJacobianError, norm_inf
 from dhj.mechanics import Side, run_trajectory
 from dhj.optctrl import (
     MODEL_REGISTRY,
@@ -83,6 +84,35 @@ def test_eliminate_control_newton_fallback_quartic_cost():
     u = eliminate_control(cp, vec(0.1), vec(0.5))
     assert abs(u[0] - (-0.4883533127285651)) <= 1e-12
     assert norm_inf(secondary_constraint(cp, vec(0.1), vec(0.5), u)) <= 1e-12
+
+
+def test_eliminate_control_falls_through_to_newton_on_a_singular_affine_matrix(monkeypatch):
+    # two controls that enter only as u0 + u1: phi = (p + u0 + u1) * (1, 1) is
+    # affine in u with the singular matrix [[1, 1], [1, 1]], so the linear
+    # solve raises and Newton runs from zero
+    cp = ControlProblem(
+        gamma=lambda q, u: np.array([u[0] + u[1]]),
+        cost=lambda q, u: 0.5 * (u[0] + u[1]) ** 2,
+        du_gamma=lambda q, u: np.array([[1.0, 1.0]]),
+        du_cost=lambda q, u: np.array([u[0] + u[1], u[0] + u[1]]),
+        sign=SignCriterion.PLUS,
+        n=1,
+        k=2,
+    )
+    guesses = []
+    newton_solve = dhj.optctrl.newton_solve
+
+    def counted(residual, guess, *args, **kwargs):
+        guesses.append(guess.tolist())
+        return newton_solve(residual, guess, *args, **kwargs)
+
+    monkeypatch.setattr(dhj.optctrl, "newton_solve", counted)
+    # at p = 0 the zero guess already solves it
+    assert eliminate_control(cp, vec(0.1), vec(0.0)).tolist() == [0.0, 0.0]
+    # elsewhere Newton meets the same singular matrix
+    with pytest.raises(SingularJacobianError):
+        eliminate_control(cp, vec(0.1), vec(0.5))
+    assert guesses == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_minus_criterion_flips_control_sign():
