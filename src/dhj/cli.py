@@ -198,30 +198,32 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
 
 def _check_output_paths(rc: RunConfig) -> None:
     """A ConfigError, worded as open's, for an output path that is empty, a
-    directory or in a directory that does not exist, or for --csv and --svg
-    that reach one file, before the run starts."""
+    directory or in a directory that does not exist (a dangling symlink's
+    target's), or for --csv and --svg that reach one file, before the run."""
+    reached = []
     for path in [path for path in (rc.csv, rc.svg) if path is not None]:
+        # a symlink that reaches no file is read as its target, resolved once
+        target = (path if os.path.exists(path) or not os.path.islink(path)
+                  else os.path.realpath(path))
         if os.path.isdir(path):
             code = errno.EISDIR
-        elif not path or not os.path.isdir(os.path.dirname(path) or "."):
+        elif not path or not os.path.isdir(os.path.dirname(target) or "."):
             code = errno.ENOENT
         else:
+            reached.append(target)
             continue
         raise ConfigError(f"cannot write {path!r}: {OSError(code, os.strerror(code), path)}")
-    if None not in (rc.csv, rc.svg) and _one_file(rc.csv, rc.svg):
+    if len(reached) == 2 and _one_file(*reached):
         raise ConfigError(f"--csv and --svg name one file: {rc.csv!r} and {rc.svg!r}")
 
 
 def _one_file(a: str, b: str) -> bool:
-    """Whether paths a and b reach one file: samefile when both exist, else one
-    name in one directory, by (st_dev, st_ino), with a symlink resolved."""
+    """Whether outputs a and b (a dangling symlink resolved) reach one file:
+    samefile when both exist, else one name in one directory, by (st_dev, st_ino)."""
     if os.path.exists(a) and os.path.exists(b):
         return os.path.samefile(a, b)
-    a, b = (os.path.realpath(p) if os.path.islink(p) else p for p in (a, b))
-    dirs = [os.path.dirname(p) or "." for p in (a, b)]
-    # a symlink into a missing directory reaches no file; writing it fails
-    return (os.path.basename(a) == os.path.basename(b) and all(map(os.path.isdir, dirs))
-            and os.path.samefile(*dirs))
+    return (os.path.basename(a) == os.path.basename(b)
+            and os.path.samefile(os.path.dirname(a) or ".", os.path.dirname(b) or "."))
 
 
 def build_model(rc: RunConfig):

@@ -13,7 +13,7 @@ vectors hold one or two entries, where numpy's fixed cost per call outweighs
 the arithmetic, so the max-norm, one-entry products, the finiteness tests,
 the finite-difference probes of one entry and the residual and step of
 newton_solve's one loop on one unknown run over Python floats, bitwise what
-numpy computes.
+numpy computes.  A residual of one unknown may return a Python float.
 """
 
 from __future__ import annotations
@@ -115,6 +115,15 @@ def _atleast_1d(x) -> np.ndarray:
     # np.atleast_1d(np.asarray(x, dtype=float)) without the wrapper's cost
     v = np.asarray(x, dtype=float)
     return v.reshape(1) if v.ndim == 0 else v
+
+
+def _unboxed(v):
+    """v's entry as a float when v is a one-entry float vector, else v: a
+    residual formed over it is a float for one unknown, an array for more.
+    A float32 entry is widened, as numpy's float64 arithmetic widens it."""
+    if type(v) is np.ndarray and v.shape == (1,) and v.dtype.kind == "f":
+        return v.item()
+    return v
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -237,17 +246,20 @@ def _check_step(step: float) -> None:
 def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of a residual from R^n to R^n at x (columns
     by axis); 2n residual evaluations, none at x itself.  step must be
-    positive.  One entry is differenced in Python floats, bitwise numpy's."""
+    positive.  One entry is differenced in Python floats, bitwise numpy's;
+    its residual may return a Python float."""
     x = as_vec(x, name="x")
     _check_step(step)
     m = x.size
     if m == 1:
         x0 = x.item()
-        hi = _atleast_1d(residual(np.array([x0 + step])))
-        lo = _atleast_1d(residual(np.array([x0 - step])))
-        if hi.size != 1 or lo.size != 1:
-            raise ValueError("residual must return a vector of dimension 1")
-        d = (hi.item() - lo.item()) / (2.0 * step)
+        hi, lo = residual(np.array([x0 + step])), residual(np.array([x0 - step]))
+        if type(hi) is not float or type(lo) is not float:
+            hi, lo = _atleast_1d(hi), _atleast_1d(lo)
+            if hi.size != 1 or lo.size != 1:
+                raise ValueError("residual must return a vector of dimension 1")
+            hi, lo = hi.item(), lo.item()
+        d = (hi - lo) / (2.0 * step)
         if not math.isfinite(d):
             raise NumericalError("non-finite entries in finite-difference Jacobian")
         return np.array([[d]])
@@ -283,7 +295,8 @@ def _check_jacobian(jac: np.ndarray) -> None:
 def newton_solve(residual, guess, jacobian=None) -> np.ndarray:
     """Solve residual(x) = 0 by Newton from guess; returns the root.
 
-    residual maps an n-vector to an n-vector; jacobian, if given, maps the
+    residual maps an n-vector to an n-vector, and for n = 1 may return a
+    Python float in place of its one-entry array; jacobian, if given, maps the
     iterate to the n x n Jacobian (otherwise central differences with
     FD_STEP are used).  Convergence means ||residual||_inf <= TOL.
     A guess that already satisfies the tolerance is returned unchanged after
@@ -328,8 +341,12 @@ def newton_solve(residual, guess, jacobian=None) -> np.ndarray:
 def _read_residual(residual, z: np.ndarray):
     """residual(z) and its max-norm: (r, |r|) in Python floats for one entry,
     (the array, its norm) otherwise.  The residual must be a finite vector of
-    z's size; its first non-finite entry is a NumericalError's quantity."""
-    r = _atleast_1d(residual(z))
+    z's size, or for one entry a finite Python float, taken as it is; its
+    first non-finite entry is a NumericalError's quantity."""
+    r = residual(z)
+    if type(r) is float and z.size == 1 and math.isfinite(r):
+        return r, abs(r)
+    r = _atleast_1d(r)
     if r.ndim != 1 or r.size != z.size:
         raise ValueError(f"residual must return a vector of dimension {z.size}, "
                          f"got shape {r.shape}")

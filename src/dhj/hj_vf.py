@@ -100,7 +100,7 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0) -> DiscreteT
     failure_quantity), a slope so large that D2 H+ (or d22) times the
     quotient overflows (NumericalError naming that product), or a Newton
     failure truncates the run with core.iterate's failure record in meta,
-    keeping completed rows.
+    keeping completed rows.  Its field residual returns a Python float.
     """
     if H.side is not Side.RIGHT:
         raise ValueError("solve_gamma_generic needs a Side.RIGHT Hamiltonian")
@@ -136,8 +136,8 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0) -> DiscreteT
                                      f"{quot:.6e} overflows at g = {g[0]:.6e}", product)
             return product
 
-        def residual(g: np.ndarray) -> np.ndarray:
-            return np.array([slope_product(H.d2(q_j, g), "D2 H+", g) - H.d1(q_j, g).item()])
+        def residual(g: np.ndarray) -> float:
+            return slope_product(H.d2(q_j, g), "D2 H+", g) - H.d1(q_j, g).item()
 
         def jacobian(g: np.ndarray) -> np.ndarray:
             return np.array([[slope_product(H.d22(q_j, g), "D22 H+", g)

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NumericalError, PhasePoint, _checked_point, _positive_int, as_vec, dot,
-                   fd_jacobian, iterate, newton_solve, norm_inf)
+from .core import (_FLOAT64, NumericalError, PhasePoint, _checked_point, _positive_int,
+                   _unboxed, as_vec, dot, fd_jacobian, iterate, newton_solve, norm_inf)
 
 __all__ = [
     "Side",
@@ -148,7 +148,11 @@ def _computed(value, dim: int, name: str) -> np.ndarray:
     """A value the model computed as a float64 dim-vector, checked once where
     it enters a step: a non-finite entry is a NumericalError naming the
     value, with that entry as its quantity, so a run truncates there; a
-    non-finite point from the caller stays as_vec's ValueError."""
+    non-finite point from the caller stays as_vec's ValueError.  A finite
+    one-entry float64 vector comes back as it is after one float test."""
+    if (type(value) is np.ndarray and value.shape == (1,) and value.dtype is _FLOAT64
+            and dim == 1 and math.isfinite(value.item())):
+        return value
     v = np.asarray(value, dtype=float)
     for entry in v.ravel().tolist():
         if not math.isfinite(entry):
@@ -185,11 +189,12 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side) -> DiscreteHa
 
     def _recover(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         # invert p = D2 L_d(q, .) on the right, p = -D1 L_d(., q) on the left,
-        # from the guess q; a - (-p) is a + p, bit for bit
+        # from the guess q; a - (-p) is a + p, bit for bit, also in floats
+        pv = _unboxed(p)
         if right:
-            residual, jacobian = (lambda y: d_y(q, y) - p), (lambda y: d_yy(q, y))
+            residual, jacobian = (lambda y: _unboxed(d_y(q, y)) - pv), (lambda y: d_yy(q, y))
         else:
-            residual, jacobian = (lambda y: d_y(y, q) + p), (lambda y: d_yy(y, q))
+            residual, jacobian = (lambda y: _unboxed(d_y(y, q)) + pv), (lambda y: d_yy(y, q))
         return newton_solve(residual, q, jacobian=None if d_yy is None else jacobian)
 
     def _eval(q: np.ndarray, p: np.ndarray) -> float:
@@ -230,19 +235,20 @@ def _step(H: DiscreteHamiltonian, x: PhasePoint, side: Side) -> PhasePoint:
         raise ValueError(f"step_{side.value} needs a Side.{side.name} Hamiltonian, got {H.side}")
     if x.dim != H.dim:
         raise ValueError(f"dimension mismatch: point dim {x.dim}, H dim {H.dim}")
+    q, p = _unboxed(x.q), _unboxed(x.p)  # floats for one unknown
     if H.lagrangian is not None:
         # the discrete Lagrangian flow, the step map of both duals of L_d: solve
         # D1 L_d(q_j, q_next) + p_j = 0 from q_j, with Jacobian L.d12 when set
         L = H.lagrangian
         jacobian = None if L.d12 is None else (lambda y: L.d12(x.q, y))
-        q_next = newton_solve(lambda y: L.d1(x.q, y) + x.p, x.q, jacobian=jacobian)
+        q_next = newton_solve(lambda y: _unboxed(L.d1(x.q, y)) + p, x.q, jacobian=jacobian)
         p_next = _computed(L.d2(x.q, q_next), H.dim, "D2 L_d")
     elif side is Side.RIGHT:
         jacobian = None if H.d12 is None else (lambda g: H.d12(x.q, g))
-        p_next = newton_solve(lambda g: H.d1(x.q, g) - x.p, x.p, jacobian=jacobian)
+        p_next = newton_solve(lambda g: _unboxed(H.d1(x.q, g)) - p, x.p, jacobian=jacobian)
         q_next = _computed(H.d2(x.q, p_next), H.dim, "D2 H+")
     else:
-        q_next = newton_solve(lambda g: -H.d2(g, x.p) - x.q, x.q)
+        q_next = newton_solve(lambda g: -_unboxed(H.d2(g, x.p)) - q, x.q)
         p_next = -_computed(H.d1(q_next, x.p), H.dim, "D1 H-")
     return _checked_point(x.index + 1, q_next, p_next)
 

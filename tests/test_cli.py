@@ -1213,15 +1213,19 @@ def test_csv_and_svg_reaching_one_file_through_a_link_is_a_config_error(make, sw
             for p in tmp_path.rglob("*")} == before
 
 
-def test_a_symlink_into_a_missing_directory_fails_at_its_write(tmp_path, monkeypatch, capsys):
-    # its target's directory is missing, so it reaches no file: the run goes
-    # ahead, its write fails, and the CSV written first is removed again
+def test_a_symlink_into_a_missing_directory_is_refused_before_the_run(tmp_path, monkeypatch,
+                                                                      capsys):
+    # its target's directory is missing, so its write would fail: refused
+    # with open's error before any step, and nothing is written
     monkeypatch.chdir(tmp_path)
     (tmp_path / "link.out").symlink_to("missing/a.out")
+    calls = []
+    monkeypatch.setattr(dhj.cli, "run_trajectory", lambda *args: calls.append(args))
     assert main(["simulate", "--steps", "2", "--csv", "a.out", "--svg", "link.out"]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"config error: cannot write 'link.out': [Errno {errno.ENOENT}] ")
+    assert capsys.readouterr() == (
+        "", f"config error: cannot write 'link.out': [Errno {errno.ENOENT}] "
+            f"No such file or directory: 'link.out'\n")
+    assert calls == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.out"]
 
 

@@ -706,6 +706,62 @@ def test_newton_agrees_with_the_plain_loop(guess, scale, max_iter, exact):
     assert evals <= plain_evals
 
 
+def _one_unknown(kind, a, b):
+    """An affine a x + b or cubic a (x^3 - 2x) + b residual of one unknown and
+    its derivative, in Python floats (an overflow is inf, or NaN from 0 * inf)."""
+    if kind == "affine":
+        return (lambda x: a * x + b), (lambda x: a)
+    return (lambda x: a * (x * x * x - 2.0 * x) + b), (lambda x: a * (3.0 * x * x - 2.0))
+
+
+def _float_and_array_outcomes(kind, a, b, guess, exact):
+    """_outcome of one solve with the residual returning a Python float and
+    with it returning the same value in a one-entry array."""
+    f, df = _one_unknown(kind, a, b)
+    jacobian = (lambda z: [[df(z.item())]]) if exact else None
+    return (_outcome(newton_solve, lambda z: f(z.item()), [guess], jacobian),
+            _outcome(newton_solve, lambda z: np.array([f(z.item())]), [guess], jacobian))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["affine", "cubic"]),
+       a=st.one_of(st.floats(-3.0, 3.0), _FINITE), b=st.one_of(st.floats(-3.0, 3.0), _FINITE),
+       guess=st.one_of(st.floats(-3.0, 3.0), _FINITE), exact=st.booleans())
+@example(kind="affine", a=1e308, b=1e308, guess=10.0, exact=True)
+@example(kind="cubic", a=1.0, b=2.0, guess=1e300, exact=False)
+@example(kind="affine", a=0.0, b=1.0, guess=0.5, exact=False)
+@example(kind="cubic", a=1.0, b=2.0, guess=0.0, exact=True)
+def test_a_float_residual_solves_as_its_one_entry_array(kind, a, b, guess, exact):
+    # the same root bits or the same error, class, message and quantity
+    # alike, from the same number of residual evaluations
+    got, want = _float_and_array_outcomes(kind, a, b, guess, exact)
+    assert got == want
+
+
+@pytest.mark.parametrize("kind, a, b, guess, exact, error", [
+    ("affine", 1e308, 1e308, 10.0, True, "NumericalError"),
+    ("cubic", 1.0, 2.0, 1e300, False, "NumericalError"),
+    ("affine", 0.0, 1.0, 0.5, True, "SingularJacobianError"),
+    ("affine", 0.0, 1.0, 0.5, False, "SingularJacobianError"),
+    ("cubic", 1.0, 2.0, 0.0, True, "ConvergenceError"),
+])
+def test_a_float_residual_fails_as_its_one_entry_array(kind, a, b, guess, exact, error):
+    # a non-finite value, a singular J and the cycle stop
+    got, want = _float_and_array_outcomes(kind, a, b, guess, exact)
+    assert got == want and got[0][0] == error
+
+
+def test_a_float_for_two_unknowns_is_refused_as_before():
+    with pytest.raises(ValueError) as exc:
+        newton_solve(lambda z: 0.5, np.ones(2))
+    assert str(exc.value) == "residual must return a vector of dimension 2, got shape (1,)"
+    with pytest.raises(ValueError, match="^residual must return a vector of dimension 2$"):
+        fd_jacobian(lambda z: 0.5, np.ones(2))
+
+
 @pytest.mark.parametrize("q1, steps, r, s", [
     (0.01, 40, 1.0, 1.0), (-0.2, 24, 1.0, 1.0), (0.3, 24, 2.0, 1.0), (0.05, 24, 0.5, 3.0),
     (1e-3, 40, 1.0, 0.5), (0.6, 8, 1.0, 1.0), (-6.284409876985755e-06, 40, 1.0, 1.0)])

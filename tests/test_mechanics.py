@@ -11,6 +11,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dhj.core
+import dhj.hj_vf
+import dhj.mechanics
 import dhj.optctrl
 from dhj.cli import _free_particle
 from dhj.core import PhasePoint, SingularJacobianError, fd_jacobian, newton_solve
@@ -522,6 +524,122 @@ def test_lagrangian_dual_step_is_one_solve_on_the_momentum_relation():
             counts.update(d1=0, d2=0)
             stepper(H, PhasePoint(index=1, q=[q], p=[p]))
             assert counts["d2"] == 1 and counts["d1"] <= 16
+
+
+def _residual_types(monkeypatch, run) -> list:
+    """type(residual(guess)) of every Newton solve that mechanics and hj_vf
+    start while run() runs; each solve then goes ahead."""
+    seen = []
+
+    def recording(residual, guess, jacobian=None):
+        seen.append(type(residual(guess)))
+        return newton_solve(residual, guess, jacobian=jacobian)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(dhj.mechanics, "newton_solve", recording)
+        mp.setattr(dhj.hj_vf, "newton_solve", recording)
+        run()
+    return seen
+
+
+def test_one_unknown_residuals_hand_newton_a_float(monkeypatch):
+    # each one-unknown residual in src/ is formed over core._unboxed floats
+    L = midpoint_pendulum(0.2, 1.3)
+    Hp, Hm = (hamiltonian_from_lagrangian(L, side) for side in (Side.RIGHT, Side.LEFT))
+    x = PhasePoint(index=1, q=[0.1], p=[0.2])
+    a, b = np.array([0.1]), np.array([0.2])
+    runs = {
+        "step_right on the reduced H": lambda: step_right(cubic_right(), x),
+        "step_left on a left H without its L_d":
+            lambda: step_left(dataclasses.replace(Hm, lagrangian=None), x),
+        "the Lagrangian flow, right": lambda: step_right(Hp, x),
+        "the Lagrangian flow, left": lambda: step_left(Hm, x),
+        "the right inversion": lambda: Hp.eval(a, b),
+        "the left inversion": lambda: Hm.eval(a, b),
+        "solve_gamma_generic": lambda: dhj.hj_vf.solve_gamma_generic(cubic_right(),
+                                                                    [0.1, 0.09], 0.05),
+    }
+    for name, run in runs.items():
+        seen = _residual_types(monkeypatch, run)
+        assert seen and set(seen) == {float}, name
+
+
+def test_two_unknowns_hand_newton_an_array(monkeypatch):
+    from test_lq_orbit import orbit
+
+    seen = _residual_types(monkeypatch, lambda: orbit((0.3, -0.1)))
+    assert len(seen) == 20 and set(seen) == {np.ndarray}
+
+
+def test_an_overflowing_one_unknown_residual_is_inf_without_a_warning(recwarn):
+    # D1 L_d + p_j = 1e308 + 1e308 sums in Python floats: inf, no numpy warning
+    L = dataclasses.replace(free_particle(), d1=lambda a, b: np.array([1e308]))
+    x = PhasePoint(index=1, q=[0.0], p=[1e308])
+    with pytest.raises(dhj.core.NumericalError) as exc:
+        step_right(hamiltonian_from_lagrangian(L, Side.RIGHT), x)
+    assert str(exc.value) == "non-finite residual evaluation at x = [0.]"
+    assert exc.value.quantity == math.inf
+    assert len(recwarn) == 0
+
+
+def test_a_float32_partial_sums_in_float64(monkeypatch):
+    # D1 L_d + p_j widens a float32 D1 L_d as numpy's promotion does, not
+    # rounding the sum back to float32, so Newton still sees the float32
+    # model's rounding as a residual and refuses to converge on it
+    L = dataclasses.replace(free_particle(),
+                            d1=lambda a, b: np.array([0.1], dtype=np.float32))
+    values = []
+
+    def recording(residual, guess, jacobian=None):
+        values.append(residual(guess))
+        return guess
+
+    monkeypatch.setattr(dhj.mechanics, "newton_solve", recording)
+    step_right(hamiltonian_from_lagrangian(L, Side.RIGHT), PhasePoint(index=1, q=[0.0],
+                                                                       p=[1e-9]))
+    want = np.array([0.1], dtype=np.float32) + np.array([1e-9])
+    assert values == [want.item()] and type(values[0]) is float
+
+
+def test_computed_returns_a_finite_one_entry_vector_as_it_is():
+    from dhj.mechanics import _computed
+
+    v = np.array([0.25])
+    assert _computed(v, 1, "D2 H+") is v
+    assert _computed(np.float64(0.25), 1, "D2 H+").tobytes() == v.tobytes()
+    for value, dim, shape in ((v, 2, "(1,)"), (v.reshape(1, 1), 1, "(1, 1)")):
+        with pytest.raises(ValueError) as exc:
+            _computed(value, dim, "D2 H+")
+        assert str(exc.value) == f"D2 H+ must have dimension {dim}, got shape {shape}"
+    with pytest.raises(dhj.core.NumericalError) as exc:
+        _computed(np.array([math.inf]), 1, "D2 H+")
+    assert str(exc.value) == "D2 H+ contains non-finite entries: [inf]"
+    assert exc.value.quantity == math.inf
+
+
+def _square_partial(f):
+    """f with its one-entry value returned as a (1, 1) array."""
+    return lambda a, b: np.asarray(f(a, b)).reshape(1, 1)
+
+
+def test_a_square_partial_in_a_one_entry_step_is_refused_as_before():
+    # the Lagrangian flow, both steppers without it, and both inversions
+    L = midpoint_pendulum(0.2, 1.3)
+    bad_d1 = dataclasses.replace(L, d1=_square_partial(L.d1))
+    bad_d2 = dataclasses.replace(L, d2=_square_partial(L.d2))
+    Hr, Hm = cubic_right(), hamiltonian_from_lagrangian(L, Side.LEFT)
+    x = PhasePoint(index=1, q=[0.1], p=[0.2])
+    a, b = np.array([0.1]), np.array([0.2])
+    for run in (lambda: step_right(hamiltonian_from_lagrangian(bad_d1, Side.RIGHT), x),
+                lambda: step_right(dataclasses.replace(Hr, d1=_square_partial(Hr.d1)), x),
+                lambda: step_left(dataclasses.replace(Hm, lagrangian=None,
+                                                      d2=_square_partial(Hm.d2)), x),
+                lambda: hamiltonian_from_lagrangian(bad_d2, Side.RIGHT).eval(a, b),
+                lambda: hamiltonian_from_lagrangian(bad_d1, Side.LEFT).eval(a, b)):
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == ("residual must return a vector of dimension 1, "
+                                  "got shape (1, 1)")
 
 
 def test_right_and_left_duals_take_the_same_step():
