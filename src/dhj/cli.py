@@ -15,7 +15,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .mechanics import (
     symplecticity_defect,
     verify_step,
 )
-from .optctrl import MODEL_REGISTRY, discretize_right
+from .optctrl import discretize_right, make_sakamoto1d
 
 __all__ = ["ConfigError", "RunConfig", "main", "run_checks", "CheckResult"]
 
@@ -47,10 +47,11 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully resolved configuration of one CLI run."""
+    """Fully resolved configuration of one CLI run: the one model, and the
+    slope method that its weights fix (the closed form at r = s = 1)."""
 
     command: str
-    model: str = "sakamoto1d"
+    model: str = field(default="sakamoto1d", init=False)
     r: float = 1.0
     s: float = 1.0
     q1: float = 5e-8
@@ -61,10 +62,13 @@ class RunConfig:
     steps: int = 18
     h: float = 1e-4
     branch: str = "continuity"
-    method: str = "auto"
+    method: str = field(init=False)
     csv: str | None = None
     svg: str | None = None
     log_abs: bool = False
+
+    def __post_init__(self) -> None:
+        self.method = "closed-form" if self.r == 1.0 and self.s == 1.0 else "generic"
 
 
 _FLOAT_KEYS = {"r", "s", "q1", "p1", "q2", "ds1", "gamma1", "h"}
@@ -73,13 +77,14 @@ _BOOLS = {"true": True, "1": True, "yes": True, "on": True,
 # each config file key's parser; a ValueError or KeyError is a bad value
 _PARSERS = {**dict.fromkeys(_FLOAT_KEYS, float), "steps": int,
             "log_abs": lambda value: _BOOLS[value.lower()],
-            **dict.fromkeys(("model", "branch", "method", "csv", "svg"), str)}
+            **dict.fromkeys(("branch", "csv", "svg"), str)}
 _OPTIONAL_KEYS = {"q2", "csv", "svg"}
-# the momentum the generic flow's orbit starts from, and the keys it then reads no value of
-_GENERIC_LIFT = {"hj-flow": ("ds1", ("p1", "q2", "h", "branch")), "compare": ("p1", ("ds1",))}
+# the keys each generic command reads no value of: it lifts the orbit from (q1, p1), and
+# check's vf-agreement, the one reader of gamma1 there, needs the closed form
+_GENERIC_UNREAD = {"hj-flow": ("ds1", "q2", "h", "branch"), "compare": ("ds1",),
+                   "check": ("gamma1",)}
 # each flag's help
 _HELP = {
-    "model": "registered model name",
     "r": "control effort weight",
     "s": "state cost weight",
     "q1": "initial position",
@@ -90,7 +95,6 @@ _HELP = {
     "steps": "number of steps",
     "h": "increment scale of the closed-form slope recursion",
     "branch": "root policy of the closed-form slope recursion: plus, minus or continuity",
-    "method": "auto, closed-form (unit weights only) or generic; auto picks closed-form if valid",
     "csv": "write results as CSV",
     "svg": "write plots as SVG",
     "log_abs": "log10 vertical scale on magnitude plots",
@@ -168,9 +172,6 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         value = getattr(rc, key)
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{key} must be finite, got {value}")
-    if rc.model not in MODEL_REGISTRY:
-        known = ", ".join(sorted(MODEL_REGISTRY))
-        raise ConfigError(f"unknown model {rc.model!r} (known: {known})")
     if not (rc.r > 0.0) or not (rc.s > 0.0):
         raise ConfigError(f"weights must be positive, got r = {rc.r}, s = {rc.s}")
     if rc.steps < 1:
@@ -179,18 +180,9 @@ def resolve_config(ns: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"h must be positive, got {rc.h}")
     if rc.branch not in ("plus", "minus", "continuity"):
         raise ConfigError(f"unknown branch {rc.branch!r}")
-    if rc.method not in ("auto", "closed-form", "generic"):
-        raise ConfigError(f"unknown method {rc.method!r}")
-    unit = rc.model == "sakamoto1d" and rc.r == 1.0 and rc.s == 1.0
-    if rc.method == "auto":
-        rc = replace(rc, method="closed-form" if unit else "generic")
-    elif rc.method == "closed-form" and not unit:
-        raise ConfigError("the closed-form recursions are derived for "
-                          "sakamoto1d with r = s = 1; use --method generic")
-    start, unread = _GENERIC_LIFT.get(rc.command, ("", ()))
-    ignored = [key for key in unread if key in given]
+    ignored = [key for key in _GENERIC_UNREAD.get(rc.command, ()) if key in given]
     if rc.method == "generic" and ignored:
-        raise ConfigError(f"the generic {rc.command} lifts its orbit from q1 and {start} and "
+        raise ConfigError(f"the generic {rc.command} lifts its orbit from q1 and p1 and "
                           "reads no " + ", ".join(ignored))
     _check_output_paths(rc)
     return rc
@@ -228,7 +220,7 @@ def _one_file(a: str, b: str) -> bool:
 
 def build_model(rc: RunConfig):
     """The right discrete Hamiltonian of rc's model."""
-    return discretize_right(MODEL_REGISTRY[rc.model](r=rc.r, s=rc.s))
+    return discretize_right(make_sakamoto1d(r=rc.r, s=rc.s))
 
 
 def _orbit(rc: RunConfig, H, until=None):
@@ -418,11 +410,9 @@ def _flow_rows(H, seq):
 
 def _runs(rc: RunConfig, H, flow: bool = False, vf: bool = False):
     """The orbit from (q1, p1) and the slope runs a command asks for, as
-    (traj, flow, vf), None for a run not asked for.
+    (traj, flow, vf), None for a slope run not asked for.
 
-    The generic flow lifts the one orbit the command steps: compare's from
-    (q1, p1), and a flow alone its own from (q1, ds1), so it steps no
-    (q1, p1) orbit (traj None); the generic vf solves along the orbit's
+    The generic flow lifts that orbit; the generic vf solves along its
     positions, --q2 in the second when it is set.  On the closed form each
     new orbit point takes each slope one transition to its position (the
     second is --q2 when it is set), and the orbit ends after the first
@@ -433,10 +423,10 @@ def _runs(rc: RunConfig, H, flow: bool = False, vf: bool = False):
     GeneratingSequence whose branch log names the root each transition took,
     and S accumulates h times the previous slope from 0."""
     if rc.method == "generic":
-        traj = _orbit(rc if vf else replace(rc, p1=rc.ds1), H)
+        traj = _orbit(rc, H)
         flow_run = solve_generating_sequence(H, traj) if flow else None
         if not vf:
-            return None, flow_run, None
+            return traj, flow_run, None
         grid = [rc.q2 if pt.index == 2 and rc.q2 is not None else pt.q.item()
                 for pt in traj.points]
         return traj, flow_run, solve_gamma_generic(H, grid, [rc.gamma1])
@@ -475,10 +465,10 @@ def _runs(rc: RunConfig, H, flow: bool = False, vf: bool = False):
 def cmd_hj_flow(rc: RunConfig) -> int:
     H = build_model(rc)
     traj, seq, _ = _runs(rc, H, flow=True)
-    parts = [] if traj is None else [("trajectory", traj.meta)]
     return _finish(rc, f"method={rc.method} points={len(seq)}",
                    ["j", "q", "S", "DS", "branch", "residual"], _flow_rows(H, seq),
-                   _portrait("slope", "DS", seq.points, rc.log_abs), parts + [("flow", seq.meta)])
+                   _portrait("slope", "DS", seq.points, rc.log_abs),
+                   [("trajectory", traj.meta), ("flow", seq.meta)])
 
 
 def _vf_rows(H, seq):
@@ -746,15 +736,15 @@ def cmd_check(rc: RunConfig) -> int:
 # flags and as config file keys
 _COMMANDS = {name: (handler, text, tuple(reads.split())) for name, handler, text, reads in (
     ("simulate", cmd_simulate, "iterate the implicit phase-space map",
-     "model r s q1 p1 steps csv svg log_abs"),
+     "r s q1 p1 steps csv svg log_abs"),
     ("hj-flow", cmd_hj_flow, "evolve generating-function values and slopes",
-     "model r s q1 p1 q2 ds1 steps h branch method csv svg log_abs"),
+     "r s q1 p1 q2 ds1 steps h branch csv svg log_abs"),
     ("hj-vf", cmd_hj_vf, "evolve the slope as a discrete vector field section",
-     "model r s q1 p1 q2 gamma1 steps method csv svg log_abs"),
+     "r s q1 p1 q2 gamma1 steps csv svg log_abs"),
     ("compare", cmd_compare, "run all three on one configuration and difference them",
-     "model r s q1 p1 q2 ds1 gamma1 steps h branch method csv svg log_abs"),
+     "r s q1 p1 q2 ds1 gamma1 steps h branch csv svg log_abs"),
     ("check", cmd_check, "run the internal consistency battery",
-     "model r s q1 p1 gamma1 steps"),
+     "r s q1 p1 gamma1 steps"),
 )}
 
 

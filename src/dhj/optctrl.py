@@ -33,7 +33,6 @@ __all__ = [
     "eliminate_control",
     "discretize_right",
     "make_sakamoto1d",
-    "MODEL_REGISTRY",
 ]
 
 
@@ -268,7 +267,3 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
                           sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,
                           dq_cost=dq_cost, d_qp=lambda q, p, u: dq_gamma(q, u),
                           d_pp=lambda q, p, u: curvature, control=control)
-
-
-# Models addressable by name from configuration; callables take (r, s).
-MODEL_REGISTRY = {"sakamoto1d": make_sakamoto1d}

@@ -3,9 +3,11 @@
 bench/tracing.py wraps dhj functions at the module attributes their callers
 look up and reads the `meta` failure record of every run it traces.  A
 rename of either breaks the benchmark; these tests make it fail here too.
+So does a command that refuses an argv the CLI workloads build.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
 from dhj.mechanics import DiscreteHamiltonian, Side, hamiltonian_from_lagrangian, run_trajectory
 from dhj.optctrl import discretize_right, make_sakamoto1d
 from test_mechanics import cubic_right, midpoint_pendulum
-from test_oracles import load_bench
+from test_oracles import bench_oracles, load_bench
 
 _SINGULAR_Q = 1.0 / math.sqrt(3.0)
 
@@ -137,3 +139,25 @@ def test_truncated_runs_name_the_failure_class(run, failures):
     assert meta["failure"] in failures
     assert issubclass(getattr(dhj, meta["failure"]), NumericalError)
     assert meta["failure_index"] == 1 and meta["failure_message"]
+
+
+def _workloads():
+    # bench/workloads.py imports the oracles by their bare name, as bench/run.py runs it
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, "oracles", bench_oracles)
+        return load_bench("workloads")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("name", ["portrait", "weights", "battery"])
+def test_every_cli_workload_argv_is_accepted(name, seed, tmp_path):
+    # parsed and resolved as main does, not run: a refusal exits 2, which the
+    # benchmark's oracle counts as an incorrect output
+    workloads = _workloads()
+    workload = workloads.CliWorkload(name, seed, str(tmp_path))
+    assert len(workload) == workloads.POOL[name]
+    parser = dhj.cli.build_parser()
+    for argv in workload.argv:
+        ns, unread = parser.parse_known_args(dhj.cli._attach_negative_numbers(argv))
+        assert unread == []
+        assert dhj.cli.resolve_config(ns).command == argv[0]

@@ -48,26 +48,27 @@ def read_csv(path):
 # from dhj.cli; a command's config file keys are these (without --config),
 # spelled with underscores, and the solver settings below
 READS = {command: set(flags.split()) for command, flags in {
-    "simulate": "--config --model --r --s --q1 --p1 --steps --csv --svg --log-abs",
-    "hj-flow": "--config --model --r --s --q1 --p1 --q2 --ds1 --steps --h --branch --method "
+    "simulate": "--config --r --s --q1 --p1 --steps --csv --svg --log-abs",
+    "hj-flow": "--config --r --s --q1 --p1 --q2 --ds1 --steps --h --branch --csv --svg --log-abs",
+    "hj-vf": "--config --r --s --q1 --p1 --q2 --gamma1 --steps --csv --svg --log-abs",
+    "compare": "--config --r --s --q1 --p1 --q2 --ds1 --gamma1 --steps --h --branch "
                "--csv --svg --log-abs",
-    "hj-vf": "--config --model --r --s --q1 --p1 --q2 --gamma1 --steps --method "
-             "--csv --svg --log-abs",
-    "compare": "--config --model --r --s --q1 --p1 --q2 --ds1 --gamma1 --steps --h --branch "
-               "--method --csv --svg --log-abs",
-    "check": "--config --model --r --s --q1 --p1 --gamma1 --steps",
+    "check": "--config --r --s --q1 --p1 --gamma1 --steps",
 }.items()}
 SOLVER_KEYS = ("tol", "max_iter", "damping", "fd_step")
-# each (command, flag) of the 18 flags that the command does not read
+# the flags no command reads: the weights fix the slope method, and there is one model
+REMOVED = {"--method", "--model"}
+# each (command, flag) of the 26 flags that the command does not read
 UNREAD = [(command, flag) for command in READS
-          for flag in sorted(READS["compare"] - READS[command])]
+          for flag in sorted((READS["compare"] - READS[command]) | REMOVED)]
 
 
 # the flags hj-flow takes and its generic method does not read: it lifts
-# its own orbit from --q1 and --ds1
-GENERIC_FLOW_UNREAD = {"--p1", "--q2", "--h", "--branch"}
-# the generic compare lifts the orbit it steps, from --q1 and --p1
-GENERIC_UNREAD = {"hj-flow": GENERIC_FLOW_UNREAD, "compare": {"--ds1"}}
+# the orbit from --q1 and --p1
+GENERIC_FLOW_UNREAD = {"--ds1", "--q2", "--h", "--branch"}
+# the generic compare lifts that orbit too, and the generic check's vf-agreement,
+# which alone reads --gamma1 there, needs the closed form
+GENERIC_UNREAD = {"hj-flow": GENERIC_FLOW_UNREAD, "compare": {"--ds1"}, "check": {"--gamma1"}}
 
 
 def reads(command: str, flags, generic: bool = False) -> bool:
@@ -136,7 +137,7 @@ def test_exit_codes_via_subprocess(tmp_path):
     ok = subprocess.run(base + ["simulate"], capture_output=True, text=True)
     assert ok.returncode == 0
 
-    bad = subprocess.run(base + ["simulate", "--model", "bogus"],
+    bad = subprocess.run(base + ["simulate", "--steps", "0"],
                          capture_output=True, text=True)
     assert bad.returncode == 2
     assert "config error" in bad.stderr
@@ -194,8 +195,6 @@ def test_config_file_errors_name_the_file_and_line(tmp_path, capsys):
 @pytest.mark.parametrize("argv, err", [
     (["simulate", "--steps=0"], "steps must be at least 1, got 0"),
     (["hj-flow", "--branch=left"], "unknown branch 'left'"),
-    (["hj-vf", "--method=newton"], "unknown method 'newton'"),
-    (["simulate", "--model=bogus"], "unknown model 'bogus' (known: sakamoto1d)"),
 ])
 def test_resolve_config_names_the_bad_setting(argv, err, capsys):
     assert main(argv) == 2
@@ -247,8 +246,8 @@ def test_hj_flow_q2_override_splices_only_second_entry(tmp_path):
 def test_hj_flow_generic_reproduces_momenta(tmp_path):
     sim = tmp_path / "sim.csv"
     flow = tmp_path / "flow.csv"
-    assert main(["simulate", "--csv", str(sim)]) == 0
-    assert main(["hj-flow", "--method", "generic", "--csv", str(flow)]) == 0
+    assert main(["simulate", "--r=2", "--csv", str(sim)]) == 0
+    assert main(["hj-flow", "--r=2", "--csv", str(flow)]) == 0
     _, _, sim_rows, _ = read_csv(sim)
     _, _, flow_rows, _ = read_csv(flow)
     assert len(flow_rows) == len(sim_rows)
@@ -344,8 +343,9 @@ def test_compare_ends_its_orbit_with_its_table(command, argv, monkeypatch, tmp_p
     (["hj-vf", "--q1=1e-13"], 1, 2,
      ["vf failure at j = 2: SingularDenominatorError: singular denominator -3.000000e-39 "
       "(threshold 1e-14 * scale, scale = 1.000000e+00)"]),
-    # the generic flow steps only the orbit it lifts, from (q1, ds1)
-    (["hj-flow", "--method", "generic", "--ds1=0.3", "--q1=0.01", "--steps=10"], 0, 10, []),
+    # the generic flow steps only the orbit it lifts, from (q1, p1); at r = 2 the
+    # exact orbit from (0.01, 0.02) stays in |q| < 0.9 (bench_oracles.escapes)
+    (["hj-flow", "--r=2", "--p1=0.02", "--q1=0.01", "--steps=10"], 0, 10, []),
 ], ids=["compare", "hj-flow", "hj-vf", "hj-flow-generic"])
 def test_compare_steps_its_orbit_only_as_far_as_its_table(argv, code, calls, err, monkeypatch,
                                                           capsys):
@@ -390,18 +390,38 @@ def test_generic_flow_csv_reads_the_lift_residuals(monkeypatch, tmp_path):
     assert [row[5] for row in rows] == want
 
 
-@pytest.mark.parametrize("flags", [["--ds1=0.01"], ["--ds1=-0.0"]])
-def test_generic_flow_lifts_its_own_orbit_from_ds1(flags, tmp_path):
-    # hj-flow steps no other orbit, so its lift starts from (q1, ds1), -0.0 as given
+@pytest.mark.parametrize("flags", [["--p1=0.01"], ["--p1=-0.0"]])
+def test_generic_flow_lifts_its_orbit_from_p1(flags, tmp_path):
+    # the lift's DS column is the momentum of the orbit from (q1, p1), -0.0 as given
     out = tmp_path / "flow.csv"
     argv = ["hj-flow", "--r=2", "--q1=0.01", "--steps=8", *flags, "--csv", str(out)]
     assert main(argv) == 0
-    _, _, rows, _ = read_csv(out)
+    header, _, rows, _ = read_csv(out)
     H = discretize_right(make_sakamoto1d(r=2.0))
-    ds1 = float(flags[0].split("=")[1])
-    own = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[ds1]), 8)
+    p1 = float(flags[0].split("=")[1])
+    own = run_trajectory(H, PhasePoint(index=1, q=[0.01], p=[p1]), 8)
     assert [row[3] for row in rows] == [format(pt.p[0], ".17g") for pt in own.points]
-    assert rows[0][3] == format(ds1, ".17g")
+    assert rows[0][3] == header["p1"] == format(p1, ".17g")
+
+
+# each command's table and the columns, if any, that show the orbit's q and p
+_START_COLUMNS = [(["simulate"], 1, 2), (["simulate", "--r=2"], 1, 2), (["compare"], 1, 2),
+                  (["compare", "--s=0.5"], 1, 2), (["hj-flow", "--r=2"], 1, 3),
+                  (["hj-flow"], 1, None), (["hj-vf"], 1, None), (["hj-vf", "--r=2"], 1, None)]
+
+
+@pytest.mark.parametrize("argv, q_col, p_col", _START_COLUMNS,
+                         ids=["-".join(argv) for argv, _, _ in _START_COLUMNS])
+@pytest.mark.parametrize("p1", ["0.01", "-0.0"])
+def test_the_first_row_of_every_command_is_q1_p1(argv, q_col, p_col, p1, tmp_path):
+    # every orbit starts from (q1, p1): the first row shows them bit for bit, as the header does
+    out = tmp_path / "run.csv"
+    assert main([*argv, "--q1=0.03", f"--p1={p1}", "--steps=2", "--csv", str(out)]) == 0
+    header, _, rows, _ = read_csv(out)
+    assert rows[0][0] == "1" and rows[0][q_col] == header["q1"] == "0.029999999999999999"
+    assert header["p1"] == format(float(p1), ".17g")
+    if p_col is not None:
+        assert rows[0][p_col] == header["p1"]
 
 
 @pytest.mark.parametrize("p1", ["0.01", "-0.0"])
@@ -451,7 +471,7 @@ def test_generic_compare_rejects_ds1(tmp_path, capsys):
     # by flag or by config file, on --method generic or on weights that pick it
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("ds1 = 0.3\n", encoding="utf-8")
-    for argv in (["--ds1=0.3", "--method=generic"], ["--r=2", "--ds1=0.3"],
+    for argv in (["--ds1=0.3", "--s=2"], ["--r=2", "--ds1=0.3"],
                  ["--config", str(cfgfile), "--s=0.5"], ["--ds1=0", "--r=2"]):
         assert main(["compare", "--steps=2", *argv]) == 2
         assert capsys.readouterr() == ("", _GENERIC_COMPARE_ERROR)
@@ -475,12 +495,26 @@ def test_escaping_generic_flow_stops_where_its_orbit_does(tmp_path, capsys):
         ["flow failure at j = 5", "ConvergenceError"]]
 
 
-_GENERIC_FLOW_ERROR = ("config error: the generic hj-flow lifts its orbit from q1 and ds1 "
+def test_generic_check_rejects_gamma1(tmp_path, capsys):
+    # by flag or by config file: off unit weights vf-agreement SKIPs before it reads gamma1
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("gamma1 = 0.5\n", encoding="utf-8")
+    for argv in (["--r=2", "--gamma1=0.5"], ["--config", str(cfgfile), "--s=0.5"],
+                 ["--gamma1=0", "--r=2"]):
+        assert main(["check", "--q1=0.05", "--steps=4", *argv]) == 2
+        assert capsys.readouterr() == ("", "config error: the generic check lifts its orbit "
+                                           "from q1 and p1 and reads no gamma1\n")
+    # the closed form's vf-agreement starts both of its slopes there
+    assert main(["check", "--q1=0.05", "--steps=4", "--config", str(cfgfile)]) == 0
+    assert "CHECK vf-agreement: PASS " in capsys.readouterr().out
+
+
+_GENERIC_FLOW_ERROR = ("config error: the generic hj-flow lifts its orbit from q1 and p1 "
                        "and reads no ")
 
 
 def test_hj_flow_rejects_q2_with_generic_method(capsys):
-    assert main(["hj-flow", "--method", "generic", "--q2", "1e-7"]) == 2
+    assert main(["hj-flow", "--r", "2", "--q2", "1e-7"]) == 2
     assert capsys.readouterr().err == f"{_GENERIC_FLOW_ERROR}q2\n"
 
 
@@ -490,7 +524,7 @@ def test_generic_hj_flow_rejects_each_key_it_does_not_read(flag, tmp_path, capsy
     key, value = flag[2:], {"--branch": "plus"}.get(flag, "0.001")
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"{key} = {value}\n", encoding="utf-8")
-    for argv in ([f"{flag}={value}", "--method=generic"], [f"{flag}={value}", "--r=2"],
+    for argv in ([f"{flag}={value}", "--s=2"], [f"{flag}={value}", "--r=2"],
                  ["--config", str(cfgfile), "--s=0.5"]):
         assert main(["hj-flow", "--steps=2", *argv]) == 2
         assert capsys.readouterr() == ("", f"{_GENERIC_FLOW_ERROR}{key}\n")
@@ -502,8 +536,8 @@ def test_generic_hj_flow_rejects_each_key_it_does_not_read(flag, tmp_path, capsy
 def test_generic_hj_flow_names_every_key_it_does_not_read(tmp_path, capsys):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("h = 0.001\n", encoding="utf-8")
-    assert main(["hj-flow", "--r=2", "--branch=plus", "--p1=0", "--config", str(cfgfile)]) == 2
-    assert capsys.readouterr().err == f"{_GENERIC_FLOW_ERROR}p1, h, branch\n"
+    assert main(["hj-flow", "--r=2", "--branch=plus", "--ds1=0", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"{_GENERIC_FLOW_ERROR}ds1, h, branch\n"
 
 
 def test_hj_vf_csv_values(tmp_path):
@@ -732,8 +766,14 @@ def test_svg_log_axis_labelled(tmp_path):
     assert "log10 " in out.read_text(encoding="utf-8")
 
 
-def test_closed_form_method_requires_unit_weights():
-    assert main(["hj-flow", "--method", "closed-form", "--r", "2"]) == 2
+def test_closed_form_method_requires_unit_weights(tmp_path, capsys):
+    # the weights fix the method: the closed form at r = s = 1, Newton at any other
+    out = tmp_path / "run.csv"
+    for weights, method in (([], "closed-form"), (["--r=1.0", "--s=1"], "closed-form"),
+                            (["--r=2"], "generic"), (["--s=0.5"], "generic")):
+        assert main(["hj-vf", *weights, "--steps=2", "--csv", str(out)]) == 0
+        assert read_csv(out)[0]["method"] == method
+        assert f"hj-vf: method={method} points=3 truncated=no" in capsys.readouterr().out
 
 
 def test_minus_branch_truncates_with_partial_csv(tmp_path, capsys):
@@ -758,7 +798,7 @@ def test_truncated_run_names_each_failed_part_on_stderr(command, capsys):
 
 
 @pytest.mark.parametrize("command", ["hj-vf", "compare"])
-@pytest.mark.parametrize("weights", [["--r=2"], ["--method=generic"], ["--r=0.5", "--s=3"]])
+@pytest.mark.parametrize("weights", [["--r=2"], ["--s=2"], ["--r=0.5", "--s=3"]])
 def test_trajectory_stopped_at_its_first_step_gives_one_row(command, weights, tmp_path, capsys):
     # from 1/sqrt(3) the first step is singular, so the slope grid has one
     # position: the generic slope solver returns its seed row
@@ -775,7 +815,7 @@ def test_zero_grid_truncates_the_generic_slope_solver(command, tmp_path, capsys)
     # q1 = 0 is a fixed point, so every grid entry is zero and the first slope
     # quotient gamma / q_next is undefined
     out = tmp_path / "zero.csv"
-    assert main([command, "--q1=0", "--method=generic", "--csv", str(out)]) == 1
+    assert main([command, "--q1=0", "--r=2", "--csv", str(out)]) == 1
     _, _, rows, _ = read_csv(out)
     assert len(rows) == 1 and rows[0][0] == "1"
     err = capsys.readouterr().err.splitlines()
@@ -783,11 +823,12 @@ def test_zero_grid_truncates_the_generic_slope_solver(command, tmp_path, capsys)
     assert err[0].startswith("vf failure at j = 1: DegenerateGridError: q_sequence entry j = 2")
 
 
-@pytest.mark.parametrize("weights", [["--method=generic"], ["--r=2"]])
+@pytest.mark.parametrize("weights", [["--s=2"], ["--r=2"]])
 @pytest.mark.parametrize("command", ["hj-vf", "compare"])
 def test_overflowing_slope_quotient_truncates_the_generic_slope_solver(command, weights):
-    # from the subnormal q1 = 1e-310 the next grid entry is just as small, so
-    # gamma / q_next = 1 / 1e-310 overflows before Newton runs
+    # from the subnormal q1 = 1e-310 the next grid entry is just as small (the
+    # step's seed p2 = p1 = 0 already meets TOL, so q2 = q1 - q1^3 = q1 at any
+    # weights), and gamma / q_next = 1 / 1e-310 overflows before Newton runs
     run = subprocess.run([sys.executable, "-m", "dhj.cli", command, "--q1=1e-310",
                           "--gamma1=1", "--steps=3", *weights], capture_output=True, text=True)
     assert run.returncode == 1
@@ -848,10 +889,13 @@ def test_an_overflowing_orbit_prints_no_numpy_warning(command, tmp_path):
     (["simulate", "--q1=8e153", "--steps=2"], [["1", "8e+153", "0", "8e+153", "0"]],
      ["trajectory failure at j = 1: NumericalError: non-finite residual evaluation at x = [0.]"]),
     # the lift's p_next q_next and H+'s p_next . Gamma overflow at p_next = 1e300,
-    # so S_2 and the transition's residual are NaN: the lift rejects it
-    (["hj-flow", "--q1=1e-320", "--steps=3", "--ds1=1e300", "--r=2"],
+    # so S_2 and the transition's residual are NaN: the lift rejects it; the
+    # orbit it lifts stops one step later
+    (["hj-flow", "--q1=1e-320", "--steps=3", "--p1=1e300", "--r=2"],
      [["1", "9.9998886718268301e-321", "0", "1.0000000000000001e+300", "init", "0"]],
-     ["flow failure at j = 1: ResidualCheckFailure: transition residual nan is not at most inf"]),
+     ["trajectory failure at j = 2: NumericalError: non-finite residual evaluation at "
+      "x = [1.e+300]",
+      "flow failure at j = 1: ResidualCheckFailure: transition residual nan is not at most inf"]),
     # the row re-check multiplies D2 H+ = 0 by gamma_1 / q_2 = 1e300 / 1e-320 = inf:
     # the NaN row is kept and flagged, after the closed form's own truncation
     (["hj-vf", "--q1=1e-320", "--steps=3", "--gamma1=1e300"],
@@ -919,9 +963,11 @@ def test_an_overflowing_closed_form_truncates_and_keeps_its_rows(argv, failure, 
 
 
 @pytest.mark.parametrize("start, product", [
-    # gamma_j / q_next = 1e300 / 2e-5 is finite, but D2 H+ times it is not
-    (["--q1=1e-5", "--gamma1=1e300"],
-     "D2 H+ * gamma_j / q_next = -1.000000e+300 * 5.000000e+304 overflows at g = 1.000000e+300"),
+    # at s / r = 1 the exact map takes q1 = 1e-5 to q_next = q1 - q1^3 + q1 / (1 - 3 q1^2),
+    # 2e-5 to 6 digits; gamma_j / q_next = 1e300 / 2e-5 is finite, but
+    # D2 H+ = q - q^3 - g / r = -5e299 at g = 1e300 times it is not
+    (["--q1=1e-5", "--gamma1=1e300", "--r=2", "--s=2"],
+     "D2 H+ * gamma_j / q_next = -5.000000e+299 * 5.000000e+304 overflows at g = 1.000000e+300"),
     # the residual's product is finite, but the Jacobian's d22 = -1/r is larger
     (["--q1=1e-303", "--gamma1=1e-3", "--r=1e-10"],
      "D22 H+ * gamma_j / q_next = -1.000000e+10 * 1.000000e+300 overflows at g = 1.000000e-03"),
@@ -929,7 +975,7 @@ def test_an_overflowing_closed_form_truncates_and_keeps_its_rows(argv, failure, 
 @pytest.mark.parametrize("command", ["hj-vf", "compare"])
 def test_overflowing_slope_product_truncates_the_generic_slope_solver(command, start, product,
                                                                        tmp_path):
-    run = _cli(command, *start, "--method=generic", "--steps=3",
+    run = _cli(command, *start, "--steps=3",
                "--csv", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "out.svg"))
     assert run.returncode == 1
     assert run.stderr.splitlines() == [
@@ -1041,7 +1087,7 @@ def taken_flags() -> dict:
 
 def test_each_command_takes_the_flags_it_reads():
     assert taken_flags() == READS
-    assert len(UNREAD) == 18
+    assert len(UNREAD) == 26
 
 
 @pytest.mark.parametrize("command, flag", UNREAD)
@@ -1051,9 +1097,11 @@ def test_an_unread_flag_is_rejected(command, flag, capsys):
     _assert_names_the_command(err, command, given)
 
 
-# a value compare accepts for each unread key; none for the optional ones
+# a value compare accepts for each unread key it reads, none for the optional ones,
+# and the removed keys' old defaults
 _KEY_VALUES = {"q2": "none", "csv": "none", "svg": "none", "ds1": "0", "gamma1": "0",
-               "h": "1e-4", "branch": "continuity", "method": "auto", "log_abs": "true"}
+               "h": "1e-4", "branch": "continuity", "log_abs": "true", "method": "auto",
+               "model": "sakamoto1d"}
 
 
 @pytest.mark.parametrize("command, flag", UNREAD)
@@ -1065,8 +1113,8 @@ def test_an_unread_config_key_is_rejected(command, flag, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"config error: {cfgfile}:2: {command} reads no key {key!r}\n"
-    # compare reads every key, and the value is one it takes
-    assert main(["compare", "--config", str(cfgfile)]) == 0
+    # compare reads every key but the removed ones, and the value is one it takes
+    assert main(["compare", "--config", str(cfgfile)]) == (2 if flag in REMOVED else 0)
 
 
 def test_no_command_reads_a_solver_setting(tmp_path, capsys):

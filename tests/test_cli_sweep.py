@@ -6,7 +6,7 @@ failure line saying why. The fixed grid holds starts from a subnormal to
 1e300, slopes and momenta of 1e300, and three weight sets; a derandomized
 strategy draws further starts from all of float64. Each command is given
 only the flags its method reads (test_cli.reads): the non-unit weights
-make hj-flow generic, and it reads no --p1 there.
+make hj-flow generic, and it reads no --ds1 there, nor check --gamma1.
 """
 
 import contextlib

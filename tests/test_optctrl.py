@@ -13,7 +13,6 @@ import dhj.optctrl
 from dhj.core import TOL, NumericalError, PhasePoint, SingularJacobianError, norm_inf
 from dhj.mechanics import Side, run_trajectory
 from dhj.optctrl import (
-    MODEL_REGISTRY,
     ControlProblem,
     SignCriterion,
     discretize_right,
@@ -212,9 +211,8 @@ def test_recover_controls_roundtrip():
         assert abs(u[0] - (-b.p[0])) <= 1e-14
 
 
-def test_model_registry_and_weight_validation():
-    assert MODEL_REGISTRY["sakamoto1d"] is make_sakamoto1d
-    cp = MODEL_REGISTRY["sakamoto1d"](r=3.0, s=2.0)
+def test_sakamoto1d_weight_validation():
+    cp = make_sakamoto1d(r=3.0, s=2.0)
     assert cp.n == 1 and cp.k == 1
     with pytest.raises(ValueError):
         make_sakamoto1d(r=0.0)
