@@ -627,6 +627,9 @@ def check_flow_residuals(H, traj) -> CheckResult:
     # truncates at the first that misses it, so an untruncated lift passes
     seq = solve_generating_sequence(H, traj)
     worst = max(map(abs, seq.residuals), default=0.0)
+    if seq.meta["failure"] == "ResidualCheckFailure":
+        # the re-check tripped: the residual it rejected is what failed
+        worst = abs(seq.meta["failure_quantity"])
     if seq.meta["truncated"]:
         return CheckResult("flow-residuals", "FAIL", worst,
                            f"sequence truncated: {seq.meta['failure_message']}")

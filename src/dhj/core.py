@@ -13,7 +13,9 @@ vectors hold one or two entries, where numpy's fixed cost per call outweighs
 the arithmetic, so the max-norm, one-entry products, the finiteness tests,
 the finite-difference probes of one entry and the residual and step of
 newton_solve's one loop on one unknown run over Python floats, bitwise what
-numpy computes.  A residual of one unknown may return a Python float.
+numpy computes.  A residual of one unknown may return a Python float, and
+so may each callback of a one-entry control problem (optctrl's one-entry
+float rule); norm_inf reads a float as it is.
 """
 
 from __future__ import annotations
@@ -144,7 +146,10 @@ def as_grid(q_sequence) -> np.ndarray:
 def norm_inf(v) -> float:
     """Max-norm of a vector (or absolute value of a scalar); any shape is
     read flat.  NaN if any entry is NaN; ValueError if there is no entry.
-    A float64 array is read as it is, one entry as abs of its float."""
+    A Python float and a float64 array are read as they are, one entry as
+    abs of its float."""
+    if type(v) is float:
+        return abs(v)
     if type(v) is not np.ndarray or v.dtype is not _FLOAT64:
         v = np.asarray(v, dtype=float)
     if v.size == 1:

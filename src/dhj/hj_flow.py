@@ -96,9 +96,9 @@ def hj_residual(H: DiscreteHamiltonian, S_j: float, S_next: float, DS, q_j, q_ne
     q_j = as_vec(q_j, dim=H.dim, name="q_j")
     q_next = as_vec(q_next, dim=H.dim, name="q_next")
     if H.side is Side.RIGHT:
-        pq, H_value = -float(DS @ q_next), H.eval(q_j, DS)
+        pq, H_value = -dot(DS, q_next), H.eval(q_j, DS)
     else:
-        pq, H_value = float(DS @ q_j), H.eval(q_next, DS)
+        pq, H_value = dot(DS, q_j), H.eval(q_next, DS)
     return float(S_next) - float(S_j) + pq + float(H_value)
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import (FD_STEP, TOL, NumericalError, _positive_int, _power, as_vec, dot, fd_gradient,
-                   newton_solve, norm_inf)
+from .core import (FD_STEP, TOL, NumericalError, _atleast_1d, _positive_int, _power, as_vec, dot,
+                   fd_gradient, newton_solve, norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -68,7 +68,10 @@ class ControlProblem:
     solves for u only where it misses.  The callbacks receive q, p and u as
     1-D float64 arrays and return float64 arrays of the shapes given here
     (cost a scalar), used as returned: their finiteness is checked where a
-    value enters a step or a Newton residual.
+    value enters a step or a Newton residual.  In a one-entry problem
+    (n = k = 1) a callback may return a Python float in place of its
+    one-entry array, and a float control reaches the callbacks as that
+    float; the reduction then runs in Python floats, bitwise numpy's.
     """
 
     gamma: object
@@ -91,17 +94,23 @@ class ControlProblem:
         object.__setattr__(self, "k", _positive_int("k", self.k))
 
 
-def _adjoined(sign: float, jac: np.ndarray, p: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """jac^T p + sign * grad; with one entry each, (0.0 + jac * p) + sign * grad
-    in Python floats: bitwise numpy's (see core.dot), with no numpy warning."""
-    if jac.size == 1:
-        return np.array([(0.0 + jac.item() * p.item()) + sign * grad.item()])
+def _adjoined(sign: float, jac, p: np.ndarray, grad):
+    """jac^T p + sign * grad.  With one entry each (jac and grad a float or a
+    one-entry array), the float (0.0 + jac * p) + sign * grad in Python
+    floats: bitwise numpy's (see core.dot), with no numpy warning."""
+    if type(jac) is float or jac.size == 1:
+        return ((0.0 + _entry(jac) * p.item()) + sign * _entry(grad))
     return jac.T @ p + sign * grad
 
 
-def secondary_constraint(cp: ControlProblem, q: np.ndarray, p: np.ndarray,
-                         u: np.ndarray) -> np.ndarray:
-    """phi(q, p, u) = p . dGamma/du + sign * dcost/du, a k-vector."""
+def _entry(v) -> float:
+    """v's one entry: a float as it is, an array's as a float."""
+    return v if type(v) is float else v.item()
+
+
+def secondary_constraint(cp: ControlProblem, q: np.ndarray, p: np.ndarray, u):
+    """phi(q, p, u) = p . dGamma/du + sign * dcost/du, a k-vector, or a float
+    when it has one entry."""
     return _adjoined(cp.sign.factor, cp.du_gamma(q, u), p, cp.du_cost(q, u))
 
 
@@ -127,17 +136,19 @@ def _affine_part(phi, k: int):
     return phi0, aff
 
 
-def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray) -> np.ndarray:
+def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray):
     """Solve the secondary constraint phi(q, p, u) = 0 for u.
 
     A control the model supplies (cp.control) is accepted when |phi| at it
-    is at most max(core.TOL, 1e-13 |p|), one evaluation of the constraint.
-    Without one, or when it misses, phi at this (q, p) is probed for
-    affinity in u with unit-offset second differences; when affine
+    is at most max(core.TOL, 1e-13 |p|), one evaluation of the constraint,
+    and returned as the model gave it (a one-entry problem's float stays a
+    float).  Without one, or when it misses, phi at this (q, p) is probed
+    for affinity in u with unit-offset second differences; when affine
     (quadratic costs with control-affine dynamics, the common case) the
     control comes from one linear solve, verified by the same test.
     Otherwise, or when that candidate fails verification, Newton runs from
-    the candidate or from zero.
+    the candidate or from zero; a control so probed or solved for is a
+    float64 k-vector.
 
     q and p are float64 n-vectors (the problem's callbacks receive them as
     they are), but their entries are not checked: a non-finite one that
@@ -151,14 +162,15 @@ def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray) -> np.nd
             return u
     accept = max(TOL, 1e-13 * norm_inf(p))
 
-    def phi(u: np.ndarray) -> np.ndarray:
+    def phi(u: np.ndarray):
         return secondary_constraint(cp, q, p, u)
 
     phi0, aff = _affine_part(phi, cp.k)
     cand = None
     if aff is not None:
         try:
-            cand = np.linalg.solve(aff, -phi0)
+            # a float phi0 of one entry is the one-entry right-hand side
+            cand = np.linalg.solve(aff, -_atleast_1d(phi0))
         except np.linalg.LinAlgError:
             pass
         if cand is not None and norm_inf(phi(cand)) <= accept:
@@ -177,48 +189,65 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
     the control solving the secondary constraint at (q_j, p_next): a bare
     substitution, with no step-size factor.  The partials at one (q, p)
     share one eliminate_control call: the control of the last (q, p), keyed
-    on their bytes, is kept and handed to the model read-only.  Because
-    phi(q, p, u*) = 0, the envelope identities give d2 = Gamma(q, u*) and,
-    when the problem carries analytic state partials,
-    d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no du*/dq or du*/dp
-    term; without them d1 is a central difference of eval with core.FD_STEP.
-    The problem's d_qp and d_pp become d12 and d22.
+    on their bytes, is kept and handed to the model, an array as a read-only
+    view and a float as it is.  Because phi(q, p, u*) = 0, the envelope
+    identities give d2 = Gamma(q, u*) and, when the problem carries analytic
+    state partials, d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no
+    du*/dq or du*/dp term; without them d1 is a central difference of eval
+    with core.FD_STEP.  The problem's d_qp and d_pp become d12 and d22.
+    The partials return float64 arrays, a model's float in a new one-entry
+    array, and eval a float.
     """
     sign, gamma, cost = cp.sign.factor, cp.gamma, cp.cost
     dq_gamma, dq_cost = cp.dq_gamma, cp.dq_cost
-    last_key = last_u = None  # the bytes of the last q and p, and their read-only control
+    last_key = last_u = None  # the bytes of the last q and p, and their control
 
-    def control(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def control(q: np.ndarray, p: np.ndarray):
         nonlocal last_key, last_u
         key = q.tobytes() + p.tobytes()
         if key != last_key:
-            # a read-only view: a supplied control may hand back the model's own array
-            u = eliminate_control(cp, q, p).view()
-            u.setflags(write=False)
+            u = eliminate_control(cp, q, p)
+            if type(u) is not float:
+                # a read-only view: a supplied control may hand back the model's own array
+                u = u.view()
+                u.setflags(write=False)
             last_key, last_u = key, u
         return last_u
 
     def _eval(q: np.ndarray, p: np.ndarray) -> float:
         u = control(q, p)
-        return dot(p, gamma(q, u)) + sign * float(cost(q, u))
+        g = gamma(q, u)
+        # core.dot's one-entry arithmetic for a float velocity
+        pg = 0.0 + p.item() * g if type(g) is float else dot(p, g)
+        return pg + sign * float(cost(q, u))
 
     def _d2(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return gamma(q, control(q, p))
+        return _vector(gamma(q, control(q, p)))
 
     if dq_gamma is not None and dq_cost is not None:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             u = control(q, p)
-            return _adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u))
+            return _vector(_adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u)))
     else:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, FD_STEP)
 
     def second_partial(d):
         # d(q, p, u) read at the eliminated control
-        return None if d is None else (lambda q, p: d(q, p, control(q, p)))
+        return None if d is None else (lambda q, p: _matrix(d(q, p, control(q, p))))
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
                                d12=second_partial(cp.d_qp), d22=second_partial(cp.d_pp))
+
+
+def _vector(v) -> np.ndarray:
+    """A model's vector: a float in a new one-entry array, an array as it is."""
+    return np.array([v]) if type(v) is float else v
+
+
+def _matrix(v) -> np.ndarray:
+    """A model's matrix: a float in a new 1 x 1 array, an array as it is."""
+    return np.array([[v]]) if type(v) is float else v
 
 
 def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
@@ -229,7 +258,8 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     as control, exact to rounding of the one division) and the reduced
     Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.  Its mixed
     partial is 1 - 3 q^2 for every (r, s), since neither state partial
-    depends on u, and its second momentum partial is -1 / r.
+    depends on u, and its second momentum partial is -1 / r.  Every callback
+    returns a Python float (ControlProblem's one-entry rule).
     """
     r, s = float(r), float(s)
     if not (r > 0.0):
@@ -237,31 +267,32 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     if not (s > 0.0):
         raise ValueError(f"s must be positive, got {s}")
 
-    # Python floats: a product that overflows is inf, with no numpy warning
+    # Python floats: a product that overflows is inf, with no numpy warning.
+    # q and p arrive as one-entry arrays; u is the supplied control's float,
+    # or a one-entry array where the elimination probed or solved for it.
+    curvature = -1.0 / r
+
     def gamma(q, u):
         x = q.item()
-        return np.array([x - _power(x, 3) + u.item()])
+        return x - _power(x, 3) + _entry(u)
 
     def cost(q, u):
-        return 0.5 * (s * _power(q.item(), 2) + r * _power(u.item(), 2))
-
-    # the constant Jacobians, one read-only array each for every call
-    one, curvature = np.broadcast_to(1.0, (1, 1)), np.broadcast_to(-1.0 / r, (1, 1))
+        return 0.5 * (s * _power(q.item(), 2) + r * _power(_entry(u), 2))
 
     def du_gamma(q, u):
-        return one
+        return 1.0
 
     def du_cost(q, u):
-        return np.array([r * u.item()])
+        return r * _entry(u)
 
     def dq_gamma(q, u):
-        return np.array([[1.0 - 3.0 * _power(q.item(), 2)]])
+        return 1.0 - 3.0 * _power(q.item(), 2)
 
     def dq_cost(q, u):
-        return np.array([s * q.item()])
+        return s * q.item()
 
     def control(q, p):
-        return np.array([-p.item() / r])
+        return -p.item() / r
 
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
                           sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,

@@ -876,6 +876,16 @@ def test_non_finite_step_output_fails_the_check_that_needs_the_orbit():
     assert lines[-1] == "check: 2 passed, 2 failed, 2 skipped"
 
 
+def test_a_tripped_flow_recheck_reports_the_residual_it_rejected(capsys):
+    # from p1 = 1e300 the first transition's p_next q_next and H+ overflow, so
+    # its residual is NaN: the lift's re-check rejects it, and the probe
+    # measures that NaN, not the maximum over no accepted transition (0)
+    assert main(["check", "--q1=0.01", "--p1=1e300", "--steps=3"]) == 1
+    line, = [ln for ln in capsys.readouterr().out.splitlines() if "flow-residuals" in ln]
+    assert line == ("CHECK flow-residuals: FAIL (measured = nan; sequence truncated: "
+                    "transition residual nan is not at most inf)")
+
+
 @pytest.mark.parametrize("command", ["simulate", "hj-flow", "hj-vf", "compare", "check"])
 def test_an_overflowing_orbit_prints_no_numpy_warning(command, tmp_path):
     csv = [] if command == "check" else ["--csv", str(tmp_path / "out.csv")]

@@ -86,6 +86,17 @@ def test_left_residual_free_particle():
     assert abs(hj_residual(Hm, S, Sn, p, q, qn)) <= 1e-15
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_overflowing_slope_product_in_the_residual_warns_nothing():
+    # DS . q = 1e200 * 1e200 overflows to inf in Python floats, as numpy's
+    # matmul does, but with no RuntimeWarning; the benchmark's H+ at
+    # DS = 1e200 is -inf + inf, so its residual is NaN
+    assert math.isnan(hj_residual(cubic_right(), 0.0, 0.0, [1e200], [0.1], [1e200]))
+    for side, want in ((Side.RIGHT, -math.inf), (Side.LEFT, math.inf)):
+        H = DiscreteHamiltonian(side=side, eval=lambda q, p: 0.0, d1=None, d2=None, dim=1)
+        assert hj_residual(H, 0.0, 0.0, [1e200], [1e200], [1e200]) == want
+
+
 def test_closed_form_step_both_roots():
     plus = ds_root(5e-8, 1.5e-7, 0.0, 1e-4, Branch.PLUS)
     minus = ds_root(5e-8, 1.5e-7, 0.0, 1e-4, Branch.MINUS)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import dhj.optctrl
-from dhj.core import TOL, NumericalError, PhasePoint, SingularJacobianError, norm_inf
+from dhj.core import TOL, NumericalError, PhasePoint, SingularJacobianError, _power, norm_inf
 from dhj.mechanics import Side, run_trajectory
 from dhj.optctrl import (
     ControlProblem,
@@ -20,6 +20,7 @@ from dhj.optctrl import (
     make_sakamoto1d,
     secondary_constraint,
 )
+from test_mechanics import WEIGHTS
 
 
 def vec(x):
@@ -35,8 +36,8 @@ def test_secondary_constraint_is_affine_in_control():
         p = rng.uniform(-2.0, 2.0, 1)
         u = rng.uniform(-2.0, 2.0, 1)
         phi = secondary_constraint(cp, q, p, u)
-        assert phi.shape == (1,)
-        assert abs(phi[0] - (p[0] + 2.0 * u[0])) <= 1e-14
+        assert type(phi) is float
+        assert abs(phi - (p[0] + 2.0 * u[0])) <= 1e-14
 
 
 _SIGNED = st.sampled_from((0.0, -0.0)) | st.floats(-2.0, 2.0)
@@ -45,13 +46,15 @@ _SIGNED = st.sampled_from((0.0, -0.0)) | st.floats(-2.0, 2.0)
 @given(q=_SIGNED, p=_SIGNED, u=_SIGNED, sign=st.sampled_from(SignCriterion))
 def test_one_entry_constraint_and_d1_are_bitwise_numpys(q, p, u, sign):
     # the Python-float path sums from +0.0 as numpy's matmul does, so a
-    # signed zero comes out as numpy's jac.T @ p + sign * grad gives it
+    # signed zero comes out as numpy's jac.T @ p + sign * grad gives it; the
+    # model's float partials are boxed here to form numpy's value
     cp = dataclasses.replace(make_sakamoto1d(r=2.0, s=0.5), sign=sign)
     q, p, u = vec(q), vec(p), vec(u)
-    want = cp.du_gamma(q, u).T @ p + sign.factor * cp.du_cost(q, u)
-    assert secondary_constraint(cp, q, p, u).tobytes() == want.tobytes()
+    want = np.array([[cp.du_gamma(q, u)]]).T @ p + sign.factor * vec(cp.du_cost(q, u))
+    phi = secondary_constraint(cp, q, p, u)
+    assert type(phi) is float and vec(phi).tobytes() == want.tobytes()
     u = eliminate_control(cp, q, p)
-    want = cp.dq_gamma(q, u).T @ p + sign.factor * cp.dq_cost(q, u)
+    want = np.array([[cp.dq_gamma(q, u)]]).T @ p + sign.factor * vec(cp.dq_cost(q, u))
     assert discretize_right(cp).d1(q, p).tobytes() == want.tobytes()
 
 
@@ -208,7 +211,7 @@ def test_recover_controls_roundtrip():
     assert len(traj) == 6
     for a, b in zip(traj.points[:-1], traj.points[1:]):
         u = eliminate_control(cp, a.q, b.p)
-        assert abs(u[0] - (-b.p[0])) <= 1e-14
+        assert abs(u - (-b.p[0])) <= 1e-14
 
 
 def test_sakamoto1d_weight_validation():
@@ -239,7 +242,7 @@ def _probed_reference(cp, q, p):
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     u = eliminate_control(cp, q, p)
-    vel = np.asarray(cp.gamma(q, u), dtype=float)
+    vel = np.asarray(cp.gamma(q, u), dtype=float).reshape(cp.n)
     val = float(p @ vel) + cp.sign.factor * float(cp.cost(q, u))
     jac = np.asarray(cp.dq_gamma(q, u), dtype=float).reshape(cp.n, cp.n)
     d1 = jac.T @ p + cp.sign.factor * np.asarray(cp.dq_cost(q, u), dtype=float)
@@ -322,8 +325,8 @@ def test_eliminate_control_names_the_non_finite_argument():
         eliminate_control(make_sakamoto1d(), vec(0.1), vec(float("nan")))
     with pytest.raises(NumericalError, match="^q contains non-finite"):
         eliminate_control(_quartic_cost_problem(), vec(float("inf")), vec(0.5))
-    # phi of the benchmark does not depend on q: the affine solve is accepted
-    assert eliminate_control(make_sakamoto1d(), vec(float("inf")), vec(0.1))[0] == -0.1
+    # phi of the benchmark does not depend on q: the supplied control is accepted
+    assert eliminate_control(make_sakamoto1d(), vec(float("inf")), vec(0.1)) == -0.1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -345,22 +348,37 @@ def test_d2_bitwise_equals_a_fresh_elimination():
         H = discretize_right(cp)
         for q, p in ((0.2, -0.3), (0.2, -0.3), (0.2, 0.7), (-0.4, 0.7), (-0.4, 0.7),
                      (0.0, -0.0), (0.0, 0.0), (0.2, -0.3)):
-            want = np.asarray(cp.gamma(np.array([q]), eliminate_control(cp, vec(q), vec(p))))
-            assert np.array_equal(H.d2(vec(q), vec(p)), want)
+            want = cp.gamma(np.array([q]), eliminate_control(cp, vec(q), vec(p)))
+            assert type(want) is float
+            assert H.d2(vec(q), vec(p)).tobytes() == vec(want).tobytes()
 
 
 def test_shared_control_reaches_the_callbacks_read_only():
     base = make_sakamoto1d()
-    writeable = []
+    supplied, seen = [], []
+
+    def control(q, p):
+        supplied.append(base.control(q, p))
+        return supplied[-1]
 
     def gamma(q, u):
-        writeable.append(u.flags.writeable)
+        seen.append(u)
         return base.gamma(q, u)
 
-    H = discretize_right(dataclasses.replace(base, gamma=gamma))
+    # an array control reaches the callbacks as a read-only view
+    arrays = dataclasses.replace(base, gamma=gamma, control=lambda q, p: vec(control(q, p)))
+    H = discretize_right(arrays)
     H.eval(vec(0.2), vec(-0.3))
     H.d2(vec(0.2), vec(-0.3))
-    assert writeable == [False, False]
+    assert [u.flags.writeable for u in seen] == [False, False]
+    # a float control, which cannot be written to, reaches them as that float
+    supplied.clear()
+    seen.clear()
+    H = discretize_right(dataclasses.replace(base, gamma=gamma, control=control))
+    H.eval(vec(0.2), vec(-0.3))
+    H.d2(vec(0.2), vec(-0.3))
+    assert len(supplied) == 1 and type(supplied[0]) is float
+    assert seen[0] is supplied[0] and seen[1] is supplied[0]
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
@@ -404,7 +422,7 @@ def test_supplied_control_agrees_with_probe_and_solve(r, s):
             u = eliminate_control(cp, vec(q), vec(p))
             v = eliminate_control(probed, vec(q), vec(p))
             assert _accepts(cp, q, p, u) and _accepts(cp, q, p, v)
-            assert abs(u[0] - v[0]) <= 4 * math.ulp(p / r)
+            assert abs(u - v[0]) <= 4 * math.ulp(p / r)
 
 
 @pytest.mark.parametrize("wrong", [lambda q, p, r: -2.0 * p / r,
@@ -490,4 +508,81 @@ def test_eliminated_control_is_the_exact_quotient_to_an_ulp(q, p, r):
     # the oracle is the rational -p / r, rounded once
     u = eliminate_control(make_sakamoto1d(r=r), vec(q), vec(p))
     exact = -Fraction(p) / Fraction(r)
-    assert abs(Fraction(float(u[0])) - exact) <= Fraction(math.ulp(float(exact)))
+    assert type(u) is float
+    assert abs(Fraction(u) - exact) <= Fraction(math.ulp(float(exact)))
+
+
+def _array_sakamoto1d(r, s):
+    """make_sakamoto1d as it stood with one-entry array callbacks, copied
+    here as the reference its float callbacks must match bit for bit."""
+    def gamma(q, u):
+        x = q.item()
+        return np.array([x - _power(x, 3) + u.item()])
+
+    def cost(q, u):
+        return 0.5 * (s * _power(q.item(), 2) + r * _power(u.item(), 2))
+
+    one, curvature = np.broadcast_to(1.0, (1, 1)), np.broadcast_to(-1.0 / r, (1, 1))
+
+    def du_gamma(q, u):
+        return one
+
+    def du_cost(q, u):
+        return np.array([r * u.item()])
+
+    def dq_gamma(q, u):
+        return np.array([[1.0 - 3.0 * _power(q.item(), 2)]])
+
+    def dq_cost(q, u):
+        return np.array([s * q.item()])
+
+    def control(q, p):
+        return np.array([-p.item() / r])
+
+    return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
+                          sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,
+                          dq_cost=dq_cost, d_qp=lambda q, p, u: dq_gamma(q, u),
+                          d_pp=lambda q, p, u: curvature, control=control)
+
+
+def _outcome(f, *args):
+    """f(*args) as (shape, bytes) of its float64 value, or the error it raised."""
+    try:
+        v = f(*args)
+    except (NumericalError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if type(v) is not float:
+        assert type(v) is np.ndarray and v.dtype == np.float64
+    return np.shape(v), np.asarray(v).tobytes()
+
+
+def _assert_float_model_is_the_array_model(r, s, sign, points):
+    models = [dataclasses.replace(make(r, s), sign=sign)
+              for make in (make_sakamoto1d, _array_sakamoto1d)]
+    new, ref = [discretize_right(cp) for cp in models]
+    for q, p in points:
+        q, p = vec(q), vec(p)
+        for name in ("eval", "d1", "d2", "d12", "d22"):
+            assert _outcome(getattr(new, name), q, p) == _outcome(getattr(ref, name), q, p), \
+                (name, q, p)
+        got, want = (_outcome(eliminate_control, cp, q, p) for cp in models)
+        # the supplied control is a float where the reference's is a one-entry array
+        assert got[1:] == want[1:] and got[0] in (want[0], ()), ("control", q, p)
+
+
+_EDGES = (0.0, -0.0, 1e-320, -1e-320, 1e-15, -1e-15, 0.3, -0.3, 0.7, -1.2,
+          1e154, -1e154, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("sign", [SignCriterion.PLUS, SignCriterion.MINUS])
+@pytest.mark.parametrize("r, s", WEIGHTS)
+def test_float_callbacks_are_the_array_callbacks_bit_for_bit(r, s, sign):
+    # signed zeros, a subnormal and powers that overflow (1e154 ** 3, 1e300 ** 2)
+    _assert_float_model_is_the_array_model(
+        r, s, sign, [(q, p) for q in _EDGES for p in _EDGES])
+
+
+@given(weights=st.sampled_from(WEIGHTS), sign=st.sampled_from(SignCriterion),
+       q=st.floats(allow_nan=False), p=st.floats(allow_nan=False))
+def test_float_callbacks_are_the_array_callbacks_anywhere(weights, sign, q, p):
+    _assert_float_model_is_the_array_model(*weights, sign, [(q, p)])
