@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .core import (TOL, NumericalError, PhasePoint, _record_failure, _untruncated, dot,
+from .core import (TOL, NumericalError, PhasePoint, _record_failure, _untruncated,
                    fd_gradient, norm_inf)
 # run_closed_form_flow is not called here; bench/tracing.py wraps dhj.cli.run_closed_form_flow
 from .hj_flow import (Branch, _closed_form_sequence, _ds_transition, hj_residual,
@@ -576,7 +576,11 @@ def check_partial_consistency(H) -> CheckResult:
 
 def _relative_gap(analytic: np.ndarray, fd: np.ndarray) -> float:
     """norm_inf(analytic - fd) / max(1, norm_inf(fd)) in one pass over Python
-    floats, bitwise numpy's; fd is finite, and a NaN gap stays NaN."""
+    floats, bitwise numpy's; fd is finite, and a NaN gap stays NaN.  One
+    entry is read off each vector as a float."""
+    if fd.size == 1:
+        a, b = analytic.item(), fd.item()
+        return abs(a - b) / max(1.0, abs(b))
     gap, scale = 0.0, 1.0
     for a, b in zip(analytic.tolist(), fd.tolist()):
         d = abs(a - b)
@@ -658,12 +662,19 @@ def check_vf_agreement(H, rc, traj) -> CheckResult:
 
 
 def _free_particle() -> DiscreteLagrangian:
-    # the constant second partials, one read-only array each for every call
+    # Python floats by the one-entry rule, bitwise the array arithmetic
+    # (eval is 0.5 * core.dot(b - a, b - a)); the constant second partials
+    # are one read-only array each for every call
     eye, minus_eye = np.broadcast_to(1.0, (1, 1)), np.broadcast_to(-1.0, (1, 1))
+
+    def eval_(a: np.ndarray, b: np.ndarray) -> float:
+        v = b.item() - a.item()
+        return 0.5 * (0.0 + v * v)
+
     return DiscreteLagrangian(
-        eval=lambda a, b: 0.5 * dot(b - a, b - a),
-        d1=lambda a, b: a - b,
-        d2=lambda a, b: b - a,
+        eval=eval_,
+        d1=lambda a, b: a.item() - b.item(),
+        d2=lambda a, b: b.item() - a.item(),
         dim=1,
         d11=lambda a, b: eye,
         d12=lambda a, b: minus_eye,

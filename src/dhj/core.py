@@ -14,8 +14,9 @@ the arithmetic, so the max-norm, one-entry products, the finiteness tests,
 the finite-difference probes of one entry and the residual and step of
 newton_solve's one loop on one unknown run over Python floats, bitwise what
 numpy computes.  A residual of one unknown may return a Python float, and
-so may each callback of a one-entry control problem (optctrl's one-entry
-float rule); norm_inf reads a float as it is.
+so may a supplied Jacobian of one unknown, each callback of a one-entry
+control problem (optctrl's one-entry float rule) and each callback of a
+one-entry discrete Lagrangian (mechanics); norm_inf reads a float as it is.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ def _unboxed(v):
     return v
 
 
+def _boxed(v):
+    """A model's vector: a Python float in a new one-entry array, an array as
+    it is."""
+    return np.array([v]) if type(v) is float else v
+
+
 def _finite(a: np.ndarray) -> bool:
     return all(map(math.isfinite, a.ravel().tolist()))
 
@@ -165,13 +172,14 @@ def dot(a: np.ndarray, b: np.ndarray) -> float:
     """a @ b of two 1-D float vectors of one size, as a float.
 
     One entry is multiplied in Python floats: bitwise numpy's matmul, which
-    sums from +0.0 (so a -0.0 product reads +0.0), but with no numpy warning
-    when the product overflows or is inf * 0.  Longer vectors go through
-    matmul.
+    sums from +0.0 (so a -0.0 product reads +0.0).  Longer vectors go
+    through matmul.  Either way a sum that overflows or meets inf * 0 is
+    inf or NaN, with no numpy warning.
     """
     if a.size == 1:
         return 0.0 + a.item() * b.item()
-    return float(a @ b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(a @ b)
 
 
 def _power(x: float, n: int) -> float:
@@ -302,11 +310,15 @@ def newton_solve(residual, guess, jacobian=None) -> np.ndarray:
 
     residual maps an n-vector to an n-vector, and for n = 1 may return a
     Python float in place of its one-entry array; jacobian, if given, maps the
-    iterate to the n x n Jacobian (otherwise central differences with
-    FD_STEP are used).  Convergence means ||residual||_inf <= TOL.
-    A guess that already satisfies the tolerance is returned unchanged after
-    one residual evaluation.  A converged iterate with a non-finite entry (a
-    step overflowed) raises NumericalError with that entry as its quantity.
+    iterate to the n x n Jacobian, and for n = 1 may return a Python float in
+    place of its 1 x 1 array (otherwise central differences with FD_STEP are
+    used).  Convergence means ||residual||_inf <= TOL.  A guess that already
+    satisfies the tolerance is returned as a copy after one residual
+    evaluation: the root is never the caller's guess object.  Past as_vec
+    the guess is not copied, so residual (and jacobian) see the guess itself
+    at their first call and must not write into it.  A converged iterate
+    with a non-finite entry (a step overflowed) raises NumericalError with
+    that entry as its quantity.
 
     Both residual and jacobian must be functions of the iterate alone: the
     same x (bit for bit) gives the same values.  So once an iterate repeats
@@ -319,7 +331,7 @@ def newton_solve(residual, guess, jacobian=None) -> np.ndarray:
     taking the step (_newton_step) depend on it.
     """
     max_iter = MAX_ITER
-    x = as_vec(guess, name="guess").copy()
+    x = as_vec(guess, name="guess")
     r, rn = _read_residual(residual, x)
     seen: dict[bytes, int] = {}
     norms: list[float] = []
@@ -328,7 +340,8 @@ def newton_solve(residual, guess, jacobian=None) -> np.ndarray:
             for v in x.tolist():
                 if not math.isfinite(v):
                     raise NumericalError(f"root x = {x} is not finite", v)
-            return x
+            # only the guess can be the caller's object; every step is new
+            return x.copy() if iteration == 0 else x
         if iteration == max_iter:
             break
         # a repeat of iterate j: the iterates cycle with period iteration - j
@@ -369,16 +382,20 @@ def _read_residual(residual, z: np.ndarray):
 
 def _newton_step(residual, jacobian, x: np.ndarray, r) -> np.ndarray:
     """The Newton update of iterate x, whose residual r is as
-    _read_residual returns it; a supplied Jacobian must be finite.  One
+    _read_residual returns it; a supplied Jacobian must be finite.  A float64
+    array Jacobian is read as it is, and for one unknown a Python float is
+    read as J[0, 0]; anything else goes through np.asarray.  One
     unknown steps by x - r / a, a = J[0, 0], in Python floats,
     bitwise np.linalg.solve's (an overflow is inf, with no numpy warning),
     under _check_jacobian's test on det J = a, so a SingularJacobianError
     carries a exactly as its det."""
     n = x.size
-    jac = (fd_jacobian(residual, x, FD_STEP) if jacobian is None
-           else np.asarray(jacobian(x), dtype=float))
+    jac = fd_jacobian(residual, x, FD_STEP) if jacobian is None else jacobian(x)
+    if not (type(jac) is np.ndarray and jac.dtype is _FLOAT64
+            or type(jac) is float and n == 1):
+        jac = np.asarray(jac, dtype=float)
     if n == 1:
-        a = jac.item()  # ValueError unless there is one entry
+        a = jac if type(jac) is float else jac.item()  # ValueError unless one entry
         if not math.isfinite(a):
             raise NumericalError("non-finite entries in supplied Jacobian")
         scale = max(1.0, abs(a))

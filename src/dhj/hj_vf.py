@@ -139,9 +139,8 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0) -> DiscreteT
         def residual(g: np.ndarray) -> float:
             return slope_product(H.d2(q_j, g), "D2 H+", g) - H.d1(q_j, g).item()
 
-        def jacobian(g: np.ndarray) -> np.ndarray:
-            return np.array([[slope_product(H.d22(q_j, g), "D22 H+", g)
-                              - H.d12(q_j, g).item()]])
+        def jacobian(g: np.ndarray) -> float:
+            return slope_product(H.d22(q_j, g), "D22 H+", g) - H.d12(q_j, g).item()
 
         g_next = newton_solve(residual, prev.p, jacobian=jacobian if exact else None)
         # Newton returns only a finite root, and as_grid checked q_next

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_FLOAT64, NumericalError, PhasePoint, _checked_point, _positive_int,
+from .core import (_FLOAT64, NumericalError, PhasePoint, _boxed, _checked_point, _positive_int,
                    _unboxed, as_vec, dot, fd_jacobian, iterate, newton_solve, norm_inf)
 
 __all__ = [
@@ -73,7 +73,12 @@ class DiscreteLagrangian:
     Jacobians of d1 in the first slot, d1 in the second slot and d2 in the
     second slot; the module docstring names the Newton solve each serves.
     Every callback receives 1-D float64 arrays of length dim and returns a
-    float64 array (eval a scalar), which is used as returned.
+    float64 array (eval a scalar), which is used as returned.  The one-entry
+    float rule: with dim = 1 each callback may return a Python float in place
+    of its one-entry array (eval and the slot partials) or its 1 x 1 array
+    (the second partials).  A step boxes a slot partial's float once, in
+    _computed, and the duals of hamiltonian_from_lagrangian still return
+    float64 arrays from d1 and d2.
     """
 
     eval: object
@@ -149,10 +154,13 @@ def _computed(value, dim: int, name: str) -> np.ndarray:
     it enters a step: a non-finite entry is a NumericalError naming the
     value, with that entry as its quantity, so a run truncates there; a
     non-finite point from the caller stays as_vec's ValueError.  A finite
-    one-entry float64 vector comes back as it is after one float test."""
+    one-entry float64 vector comes back as it is after one float test, and a
+    finite Python float of one entry in a new one-entry array."""
     if (type(value) is np.ndarray and value.shape == (1,) and value.dtype is _FLOAT64
             and dim == 1 and math.isfinite(value.item())):
         return value
+    if type(value) is float and dim == 1 and math.isfinite(value):
+        return np.array([value])
     v = np.asarray(value, dtype=float)
     for entry in v.ravel().tolist():
         if not math.isfinite(entry):
@@ -205,7 +213,7 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side) -> DiscreteHa
 
     def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
         y = _recover(q, p)
-        return -(d_q(q, y) if right else d_q(y, q))
+        return _boxed(-(d_q(q, y) if right else d_q(y, q)))
 
     return DiscreteHamiltonian(side=side, eval=_eval, d1=_d1,
                                d2=_recover if right else (lambda q, p: -_recover(q, p)),

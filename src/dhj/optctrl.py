@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import (FD_STEP, TOL, NumericalError, _atleast_1d, _positive_int, _power, as_vec, dot,
-                   fd_gradient, newton_solve, norm_inf)
+from .core import (FD_STEP, TOL, NumericalError, _atleast_1d, _boxed, _positive_int, _power,
+                   as_vec, dot, fd_gradient, newton_solve, norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -222,12 +222,12 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
         return pg + sign * float(cost(q, u))
 
     def _d2(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return _vector(gamma(q, control(q, p)))
+        return _boxed(gamma(q, control(q, p)))
 
     if dq_gamma is not None and dq_cost is not None:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             u = control(q, p)
-            return _vector(_adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u)))
+            return _boxed(_adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u)))
     else:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, FD_STEP)
@@ -238,11 +238,6 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
                                d12=second_partial(cp.d_qp), d22=second_partial(cp.d_pp))
-
-
-def _vector(v) -> np.ndarray:
-    """A model's vector: a float in a new one-entry array, an array as it is."""
-    return np.array([v]) if type(v) is float else v
 
 
 def _matrix(v) -> np.ndarray:

@@ -746,6 +746,31 @@ def test_partial_consistency_in_two_dimensions():
     assert res.status == "FAIL" and math.isnan(res.measured)
 
 
+def _numpy_gap(analytic, fd):
+    with np.errstate(all="ignore"):
+        return float(np.abs(analytic - fd).max()) / max(1.0, float(np.abs(fd).max()))
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, 5e-324, 0.3, -1.7, 1e300, -1e300, math.inf,
+                               -math.inf, math.nan])
+@pytest.mark.parametrize("b", [0.0, -0.0, 5e-324, 0.3, -1.7, 1e300, -1e300])
+def test_a_one_entry_relative_gap_is_numpys_bit_for_bit(a, b):
+    # read as two floats: the NaN rule and the max(1, |fd|) scale kept
+    got = dhj.cli._relative_gap(np.array([a]), np.array([b]))
+    want = _numpy_gap(np.array([a]), np.array([b]))
+    assert (math.isnan(got) and math.isnan(want)) or got.hex() == want.hex()
+
+
+def test_partial_consistency_of_one_entry_is_numpys_worst_gap():
+    H = discretize_right(make_sakamoto1d())
+    want = 0.0
+    for q, p in np.random.default_rng(0).uniform(-2.0, 2.0, (100, 2, 1)):
+        for analytic, fd in ((H.d1(q, p), dhj.core.fd_gradient(lambda z: H.eval(z, p), q, 1e-6)),
+                             (H.d2(q, p), dhj.core.fd_gradient(lambda z: H.eval(q, z), p, 1e-6))):
+            want = max(want, _numpy_gap(analytic, fd))
+    assert check_partial_consistency(H).measured.hex() == want.hex()
+
+
 def test_svg_deterministic_and_well_formed(tmp_path):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"

@@ -146,6 +146,21 @@ def test_dot_is_silent_where_matmul_warns(recwarn):
     assert len(recwarn) == 0
 
 
+def test_dot_of_two_entries_overflows_quietly():
+    # under the suite's error::RuntimeWarning filter a numpy warning raises
+    big = np.array([1e200, 1.0])
+    assert dot(big, big) == math.inf
+    assert math.isnan(dot(np.array([math.inf, 1.0]), np.array([0.0, 1.0])))
+    assert math.isnan(dot(np.array([math.inf, -math.inf]), np.array([1.0, 1.0])))
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.tuples(*[st.lists(st.floats(-1e150, 1e150), min_size=n, max_size=n)] * 2)))
+def test_dot_of_finite_longer_vectors_keeps_matmuls_bits(pair):
+    a, b = (np.array(v) for v in pair)
+    assert _bits(dot(a, b)) == _bits(float(a @ b))
+
+
 @given(st.one_of(_ANY_FLOAT, st.lists(_ANY_FLOAT, min_size=1, max_size=4)))
 def test_as_vec_rejects_exactly_what_numpy_calls_non_finite(value):
     v = np.atleast_1d(np.asarray(value, dtype=float))
@@ -422,6 +437,31 @@ def test_newton_returns_guess_when_already_converged():
     # one residual evaluation, no Jacobian, no update
     assert len(calls) == 1
     assert again[0] == root[0]
+
+
+@pytest.mark.parametrize("guess, residual", [
+    (np.array([2.0]), lambda z: z - 2.0),
+    (np.array([2.0, -1.0]), lambda z: z - np.array([2.0, -1.0])),
+    (np.array([3.0]), lambda z: z * z - 4.0),
+    (np.array([3.0, -3.0]), lambda z: z * z - 4.0),
+], ids=["n=1 at the guess", "n=2 at the guess", "n=1 after steps", "n=2 after steps"])
+def test_newton_never_returns_the_callers_guess(guess, residual):
+    # converged at the guess: a copy of its bytes, not the object; converged
+    # after a step: a new array.  Either way the guess keeps its bytes when
+    # the root is written into.
+    before = guess.tobytes()
+    root = newton_solve(residual, guess)
+    assert root is not guess and not np.shares_memory(root, guess)
+    if norm_inf(residual(guess)) <= dhj.core.TOL:
+        assert root.tobytes() == before
+    root[:] = 7.0
+    assert guess.tobytes() == before
+
+
+def test_newton_hands_the_guess_itself_to_the_first_residual_call():
+    guess, seen = np.array([2.0]), []
+    newton_solve(lambda z: seen.append(z) or z - 2.0, guess)
+    assert seen[0] is guess
 
 
 def test_newton_uses_supplied_jacobian():
@@ -752,6 +792,43 @@ def test_a_float_residual_fails_as_its_one_entry_array(kind, a, b, guess, exact,
     # a non-finite value, a singular J and the cycle stop
     got, want = _float_and_array_outcomes(kind, a, b, guess, exact)
     assert got == want and got[0][0] == error
+
+
+def _float_and_array_jacobian_outcomes(kind, a, b, guess):
+    """_outcome of one solve with the supplied Jacobian returning a Python
+    float and with it returning the same value in a 1 x 1 array."""
+    f, df = _one_unknown(kind, a, b)
+
+    def residual(z):
+        return f(z.item())
+    return (_outcome(newton_solve, residual, [guess], lambda z: df(z.item())),
+            _outcome(newton_solve, residual, [guess], lambda z: np.array([[df(z.item())]])))
+
+
+@settings(max_examples=300)
+@given(kind=st.sampled_from(["affine", "cubic"]),
+       a=st.one_of(st.floats(-3.0, 3.0), _FINITE), b=st.one_of(st.floats(-3.0, 3.0), _FINITE),
+       guess=st.one_of(st.floats(-3.0, 3.0), _FINITE))
+@example(kind="affine", a=1e308, b=1e308, guess=10.0)
+@example(kind="affine", a=0.0, b=1.0, guess=0.5)
+@example(kind="cubic", a=1.0, b=2.0, guess=0.0)
+def test_a_float_jacobian_solves_as_its_1x1_array(kind, a, b, guess):
+    # the same root bits or the same error, from the same residual evaluations
+    got, want = _float_and_array_jacobian_outcomes(kind, a, b, guess)
+    assert got == want
+
+
+def test_a_float_jacobian_fails_as_its_1x1_array():
+    for entry in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NumericalError) as err:
+            newton_solve(lambda z: z - 2.0, [1.0], jacobian=lambda z: entry)
+        assert str(err.value) == "non-finite entries in supplied Jacobian"
+    with pytest.raises(SingularJacobianError) as err:
+        newton_solve(lambda z: z - 2.0, [1.0], jacobian=lambda z: -1e-15)
+    assert err.value.det == -1e-15 and err.value.scale == 1.0
+    # two unknowns take a float through np.asarray, which has no 2 x 2 shape
+    with pytest.raises(ValueError, match="reshape"):
+        newton_solve(lambda z: z - 2.0, [1.0, 1.0], jacobian=lambda z: 1.0)
 
 
 def test_a_float_for_two_unknowns_is_refused_as_before():

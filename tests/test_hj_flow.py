@@ -95,6 +95,11 @@ def test_an_overflowing_slope_product_in_the_residual_warns_nothing():
     for side, want in ((Side.RIGHT, -math.inf), (Side.LEFT, math.inf)):
         H = DiscreteHamiltonian(side=side, eval=lambda q, p: 0.0, d1=None, d2=None, dim=1)
         assert hj_residual(H, 0.0, 0.0, [1e200], [1e200], [1e200]) == want
+    # two entries go through core.dot's matmul, as quiet
+    for side, want in ((Side.RIGHT, -math.inf), (Side.LEFT, math.inf)):
+        H = DiscreteHamiltonian(side=side, eval=lambda q, p: 0.0, d1=None, d2=None, dim=2)
+        big = [1e200, 1.0]
+        assert hj_residual(H, 0.0, 0.0, big, big, big) == want
 
 
 def test_closed_form_step_both_roots():

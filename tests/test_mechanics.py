@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -10,18 +11,21 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import dhj.cli
 import dhj.core
 import dhj.hj_vf
 import dhj.mechanics
 import dhj.optctrl
 from dhj.cli import _free_particle
-from dhj.core import PhasePoint, SingularJacobianError, fd_jacobian, newton_solve
+from dhj.core import (NumericalError, PhasePoint, SingularJacobianError, dot, fd_jacobian,
+                      newton_solve)
 from dhj.hj_flow import hj_residual
 from dhj.hj_vf import eval_field, vf_residual
 from dhj.mechanics import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
     Side,
+    _left_right_gap,
     hamiltonian_from_lagrangian,
     left_right_relation_residual,
     run_trajectory,
@@ -247,6 +251,15 @@ def test_left_right_relation_free_particle():
     nxt = step_right(Hp, x)
     res = left_right_relation_residual(Hp, Hm, x.q, x.p, nxt.q, nxt.p)
     assert res <= 1e-12
+
+
+def test_an_overflowing_dual_relation_of_two_entries_is_inf_without_a_warning():
+    # p . q overflows on both sides, |inf - (-inf)|, under the suite's
+    # error::RuntimeWarning filter
+    Hp, Hm = (DiscreteHamiltonian(side=side, eval=lambda a, b: 0.0, d1=None, d2=None, dim=2)
+              for side in (Side.RIGHT, Side.LEFT))
+    big = np.array([1e200, 1.0])
+    assert _left_right_gap(Hp, Hm, big, big, big, big) == math.inf
 
 
 def test_side_mismatch_rejected():
@@ -510,6 +523,112 @@ def test_second_partials_match_central_differences(L):
         for got, want in zip((L.d11(a, b), L.d12(a, b), L.d22(a, b)), central):
             assert got.shape == (1, 1)
             assert abs(got[0, 0] - want[0, 0]) <= 1e-8 * max(1.0, abs(want[0, 0]))
+
+
+def _array_free_particle():
+    """cli._free_particle with its callbacks in one-entry numpy arrays, the
+    twin its Python-float callbacks must match bit for bit."""
+    eye, minus_eye = np.broadcast_to(1.0, (1, 1)), np.broadcast_to(-1.0, (1, 1))
+    return DiscreteLagrangian(eval=lambda a, b: 0.5 * dot(b - a, b - a),
+                              d1=lambda a, b: a - b, d2=lambda a, b: b - a, dim=1,
+                              d11=lambda a, b: eye, d12=lambda a, b: minus_eye,
+                              d22=lambda a, b: eye)
+
+
+def float_pendulum(h, w2, partials=False):
+    """midpoint_pendulum with every callback returning a Python float, the
+    same expressions over each point's one entry."""
+
+    def eval_(a, b):
+        a, b = a.item(), b.item()
+        v = (b - a) / h
+        return h * (0.5 * v * v - w2 * (1.0 - math.cos(0.5 * (a + b))))
+
+    def d1(a, b):
+        a, b = a.item(), b.item()
+        return -(b - a) / h - 0.5 * h * w2 * math.sin(0.5 * (a + b))
+
+    def d2(a, b):
+        a, b = a.item(), b.item()
+        return (b - a) / h - 0.5 * h * w2 * math.sin(0.5 * (a + b))
+
+    if not partials:
+        return DiscreteLagrangian(eval=eval_, d1=d1, d2=d2, dim=1)
+
+    def same_slot(a, b):
+        return 1.0 / h - 0.25 * h * w2 * math.cos(0.5 * (a.item() + b.item()))
+
+    def d12(a, b):
+        return -1.0 / h - 0.25 * h * w2 * math.cos(0.5 * (a.item() + b.item()))
+
+    return DiscreteLagrangian(eval=eval_, d1=d1, d2=d2, dim=1, d11=same_slot, d12=d12,
+                              d22=same_slot)
+
+
+def _dual_outcomes(L, q, p):
+    """For each dual of L: its step from (q, p) and its eval, d1 and d2 at
+    (q, p), each as bytes or the NumericalError raised; d1 and d2 must be
+    (1,) float64 arrays."""
+    out = []
+    for side, stepper in ((Side.RIGHT, step_right), (Side.LEFT, step_left)):
+        H = hamiltonian_from_lagrangian(L, side)
+        a, b = np.array([q]), np.array([p])
+        calls = (lambda: stepper(H, PhasePoint(index=1, q=[q], p=[p])),
+                 lambda: H.eval(a, b), lambda: H.d1(a, b), lambda: H.d2(a, b))
+        for k, call in enumerate(calls):
+            try:
+                got = call()
+            except NumericalError as exc:
+                out.append((type(exc).__name__, str(exc)))
+                continue
+            if k == 0:
+                got = (got.index, got.q.tobytes(), got.p.tobytes())
+            elif k == 1:
+                got = struct.pack("<d", got)
+            else:
+                assert type(got) is np.ndarray and got.dtype == np.float64
+                assert got.shape == (1,)
+                got = got.tobytes()
+            out.append(got)
+    return out
+
+
+def test_the_float_free_particle_is_its_array_twin_bit_for_bit(monkeypatch):
+    L, twin = _free_particle(), _array_free_particle()
+    duals = [[hamiltonian_from_lagrangian(lag, side) for side in (Side.RIGHT, Side.LEFT)]
+             for lag in (L, twin)]
+    x0 = PhasePoint(index=1, q=[0.2], p=[0.1])
+    # both duals' 50-step orbits from check_left_right's start, and each
+    # transition's dual-relation gap along the right one
+    orbits = [[[(pt.q.tobytes(), pt.p.tobytes()) for pt in run_trajectory(H, x0, 50).points]
+               for H in pair] for pair in duals]
+    assert orbits[0] == orbits[1] and len(orbits[0][0]) == len(orbits[0][1]) == 51
+    (Hp, Hm), (Tp, Tm) = duals
+    pts = run_trajectory(Hp, x0, 50).points
+    for a, b in zip(pts[:-1], pts[1:]):
+        got = _left_right_gap(Hp, Hm, a.q, a.p, b.q, b.p)
+        want = _left_right_gap(Tp, Tm, a.q, a.p, b.q, b.p)
+        assert struct.pack("<d", got) == struct.pack("<d", want)
+    # eval, d1 and d2 of each dual along the orbit and at edge values
+    starts = [(pt.q.item(), pt.p.item()) for pt in pts]
+    edges = (0.0, -0.0, 5e-324, -1e-15, 0.3, -2.5, 1e154, -1e300)
+    starts += [(q, p) for q in edges for p in edges]
+    with np.errstate(all="ignore"):
+        for q, p in starts:
+            assert _dual_outcomes(L, q, p) == _dual_outcomes(twin, q, p)
+    # the probe's own result
+    got = dhj.cli.check_left_right()
+    monkeypatch.setattr(dhj.cli, "_free_particle", _array_free_particle)
+    want = dhj.cli.check_left_right()
+    assert (got.name, got.status, got.detail) == (want.name, want.status, want.detail)
+    assert struct.pack("<d", got.measured) == struct.pack("<d", want.measured)
+
+
+@given(h=st.floats(0.05, 0.5), w2=st.floats(0.1, 3.0), q=st.floats(-2.0, 2.0),
+       p=st.floats(-2.0, 2.0), partials=st.booleans())
+def test_a_float_pendulum_steps_both_duals_as_its_array_twin(h, w2, q, p, partials):
+    assert (_dual_outcomes(float_pendulum(h, w2, partials), q, p)
+            == _dual_outcomes(midpoint_pendulum(h, w2, partials=partials), q, p))
 
 
 _PENDULUM_STARTS = ((0.1, 0.2), (-1.1, 0.4), (0.9, -0.5), (1e-9, 0.0))

@@ -110,23 +110,22 @@ def test_check_coerces_only_at_its_entry_points(counts):
 
 def test_check_does_the_same_newton_work(monkeypatch):
     # exact counts, not bounds: the one-entry float paths make each call
-    # cheaper and must not change how many calls a check makes, nor skip one
+    # cheaper and must not change how many calls a check makes, nor skip one,
+    # nor how many Jacobians Newton builds or reads
     calls = Counter()
     solve = dhj.core.newton_solve
-
-    def counted_solve(residual, *args, **kwargs):
-        calls["newton_solve"] += 1
-
-        def counted_residual(z):
-            calls["residual"] += 1
-            return residual(z)
-        return solve(counted_residual, *args, **kwargs)
 
     def counted(name, fn):
         def call(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return call
+
+    def counted_solve(residual, *args, jacobian=None, **kwargs):
+        calls["newton_solve"] += 1
+        if jacobian is not None:
+            jacobian = counted("jacobian", jacobian)
+        return solve(counted("residual", residual), *args, jacobian=jacobian, **kwargs)
 
     for module in _MODULES:
         if hasattr(module, "newton_solve"):
@@ -136,11 +135,19 @@ def test_check_does_the_same_newton_work(monkeypatch):
     fd = counted("fd_gradient", dhj.core.fd_gradient)
     for module in (dhj.optctrl, dhj.cli):
         monkeypatch.setattr(module, "fd_gradient", fd)
+    # the one Jacobian builder: Newton's, looked up in dhj.core at each step,
+    # and the symplecticity probe's, through dhj.mechanics.  Every solve of a
+    # check is handed a Jacobian, so the four builds are the probe's, one per
+    # point, and the Jacobian reads are the supplied callables' calls.
+    fd_jacobian = counted("fd_jacobian", dhj.core.fd_jacobian)
+    for module in (dhj.core, dhj.mechanics):
+        monkeypatch.setattr(module, "fd_jacobian", fd_jacobian)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["check", "--q1=0.05", "--steps=8"]) == 0
     # residual evaluations include the finite-difference probes
     assert calls == {"newton_solve": 183, "residual": 367, "eliminate_control": 583,
-                     "secondary_constraint": 583, "fd_gradient": 200}
+                     "secondary_constraint": 583, "fd_gradient": 200, "jacobian": 185,
+                     "fd_jacobian": 4}
 
 
 def test_compare_coerces_only_at_its_entry_points(counts):
