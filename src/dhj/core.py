@@ -13,10 +13,17 @@ vectors hold one or two entries, where numpy's fixed cost per call outweighs
 the arithmetic, so the max-norm, one-entry products, the finiteness tests,
 the finite-difference probes of one entry and the residual and step of
 newton_solve's one loop on one unknown run over Python floats, bitwise what
-numpy computes.  A residual of one unknown may return a Python float, and
-so may a supplied Jacobian of one unknown, each callback of a one-entry
-control problem (optctrl's one-entry float rule) and each callback of a
-one-entry discrete Lagrangian (mechanics); norm_inf reads a float as it is.
+numpy computes.
+
+The one-entry float rule.  Where a value has one entry (a model of dim 1, a
+control problem with n = k = 1, a residual of one unknown), any callback
+may return a Python float in place of its one-entry vector or 1 x 1 matrix:
+the callbacks of a ControlProblem, a DiscreteLagrangian and a
+DiscreteHamiltonian, and a residual or Jacobian handed to newton_solve.  A
+model built from another (discretize_right, hamiltonian_from_lagrangian)
+hands back what its source computed, float or array.  Every reader takes
+either (norm_inf, _entry, _unboxed, newton_solve), and a value is boxed
+once, where mechanics._computed makes it an entry of a PhasePoint.
 """
 
 from __future__ import annotations
@@ -129,10 +136,10 @@ def _unboxed(v):
     return v
 
 
-def _boxed(v):
-    """A model's vector: a Python float in a new one-entry array, an array as
-    it is."""
-    return np.array([v]) if type(v) is float else v
+def _entry(v) -> float:
+    """v's one entry, for a value known to have one: a float as it is, an
+    array's as a float."""
+    return v if type(v) is float else v.item()
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -191,11 +198,26 @@ def _power(x: float, n: int) -> float:
         return math.copysign(math.inf, x) if n % 2 else math.inf
 
 
-def _positive_int(name: str, value) -> int:
-    """value as an int, or a ValueError naming it when it is not a positive integer."""
-    if int(value) != value or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value}")
-    return int(value)
+def _integer(name: str, value, least: int = 1) -> int:
+    """value as an int, or a ValueError naming it when it is not an integer
+    of at least least (1, or 0 for a count that may be empty), inf and NaN
+    included."""
+    try:
+        if int(value) == value and value >= least:
+            return int(value)
+    except (OverflowError, ValueError):  # int() of inf or NaN
+        pass
+    kind = "positive" if least else "nonnegative"
+    raise ValueError(f"{name} must be a {kind} integer, got {value}")
+
+
+def _positive(name: str, value) -> float:
+    """value as a float, or a ValueError naming it when it is not finite and
+    positive."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -207,7 +229,7 @@ class PhasePoint:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "index", _positive_int("index", self.index))
+        object.__setattr__(self, "index", _integer("index", self.index))
         q = as_vec(self.q, name="q")
         p = as_vec(self.p, dim=q.size, name="p")
         object.__setattr__(self, "q", q)
@@ -228,9 +250,9 @@ def _checked_point(index: int, q: np.ndarray, p: np.ndarray) -> PhasePoint:
 def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
     """Central-difference gradient of scalar f at x (f maps a 1-D vector to a
     scalar), one partial per axis, with x and step validated once.  step must
-    be positive; a non-finite partial raises NumericalError."""
+    be positive and finite; a non-finite partial raises NumericalError."""
     x = as_vec(x, name="x")
-    _check_step(step)
+    step = _positive("step", step)
     if x.size == 1:
         # Python floats, bitwise numpy's x + e and x - e
         x0 = x.item()
@@ -251,18 +273,13 @@ def fd_gradient(f, x, step: float = 1e-7) -> np.ndarray:
     return np.array(grad)
 
 
-def _check_step(step: float) -> None:
-    if not (step > 0.0):
-        raise ValueError(f"step must be positive, got {step}")
-
-
 def fd_jacobian(residual, x, step: float = 1e-7) -> np.ndarray:
     """Central-difference Jacobian of a residual from R^n to R^n at x (columns
     by axis); 2n residual evaluations, none at x itself.  step must be
-    positive.  One entry is differenced in Python floats, bitwise numpy's;
-    its residual may return a Python float."""
+    positive and finite.  One entry is differenced in Python floats, bitwise
+    numpy's."""
     x = as_vec(x, name="x")
-    _check_step(step)
+    step = _positive("step", step)
     m = x.size
     if m == 1:
         x0 = x.item()
@@ -308,11 +325,10 @@ def _check_jacobian(jac: np.ndarray) -> None:
 def newton_solve(residual, guess, jacobian=None) -> np.ndarray:
     """Solve residual(x) = 0 by Newton from guess; returns the root.
 
-    residual maps an n-vector to an n-vector, and for n = 1 may return a
-    Python float in place of its one-entry array; jacobian, if given, maps the
-    iterate to the n x n Jacobian, and for n = 1 may return a Python float in
-    place of its 1 x 1 array (otherwise central differences with FD_STEP are
-    used).  Convergence means ||residual||_inf <= TOL.  A guess that already
+    residual maps an n-vector to an n-vector; jacobian, if given, maps the
+    iterate to the n x n Jacobian (otherwise central differences with FD_STEP
+    are used); for n = 1 either may return a Python float (the one-entry float
+    rule).  Convergence means ||residual||_inf <= TOL.  A guess that already
     satisfies the tolerance is returned as a copy after one residual
     evaluation: the root is never the caller's guess object.  Past as_vec
     the guess is not copied, so residual (and jacobian) see the guess itself

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (NumericalError, PhasePoint, _checked_point, _power, as_grid, as_vec, dot,
-                   iterate, norm_inf)
+from .core import (NumericalError, PhasePoint, _checked_point, _positive, _power, as_grid, as_vec,
+                   dot, iterate, norm_inf)
 # step_right is not called here; bench/tracing.py wraps dhj.hj_flow.step_right
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side, step_right
 
@@ -202,19 +202,19 @@ def run_closed_form_flow(q_sequence, ds0: float, h: float,
                          branch: Branch = Branch.CONTINUITY) -> GeneratingSequence:
     """Run the closed-form slope recursion over a fixed position grid.
 
-    q_sequence is a scalar grid (the benchmark is one-dimensional).  Each step
-    solves the quadratic the right evolution equation reduces to when H+ is
-    the benchmark Hamiltonian with r = s = 1 and S accumulates h times the
-    previous slope, S_next = S_j + h * DS_j from S = 0.  branch picks the
-    root: Plus and Minus take the fixed sign; Continuity takes the root
-    closer to the previous slope, resolving ties toward Plus.  branch_log
-    records "init" and then the root taken each step.  A step with no finite
-    real root (BranchError) truncates with core.iterate's failure record in
-    meta, the discriminant as failure_quantity; completed rows are kept.
+    q_sequence is a scalar grid (the benchmark is one-dimensional), and h is
+    positive and finite.  Each step solves the quadratic the right evolution
+    equation reduces to when H+ is the benchmark Hamiltonian with r = s = 1
+    and S accumulates h times the previous slope, S_next = S_j + h * DS_j
+    from S = 0.  branch picks the root: Plus and Minus take the fixed sign;
+    Continuity takes the root closer to the previous slope, resolving ties
+    toward Plus.  branch_log records "init" and then the root taken each
+    step.  A step with no finite real root (BranchError) truncates with
+    core.iterate's failure record in meta, the discriminant as
+    failure_quantity; completed rows are kept.
     """
     grid = [float(v) for v in as_grid(q_sequence)]
-    if not (h > 0.0):
-        raise ValueError(f"h must be positive, got {h}")
+    h = _positive("h", h)
     if not isinstance(branch, Branch):
         raise ValueError(f"branch must be a Branch enum member, got {branch!r}")
     branch_log = ["init"]

@@ -21,8 +21,8 @@ import math
 
 import numpy as np
 
-from .core import (NumericalError, PhasePoint, _checked_point, _power, as_grid, as_vec, iterate,
-                   newton_solve, norm_inf)
+from .core import (NumericalError, PhasePoint, _atleast_1d, _checked_point, _entry, _power, as_grid,
+                   as_vec, iterate, newton_solve, norm_inf)
 from .hj_flow import GeneratingSequence
 from .mechanics import DiscreteHamiltonian, DiscreteTrajectory, Side
 
@@ -55,7 +55,8 @@ class SingularDenominatorError(NumericalError):
 def eval_field(H: DiscreteHamiltonian, q, p) -> tuple[np.ndarray, np.ndarray]:
     """Evolution field of H at its own slot pair in the (dq, dp) frame: the
     coefficient pair (D2 H+, D1 H+) at (q, p) = (q_j, p_next) for a right H,
-    (-D2 H-, -D1 H-) at (q, p) = (q_next, p_j) for a left one."""
+    (-D2 H-, -D1 H-) at (q, p) = (q_next, p_j) for a left one, each a
+    Python float where H returns one (core's one-entry float rule)."""
     q = as_vec(q, dim=H.dim, name="q")
     p = as_vec(p, dim=H.dim, name="p")
     if H.side is Side.RIGHT:
@@ -63,14 +64,16 @@ def eval_field(H: DiscreteHamiltonian, q, p) -> tuple[np.ndarray, np.ndarray]:
     return -H.d2(q, p), -H.d1(q, p)
 
 
-def _apply_dgamma(d2: np.ndarray, dgamma) -> np.ndarray:
+def _apply_dgamma(d2, dgamma):
     dg = np.asarray(dgamma, dtype=float)
     if dg.ndim == 0 or (dg.ndim == 1 and dg.size == 1):
         # Python floats: inf * 0 is nan, with no numpy warning
         g = dg.item()
+        if type(d2) is float:
+            return d2 * g
         return np.array([v * g for v in d2.ravel().tolist()]).reshape(d2.shape)
     if dg.ndim == 2:
-        return dg.T @ d2
+        return dg.T @ _atleast_1d(d2)
     raise ValueError(f"dgamma must be a scalar or square matrix, got shape {dg.shape}")
 
 
@@ -129,7 +132,7 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0) -> DiscreteT
             # d * gamma_j / q_next in Python floats: an overflow is inf with no
             # numpy warning, reported as the slope's escape, not as Newton's
             # non-finite residual at the iterate
-            d = d.item()
+            d = _entry(d)
             product = d * quot
             if math.isfinite(d) and not math.isfinite(product):
                 raise NumericalError(f"slope product {name} * gamma_j / q_next = {d:.6e} * "
@@ -137,10 +140,10 @@ def solve_gamma_generic(H: DiscreteHamiltonian, q_sequence, gamma0) -> DiscreteT
             return product
 
         def residual(g: np.ndarray) -> float:
-            return slope_product(H.d2(q_j, g), "D2 H+", g) - H.d1(q_j, g).item()
+            return slope_product(H.d2(q_j, g), "D2 H+", g) - _entry(H.d1(q_j, g))
 
         def jacobian(g: np.ndarray) -> float:
-            return slope_product(H.d22(q_j, g), "D22 H+", g) - H.d12(q_j, g).item()
+            return slope_product(H.d22(q_j, g), "D22 H+", g) - _entry(H.d12(q_j, g))
 
         g_next = newton_solve(residual, prev.p, jacobian=jacobian if exact else None)
         # Newton returns only a finite root, and as_grid checked q_next

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_FLOAT64, NumericalError, PhasePoint, _boxed, _checked_point, _positive_int,
-                   _unboxed, as_vec, dot, fd_jacobian, iterate, newton_solve, norm_inf)
+from .core import (_FLOAT64, NumericalError, PhasePoint, _checked_point, _integer, _unboxed,
+                   as_vec, dot, fd_jacobian, iterate, newton_solve, norm_inf)
 
 __all__ = [
     "Side",
@@ -73,12 +73,8 @@ class DiscreteLagrangian:
     Jacobians of d1 in the first slot, d1 in the second slot and d2 in the
     second slot; the module docstring names the Newton solve each serves.
     Every callback receives 1-D float64 arrays of length dim and returns a
-    float64 array (eval a scalar), which is used as returned.  The one-entry
-    float rule: with dim = 1 each callback may return a Python float in place
-    of its one-entry array (eval and the slot partials) or its 1 x 1 array
-    (the second partials).  A step boxes a slot partial's float once, in
-    _computed, and the duals of hamiltonian_from_lagrangian still return
-    float64 arrays from d1 and d2.
+    float64 array (eval a scalar), which is used as returned, or with dim = 1
+    a Python float (core's one-entry float rule).
     """
 
     eval: object
@@ -90,7 +86,7 @@ class DiscreteLagrangian:
     d22: object = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dim", _positive_int("dim", self.dim))
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,9 @@ class DiscreteHamiltonian:
     when it is set, step_right and step_left take the discrete Lagrangian
     flow of L_d and use neither d12 nor the partials.  The partials receive
     1-D float64 arrays of length dim and return float64 arrays (eval a
-    scalar), which no layer re-coerces: inputs are validated once, at the
-    public entry points (PhasePoint, as_vec, as_grid), and an output once,
-    by _computed where it enters a step or by Newton as a residual.
+    scalar), or with dim = 1 a Python float (core's one-entry float rule).
+    No layer re-coerces them: an output is checked once, by _computed where
+    it enters a step or by Newton as a residual.
     """
 
     side: Side
@@ -124,7 +120,7 @@ class DiscreteHamiltonian:
     def __post_init__(self):
         if not isinstance(self.side, Side):
             raise ValueError(f"side must be a Side enum member, got {self.side!r}")
-        object.__setattr__(self, "dim", _positive_int("dim", self.dim))
+        object.__setattr__(self, "dim", _integer("dim", self.dim))
 
 
 @dataclass
@@ -211,9 +207,9 @@ def hamiltonian_from_lagrangian(L: DiscreteLagrangian, side: Side) -> DiscreteHa
         # -dot(p, y), not dot(-p, y): the sign of a zero product differs
         return py - float(L.eval(q, y)) if right else -py - float(L.eval(y, q))
 
-    def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    def _d1(q: np.ndarray, p: np.ndarray):
         y = _recover(q, p)
-        return _boxed(-(d_q(q, y) if right else d_q(y, q)))
+        return -(d_q(q, y) if right else d_q(y, q))
 
     return DiscreteHamiltonian(side=side, eval=_eval, d1=_d1,
                                d2=_recover if right else (lambda q, p: -_recover(q, p)),
@@ -284,11 +280,10 @@ def run_trajectory(H: DiscreteHamiltonian, x0: PhasePoint, steps: int,
     first one it returns true for: untruncated, and shorter than
     steps_requested when that point is not the last.
     """
-    if int(steps) != steps or steps < 0:
-        raise ValueError(f"steps must be a nonnegative integer, got {steps}")
+    steps = _integer("steps", steps, least=0)
     stepper = step_right if H.side is Side.RIGHT else step_left
-    points, meta = iterate(lambda x: stepper(H, x), x0, int(steps), x0.index, until)
-    meta.update(side=H.side.value, steps_requested=int(steps))
+    points, meta = iterate(lambda x: stepper(H, x), x0, steps, x0.index, until)
+    meta.update(side=H.side.value, steps_requested=steps)
     return DiscreteTrajectory(points=points, meta=meta)
 
 

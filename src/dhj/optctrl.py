@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import (FD_STEP, TOL, NumericalError, _atleast_1d, _boxed, _positive_int, _power,
-                   as_vec, dot, fd_gradient, newton_solve, norm_inf)
+from .core import (FD_STEP, TOL, NumericalError, _atleast_1d, _entry, _integer, _positive,
+                   _power, as_vec, dot, fd_gradient, newton_solve, norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -69,9 +69,9 @@ class ControlProblem:
     1-D float64 arrays and return float64 arrays of the shapes given here
     (cost a scalar), used as returned: their finiteness is checked where a
     value enters a step or a Newton residual.  In a one-entry problem
-    (n = k = 1) a callback may return a Python float in place of its
-    one-entry array, and a float control reaches the callbacks as that
-    float; the reduction then runs in Python floats, bitwise numpy's.
+    (n = k = 1) a callback may return a Python float (core's one-entry float
+    rule), and a float control reaches the callbacks as that float; the
+    reduction then runs in Python floats, bitwise numpy's.
     """
 
     gamma: object
@@ -90,8 +90,8 @@ class ControlProblem:
     def __post_init__(self):
         if not isinstance(self.sign, SignCriterion):
             raise ValueError(f"sign must be a SignCriterion member, got {self.sign!r}")
-        object.__setattr__(self, "n", _positive_int("n", self.n))
-        object.__setattr__(self, "k", _positive_int("k", self.k))
+        object.__setattr__(self, "n", _integer("n", self.n))
+        object.__setattr__(self, "k", _integer("k", self.k))
 
 
 def _adjoined(sign: float, jac, p: np.ndarray, grad):
@@ -101,11 +101,6 @@ def _adjoined(sign: float, jac, p: np.ndarray, grad):
     if type(jac) is float or jac.size == 1:
         return ((0.0 + _entry(jac) * p.item()) + sign * _entry(grad))
     return jac.T @ p + sign * grad
-
-
-def _entry(v) -> float:
-    """v's one entry: a float as it is, an array's as a float."""
-    return v if type(v) is float else v.item()
 
 
 def secondary_constraint(cp: ControlProblem, q: np.ndarray, p: np.ndarray, u):
@@ -195,8 +190,8 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
     state partials, d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no
     du*/dq or du*/dp term; without them d1 is a central difference of eval
     with core.FD_STEP.  The problem's d_qp and d_pp become d12 and d22.
-    The partials return float64 arrays, a model's float in a new one-entry
-    array, and eval a float.
+    The partials return what the model computed (core's one-entry float
+    rule), and eval a float.
     """
     sign, gamma, cost = cp.sign.factor, cp.gamma, cp.cost
     dq_gamma, dq_cost = cp.dq_gamma, cp.dq_cost
@@ -221,46 +216,37 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
         pg = 0.0 + p.item() * g if type(g) is float else dot(p, g)
         return pg + sign * float(cost(q, u))
 
-    def _d2(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-        return _boxed(gamma(q, control(q, p)))
+    def _d2(q: np.ndarray, p: np.ndarray):
+        return gamma(q, control(q, p))
 
     if dq_gamma is not None and dq_cost is not None:
-        def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+        def _d1(q: np.ndarray, p: np.ndarray):
             u = control(q, p)
-            return _boxed(_adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u)))
+            return _adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u))
     else:
         def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
             return fd_gradient(lambda z: _eval(z, p), q, FD_STEP)
 
     def second_partial(d):
         # d(q, p, u) read at the eliminated control
-        return None if d is None else (lambda q, p: _matrix(d(q, p, control(q, p))))
+        return None if d is None else (lambda q, p: d(q, p, control(q, p)))
 
     return DiscreteHamiltonian(side=Side.RIGHT, eval=_eval, d1=_d1, d2=_d2, dim=cp.n,
                                d12=second_partial(cp.d_qp), d22=second_partial(cp.d_pp))
 
 
-def _matrix(v) -> np.ndarray:
-    """A model's matrix: a float in a new 1 x 1 array, an array as it is."""
-    return np.array([[v]]) if type(v) is float else v
-
-
 def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
     """The scalar cubic benchmark: q' = q - q^3 + u, cost (s q^2 + r u^2) / 2.
 
-    r > 0 weights the control effort, s > 0 the state; the Plus criterion
-    gives phi = p + r u, so the eliminated control is u = -p / r (supplied
-    as control, exact to rounding of the one division) and the reduced
-    Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.  Its mixed
-    partial is 1 - 3 q^2 for every (r, s), since neither state partial
-    depends on u, and its second momentum partial is -1 / r.  Every callback
-    returns a Python float (ControlProblem's one-entry rule).
+    r > 0 weights the control effort, s > 0 the state, both finite; the
+    Plus criterion gives phi = p + r u, so the eliminated control is
+    u = -p / r (supplied as control, exact to rounding of the one division)
+    and the reduced Hamiltonian is p (q - q^3) - p^2 / (2 r) + s q^2 / 2.
+    Its mixed partial is 1 - 3 q^2 for every (r, s), since neither state
+    partial depends on u, and its second momentum partial is -1 / r.  Every
+    callback returns a Python float (core's one-entry float rule).
     """
-    r, s = float(r), float(s)
-    if not (r > 0.0):
-        raise ValueError(f"r must be positive, got {r}")
-    if not (s > 0.0):
-        raise ValueError(f"s must be positive, got {s}")
+    r, s = _positive("r", r), _positive("s", s)
 
     # Python floats: a product that overflows is inf, with no numpy warning.
     # q and p arrive as one-entry arrays; u is the supplied control's float,

@@ -241,8 +241,8 @@ def test_11_reduction_fidelity():
     for _ in range(100):
         q = rng.uniform(-1.5, 1.5)
         p = rng.uniform(-1.5, 1.5)
-        d1 = float(H.d1(np.array([q]), np.array([p]))[0])
-        d2 = float(H.d2(np.array([q]), np.array([p]))[0])
+        d1 = H.d1(np.array([q]), np.array([p]))
+        d2 = H.d2(np.array([q]), np.array([p]))
         fd_q = (hand(q + step, p) - hand(q - step, p)) / (2.0 * step)
         fd_p = (hand(q, p + step) - hand(q, p - step)) / (2.0 * step)
         worst_par = max(worst_par, abs(d1 - fd_q), abs(d2 - fd_p))

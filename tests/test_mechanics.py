@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import struct
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,11 +17,11 @@ import dhj.core
 import dhj.hj_vf
 import dhj.mechanics
 import dhj.optctrl
-from dhj.cli import _free_particle
-from dhj.core import (NumericalError, PhasePoint, SingularJacobianError, dot, fd_jacobian,
+from dhj.cli import _free_particle, check_partial_consistency
+from dhj.core import (TOL, NumericalError, PhasePoint, SingularJacobianError, dot, fd_jacobian,
                       newton_solve)
-from dhj.hj_flow import hj_residual
-from dhj.hj_vf import eval_field, vf_residual
+from dhj.hj_flow import hj_residual, solve_generating_sequence
+from dhj.hj_vf import eval_field, solve_gamma_generic, vf_residual
 from dhj.mechanics import (
     DiscreteHamiltonian,
     DiscreteLagrangian,
@@ -251,6 +252,82 @@ def test_left_right_relation_free_particle():
     nxt = step_right(Hp, x)
     res = left_right_relation_residual(Hp, Hm, x.q, x.p, nxt.q, nxt.p)
     assert res <= 1e-12
+
+
+# float64's unit roundoff
+_U = Fraction(1, 2 ** 53)
+
+
+def _free_dual_bounds(q: float, p: float) -> tuple:
+    """Rounding bounds on check's free-particle duals at the floats (q, p),
+    for H+(q, p) and H-(q, p) alike: (eval, d1, d2).
+
+    Each dual inverts a momentum relation by Newton from y = q, with the
+    exact Jacobian 1, and accepts y once |r| <= TOL, r = fl(fl(y - q) - p)
+    on the right (fl(fl(y - q) + p) on the left).  So the root misses the
+    exact q + p (q - p) by at most e_y = 1.01 TOL + 2u|p|: the residual
+    bound, plus the rounding of the two subtractions.  d2 is +-y; d1 is
+    -+fl(q - y), one more rounding of a value within e_y of p, so
+    e_d1 = e_y + u(|p| + e_y).  eval is fl(+-fl(p y) - fl(0.5 v v)) with
+    v = fl(y - q) (fl(q - y) on the left) within e_d1 of +-p: the products
+    miss p y and p^2 by |p| e_y and (2|p| + e_d1) e_d1 / 2 before rounding,
+    and the three roundings add at most 2u(|p| |y| + v^2 + |H|), with
+    |y| <= |q| + |p| + e_y; 2^-1070 covers an underflow in 0.5 v v."""
+    q, p = abs(Fraction(q)), abs(Fraction(p))
+    e_y = Fraction(101, 100) * Fraction(TOL) + 2 * _U * p
+    e_d1 = e_y + _U * (p + e_y)
+    h = p * q + p * p / 2  # a bound on |H+| and |H-|
+    e_eval = (p * e_y + (p + e_d1) * e_d1
+              + 2 * _U * (p * (q + p + e_y) + (p + e_d1) ** 2 + h) + Fraction(2) ** -1070)
+    return e_eval, e_d1, e_y
+
+
+def _assert_free_duals_are_exact(Hp, Hm, q: float, p: float) -> None:
+    """eval, d1 and d2 of both duals at the floats (q, p) against the exact
+    duals of the free particle L_d = (b - a)^2 / 2, in rationals:
+    H+(q, p') = p' q + p'^2 / 2, d1 = p', d2 = q + p', and
+    H-(q', p) = -p q' + p^2 / 2, d1 = -p, d2 = p - q'."""
+    fq, fp = Fraction(q), Fraction(p)
+    exact = {Side.RIGHT: (fp * fq + fp * fp / 2, fp, fq + fp),
+             Side.LEFT: (-fp * fq + fp * fp / 2, -fp, fp - fq)}
+    bounds = _free_dual_bounds(q, p)
+    a, b = np.array([q]), np.array([p])
+    for H in (Hp, Hm):
+        got = (H.eval(a, b), H.d1(a, b), H.d2(a, b))
+        for name, g, want, bound in zip(("eval", "d1", "d2"), got, exact[H.side], bounds):
+            # a partial is a float or a one-entry array (core's one-entry float rule)
+            miss = abs(Fraction(np.asarray(g).item()) - want)
+            assert miss <= bound, (H.side, name, q, p, float(miss), float(bound))
+
+
+@given(q=st.floats(-4.0, 4.0), p=st.floats(-4.0, 4.0))
+def test_the_free_particle_duals_are_the_exact_duals_to_rounding(q, p):
+    L = _free_particle()
+    _assert_free_duals_are_exact(hamiltonian_from_lagrangian(L, Side.RIGHT),
+                                 hamiltonian_from_lagrangian(L, Side.LEFT), q, p)
+
+
+def test_the_free_particle_orbit_is_the_exact_map_to_rounding():
+    # check_left_right's 50-step orbit from (0.2, 0.1), against the exact map
+    # (q, p) -> (q + p, p) from the same floats.  A step's Newton solve from
+    # y = q takes one step, to fl(q + p), whose residual is a few ulps: so
+    # q_next = q + p + d with |d| <= u |q_next|, and p_next = fl(q_next - q)
+    # adds one rounding of at most u |p_next|.  The bounds accumulate.
+    L = _free_particle()
+    Hp, Hm = (hamiltonian_from_lagrangian(L, side) for side in (Side.RIGHT, Side.LEFT))
+    traj = run_trajectory(Hp, PhasePoint(index=1, q=[0.2], p=[0.1]), 50)
+    assert traj.meta["truncated"] is False and len(traj) == 51
+    q_exact, p_exact = Fraction(0.2), Fraction(0.1)
+    e_q = e_p = Fraction(0)
+    for a, b in zip(traj.points[:-1], traj.points[1:]):
+        q_next, p_next = abs(Fraction(b.q.item())), abs(Fraction(b.p.item()))
+        e_q, e_p = e_q + e_p + _U * q_next, e_p + _U * q_next + _U * p_next
+        q_exact += p_exact
+        assert abs(Fraction(b.q.item()) - q_exact) <= e_q, b.index
+        assert abs(Fraction(b.p.item()) - p_exact) <= e_p, b.index
+        # the two Hamiltonians of the dual relation, at the orbit's own floats
+        _assert_free_duals_are_exact(Hp, Hm, a.q.item(), b.p.item())
+        _assert_free_duals_are_exact(Hp, Hm, b.q.item(), a.p.item())
 
 
 def test_an_overflowing_dual_relation_of_two_entries_is_inf_without_a_warning():
@@ -521,8 +598,10 @@ def test_second_partials_match_central_differences(L):
                    fd_jacobian(lambda y: L.d1(a, y), b, 1e-5),
                    fd_jacobian(lambda y: L.d2(a, y), b, 1e-5))
         for got, want in zip((L.d11(a, b), L.d12(a, b), L.d22(a, b)), central):
-            assert got.shape == (1, 1)
-            assert abs(got[0, 0] - want[0, 0]) <= 1e-8 * max(1.0, abs(want[0, 0]))
+            # a float or a 1 x 1 array (core's one-entry float rule)
+            assert np.shape(got) in ((), (1, 1))
+            got = np.asarray(got).item()
+            assert abs(got - want[0, 0]) <= 1e-8 * max(1.0, abs(want[0, 0]))
 
 
 def _array_free_particle():
@@ -568,7 +647,7 @@ def float_pendulum(h, w2, partials=False):
 def _dual_outcomes(L, q, p):
     """For each dual of L: its step from (q, p) and its eval, d1 and d2 at
     (q, p), each as bytes or the NumericalError raised; d1 and d2 must be
-    (1,) float64 arrays."""
+    Python floats or (1,) float64 arrays (core's one-entry float rule)."""
     out = []
     for side, stepper in ((Side.RIGHT, step_right), (Side.LEFT, step_left)):
         H = hamiltonian_from_lagrangian(L, side)
@@ -586,9 +665,9 @@ def _dual_outcomes(L, q, p):
             elif k == 1:
                 got = struct.pack("<d", got)
             else:
-                assert type(got) is np.ndarray and got.dtype == np.float64
-                assert got.shape == (1,)
-                got = got.tobytes()
+                assert type(got) is float or (type(got) is np.ndarray
+                                              and got.dtype == np.float64 and got.shape == (1,))
+                got = np.asarray(got).tobytes()
             out.append(got)
     return out
 
@@ -629,6 +708,54 @@ def test_the_float_free_particle_is_its_array_twin_bit_for_bit(monkeypatch):
 def test_a_float_pendulum_steps_both_duals_as_its_array_twin(h, w2, q, p, partials):
     assert (_dual_outcomes(float_pendulum(h, w2, partials), q, p)
             == _dual_outcomes(midpoint_pendulum(h, w2, partials=partials), q, p))
+
+
+def _hand_reduced_right(boxed: bool = False) -> DiscreteHamiltonian:
+    """The unit-weight reduced Hamiltonian H+ = p (q - q^3) - p^2 / 2 + q^2 / 2
+    written by hand, each partial returning a Python float (core's one-entry
+    float rule), or with boxed the same float in a one-entry array (1 x 1 for
+    d12 and d22)."""
+    def partial(f, shape=None):
+        if boxed and shape:
+            return lambda q, p: np.full(shape, f(q.item(), p.item()))
+        return lambda q, p: f(q.item(), p.item())
+
+    return DiscreteHamiltonian(
+        side=Side.RIGHT, dim=1,
+        eval=partial(lambda q, p: p * (q - q * q * q) - 0.5 * p * p + 0.5 * q * q),
+        d1=partial(lambda q, p: p * (1.0 - 3.0 * q * q) + q, (1,)),
+        d2=partial(lambda q, p: q - q * q * q - p, (1,)),
+        d12=partial(lambda q, p: 1.0 - 3.0 * q * q, (1, 1)),
+        d22=partial(lambda q, p: -1.0, (1, 1)))
+
+
+def _readers_of(H) -> list:
+    """What each reader of H's partials makes of H, as bytes and metadata."""
+    def bits(values):
+        return np.asarray(list(values), dtype=float).tobytes()
+
+    traj = run_trajectory(H, PhasePoint(index=1, q=[0.05], p=[-0.02]), 20)
+    pts = traj.points
+    seq = solve_generating_sequence(H, traj)
+    slopes = solve_gamma_generic(H, [pt.q.item() for pt in pts], [-0.02])
+    check = check_partial_consistency(H)
+    return [
+        bits(v for pt in pts for v in (pt.index, pt.q.item(), pt.p.item())), traj.meta,
+        bits(verify_step(H, a, b) for a, b in zip(pts[:-1], pts[1:])),
+        bits(seq.S), bits(seq.residuals), seq.meta,
+        bits(v for pt in slopes.points for v in (pt.q.item(), pt.p.item())), slopes.meta,
+        bits(vf_residual(H, a.q, b.p, dgamma) for a, b in zip(pts[:-1], pts[1:])
+             for dgamma in (0.3, [[0.3]])),
+        bits(hj_residual(H, s, s_next, b.p, a.q, b.q)
+             for s, s_next, a, b in zip(seq.S, seq.S[1:], pts, pts[1:])),
+        (check.status, check.detail), bits([check.measured]),
+    ]
+
+
+def test_a_float_hamiltonian_reads_as_its_array_twin_bit_for_bit():
+    assert len(run_trajectory(_hand_reduced_right(), PhasePoint(index=1, q=[0.05], p=[-0.02]),
+                              20)) == 21
+    assert _readers_of(_hand_reduced_right()) == _readers_of(_hand_reduced_right(boxed=True))
 
 
 _PENDULUM_STARTS = ((0.1, 0.2), (-1.1, 0.4), (0.9, -0.5), (1e-9, 0.0))
@@ -853,5 +980,6 @@ def test_the_shared_step_body_is_each_pre_fold_stepper(q, p):
     for got, want in ((step_right(Hp, x), right), (step_left(Hm, x), left),
                       (step_right(hamiltonian_from_lagrangian(L, Side.RIGHT), x), flow),
                       (step_left(hamiltonian_from_lagrangian(L, Side.LEFT), x), flow)):
+        # the reduced H's d2 is a float (core's one-entry float rule)
         assert [got.index, got.q.tobytes(), got.p.tobytes()] == \
-            [want[0], want[1].tobytes(), want[2].tobytes()]
+            [want[0], np.asarray(want[1]).tobytes(), want[2].tobytes()]

@@ -9,6 +9,7 @@ machine.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 from collections import Counter
@@ -27,6 +28,7 @@ from dhj.core import PhasePoint, as_vec, fd_gradient, fd_jacobian, newton_solve
 from dhj.hj_flow import run_closed_form_flow
 from dhj.hj_vf import run_closed_form_vf, solve_gamma_generic
 from dhj.mechanics import Side, hamiltonian_from_lagrangian, run_trajectory, step_right
+from dhj.optctrl import make_sakamoto1d
 from test_mechanics import cubic_right, midpoint_pendulum
 
 _MODULES = (dhj.core, dhj.mechanics, dhj.optctrl, dhj.hj_flow, dhj.hj_vf, dhj.cli)
@@ -231,4 +233,39 @@ def test_slope_runners_accept_a_list_grid(run):
         "solve_gamma_generic", "run_closed_form_flow", "run_closed_form_vf"])
 def test_public_entry_points_reject_non_finite_input(run, bad):
     with pytest.raises(ValueError, match="non-finite"):
+        run(bad)
+
+
+_START = PhasePoint(index=1, q=[0.05], p=[0.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name, run", [
+    ("index", lambda bad: PhasePoint(index=bad, q=[0.1], p=[0.2])),
+    ("dim", lambda bad: dataclasses.replace(midpoint_pendulum(0.2, 1.3), dim=bad)),
+    ("dim", lambda bad: dataclasses.replace(cubic_right(), dim=bad)),
+    ("n", lambda bad: dataclasses.replace(make_sakamoto1d(), n=bad)),
+    ("k", lambda bad: dataclasses.replace(make_sakamoto1d(), k=bad)),
+    ("steps", lambda bad: run_trajectory(cubic_right(), _START, bad)),
+], ids=["PhasePoint.index", "DiscreteLagrangian.dim", "DiscreteHamiltonian.dim",
+        "ControlProblem.n", "ControlProblem.k", "run_trajectory.steps"])
+def test_integer_arguments_name_themselves_on_inf_and_nan(name, run, bad):
+    with pytest.raises(ValueError, match=f"^{name} must be a (positive|nonnegative) integer, "
+                                         f"got {bad}$"):
+        run(bad)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("name, run", [
+    ("r", lambda bad: make_sakamoto1d(r=bad)),
+    ("s", lambda bad: make_sakamoto1d(s=bad)),
+    ("h", lambda bad: run_closed_form_flow([0.05, 0.0475], 0.0, bad)),
+    ("step", lambda bad: fd_gradient(lambda z: z[0], [0.3], bad)),
+    ("step", lambda bad: fd_jacobian(lambda z: z, [0.3], bad)),
+], ids=["make_sakamoto1d.r", "make_sakamoto1d.s", "run_closed_form_flow.h",
+        "fd_gradient.step", "fd_jacobian.step"])
+def test_weights_increments_and_steps_must_be_finite(name, run, bad):
+    # each is refused where it enters, not as a Newton seed, a discriminant
+    # or a NumericalError further in
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {bad}$"):
         run(bad)
