@@ -16,8 +16,9 @@ newton_solve's one loop on one unknown run over Python floats, bitwise what
 numpy computes.
 
 The one-entry float rule.  Where a value has one entry (a model of dim 1, a
-control problem with n = k = 1, a residual of one unknown), any callback
-may return a Python float in place of its one-entry vector or 1 x 1 matrix:
+control problem of n = 1 with a one-entry control, a residual of one
+unknown), any callback may return a Python float in place of its one-entry
+vector or 1 x 1 matrix:
 the callbacks of a ControlProblem, a DiscreteLagrangian and a
 DiscreteHamiltonian, and a residual or Jacobian handed to newton_solve.  A
 model built from another (discretize_right, hamiltonian_from_lagrangian)

@@ -9,9 +9,11 @@ whose stationarity in u is the secondary constraint
 
     phi_a(q, p, u) = p . dGamma/du_a + sign * dcost/du_a = 0.
 
-Eliminating u through phi produces a Hamiltonian of (q, p) alone; read at
-the step pair (q_j, p_next) it is a right discrete Hamiltonian, which is what
-the lattice machinery consumes (discretize_right builds it in one step).
+The model states the control that solves phi in closed form, and
+eliminate_control checks it there.  Eliminating u produces a Hamiltonian of
+(q, p) alone; read at the step pair (q_j, p_next) it is a right discrete
+Hamiltonian, which is what the lattice machinery consumes (discretize_right
+builds it in one step).
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# as_vec is not called here; bench/tracing.py counts calls at dhj.optctrl.as_vec
-from .core import (FD_STEP, TOL, NumericalError, _atleast_1d, _entry, _integer, _positive,
-                   _power, as_vec, dot, fd_gradient, newton_solve, norm_inf)
+# as_vec, fd_gradient and newton_solve are not called here; bench/tracing.py wraps them
+from .core import (TOL, NumericalError, _entry, _integer, _positive, _power, as_vec, dot,
+                   fd_gradient, newton_solve, norm_inf)
 from .mechanics import DiscreteHamiltonian, Side
 
 __all__ = [
@@ -53,25 +55,22 @@ class ControlProblem:
 
     gamma(q, u) -> n-vector and cost(q, u) -> scalar take a state q of
     dimension n and a control u of dimension k.  du_gamma (n x k) and
-    du_cost (k,) are their analytic control partials; the optional state
-    partials dq_gamma (n x n) and dq_cost (n,) sharpen the control-
-    eliminated Hamiltonian's d1 from finite differences to exact values
-    when supplied.  The optional d_qp(q, p, u) (n x n) is that
-    Hamiltonian's mixed partial d2H/dq dp at the eliminated control u,
-    including the part that comes through u's dependence on p; it gives the
-    right step an exact Newton Jacobian.  The optional d_pp(q, p, u) (n x n)
-    is likewise d2H/dp^2 at u, including u's dependence on p; with d_qp it
-    gives the generic slope solver an exact Newton Jacobian.  The optional
-    control(q, p) (k,) is the eliminated control itself, when the model
-    knows it in closed form; eliminate_control then accepts it after one
-    evaluation of the secondary constraint, and probes the constraint and
-    solves for u only where it misses.  The callbacks receive q, p and u as
-    1-D float64 arrays and return float64 arrays of the shapes given here
-    (cost a scalar), used as returned: their finiteness is checked where a
-    value enters a step or a Newton residual.  In a one-entry problem
-    (n = k = 1) a callback may return a Python float (core's one-entry float
-    rule), and a float control reaches the callbacks as that float; the
-    reduction then runs in Python floats, bitwise numpy's.
+    du_cost (k,) are their control partials, and dq_gamma (n x n) and
+    dq_cost (n,) their state partials, all analytic.  control(q, p) is the
+    eliminated control, the root of the secondary constraint in closed
+    form; eliminate_control checks it there.  The optional d_qp(q, p, u)
+    (n x n) is the control-eliminated Hamiltonian's mixed partial d2H/dq dp
+    at the eliminated control u, including the part that comes through u's
+    dependence on p; it gives the right step an exact Newton Jacobian.  The
+    optional d_pp(q, p, u) (n x n) is likewise d2H/dp^2 at u; with d_qp it
+    gives the generic slope solver an exact Newton Jacobian.  The callbacks
+    receive q, p and u as 1-D float64 arrays and return float64 arrays of
+    the shapes given here (cost a scalar), used as returned: their
+    finiteness is checked where a value enters a step or a Newton residual.
+    With n = 1 and a one-entry control a callback may return a Python float
+    (core's one-entry float rule), and a float control reaches the
+    callbacks as that float; the reduction then runs in Python floats,
+    bitwise numpy's.
     """
 
     gamma: object
@@ -80,18 +79,16 @@ class ControlProblem:
     du_cost: object
     sign: SignCriterion
     n: int
-    k: int
-    dq_gamma: object = None
-    dq_cost: object = None
+    control: object
+    dq_gamma: object
+    dq_cost: object
     d_qp: object = None
     d_pp: object = None
-    control: object = None
 
     def __post_init__(self):
         if not isinstance(self.sign, SignCriterion):
             raise ValueError(f"sign must be a SignCriterion member, got {self.sign!r}")
         object.__setattr__(self, "n", _integer("n", self.n))
-        object.__setattr__(self, "k", _integer("k", self.k))
 
 
 def _adjoined(sign: float, jac, p: np.ndarray, grad):
@@ -109,72 +106,26 @@ def secondary_constraint(cp: ControlProblem, q: np.ndarray, p: np.ndarray, u):
     return _adjoined(cp.sign.factor, cp.du_gamma(q, u), p, cp.du_cost(q, u))
 
 
-# Relative threshold for the second-difference probe that detects a control-
-# affine constraint, in which case elimination is a single linear solve.
-_AFFINE_PROBE_TOL = 1e-10
-
-
-def _affine_part(phi, k: int):
-    """phi(0) and phi's matrix in u, or None for it when a second difference
-    shows phi curved in u."""
-    phi0 = phi(np.zeros(k))
-    aff = np.empty((k, k))
-    for a in range(k):
-        e = np.zeros(k)
-        e[a] = 1.0
-        phi1 = phi(e)
-        phi2 = phi(2.0 * e)
-        scale = max(1.0, norm_inf(phi0), norm_inf(phi1), norm_inf(phi2))
-        if norm_inf(phi2 - 2.0 * phi1 + phi0) > _AFFINE_PROBE_TOL * scale:
-            return phi0, None
-        aff[:, a] = phi1 - phi0
-    return phi0, aff
-
-
 def eliminate_control(cp: ControlProblem, q: np.ndarray, p: np.ndarray):
-    """Solve the secondary constraint phi(q, p, u) = 0 for u.
+    """The control cp.control(q, p), checked against the secondary constraint.
 
-    A control the model supplies (cp.control) is accepted when |phi| at it
-    is at most max(core.TOL, 1e-13 |p|), one evaluation of the constraint,
-    and returned as the model gave it (a one-entry problem's float stays a
-    float).  Without one, or when it misses, phi at this (q, p) is probed
-    for affinity in u with unit-offset second differences; when affine
-    (quadratic costs with control-affine dynamics, the common case) the
-    control comes from one linear solve, verified by the same test.
-    Otherwise, or when that candidate fails verification, Newton runs from
-    the candidate or from zero; a control so probed or solved for is a
-    float64 k-vector.
-
-    q and p are float64 n-vectors (the problem's callbacks receive them as
-    they are), but their entries are not checked: a non-finite one that
-    reaches Newton raises NumericalError naming it, as Newton does for its
-    own non-finite residuals.
+    It is accepted when |phi| at it is at most max(core.TOL, 1e-13 |p|), one
+    evaluation of the constraint, and returned as the model gave it (a
+    one-entry problem's float stays a float).  A miss, a NaN |phi| included,
+    raises NumericalError: one naming q or p when that has a non-finite
+    entry, else one naming the gap, q and p.  q and p are float64 n-vectors
+    (the problem's callbacks receive them as they are), not checked on the
+    way in.
     """
-    if cp.control is not None:
-        u = cp.control(q, p)
-        gap = norm_inf(secondary_constraint(cp, q, p, u))
-        if gap <= TOL or gap <= 1e-13 * norm_inf(p):
-            return u
-    accept = max(TOL, 1e-13 * norm_inf(p))
-
-    def phi(u: np.ndarray):
-        return secondary_constraint(cp, q, p, u)
-
-    phi0, aff = _affine_part(phi, cp.k)
-    cand = None
-    if aff is not None:
-        try:
-            # a float phi0 of one entry is the one-entry right-hand side
-            cand = np.linalg.solve(aff, -_atleast_1d(phi0))
-        except np.linalg.LinAlgError:
-            pass
-        if cand is not None and norm_inf(phi(cand)) <= accept:
-            return cand
+    u = cp.control(q, p)
+    gap = norm_inf(secondary_constraint(cp, q, p, u))
+    if gap <= TOL or gap <= 1e-13 * norm_inf(p):
+        return u
     for name, v in (("q", q), ("p", p)):
         if not np.all(np.isfinite(v)):
             raise NumericalError(f"{name} contains non-finite entries: {v}")
-    # an affine candidate that needs polish (rounding in the solve) seeds Newton
-    return newton_solve(phi, np.zeros(cp.k) if cand is None else cand)
+    raise NumericalError(f"the supplied control misses the secondary constraint by "
+                         f"|phi| = {gap} at q = {q}, p = {p}", gap)
 
 
 def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
@@ -186,10 +137,9 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
     share one eliminate_control call: the control of the last (q, p), keyed
     on their bytes, is kept and handed to the model, an array as a read-only
     view and a float as it is.  Because phi(q, p, u*) = 0, the envelope
-    identities give d2 = Gamma(q, u*) and, when the problem carries analytic
-    state partials, d1 = dGamma/dq^T p + sign * dcost/dq, both at u* with no
-    du*/dq or du*/dp term; without them d1 is a central difference of eval
-    with core.FD_STEP.  The problem's d_qp and d_pp become d12 and d22.
+    identities give d2 = Gamma(q, u*) and d1 = dGamma/dq^T p + sign *
+    dcost/dq, both at u* with no du*/dq or du*/dp term.  The problem's d_qp
+    and d_pp become d12 and d22.
     The partials return what the model computed (core's one-entry float
     rule), and eval a float.
     """
@@ -203,7 +153,7 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
         if key != last_key:
             u = eliminate_control(cp, q, p)
             if type(u) is not float:
-                # a read-only view: a supplied control may hand back the model's own array
+                # a read-only view: the model's control may hand back its own array
                 u = u.view()
                 u.setflags(write=False)
             last_key, last_u = key, u
@@ -219,13 +169,9 @@ def discretize_right(cp: ControlProblem) -> DiscreteHamiltonian:
     def _d2(q: np.ndarray, p: np.ndarray):
         return gamma(q, control(q, p))
 
-    if dq_gamma is not None and dq_cost is not None:
-        def _d1(q: np.ndarray, p: np.ndarray):
-            u = control(q, p)
-            return _adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u))
-    else:
-        def _d1(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-            return fd_gradient(lambda z: _eval(z, p), q, FD_STEP)
+    def _d1(q: np.ndarray, p: np.ndarray):
+        u = control(q, p)
+        return _adjoined(sign, dq_gamma(q, u), p, dq_cost(q, u))
 
     def second_partial(d):
         # d(q, p, u) read at the eliminated control
@@ -250,7 +196,7 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
 
     # Python floats: a product that overflows is inf, with no numpy warning.
     # q and p arrive as one-entry arrays; u is the supplied control's float,
-    # or a one-entry array where the elimination probed or solved for it.
+    # or a one-entry array where a caller hands one in.
     curvature = -1.0 / r
 
     def gamma(q, u):
@@ -276,6 +222,6 @@ def make_sakamoto1d(r: float = 1.0, s: float = 1.0) -> ControlProblem:
         return -p.item() / r
 
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
-                          sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,
+                          sign=SignCriterion.PLUS, n=1, control=control, dq_gamma=dq_gamma,
                           dq_cost=dq_cost, d_qp=lambda q, p, u: dq_gamma(q, u),
-                          d_pp=lambda q, p, u: curvature, control=control)
+                          d_pp=lambda q, p, u: curvature)

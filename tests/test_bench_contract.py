@@ -6,8 +6,10 @@ rename of either breaks the benchmark; these tests make it fail here too.
 So does a command that refuses an argv the CLI workloads build.
 """
 
+import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,3 +163,23 @@ def test_every_cli_workload_argv_is_accepted(name, seed, tmp_path):
         ns, unread = parser.parse_known_args(dhj.cli._attach_negative_numbers(argv))
         assert unread == []
         assert dhj.cli.resolve_config(ns).command == argv[0]
+
+
+_FAILING_INPUTS = Path(__file__).resolve().parent / "bench_failing_inputs.json"
+
+
+@pytest.mark.parametrize("name", ["portrait", "weights", "battery"])
+def test_cli_workload_failing_inputs_are_the_committed_list(name, tmp_path):
+    # every input of the first pass at seed 1, run and judged as bench/run.py
+    # does (an operation that raises fails); the list may shrink, not grow
+    workload = _workloads().CliWorkload(name, 1, str(tmp_path))
+    failing = []
+    for k in range(len(workload)):
+        try:
+            raw = workload.call(k)
+        except Exception:
+            failing.append(workload.describe(k))
+            continue
+        if not workload.verify(k, workload.outcome(k, raw)).ok:
+            failing.append(workload.describe(k))
+    assert failing == json.loads(_FAILING_INPUTS.read_text())[name]

@@ -20,15 +20,18 @@ the discrete HJ equation of the problem (Ohsawa, Bloch & Leok, SIAM J.
 Control Optim. 2011), so the exact P_j is an oracle of every row.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dhj.core import PhasePoint
 from dhj.hj_flow import solve_generating_sequence
 from dhj.mechanics import run_trajectory, symplecticity_defect
-from dhj.optctrl import ControlProblem, SignCriterion, discretize_right
+from dhj.optctrl import ControlProblem, SignCriterion, discretize_right, eliminate_control
 
 A = np.array([[1.0, 0.1], [-0.2, 0.9]])
 B = np.array([[0.0], [1.0]])
@@ -40,13 +43,15 @@ STEPS = 20
 
 
 def lq_problem(exact_jacobian: bool = True) -> ControlProblem:
-    """The problem with exact state partials; d_qp = A^T when exact_jacobian."""
+    """The problem with its control -B^T p / R and exact state partials;
+    d_qp = A^T when exact_jacobian."""
     return ControlProblem(
         gamma=lambda q, u: A @ q + B @ u,
         cost=lambda q, u: 0.5 * (q @ Q @ q + R * u @ u),
         du_gamma=lambda q, u: B,
         du_cost=lambda q, u: R * u,
-        sign=SignCriterion.PLUS, n=2, k=1,
+        sign=SignCriterion.PLUS, n=2,
+        control=lambda q, p: -(B.T @ p) / R,
         dq_gamma=lambda q, u: A,
         dq_cost=lambda q, u: Q @ q,
         d_qp=(lambda q, p, u: A.T) if exact_jacobian else None,
@@ -85,6 +90,19 @@ def worst_row_miss(traj) -> float:
         q_next, p_next = exact_step(a.q, a.p)
         misses += [relative_miss(b.q, q_next), relative_miss(b.p, p_next)]
     return max(misses)
+
+
+_COORD = st.floats(-1e6, 1e6)
+
+
+@given(q=st.tuples(_COORD, _COORD), p=st.tuples(_COORD, _COORD))
+def test_lq_control_is_the_exact_quotient_to_an_ulp(q, p):
+    # the oracle is the rational -B^T p / R, rounded once
+    u = eliminate_control(lq_problem(), np.array(q), np.array(p))
+    btp = sum(Fraction(b) * Fraction(x) for b, x in zip(B[:, 0].tolist(), p))
+    exact = -btp / Fraction(R)
+    assert u.shape == (1,)
+    assert abs(Fraction(u[0]) - exact) <= Fraction(math.ulp(float(exact)))
 
 
 @pytest.mark.parametrize("q1", STARTS)
@@ -151,7 +169,7 @@ def test_lq_slope_is_the_riccati_sequence(q1, P1):
         P = riccati_step(P)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: Newton's absolute 1e-12 tolerance "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: Newton's absolute 1e-12 tolerance "
                                        "accepts a finite-difference step that misses by ~1e-11 "
                                        "relative at |q| ~ 1e-6")
 def test_lq_orbit_without_an_exact_jacobian_matches_the_exact_map_at_a_small_start():

@@ -400,22 +400,6 @@ def test_trajectory_rows_match_the_exact_rational_map(r, s):
     assert worst <= 1e-13
 
 
-@pytest.mark.parametrize("r, s", WEIGHTS)
-def test_orbit_without_a_supplied_control_matches_the_exact_rational_map(r, s):
-    # with no supplied control, every elimination probes the constraint,
-    # solves it and verifies the solution
-    H = discretize_right(dataclasses.replace(make_sakamoto1d(r=r, s=s), control=None))
-    worst = 0.0
-    for q1 in np.geomspace(1e-6, 0.3, 8):
-        for sign in (1.0, -1.0):
-            traj = run_trajectory(H, PhasePoint(index=1, q=[sign * q1], p=[0.0]), 24)
-            for a, b in zip(traj.points[:-1], traj.points[1:]):
-                if abs(a.q[0]) < 0.9:
-                    worst = max(worst, bench_oracles.step_error(a.q[0], a.p[0], b.q[0],
-                                                                b.p[0], r, s))
-    assert worst <= 1e-12
-
-
 def _signed_power_of_ten(lo, hi):
     """+-10^u with u drawn from [lo, hi]."""
     return st.builds(lambda sign, u: sign * 10.0**u, st.sampled_from((1.0, -1.0)),
@@ -442,7 +426,7 @@ def test_a_right_step_from_a_tiny_start_is_the_exact_rational_map():
 
 
 def test_step_right_with_one_newton_iteration_runs_two_eliminations():
-    # each accepted affine elimination evaluates the constraint three times
+    # each elimination evaluates the constraint once
     base = make_sakamoto1d(r=2.0, s=0.5)
     calls = []
 
@@ -455,7 +439,7 @@ def test_step_right_with_one_newton_iteration_runs_two_eliminations():
     for q, p in ((0.05, -0.02), (-0.4, 0.3), (0.3, 0.0)):
         calls.clear()
         step_right(H, PhasePoint(index=1, q=[q], p=[p]))
-        assert len(calls) <= 2 * 3
+        assert len(calls) <= 2
 
 
 def test_step_right_with_one_newton_iteration_evaluates_the_constraint_twice(monkeypatch):

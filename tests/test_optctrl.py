@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import dhj.optctrl
-from dhj.core import TOL, NumericalError, PhasePoint, SingularJacobianError, _power, norm_inf
+from dhj.core import TOL, NumericalError, PhasePoint, _power, norm_inf
 from dhj.mechanics import Side, run_trajectory
 from dhj.optctrl import (
     ControlProblem,
@@ -26,6 +25,15 @@ from test_mechanics import WEIGHTS
 def vec(x):
     """x as the one-entry float64 array that the partials and the elimination take."""
     return np.array([x], dtype=float)
+
+
+def with_sign(cp, sign):
+    """The benchmark cp under sign, its control flipped with it: the root of
+    phi = p + sign r u is u = -sign p / r, and negation is exact."""
+    if sign is SignCriterion.PLUS:
+        return cp
+    plus = cp.control
+    return dataclasses.replace(cp, sign=sign, control=lambda q, p: -plus(q, p))
 
 
 def test_secondary_constraint_is_affine_in_control():
@@ -48,7 +56,7 @@ def test_one_entry_constraint_and_d1_are_bitwise_numpys(q, p, u, sign):
     # the Python-float path sums from +0.0 as numpy's matmul does, so a
     # signed zero comes out as numpy's jac.T @ p + sign * grad gives it; the
     # model's float partials are boxed here to form numpy's value
-    cp = dataclasses.replace(make_sakamoto1d(r=2.0, s=0.5), sign=sign)
+    cp = with_sign(make_sakamoto1d(r=2.0, s=0.5), sign)
     q, p, u = vec(q), vec(p), vec(u)
     want = np.array([[cp.du_gamma(q, u)]]).T @ p + sign.factor * vec(cp.du_cost(q, u))
     phi = secondary_constraint(cp, q, p, u)
@@ -60,68 +68,23 @@ def test_one_entry_constraint_and_d1_are_bitwise_numpys(q, p, u, sign):
 
 
 def test_eliminate_control_exact_for_quadratic_cost():
-    # without the supplied control, the affine shortcut lands within an ulp
-    # of -p / r (the probe's (p + r) - p difference can carry one rounding)
+    # the supplied control -p / r is the constraint's root to one rounding
     for r in (1.0, 2.0):
-        cp = dataclasses.replace(make_sakamoto1d(r=r), control=None)
+        cp = make_sakamoto1d(r=r)
         rng = np.random.default_rng(17)
         for _ in range(20):
             q = rng.uniform(-1.5, 1.5, 1)
             p = rng.uniform(-1.5, 1.5, 1)
             u = eliminate_control(cp, q, p)
-            assert abs(u[0] - (-p[0] / r)) <= 1e-15
-            assert norm_inf(secondary_constraint(cp, q, p, u)) <= 1e-10
-
-
-def test_eliminate_control_newton_fallback_quartic_cost():
-    # quartic cost term makes the constraint p + u + 0.1 u^3 = 0 cubic in u
-    cp = ControlProblem(
-        gamma=lambda q, u: np.array([q[0] - q[0] ** 3 + u[0]]),
-        cost=lambda q, u: 0.5 * u[0] ** 2 + 0.025 * u[0] ** 4,
-        du_gamma=lambda q, u: np.array([[1.0]]),
-        du_cost=lambda q, u: np.array([u[0] + 0.1 * u[0] ** 3]),
-        sign=SignCriterion.PLUS,
-        n=1,
-        k=1,
-    )
-    u = eliminate_control(cp, vec(0.1), vec(0.5))
-    assert abs(u[0] - (-0.4883533127285651)) <= 1e-12
-    assert norm_inf(secondary_constraint(cp, vec(0.1), vec(0.5), u)) <= 1e-12
-
-
-def test_eliminate_control_falls_through_to_newton_on_a_singular_affine_matrix(monkeypatch):
-    # two controls that enter only as u0 + u1: phi = (p + u0 + u1) * (1, 1) is
-    # affine in u with the singular matrix [[1, 1], [1, 1]], so the linear
-    # solve raises and Newton runs from zero
-    cp = ControlProblem(
-        gamma=lambda q, u: np.array([u[0] + u[1]]),
-        cost=lambda q, u: 0.5 * (u[0] + u[1]) ** 2,
-        du_gamma=lambda q, u: np.array([[1.0, 1.0]]),
-        du_cost=lambda q, u: np.array([u[0] + u[1], u[0] + u[1]]),
-        sign=SignCriterion.PLUS,
-        n=1,
-        k=2,
-    )
-    guesses = []
-    newton_solve = dhj.optctrl.newton_solve
-
-    def counted(residual, guess, *args, **kwargs):
-        guesses.append(guess.tolist())
-        return newton_solve(residual, guess, *args, **kwargs)
-
-    monkeypatch.setattr(dhj.optctrl, "newton_solve", counted)
-    # at p = 0 the zero guess already solves it
-    assert eliminate_control(cp, vec(0.1), vec(0.0)).tolist() == [0.0, 0.0]
-    # elsewhere Newton meets the same singular matrix
-    with pytest.raises(SingularJacobianError):
-        eliminate_control(cp, vec(0.1), vec(0.5))
-    assert guesses == [[0.0, 0.0], [0.0, 0.0]]
+            assert u == -p[0] / r
+            assert norm_inf(secondary_constraint(cp, q, p, u)) <= 1e-15
 
 
 def test_minus_criterion_flips_control_sign():
-    cp = dataclasses.replace(make_sakamoto1d(r=2.0), sign=SignCriterion.MINUS)
+    cp = with_sign(make_sakamoto1d(r=2.0), SignCriterion.MINUS)
     u = eliminate_control(cp, vec(0.1), vec(0.5))
-    assert abs(u[0] - 0.25) <= 1e-15
+    assert u == 0.25
+    assert secondary_constraint(cp, vec(0.1), vec(0.5), u) == 0.0
     assert SignCriterion.PLUS.factor == 1.0
     assert SignCriterion.MINUS.factor == -1.0
 
@@ -180,28 +143,6 @@ def test_discretize_right_is_pointwise():
         assert abs(H.d2(q, p) - (q[0] - q[0] ** 3 - p[0])) <= 1e-10
 
 
-def test_discretize_right_fd_fallback_without_state_partials():
-    # same dynamics and cost, but no analytic state partials supplied: the
-    # slot partials must come out of central differences to fd accuracy
-    r, s = 1.0, 1.0
-    cp = ControlProblem(
-        gamma=lambda q, u: np.array([q[0] - q[0] ** 3 + u[0]]),
-        cost=lambda q, u: 0.5 * (s * q[0] ** 2 + r * u[0] ** 2),
-        du_gamma=lambda q, u: np.array([[1.0]]),
-        du_cost=lambda q, u: np.array([r * u[0]]),
-        sign=SignCriterion.PLUS,
-        n=1,
-        k=1,
-    )
-    H = discretize_right(cp)
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        q = rng.uniform(-1.0, 1.0, 1)
-        p = rng.uniform(-1.0, 1.0, 1)
-        d1 = np.asarray(H.d1(q, p), dtype=float)
-        assert abs(d1[0] - ((1.0 - 3.0 * q[0] ** 2) * p[0] + q[0])) <= 1e-6
-
-
 def test_recover_controls_roundtrip():
     # u_j solves phi(q_j, p_next, u) = 0 in the step pairing, u = -p_next / r
     cp = make_sakamoto1d()
@@ -215,7 +156,7 @@ def test_recover_controls_roundtrip():
 
 def test_sakamoto1d_weight_validation():
     cp = make_sakamoto1d(r=3.0, s=2.0)
-    assert cp.n == 1 and cp.k == 1
+    assert cp.n == 1
     with pytest.raises(ValueError):
         make_sakamoto1d(r=0.0)
     with pytest.raises(ValueError):
@@ -231,13 +172,15 @@ def test_control_problem_validates_sign():
             du_cost=lambda q, u: np.zeros(1),
             sign="plus",
             n=1,
-            k=1,
+            control=lambda q, p: 0.0,
+            dq_gamma=lambda q, u: np.zeros((1, 1)),
+            dq_cost=lambda q, u: np.zeros(1),
         )
 
 
-def _probed_reference(cp, q, p):
-    """eval, d1 and d2 of the right discrete Hamiltonian, built on an
-    elimination that probes the constraint afresh on every call."""
+def _fresh_reference(cp, q, p):
+    """eval, d1 and d2 of the right discrete Hamiltonian, built on a fresh
+    elimination at every call, with no shared control."""
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     u = eliminate_control(cp, q, p)
@@ -248,18 +191,16 @@ def _probed_reference(cp, q, p):
     return val, d1, vel
 
 
-# p = 0 comes first, where a curved constraint reads affine in u; the small
-# momenta are where a curved constraint's linear candidate would pass
-# verification although the probe rejects it.
+# p = 0 and the small momenta are where the acceptance threshold is TOL.
 _GRID_Q = (-1.5, -0.4, 0.0, 0.3, 1.2)
 _GRID_P = (0.0, -0.5, -1e-3, -1e-5, 1e-9, 1e-4, 0.02, 0.45)
 
 
-def _assert_bitwise_equal_to_probed(cp):
+def _assert_bitwise_equal_to_fresh(cp):
     H = discretize_right(cp)
     for q in _GRID_Q:
         for p in _GRID_P:
-            val, d1, d2 = _probed_reference(cp, [q], [p])
+            val, d1, d2 = _fresh_reference(cp, [q], [p])
             assert H.eval(vec(q), vec(p)) == val
             # a float-returning problem's partials are floats (core's one-entry float rule)
             assert np.array_equal(np.atleast_1d(H.d1(vec(q), vec(p))), d1)
@@ -270,24 +211,7 @@ def _assert_bitwise_equal_to_probed(cp):
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
 def test_reduced_hamiltonian_bitwise_equals_per_call_probe(r, s, sign):
-    _assert_bitwise_equal_to_probed(dataclasses.replace(make_sakamoto1d(r=r, s=s), sign=sign))
-
-
-def test_curved_constraint_is_probed_at_every_momentum():
-    # phi = p (1 + 0.3 u^2) + u is curved in u, but at p = 0 it reads u, so an
-    # affinity decided there would hand the later momenta a wrong linear solve
-    cp = ControlProblem(
-        gamma=lambda q, u: np.array([q[0] - q[0] ** 3 + u[0] + 0.1 * u[0] ** 3]),
-        cost=lambda q, u: 0.5 * (q[0] ** 2 + u[0] ** 2),
-        du_gamma=lambda q, u: np.array([[1.0 + 0.3 * u[0] ** 2]]),
-        du_cost=lambda q, u: np.array([u[0]]),
-        sign=SignCriterion.PLUS,
-        n=1,
-        k=1,
-        dq_gamma=lambda q, u: np.array([[1.0 - 3.0 * q[0] ** 2]]),
-        dq_cost=lambda q, u: np.array([q[0]]),
-    )
-    _assert_bitwise_equal_to_probed(cp)
+    _assert_bitwise_equal_to_fresh(with_sign(make_sakamoto1d(r=r, s=s), sign))
 
 
 def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
@@ -306,31 +230,21 @@ def test_one_slot_partial_evaluates_the_constraint_at_most_three_times():
         assert len(calls) <= 3
 
 
-def _quartic_cost_problem():
-    # phi = p + u + 0.1 u^3 is curved in u, so elimination always runs Newton
-    return ControlProblem(
-        gamma=lambda q, u: np.array([q[0] - q[0] ** 3 + u[0]]),
-        cost=lambda q, u: 0.5 * u[0] ** 2 + 0.025 * u[0] ** 4,
-        du_gamma=lambda q, u: np.array([[1.0]]),
-        du_cost=lambda q, u: np.array([u[0] + 0.1 * u[0] ** 3]),
-        sign=SignCriterion.PLUS,
-        n=1,
-        k=1,
-    )
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_eliminate_control_names_the_non_finite_argument():
     with pytest.raises(NumericalError, match="^p contains non-finite"):
         eliminate_control(make_sakamoto1d(), vec(0.1), vec(float("nan")))
+    # q is named first when both are non-finite
     with pytest.raises(NumericalError, match="^q contains non-finite"):
-        eliminate_control(_quartic_cost_problem(), vec(float("inf")), vec(0.5))
+        eliminate_control(make_sakamoto1d(), vec(float("inf")), vec(float("nan")))
     # phi of the benchmark does not depend on q: the supplied control is accepted
     assert eliminate_control(make_sakamoto1d(), vec(float("inf")), vec(0.1)) == -0.1
+    assert eliminate_control(make_sakamoto1d(), vec(float("nan")), vec(0.1)) == -0.1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("cp", [make_sakamoto1d(), _quartic_cost_problem()])
+@pytest.mark.parametrize("cp", [make_sakamoto1d(),
+                                with_sign(make_sakamoto1d(r=2.0), SignCriterion.MINUS)])
 def test_non_finite_iterate_in_reduced_hamiltonian_is_a_numerical_error(cp):
     H = discretize_right(cp)
     H.d2(vec(0.2), vec(-0.3))
@@ -408,43 +322,28 @@ def test_second_momentum_partial_matches_central_differences_of_d2(r, s):
             assert abs(d22 - fd) <= 1e-8 * max(1.0, abs(fd))
 
 
-# The elimination's acceptance test, max(tol, 1e-13 |p|), at the default tol.
-def _accepts(cp, q, p, u):
-    return norm_inf(secondary_constraint(cp, vec(q), vec(p), u)) <= max(1e-12, 1e-13 * abs(p))
-
-
-@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
-def test_supplied_control_agrees_with_probe_and_solve(r, s):
-    cp = make_sakamoto1d(r=r, s=s)
-    probed = dataclasses.replace(cp, control=None)
-    for q in np.linspace(-0.55, 0.55, 7):
-        for p in np.linspace(-2.0, 2.0, 13):
-            u = eliminate_control(cp, vec(q), vec(p))
-            v = eliminate_control(probed, vec(q), vec(p))
-            assert _accepts(cp, q, p, u) and _accepts(cp, q, p, v)
-            assert abs(u - v[0]) <= 4 * math.ulp(p / r)
+_MISS = r"^the supplied control misses the secondary constraint by \|phi\| = "
 
 
 @pytest.mark.parametrize("wrong", [lambda q, p, r: -2.0 * p / r,
                                    lambda q, p, r: np.full(1, np.nan)])
-def test_wrong_supplied_control_falls_back_to_probe_and_solve(wrong):
+def test_wrong_supplied_control_is_a_numerical_error(wrong):
     for r, s in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
         cp = make_sakamoto1d(r=r, s=s)
-        probed = dataclasses.replace(cp, control=None)
         bad = dataclasses.replace(cp, control=lambda q, p: wrong(q, p, r))
-        H, H_probed = discretize_right(bad), discretize_right(probed)
+        H = discretize_right(bad)
         for q, p in ((0.2, -0.3), (-0.4, 0.7), (0.05, 1.9), (0.3, 1e-9)):
-            want = eliminate_control(probed, vec(q), vec(p))
-            assert np.array_equal(eliminate_control(bad, vec(q), vec(p)), want)
-            assert _accepts(cp, q, p, want)
-            assert H.eval(vec(q), vec(p)) == H_probed.eval(vec(q), vec(p))
-            assert np.array_equal(H.d2(vec(q), vec(p)), H_probed.d2(vec(q), vec(p)))
+            for f in (lambda: eliminate_control(bad, vec(q), vec(p)),
+                      lambda: H.eval(vec(q), vec(p)), lambda: H.d2(vec(q), vec(p))):
+                with pytest.raises(NumericalError, match=_MISS) as info:
+                    f()
+                assert f"at q = {vec(q)}, p = {vec(p)}" in str(info.value)
+                gap = abs(secondary_constraint(bad, vec(q), vec(p), wrong(q, p, r)))
+                assert info.value.quantity == gap or math.isnan(gap)
 
 
-def test_supplied_control_skips_the_affinity_probe():
-    # one constraint evaluation per elimination while the supplied control
-    # holds; a miss probes the constraint at that point and then solves
+def test_supplied_control_costs_one_constraint_evaluation():
+    # one constraint evaluation per elimination, shared by a point's partials
     base = make_sakamoto1d(r=2.0)
     calls = []
 
@@ -456,13 +355,8 @@ def test_supplied_control_skips_the_affinity_probe():
     for q, p in ((0.2, -0.3), (-0.4, 0.7), (0.1, 0.0)):
         calls.clear()
         H.d1(vec(q), vec(p))
+        H.d2(vec(q), vec(p))
         assert len(calls) == 1
-    missing = discretize_right(dataclasses.replace(base, du_gamma=du_gamma,
-                                                   control=lambda q, p: 2.0 * p))
-    for q, p in ((0.2, -0.3), (0.1, 0.4)):
-        calls.clear()
-        missing.d1(vec(q), vec(p))
-        assert len(calls) == 1 + 4  # candidate, phi(0), phi(1), phi(2), verification
 
 
 _ABOVE_TOL = math.nextafter(TOL, math.inf)
@@ -483,15 +377,16 @@ def test_supplied_control_is_accepted_exactly_within_the_threshold(jac, p, gap, 
     supplied = vec(gap)
     cp = ControlProblem(gamma=lambda q, u: u, cost=lambda q, u: 0.5 * u.item() ** 2,
                         du_gamma=lambda q, u: np.array([[jac]]), du_cost=lambda q, u: u,
-                        sign=SignCriterion.PLUS, n=1, k=1, control=lambda q, p: supplied)
+                        sign=SignCriterion.PLUS, n=1, control=lambda q, p: supplied,
+                        dq_gamma=lambda q, u: np.zeros((1, 1)), dq_cost=lambda q, u: np.zeros(1))
     measured = abs((0.0 + jac * p) + gap)
     assert (measured <= max(TOL, 1e-13 * abs(p))) is accepted
-    u = eliminate_control(cp, vec(0.3), vec(p))
     if accepted:
-        assert u is supplied
+        assert eliminate_control(cp, vec(0.3), vec(p)) is supplied
     else:
-        # the affine path: one linear solve of phi(u) = u = 0
-        assert u is not supplied and u.tolist() == [0.0]
+        with pytest.raises(NumericalError, match=_MISS) as info:
+            eliminate_control(cp, vec(0.3), vec(p))
+        assert info.value.quantity == measured or math.isnan(gap)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -500,15 +395,18 @@ def test_non_finite_iterate_after_a_missed_control_is_a_numerical_error():
     H = discretize_right(cp)
     with pytest.raises(NumericalError, match="^p contains non-finite"):
         H.d2(vec(0.1), vec(float("nan")))
-    assert H.d2(vec(0.1), vec(0.5)) == 0.1 - 0.1**3 - 0.5
+    # at a finite point the NaN control is a miss
+    with pytest.raises(NumericalError, match=_MISS):
+        H.d2(vec(0.1), vec(0.5))
 
 
 @given(q=st.floats(-0.5773, 0.5773), p=st.floats(-2.0, 2.0),
-       r=st.sampled_from((0.5, 1.0, 2.0, 0.3, 3.7)))
-def test_eliminated_control_is_the_exact_quotient_to_an_ulp(q, p, r):
-    # the oracle is the rational -p / r, rounded once
-    u = eliminate_control(make_sakamoto1d(r=r), vec(q), vec(p))
-    exact = -Fraction(p) / Fraction(r)
+       r=st.sampled_from((0.5, 1.0, 2.0, 0.3, 3.7)), sign=st.sampled_from(SignCriterion))
+def test_eliminated_control_is_the_exact_quotient_to_an_ulp(q, p, r, sign):
+    # the oracle is the rational root of p + sign r u = 0, -p / r under
+    # Plus and p / r under Minus, rounded once
+    u = eliminate_control(with_sign(make_sakamoto1d(r=r), sign), vec(q), vec(p))
+    exact = (-Fraction(p) if sign is SignCriterion.PLUS else Fraction(p)) / Fraction(r)
     assert type(u) is float
     assert abs(Fraction(u) - exact) <= Fraction(math.ulp(float(exact)))
 
@@ -541,9 +439,9 @@ def _array_sakamoto1d(r, s):
         return np.array([-p.item() / r])
 
     return ControlProblem(gamma=gamma, cost=cost, du_gamma=du_gamma, du_cost=du_cost,
-                          sign=SignCriterion.PLUS, n=1, k=1, dq_gamma=dq_gamma,
+                          sign=SignCriterion.PLUS, n=1, control=control, dq_gamma=dq_gamma,
                           dq_cost=dq_cost, d_qp=lambda q, p, u: dq_gamma(q, u),
-                          d_pp=lambda q, p, u: curvature, control=control)
+                          d_pp=lambda q, p, u: curvature)
 
 
 def _outcome(f, *args):
@@ -558,8 +456,7 @@ def _outcome(f, *args):
 
 
 def _assert_float_model_is_the_array_model(r, s, sign, points):
-    models = [dataclasses.replace(make(r, s), sign=sign)
-              for make in (make_sakamoto1d, _array_sakamoto1d)]
+    models = [with_sign(make(r, s), sign) for make in (make_sakamoto1d, _array_sakamoto1d)]
     new, ref = [discretize_right(cp) for cp in models]
     for q, p in points:
         q, p = vec(q), vec(p)

@@ -245,10 +245,9 @@ _START = PhasePoint(index=1, q=[0.05], p=[0.0])
     ("dim", lambda bad: dataclasses.replace(midpoint_pendulum(0.2, 1.3), dim=bad)),
     ("dim", lambda bad: dataclasses.replace(cubic_right(), dim=bad)),
     ("n", lambda bad: dataclasses.replace(make_sakamoto1d(), n=bad)),
-    ("k", lambda bad: dataclasses.replace(make_sakamoto1d(), k=bad)),
     ("steps", lambda bad: run_trajectory(cubic_right(), _START, bad)),
 ], ids=["PhasePoint.index", "DiscreteLagrangian.dim", "DiscreteHamiltonian.dim",
-        "ControlProblem.n", "ControlProblem.k", "run_trajectory.steps"])
+        "ControlProblem.n", "run_trajectory.steps"])
 def test_integer_arguments_name_themselves_on_inf_and_nan(name, run, bad):
     with pytest.raises(ValueError, match=f"^{name} must be a (positive|nonnegative) integer, "
                                          f"got {bad}$"):
